@@ -77,12 +77,15 @@ def derive_channel_keys(
     return SecureChannelKeys.from_shared_secret(shared, context)
 
 
-def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """SHA-256 counter-mode keystream."""
-    blocks = []
-    for counter in range((length + 31) // 32):
-        blocks.append(sha256(key + nonce + struct.pack(">Q", counter)))
-    return b"".join(blocks)[:length]
+def _xor_keystream(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """``data`` XOR the SHA-256 counter-mode keystream, as one big-integer
+    operation (a per-byte generator costs ~50 ns a byte)."""
+    length = len(data)
+    stream = b"".join(
+        sha256(key + nonce + struct.pack(">Q", counter))
+        for counter in range((length + 31) // 32))[:length]
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(stream, "big")).to_bytes(length, "big")
 
 
 def encrypt(keys: SecureChannelKeys, nonce: bytes, plaintext: bytes) -> bytes:
@@ -94,8 +97,7 @@ def encrypt(keys: SecureChannelKeys, nonce: bytes, plaintext: bytes) -> bytes:
     """
     if len(nonce) != _NONCE_LEN:
         raise DecryptionError(f"nonce must be {_NONCE_LEN} bytes, got {len(nonce)}")
-    stream = _keystream(keys.encrypt_key, nonce, len(plaintext))
-    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+    ciphertext = _xor_keystream(keys.encrypt_key, nonce, plaintext)
     tag = hmac.new(keys.mac_key, nonce + ciphertext, hashlib.sha256).digest()
     return nonce + ciphertext + tag
 
@@ -111,8 +113,7 @@ def decrypt(keys: SecureChannelKeys, envelope: bytes) -> bytes:
     expected = hmac.new(keys.mac_key, nonce + ciphertext, hashlib.sha256).digest()
     if not hmac.compare_digest(tag, expected):
         raise DecryptionError("message authentication failed")
-    stream = _keystream(keys.encrypt_key, nonce, len(ciphertext))
-    return bytes(c ^ s for c, s in zip(ciphertext, stream))
+    return _xor_keystream(keys.encrypt_key, nonce, ciphertext)
 
 
 def nonce_from_counter(counter: int) -> bytes:

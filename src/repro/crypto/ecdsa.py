@@ -4,16 +4,41 @@ This is the same curve and signature scheme Teechain's implementation uses
 (via libsecp256k1); we implement it directly so the reproduction has zero
 native dependencies.  Features:
 
-* Jacobian-coordinate point arithmetic (affine inversion only at the end).
 * RFC 6979 deterministic nonces — signatures are reproducible, which keeps
   every test and benchmark deterministic.
 * Low-s normalisation (BIP 62), matching Bitcoin consensus rules.
+* Jacobian-coordinate point arithmetic; every modular inverse is
+  ``pow(x, -1, m)`` (extended Euclid, ~7x cheaper than the Fermat form).
 
-Performance note: pure-Python ECDSA signs in roughly a millisecond.  The
-benchmark harness therefore measures protocol timing on the simulated clock
-and uses a calibrated CPU cost model (see ``repro.bench.calibration``); the
-crypto here guarantees *correctness* of every signature the protocols
-exchange.
+There are exactly two scalar-multiplication paths:
+
+* **Fixed base** (``k*G``: signing, key derivation).  A doubling-free
+  fixed-window table of ``d * 16^w * G`` stored *affine* (normalised with
+  one shared inversion, Montgomery's trick), so a multiply is at most 64
+  mixed (Z=1) additions and no doublings.
+* **Variable base** (``u1*G + u2*Q``: verification; ``k*Q``: ECDH).  One
+  joint Strauss–Shamir ladder.  The secp256k1 endomorphism
+  ``lambda*(x, y) = (beta*x, y)`` (GLV) splits every scalar into two
+  ~128-bit halves, so the ladder runs ~129 doublings instead of 256; each
+  half is recoded in width-w NAF over affine odd-multiples tables (``Q``
+  and ``lambda*Q`` per call, ``G`` and ``lambda*G`` once per process), so
+  every addition in the ladder is mixed.  Verification never leaves
+  Jacobian coordinates: it checks ``r * Z^2 == X (mod p)`` instead of
+  inverting ``Z``.
+
+Tables are built lazily on first use (~10 ms and ~250 kB in all); nothing
+is computed at import.
+
+Performance note: pure-Python ECDSA signs in roughly 0.3 ms and verifies
+in roughly 0.7 ms here (libsecp256k1: tens of µs).  The DES benchmark
+harness therefore measures protocol timing on the simulated clock and uses
+a calibrated CPU cost model (see ``repro.bench.calibration``); the crypto
+here guarantees *correctness* of every signature the protocols exchange.
+
+Side channels: this code is **variable-time** by construction — Python
+integers, data-dependent branches, wNAF digit patterns and table indices
+all depend on secret scalars, as in any big-integer Python ladder.  The
+simulated enclave makes no side-channel claim.
 """
 
 from __future__ import annotations
@@ -21,7 +46,8 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from functools import lru_cache
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidKey, InvalidSignature
 from repro.obs import get_metrics
@@ -34,8 +60,11 @@ B = 7
 GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
+_HALF_N = N // 2
+
 # A point is an (x, y) affine pair, or None for the point at infinity.
 AffinePoint = Optional[Tuple[int, int]]
+FinitePoint = Tuple[int, int]
 # Jacobian points are (X, Y, Z) with x = X/Z^2, y = Y/Z^3.
 JacobianPoint = Tuple[int, int, int]
 
@@ -52,22 +81,39 @@ def _from_jacobian(point: JacobianPoint) -> AffinePoint:
     x, y, z = point
     if z == 0:
         return None
-    z_inv = pow(z, P - 2, P)
-    z_inv2 = (z_inv * z_inv) % P
-    return ((x * z_inv2) % P, (y * z_inv2 * z_inv) % P)
+    z_inv = pow(z, -1, P)
+    z_inv2 = z_inv * z_inv % P
+    return (x * z_inv2 % P, y * z_inv2 * z_inv % P)
+
+
+def _batch_normalise(points: Sequence[JacobianPoint]) -> List[FinitePoint]:
+    """Affine forms of many finite Jacobian points for one inversion
+    (Montgomery's trick: invert the product, peel factors off backwards)."""
+    prefixes = []
+    product = 1
+    for _, _, z in points:
+        prefixes.append(product)
+        product = product * z % P
+    inverse = pow(product, -1, P)
+    affine: List[FinitePoint] = []
+    for (x, y, z), prefix in zip(reversed(points), reversed(prefixes)):
+        z_inv = inverse * prefix % P
+        inverse = inverse * z % P
+        z_inv2 = z_inv * z_inv % P
+        affine.append((x * z_inv2 % P, y * z_inv2 * z_inv % P))
+    affine.reverse()
+    return affine
 
 
 def _jacobian_double(point: JacobianPoint) -> JacobianPoint:
+    # secp256k1 has no point of order two, so y == 0 never occurs on the
+    # curve, and infinity (Z == 0) doubles to Z == 0 without a branch.
     x, y, z = point
-    if z == 0 or y == 0:
-        return _JACOBIAN_INFINITY
-    ysq = (y * y) % P
-    s = (4 * x * ysq) % P
-    m = (3 * x * x) % P  # a == 0 for secp256k1
-    nx = (m * m - 2 * s) % P
-    ny = (m * (s - nx) - 8 * ysq * ysq) % P
-    nz = (2 * y * z) % P
-    return (nx, ny, nz)
+    ysq = y * y % P
+    s = x * ysq * 4 % P
+    m = x * x * 3 % P  # a == 0 for secp256k1
+    nx = (m * m - s - s) % P
+    return (nx, (m * (s - nx) - ysq * ysq * 8) % P, y * z * 2 % P)
 
 
 def _jacobian_add(p: JacobianPoint, q: JacobianPoint) -> JacobianPoint:
@@ -77,85 +123,229 @@ def _jacobian_add(p: JacobianPoint, q: JacobianPoint) -> JacobianPoint:
         return p
     x1, y1, z1 = p
     x2, y2, z2 = q
-    z1z1 = (z1 * z1) % P
-    z2z2 = (z2 * z2) % P
-    u1 = (x1 * z2z2) % P
-    u2 = (x2 * z1z1) % P
-    s1 = (y1 * z2 * z2z2) % P
-    s2 = (y2 * z1 * z1z1) % P
-    if u1 == u2:
-        if s1 != s2:
+    z1z1 = z1 * z1 % P
+    z2z2 = z2 * z2 % P
+    u1 = x1 * z2z2 % P
+    s1 = y1 * z2z2 * z2 % P
+    h = x2 * z1z1 % P - u1
+    r = y2 * z1z1 * z1 % P - s1
+    if h == 0:
+        if r != 0:
             return _JACOBIAN_INFINITY
         return _jacobian_double(p)
-    h = (u2 - u1) % P
-    i = (4 * h * h) % P
-    j = (h * i) % P
-    r = (2 * (s2 - s1)) % P
-    v = (u1 * i) % P
-    nx = (r * r - j - 2 * v) % P
-    ny = (r * (v - nx) - 2 * s1 * j) % P
-    nz = (2 * h * z1 * z2) % P
-    return (nx, ny, nz)
+    hh = h * h % P
+    hhh = h * hh
+    v = u1 * hh
+    nx = (r * r - hhh - v - v) % P
+    return (nx, (r * (v - nx) - s1 * hhh) % P, h * z1 * z2 % P)
 
 
-def _jacobian_multiply(point: JacobianPoint, scalar: int) -> JacobianPoint:
-    scalar %= N
-    result = _JACOBIAN_INFINITY
-    addend = point
-    while scalar:
-        if scalar & 1:
-            result = _jacobian_add(result, addend)
-        addend = _jacobian_double(addend)
-        scalar >>= 1
-    return result
+# A schedule lists, per bit position, the affine points to add there; its
+# value is sum(2^i * sum(schedule[i])).
+Schedule = List[Optional[List[FinitePoint]]]
 
 
-# -- fixed-window precomputed-G multiplication ---------------------------
+def _evaluate(schedule: Schedule) -> JacobianPoint:
+    """The value of ``schedule``: from the top bit down, double once per
+    position and add that position's points.
+
+    This is the one hot loop of the module — every scalar multiply ends
+    here — so the doubling and the mixed addition (Z2 == 1, five
+    multiplies fewer than _jacobian_add) are inlined on three locals: a
+    call and a tuple per group operation is ~10 % of a verify.  An
+    addition that meets infinity or a point with the same x takes the
+    checked function instead.
+    """
+    x, y, z = _JACOBIAN_INFINITY
+    p = P
+    for slot in reversed(schedule):
+        if z:
+            ysq = y * y % p
+            s = x * ysq * 4 % p
+            m = x * x * 3 % p
+            x = (m * m - s - s) % p
+            z = y * z * 2 % p
+            y = (m * (s - x) - ysq * ysq * 8) % p
+        if slot:
+            for qx, qy in slot:
+                zz = z * z % p
+                h = qx * zz % p - x
+                if not (h and z):
+                    x, y, z = _jacobian_add((x, y, z), (qx, qy, 1))
+                    continue
+                r = qy * zz * z % p - y
+                hh = h * h % p
+                hhh = h * hh
+                v = x * hh
+                x = (r * r - hhh - v - v) % p
+                y = (r * (v - x) - y * hhh) % p
+                z = h * z % p
+    return (x, y, z)
+
+
+# -- fixed base: doubling-free windowed table of G ------------------------
 #
-# Generator multiples dominate the remaining ECDSA cost (one k*G per sign,
-# one u1*G per verify).  With G fixed we can precompute d * 16^w * G for
-# every 4-bit window w and digit d, turning a 256-double/128-add ladder
-# into at most 64 additions.  The table is built lazily on first use
-# (~1k group operations, tens of ms once per process) and never exposed.
+# One k*G per signature and per derived key.  With G fixed we precompute
+# d * 16^w * G for every 4-bit window w and digit d, so a multiply is at
+# most 64 mixed additions and no doublings.  The table is built lazily on
+# first use (~1k group operations and one inversion: ~10 ms, ~200 kB) and
+# never exposed.
 
 _WINDOW_BITS = 4
 _WINDOW_COUNT = 64   # ceil(256 / _WINDOW_BITS)
-_G_TABLE: List[List[JacobianPoint]] = []
+_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
 
 
-def _generator_table() -> List[List[JacobianPoint]]:
-    if not _G_TABLE:
-        base: JacobianPoint = (GX, GY, 1)
-        for _ in range(_WINDOW_COUNT):
-            row: List[JacobianPoint] = [_JACOBIAN_INFINITY, base]
-            for _ in range(2, 1 << _WINDOW_BITS):
-                row.append(_jacobian_add(row[-1], base))
-            _G_TABLE.append(row)
-            for _ in range(_WINDOW_BITS):
-                base = _jacobian_double(base)
-    return _G_TABLE
+@lru_cache(maxsize=None)
+def _generator_windows() -> List[List[FinitePoint]]:
+    """``rows[w][d - 1] == d * 2^(_WINDOW_BITS * w) * G``, affine."""
+    multiples: List[JacobianPoint] = []
+    base: JacobianPoint = (GX, GY, 1)
+    for _ in range(_WINDOW_COUNT):
+        entry = base
+        for _ in range(_WINDOW_MASK):
+            multiples.append(entry)
+            entry = _jacobian_add(entry, base)
+        base = entry  # 2^_WINDOW_BITS * previous base
+    affine = _batch_normalise(multiples)
+    return [affine[start:start + _WINDOW_MASK]
+            for start in range(0, len(affine), _WINDOW_MASK)]
 
 
 def _jacobian_multiply_g(scalar: int) -> JacobianPoint:
     """``scalar * G`` via the fixed-window table (no doublings)."""
     scalar %= N
-    table = _generator_table()
-    result = _JACOBIAN_INFINITY
-    window = 0
-    while scalar:
-        digit = scalar & ((1 << _WINDOW_BITS) - 1)
+    points = []
+    for row in _generator_windows():
+        digit = scalar & _WINDOW_MASK
         if digit:
-            result = _jacobian_add(result, table[window][digit])
+            points.append(row[digit - 1])
         scalar >>= _WINDOW_BITS
-        window += 1
-    return result
+    return _evaluate([points])
+
+
+# -- variable base: joint GLV / wNAF ladder --------------------------------
+#
+# secp256k1 has an efficiently computable endomorphism: with BETA a
+# primitive cube root of unity mod P and LAMBDA the matching one mod N,
+# LAMBDA * (x, y) == (BETA * x, y).  Writing k = k1 + k2 * LAMBDA (mod N)
+# with |k1|, |k2| < 2^129 turns one 256-bit multiply into two 128-bit
+# ones that share their doublings (Gallant–Lambert–Vanstone, CRYPTO 2001).
+# (A1, B1), (A2, B2) is the reduced basis of the lattice
+# {(a, b) : a + b * LAMBDA == 0 mod N}, from the extended Euclidean
+# algorithm on (N, LAMBDA) — Guide to Elliptic Curve Cryptography,
+# Alg. 3.74; the values equal libsecp256k1's and are re-derived from
+# their defining equations in tests/test_crypto_ecdsa.py.
+
+_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_GLV_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_GLV_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_GLV_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_GLV_B2 = _GLV_A1
+
+# wNAF widths: digits are odd, |d| < 2^(width - 1), at most one in any
+# `width` consecutive bits.  The per-call table of Q is kept small (8
+# points: building it is on the clock); G's is built once, so it is wider.
+_Q_WIDTH = 5
+_G_WIDTH = 8
+
+
+def _glv_split(scalar: int) -> Tuple[int, int]:
+    """``(k1, k2)`` with ``k1 + k2 * LAMBDA == scalar (mod N)`` and both
+    halves (either sign) below 2^129 in magnitude, for ``0 <= scalar < N``.
+
+    Babai rounding: the lattice vector nearest ``(scalar, 0)`` is
+    ``c1 * (A1, B1) + c2 * (A2, B2)``; the remainder is the short pair.
+    """
+    c1 = (_GLV_B2 * scalar + _HALF_N) // N
+    c2 = (-_GLV_B1 * scalar + _HALF_N) // N
+    return (scalar - c1 * _GLV_A1 - c2 * _GLV_A2,
+            -c1 * _GLV_B1 - c2 * _GLV_B2)
+
+
+def _endomorphism(points: Sequence[FinitePoint]) -> List[FinitePoint]:
+    """``LAMBDA * p`` for each affine ``p``: one field multiply apiece."""
+    return [(x * _BETA % P, y) for x, y in points]
+
+
+def _odd_multiples(point: FinitePoint, count: int) -> List[FinitePoint]:
+    """``[1, 3, ..., 2*count - 1] * point``, affine, for one inversion."""
+    first = (point[0], point[1], 1)
+    twice = _jacobian_double(first)
+    multiples = [first]
+    for _ in range(count - 1):
+        multiples.append(_jacobian_add(multiples[-1], twice))
+    return _batch_normalise(multiples)
+
+
+@lru_cache(maxsize=None)
+def _generator_odd_multiples() -> Tuple[List[FinitePoint], List[FinitePoint]]:
+    """``[1, 3, 5, ...] * G`` and the same times LAMBDA, affine."""
+    multiples = _odd_multiples((GX, GY), 1 << (_G_WIDTH - 2))
+    return multiples, _endomorphism(multiples)
+
+
+def _schedule_wnaf(schedule: Schedule, scalar: int,
+                   odd_multiples: Sequence[FinitePoint], width: int) -> None:
+    """Recode ``scalar`` (either sign) in width-``width`` NAF and, for each
+    non-zero digit ``d`` at bit ``i``, queue the point ``d * base`` in
+    ``schedule[i]`` (``odd_multiples[j] == (2j + 1) * base``)."""
+    negate = scalar < 0
+    if negate:
+        scalar = -scalar
+    window = 1 << width
+    position = 0
+    while scalar:
+        zeros = (scalar & -scalar).bit_length() - 1
+        scalar >>= zeros
+        position += zeros
+        digit = scalar & (window - 1)  # odd, because scalar is
+        if digit & (window >> 1):
+            digit -= window
+        scalar -= digit  # now a multiple of `window`
+        point = odd_multiples[abs(digit) >> 1]
+        if (digit < 0) != negate:
+            point = (point[0], P - point[1])
+        slot = schedule[position]
+        if slot is None:
+            schedule[position] = [point]
+        else:
+            slot.append(point)
+
+
+def _jacobian_multiply_sum(g_scalar: int, q_scalar: int,
+                           q_point: AffinePoint) -> JacobianPoint:
+    """``g_scalar * G + q_scalar * q_point`` in one joint ladder.
+
+    Each scalar is GLV-split, each half wNAF-recoded onto the bit positions
+    of one shared schedule; the ladder then doubles once per bit and adds
+    whatever the schedule holds there.  A zero scalar contributes no
+    stream, so ``k * Q`` is the same ladder with the G streams empty.
+    """
+    operands = []  # (scalar, (odd multiples, the same * LAMBDA), width)
+    g_scalar %= N
+    if g_scalar:
+        operands.append((g_scalar, _generator_odd_multiples(), _G_WIDTH))
+    q_scalar %= N
+    if q_scalar and q_point is not None:
+        plain = _odd_multiples(q_point, 1 << (_Q_WIDTH - 2))
+        operands.append((q_scalar, (plain, _endomorphism(plain)), _Q_WIDTH))
+    streams = [(half, table, width)
+               for scalar, tables, width in operands
+               for half, table in zip(_glv_split(scalar), tables)]
+    bits = max((abs(half).bit_length() for half, _, _ in streams), default=0)
+    schedule: Schedule = [None] * (bits + 1)
+    for half, table, width in streams:
+        _schedule_wnaf(schedule, half, table, width)
+    return _evaluate(schedule)
 
 
 def point_multiply(scalar: int, point: AffinePoint = (GX, GY)) -> AffinePoint:
     """Scalar multiplication ``scalar * point`` (defaults to the generator)."""
     if point == (GX, GY):
         return _from_jacobian(_jacobian_multiply_g(scalar))
-    return _from_jacobian(_jacobian_multiply(_to_jacobian(point), scalar))
+    return _from_jacobian(_jacobian_multiply_sum(0, scalar, point))
 
 
 def point_add(p: AffinePoint, q: AffinePoint) -> AffinePoint:
@@ -164,10 +354,15 @@ def point_add(p: AffinePoint, q: AffinePoint) -> AffinePoint:
 
 
 def is_on_curve(point: AffinePoint) -> bool:
-    """Whether ``point`` satisfies y^2 = x^3 + 7 (mod p)."""
+    """Whether ``point`` is infinity or a canonical affine point —
+    coordinates in ``[0, p)`` — satisfying y^2 = x^3 + 7 (mod p)."""
     if point is None:
         return True
     x, y = point
+    if not (0 <= x < P and 0 <= y < P):
+        # x + P names the same point as x; admitting it would give one
+        # key two unequal encodings.
+        return False
     return (y * y - x * x * x - B) % P == 0
 
 
@@ -249,11 +444,10 @@ def sign(private_key: int, digest: bytes) -> Signature:
         r = point[0] % N
         if r == 0:
             continue  # §3.2h: next candidate from the updated K/V chain
-        k_inv = pow(k, N - 2, N)
-        s = (k_inv * (z + r * private_key)) % N
+        s = pow(k, -1, N) * (z + r * private_key) % N
         if s == 0:
             continue
-        if s > N // 2:  # low-s normalisation (BIP 62)
+        if s > _HALF_N:  # low-s normalisation (BIP 62)
             s = N - s
         return Signature(r, s)
     raise InvalidSignature("nonce generation exhausted")  # pragma: no cover
@@ -266,7 +460,7 @@ def verify(public_key: Tuple[int, int], digest: bytes, signature: Signature) -> 
     treat verification as a predicate; malformed *keys* raise
     :class:`InvalidKey` because they indicate caller bugs, not attacks.
     """
-    if not is_on_curve(public_key) or public_key is None:
+    if public_key is None or not is_on_curve(public_key):
         raise InvalidKey("public key is not on secp256k1")
     if len(digest) != 32:
         return False
@@ -276,25 +470,30 @@ def verify(public_key: Tuple[int, int], digest: bytes, signature: Signature) -> 
     r, s = signature.r, signature.s
     if not (1 <= r < N and 1 <= s < N):
         return False
-    if s > N // 2:
+    if s > _HALF_N:
         # BIP 62 low-s rule: our signer always emits low-s (see
         # Signature), so a high-s signature is a malleated duplicate and
         # must not verify — anything persisted or gossiped would
         # otherwise admit two encodings of the same authorisation.
         return False
-    z = _bits_to_int(digest)
-    s_inv = pow(s, N - 2, N)
-    u1 = (z * s_inv) % N
-    u2 = (r * s_inv) % N
-    point = _from_jacobian(
-        _jacobian_add(
-            _jacobian_multiply_g(u1),
-            _jacobian_multiply(_to_jacobian(public_key), u2),
-        )
-    )
-    if point is None:
+    s_inv = pow(s, -1, N)
+    return _x_matches_r(
+        _jacobian_multiply_sum(_bits_to_int(digest) * s_inv, r * s_inv,
+                               public_key), r)
+
+
+def _x_matches_r(point: JacobianPoint, r: int) -> bool:
+    """Whether the affine x of ``point``, reduced mod N, equals ``r`` —
+    without inverting Z.  x = X / Z^2 lies in [0, P) and N < P < 2N, so
+    x mod N == r  iff  x == r, or x == r + N when that is still below P.
+    """
+    x, _, z = point
+    if z == 0:
         return False
-    return point[0] % N == r
+    zz = z * z % P
+    if (r * zz - x) % P == 0:
+        return True
+    return r + N < P and ((r + N) * zz - x) % P == 0
 
 
 def derive_public_key(private_key: int) -> Tuple[int, int]:

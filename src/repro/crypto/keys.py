@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple
 
 from repro.crypto import ecdsa
@@ -19,6 +20,11 @@ from repro.crypto.hashing import hash160, sha256
 from repro.errors import InvalidKey
 
 _ADDRESS_PREFIX = "btc"
+# Decompressing a key is a 256-bit modular square root (~150 µs), and the
+# same keys arrive again and again: a hub's clients on every request, the
+# signers of every chain transaction and signed frame.  Sized for a few
+# thousand live peers; at ~0.5 kB an entry the cache tops out near 2 MB.
+_DECOMPRESSION_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -43,19 +49,15 @@ class PublicKey:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PublicKey":
-        """Decode a compressed SEC1 public key."""
-        if len(data) != 33 or data[0] not in (2, 3):
-            raise InvalidKey(f"bad compressed public key ({len(data)} bytes)")
-        x = int.from_bytes(data[1:], "big")
-        if x >= ecdsa.P:
-            raise InvalidKey("x coordinate out of field range")
-        y_squared = (pow(x, 3, ecdsa.P) + ecdsa.B) % ecdsa.P
-        y = pow(y_squared, (ecdsa.P + 1) // 4, ecdsa.P)
-        if (y * y) % ecdsa.P != y_squared:
-            raise InvalidKey("x coordinate has no curve point")
-        if (y % 2 == 0) != (data[0] == 2):
-            y = ecdsa.P - y
-        return cls(x, y)
+        """Decode a compressed SEC1 public key.
+
+        Decoded keys are kept in a bounded LRU keyed by the encoding, so
+        equal encodings may return the same (frozen) object; encodings
+        that raise are never remembered.
+        """
+        # bytes(): a codec reader may hand over a bytearray or memoryview
+        # slice, which cannot key a cache.
+        return _decompress(bytes(data))
 
     def address(self) -> str:
         """Bitcoin-style address string for this key."""
@@ -75,6 +77,22 @@ class PublicKey:
 
     def __repr__(self) -> str:
         return f"PublicKey({self.fingerprint()}…)"
+
+
+@lru_cache(maxsize=_DECOMPRESSION_CACHE_SIZE)
+def _decompress(data: bytes) -> PublicKey:
+    if len(data) != 33 or data[0] not in (2, 3):
+        raise InvalidKey(f"bad compressed public key ({len(data)} bytes)")
+    x = int.from_bytes(data[1:], "big")
+    if x >= ecdsa.P:
+        raise InvalidKey("x coordinate out of field range")
+    y_squared = (pow(x, 3, ecdsa.P) + ecdsa.B) % ecdsa.P
+    y = pow(y_squared, (ecdsa.P + 1) // 4, ecdsa.P)
+    if (y * y) % ecdsa.P != y_squared:
+        raise InvalidKey("x coordinate has no curve point")
+    if (y % 2 == 0) != (data[0] == 2):
+        y = ecdsa.P - y
+    return PublicKey(x, y)
 
 
 class PrivateKey:

@@ -1,16 +1,112 @@
 """secp256k1 ECDSA: curve arithmetic, RFC 6979 determinism, low-s,
 verification edge cases, and cross-key rejection."""
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import subprocess
+import sys
+import time
+from functools import lru_cache
 
-from repro.crypto import ecdsa
-from repro.crypto.ecdsa import Signature
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from repro.crypto import ecdsa, keys
+from repro.crypto.ecdsa import GX, GY, N, P, Signature
 from repro.crypto.hashing import sha256
+from repro.crypto.keys import PublicKey
 from repro.errors import InvalidKey, InvalidSignature
 
 KEY = 0x1E99423A4ED27608A15A2616A2B0E9E52CED330AC530EDCC32C8FFC6A526AEDD
 DIGEST = sha256(b"teechain")
+G = (GX, GY)
+# Scalars where a recoding, a split or a window boundary can go wrong.
+EDGE_SCALARS = [0, 1, 2, N - 1, N, N + 1, ecdsa._LAMBDA,
+                (1 << 128) - 1, (1 << 128) + 1]
+
+
+# -- the oracle ------------------------------------------------------------
+#
+# The textbook ladder the kernel replaced: Jacobian double-and-add, one
+# bit at a time, Fermat inversions, no tables, no endomorphism.  It shares
+# no code with repro.crypto.ecdsa, so agreement is evidence.
+
+def _naive_double(point):
+    x, y, z = point
+    if z == 0 or y == 0:
+        return (0, 1, 0)
+    ysq = (y * y) % P
+    s = (4 * x * ysq) % P
+    m = (3 * x * x) % P
+    nx = (m * m - 2 * s) % P
+    return (nx, (m * (s - nx) - 8 * ysq * ysq) % P, (2 * y * z) % P)
+
+
+def _naive_add(p, q):
+    if p[2] == 0:
+        return q
+    if q[2] == 0:
+        return p
+    x1, y1, z1 = p
+    x2, y2, z2 = q
+    z1z1 = (z1 * z1) % P
+    z2z2 = (z2 * z2) % P
+    u1 = (x1 * z2z2) % P
+    u2 = (x2 * z1z1) % P
+    s1 = (y1 * z2 * z2z2) % P
+    s2 = (y2 * z1 * z1z1) % P
+    if u1 == u2:
+        return _naive_double(p) if s1 == s2 else (0, 1, 0)
+    h = (u2 - u1) % P
+    i = (4 * h * h) % P
+    j = (h * i) % P
+    r = (2 * (s2 - s1)) % P
+    v = (u1 * i) % P
+    nx = (r * r - j - 2 * v) % P
+    return (nx, (r * (v - nx) - 2 * s1 * j) % P, (2 * h * z1 * z2) % P)
+
+
+def _naive_affine(point):
+    x, y, z = point
+    if z == 0:
+        return None
+    z_inv = pow(z, P - 2, P)
+    return ((x * z_inv * z_inv) % P, (y * z_inv * z_inv * z_inv) % P)
+
+
+def _naive_multiply_jacobian(scalar, point):
+    scalar %= N
+    result = (0, 1, 0)
+    addend = (0, 1, 0) if point is None else (point[0], point[1], 1)
+    while scalar:
+        if scalar & 1:
+            result = _naive_add(result, addend)
+        addend = _naive_double(addend)
+        scalar >>= 1
+    return result
+
+
+def naive_multiply(scalar, point=G):
+    return _naive_affine(_naive_multiply_jacobian(scalar, point))
+
+
+def naive_multiply_sum(g_scalar, q_scalar, q_point):
+    return _naive_affine(_naive_add(
+        _naive_multiply_jacobian(g_scalar, G),
+        _naive_multiply_jacobian(q_scalar, q_point)))
+
+
+def naive_verify(public_key, digest, signature):
+    """Textbook ECDSA verification over the oracle ladder."""
+    r, s = signature.r, signature.s
+    if not (1 <= r < N and 1 <= s <= N // 2):
+        return False
+    s_inv = pow(s, N - 2, N)
+    z = int.from_bytes(digest, "big")
+    point = naive_multiply_sum(z * s_inv, r * s_inv, public_key)
+    return point is not None and point[0] % N == r
+
+
+def negate(point):
+    return (point[0], P - point[1])
 
 # Published RFC 6979 test vectors for secp256k1 with HMAC-SHA256 (the
 # widely cross-checked set used by trezor-crypto, haskoin, and
@@ -237,27 +333,441 @@ class TestLowSEnforcement:
         assert ecdsa.verify(public, DIGEST, signature)
 
 
-class TestWindowedGeneratorMultiply:
-    """The precomputed-table path must agree with the generic ladder."""
+# st.integers() over a 256-bit range draws mostly tiny values; 32 random
+# bytes exercise every window and both GLV halves.  Values may exceed N:
+# every multiply reduces its scalar.
+scalars = st.binary(min_size=32, max_size=32).map(
+    lambda data: int.from_bytes(data, "big"))
+secrets = scalars.map(lambda value: value % (N - 1) + 1)
 
-    def test_matches_generic_ladder(self):
-        for scalar in (1, 2, 15, 16, 0xDEADBEEF, ecdsa.N - 1,
-                       (1 << 255) + 12345):
-            fast = ecdsa._from_jacobian(ecdsa._jacobian_multiply_g(scalar))
-            slow = ecdsa._from_jacobian(ecdsa._jacobian_multiply(
-                (ecdsa.GX, ecdsa.GY, 1), scalar))
-            assert fast == slow
 
-    def test_order_multiple_is_infinity(self):
-        assert ecdsa._from_jacobian(ecdsa._jacobian_multiply_g(ecdsa.N)) \
-            is None
+class TestFixedBaseMultiply:
+    """``k * G`` through the affine fixed-window table."""
+
+    @pytest.mark.parametrize("scalar", EDGE_SCALARS + [
+        15, 16, 17, 0xDEADBEEF, (1 << 255) + 12345, (1 << 256) - 1])
+    def test_edge_scalars(self, scalar):
+        assert ecdsa._from_jacobian(ecdsa._jacobian_multiply_g(scalar)) \
+            == naive_multiply(scalar)
+        assert ecdsa.point_multiply(scalar) == naive_multiply(scalar)
 
     @settings(max_examples=15, deadline=None)
-    @given(st.integers(min_value=1, max_value=ecdsa.N - 1))
-    def test_property_matches_ladder(self, scalar):
+    @given(scalars)
+    def test_property_matches_oracle(self, scalar):
         assert ecdsa._from_jacobian(ecdsa._jacobian_multiply_g(scalar)) \
-            == ecdsa._from_jacobian(ecdsa._jacobian_multiply(
-                (ecdsa.GX, ecdsa.GY, 1), scalar))
+            == naive_multiply(scalar)
+
+    def test_table_is_affine_multiples_of_g(self):
+        rows = ecdsa._generator_windows()
+        assert len(rows) * ecdsa._WINDOW_BITS >= 256
+        for window in (0, 1, len(rows) - 1):
+            for digit in (1, 2, ecdsa._WINDOW_MASK):
+                assert rows[window][digit - 1] == naive_multiply(
+                    digit << (ecdsa._WINDOW_BITS * window))
+
+
+class TestGlvSplit:
+    def test_constants_satisfy_their_definitions(self):
+        lam, beta = ecdsa._LAMBDA, ecdsa._BETA
+        # Primitive cube roots of unity in their fields...
+        assert lam != 1 and pow(lam, 3, N) == 1
+        assert beta != 1 and pow(beta, 3, P) == 1
+        # ...that match each other: lambda * (x, y) == (beta * x, y).
+        assert naive_multiply(lam) == (beta * GX % P, GY)
+        # Both basis vectors lie in the lattice {a + b*lambda == 0 mod N}
+        # and span it (determinant N).
+        a1, b1, a2, b2 = (ecdsa._GLV_A1, ecdsa._GLV_B1,
+                          ecdsa._GLV_A2, ecdsa._GLV_B2)
+        assert (a1 + b1 * lam) % N == 0
+        assert (a2 + b2 * lam) % N == 0
+        assert a1 * b2 - a2 * b1 == N
+
+    @pytest.mark.parametrize("scalar", [k % N for k in EDGE_SCALARS] + [
+        N // 2, N // 2 + 1, (1 << 255), N - ecdsa._LAMBDA])
+    def test_edge_scalars(self, scalar):
+        self._check(scalar)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scalars)
+    def test_property_recombines_and_is_short(self, scalar):
+        self._check(scalar % N)
+
+    def test_both_signs_occur(self):
+        signs = set()
+        for seed in range(64):
+            k1, k2 = ecdsa._glv_split(
+                int.from_bytes(sha256(bytes([seed])), "big") % N)
+            signs.add((k1 < 0, k2 < 0))
+        assert len(signs) == 4
+
+    @staticmethod
+    def _check(scalar):
+        k1, k2 = ecdsa._glv_split(scalar)
+        assert (k1 + k2 * ecdsa._LAMBDA - scalar) % N == 0
+        assert abs(k1) < 1 << 129 and abs(k2) < 1 << 129
+
+
+class TestWnafSchedule:
+    @settings(max_examples=100, deadline=None)
+    @given(scalars.map(lambda value: (value >> 126) - (1 << 129)),
+           st.integers(min_value=2, max_value=8))
+    def test_property_digits_recombine(self, scalar, width):
+        # Over the "curve" of plain integers: base 1, odd multiples
+        # (2j + 1, marker); a queued (x, y) stands for +x, (x, P - y) for -x.
+        odd_multiples = [(2 * j + 1, 1) for j in range(1 << (width - 2))]
+        schedule = [None] * (abs(scalar).bit_length() + 1)
+        ecdsa._schedule_wnaf(schedule, scalar, odd_multiples, width)
+        total, positions = 0, []
+        for position, slot in enumerate(schedule):
+            if slot is not None:
+                (value, marker), = slot
+                total += (value if marker == 1 else -value) << position
+                positions.append(position)
+        assert total == scalar
+        # Non-adjacency: non-zero digits are at least `width` bits apart.
+        assert all(b - a >= width for a, b in zip(positions, positions[1:]))
+
+
+class TestVariableBaseMultiply:
+    """``k * Q`` and ``u1 * G + u2 * Q`` through the joint GLV/wNAF
+    ladder, against the oracle."""
+
+    Q = naive_multiply(KEY)
+
+    @pytest.mark.parametrize("scalar", EDGE_SCALARS)
+    def test_edge_scalars(self, scalar):
+        assert ecdsa.point_multiply(scalar, self.Q) \
+            == naive_multiply(scalar, self.Q)
+
+    @pytest.mark.parametrize("u1", EDGE_SCALARS)
+    @pytest.mark.parametrize("u2", EDGE_SCALARS)
+    def test_edge_scalar_pairs(self, u1, u2):
+        assert ecdsa._from_jacobian(
+            ecdsa._jacobian_multiply_sum(u1, u2, self.Q)) \
+            == naive_multiply_sum(u1, u2, self.Q)
+
+    @settings(max_examples=25, deadline=None)
+    @given(scalars, secrets)
+    def test_property_multiply_matches_oracle(self, scalar, secret):
+        point = naive_multiply(secret)
+        assert ecdsa.point_multiply(scalar, point) \
+            == naive_multiply(scalar, point)
+
+    @settings(max_examples=25, deadline=None)
+    @given(scalars, scalars, secrets)
+    @example(5, 7, 1)        # Q == G
+    @example(5, 7, N - 1)    # Q == -G
+    def test_property_sum_matches_oracle(self, u1, u2, secret):
+        point = naive_multiply(secret)
+        assert ecdsa._from_jacobian(
+            ecdsa._jacobian_multiply_sum(u1, u2, point)) \
+            == naive_multiply_sum(u1, u2, point)
+
+    def test_infinity_operand(self):
+        assert ecdsa.point_multiply(5, None) is None
+        assert ecdsa._from_jacobian(
+            ecdsa._jacobian_multiply_sum(5, 7, None)) == naive_multiply(5)
+
+    @pytest.mark.parametrize("point", [G, negate(G)], ids=["G", "-G"])
+    @pytest.mark.parametrize("u1,u2", [(1, 1), (3, 3), (2, 1), (1, 2),
+                                       (0xABCDEF, 0xABCDEF), (N - 1, 1)])
+    def test_streams_collide_inside_the_ladder(self, point, u1, u2):
+        # With Q == +-G the G and Q streams queue equal or opposite
+        # points at the same bit: the add must fall through to the
+        # doubling / infinity cases, not divide by zero silently.
+        assert ecdsa._from_jacobian(
+            ecdsa._jacobian_multiply_sum(u1, u2, point)) \
+            == naive_multiply_sum(u1, u2, point)
+
+    @pytest.mark.parametrize("secret", [1, 2, N - 1, KEY])
+    @pytest.mark.parametrize("u2", [1, 2, ecdsa._LAMBDA, KEY])
+    def test_cancelling_sum_is_infinity(self, secret, u2):
+        # u1*G == -(u2*Q)  =>  the sum is the point at infinity.
+        u1 = (-u2 * secret) % N
+        result = ecdsa._jacobian_multiply_sum(u1, u2, naive_multiply(secret))
+        assert result[2] == 0
+        assert ecdsa._from_jacobian(result) is None
+        assert not ecdsa._x_matches_r(result, 1)
+
+    def test_ecdh_agrees_both_ways(self):
+        a, b = KEY, KEY ^ 0xFFFF
+        assert ecdsa.point_multiply(a, naive_multiply(b)) \
+            == ecdsa.point_multiply(b, naive_multiply(a)) \
+            == naive_multiply(a * b)
+
+
+class TestInversionFreeComparison:
+    """``_x_matches_r``: x(point) mod N == r without computing x."""
+
+    @staticmethod
+    def _blind(point, z):
+        return (point[0] * z * z % P, point[1] * z * z * z % P, z)
+
+    def test_plain_branch(self):
+        point = naive_multiply(KEY)
+        assert point[0] < N
+        for z in (1, 2, KEY, P - 1):
+            assert ecdsa._x_matches_r(self._blind(point, z), point[0])
+            assert not ecdsa._x_matches_r(self._blind(point, z), point[0] ^ 1)
+
+    def test_wrapped_branch(self):
+        # r + N < P only for r < P - N (~2^128.4): no honest signature
+        # lands there, so drive the helper directly.  Only the X and Z it
+        # reads matter; x = r + N need not be on the curve.
+        for r in (1, 2, P - N - 1):
+            for z in (1, 3, KEY):
+                wrapped = ((r + N) * z * z % P, 1, z)
+                assert ecdsa._x_matches_r(wrapped, r)
+                assert not ecdsa._x_matches_r(wrapped, r + 1)
+        # At r == P - N the wrapped value would be P == 0: not a match.
+        assert not ecdsa._x_matches_r((0, 1, 1), P - N)
+
+    def test_infinity_never_matches(self):
+        assert not ecdsa._x_matches_r((0, 1, 0), 1)
+
+
+class TestVerifyRejects:
+    """Negative vectors: every one must be ``False``, never an exception."""
+
+    PUBLIC = naive_multiply(KEY)
+    SIGNATURE = ecdsa.sign(KEY, DIGEST)
+
+    @pytest.mark.parametrize("r,s", [
+        (0, 1), (N, 1), (1, 0), (1, N), (0, 0), (N, N), (N + 1, 1), (-1, 1)])
+    def test_out_of_range_components(self, r, s):
+        assert not ecdsa.verify(self.PUBLIC, DIGEST, Signature(r, s))
+
+    def test_high_s(self):
+        high = Signature(self.SIGNATURE.r, N - self.SIGNATURE.s)
+        assert not ecdsa.verify(self.PUBLIC, DIGEST, high)
+
+    def test_wrong_key(self):
+        assert not ecdsa.verify(naive_multiply(KEY + 1), DIGEST, self.SIGNATURE)
+        assert not ecdsa.verify(negate(self.PUBLIC), DIGEST, self.SIGNATURE)
+
+    @pytest.mark.parametrize("bit", [0, 7, 128, 255])
+    def test_flipped_digest_bit(self, bit):
+        flipped = bytearray(DIGEST)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        assert not ecdsa.verify(self.PUBLIC, bytes(flipped), self.SIGNATURE)
+
+    def test_flipped_signature_bits(self):
+        for delta in (1, 1 << 64, 1 << 200):
+            assert not ecdsa.verify(self.PUBLIC, DIGEST, Signature(
+                self.SIGNATURE.r ^ delta, self.SIGNATURE.s))
+            assert not ecdsa.verify(self.PUBLIC, DIGEST, Signature(
+                self.SIGNATURE.r, self.SIGNATURE.s ^ delta))
+
+    def test_wrong_digest_length_is_false(self):
+        assert not ecdsa.verify(self.PUBLIC, DIGEST[:31], self.SIGNATURE)
+
+    def test_sum_at_infinity_is_false(self):
+        # Choose (r, s) so that u1*G + u2*Q cancels: with Q = d*G,
+        # u1 + u2*d == 0  <=>  z + r*d == 0.
+        z = int.from_bytes(DIGEST, "big")
+        r = (-z * pow(KEY, -1, N)) % N
+        assert not ecdsa.verify(self.PUBLIC, DIGEST, Signature(r, 1))
+
+    @pytest.mark.parametrize("key", [
+        None, (1, 1), (GX, GY + 1), (0, 0)])
+    def test_malformed_key_raises(self, key):
+        with pytest.raises(InvalidKey):
+            ecdsa.verify(key, DIGEST, self.SIGNATURE)
+
+    @settings(max_examples=20, deadline=None)
+    @given(secrets, st.binary(max_size=32))
+    def test_property_agrees_with_oracle(self, secret, message):
+        digest = sha256(message)
+        public = naive_multiply(secret)
+        good = ecdsa.sign(secret, digest)
+        bad = Signature(good.r, good.s ^ 1)
+        for signature in (good, bad):
+            assert ecdsa.verify(public, digest, signature) \
+                == naive_verify(public, digest, signature)
+
+
+class TestNonCanonicalCoordinates:
+    """Regression: ``is_on_curve`` reduced mod P, so x + P (whenever it
+    still fits 256 bits), oversized and negative coordinates aliased a
+    real point — a second, unequal encoding of the same key."""
+
+    # Smallest x below 2^256 - P with a curve point: x + P fits 32 bytes.
+    X = next(x for x in range(1, 100)
+             if pow(pow(x, 3, P) + 7, (P - 1) // 2, P) == 1)
+    Y = pow(pow(X, 3, P) + 7, (P + 1) // 4, P)
+
+    ALIASES = [(X + P, Y), (X, Y + P), (X - P, Y), (X, Y - P),
+               (X + P, Y + P), (X, -Y % P - P)]
+
+    def test_canonical_point_is_on_curve(self):
+        assert self.X + P < 1 << 256
+        assert ecdsa.is_on_curve((self.X, self.Y))
+        assert PublicKey(self.X, self.Y).point == (self.X, self.Y)
+
+    @pytest.mark.parametrize("alias", ALIASES)
+    def test_alias_is_not_on_curve(self, alias):
+        assert not ecdsa.is_on_curve(alias)
+
+    @pytest.mark.parametrize("alias", ALIASES)
+    def test_alias_cannot_become_a_public_key(self, alias):
+        with pytest.raises(InvalidKey):
+            PublicKey(*alias)
+
+    @pytest.mark.parametrize("alias", ALIASES[:2])
+    def test_alias_cannot_verify(self, alias):
+        with pytest.raises(InvalidKey):
+            ecdsa.verify(alias, DIGEST, ecdsa.sign(KEY, DIGEST))
+
+    def test_none_key_raises_invalid_key(self):
+        with pytest.raises(InvalidKey):
+            ecdsa.verify(None, DIGEST, ecdsa.sign(KEY, DIGEST))
+
+
+class TestDecompressionCache:
+    @pytest.fixture(autouse=True)
+    def _fresh_cache(self):
+        keys._decompress.cache_clear()
+        yield keys._decompress
+        keys._decompress.cache_clear()
+
+    def test_hit_returns_an_equal_key(self, _fresh_cache):
+        encoded = PublicKey(*naive_multiply(KEY)).to_bytes()
+        first = PublicKey.from_bytes(encoded)
+        again = PublicKey.from_bytes(bytearray(encoded))
+        assert first == again == PublicKey(*naive_multiply(KEY))
+        info = _fresh_cache.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_both_parities_are_distinct_entries(self, _fresh_cache):
+        encoded = PublicKey(*naive_multiply(KEY)).to_bytes()
+        mirrored = bytes([encoded[0] ^ 1]) + encoded[1:]
+        assert PublicKey.from_bytes(mirrored).point \
+            == negate(PublicKey.from_bytes(encoded).point)
+
+    @pytest.mark.parametrize("encoded", [
+        b"", b"\x02" + b"\x00" * 31, b"\x04" + b"\x01" * 32,
+        b"\x02" + b"\xff" * 32,                   # x >= P
+        b"\x02" + (5).to_bytes(32, "big"),         # no point with x == 5
+    ])
+    def test_invalid_encodings_raise_and_are_never_cached(
+            self, _fresh_cache, encoded):
+        for _ in range(2):
+            with pytest.raises(InvalidKey):
+                PublicKey.from_bytes(encoded)
+        info = _fresh_cache.cache_info()
+        assert info.currsize == 0 and info.hits == 0
+
+    def test_size_stays_bounded(self, _fresh_cache, monkeypatch):
+        bound = keys._DECOMPRESSION_CACHE_SIZE
+        assert _fresh_cache.cache_info().maxsize == bound
+        # Filling 4096 real keys costs seconds; wrap the same function
+        # in a small LRU to watch eviction, then check the real bound.
+        small = lru_cache(maxsize=4)(_fresh_cache.__wrapped__)
+        monkeypatch.setattr(keys, "_decompress", small)
+        encodings = [PublicKey(*naive_multiply(secret)).to_bytes()
+                     for secret in range(1, 9)]
+        for encoded in encodings:
+            PublicKey.from_bytes(encoded)
+        assert small.cache_info().currsize == 4
+        # Evicted keys decode again, correctly.
+        assert PublicKey.from_bytes(encodings[0]).point == naive_multiply(1)
+
+
+class TestKernelBudgets:
+    """Guards that do not depend on how fast the host is."""
+
+    def test_verify_is_faster_than_the_naive_ladder(self):
+        public = naive_multiply(KEY)
+        signature = ecdsa.sign(KEY, DIGEST)
+        assert ecdsa.verify(public, DIGEST, signature)  # tables built
+
+        def best_of(call, rounds):
+            best = float("inf")
+            for _ in range(rounds):
+                started = time.perf_counter()
+                assert call(public, DIGEST, signature)
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        # Interleave so a host-speed swing hits both sides alike.
+        fast = slow = float("inf")
+        for _ in range(3):
+            fast = min(fast, best_of(ecdsa.verify, 5))
+            slow = min(slow, best_of(naive_verify, 2))
+        # Measured ~4.2x against this fully naive ladder (~3x against the
+        # verify it replaced, which walked a table for G).
+        assert slow / fast >= 2.5, f"verify only {slow / fast:.2f}x naive"
+
+    def test_first_use_budget(self, monkeypatch):
+        # Both lazy tables, rebuilt from scratch: at most 1,100 group
+        # operations (the parent's one table cost 1,216) — ~10 ms against
+        # the 20 ms budget — and well under 1 MB.
+        counts = {"add": 0, "double": 0}
+        real_add, real_double = ecdsa._jacobian_add, ecdsa._jacobian_double
+
+        def counting_add(p, q):
+            counts["add"] += 1
+            return real_add(p, q)
+
+        def counting_double(p):
+            counts["double"] += 1
+            return real_double(p)
+
+        monkeypatch.setattr(ecdsa, "_jacobian_add", counting_add)
+        monkeypatch.setattr(ecdsa, "_jacobian_double", counting_double)
+        ecdsa._generator_windows.cache_clear()
+        ecdsa._generator_odd_multiples.cache_clear()
+        public = ecdsa.derive_public_key(KEY)              # fixed-base table
+        signature = ecdsa.sign(KEY, DIGEST)
+        assert ecdsa.verify(public, DIGEST, signature)     # + wNAF table of G
+        assert counts["add"] + counts["double"] <= 1100
+
+        def size(obj):
+            own = sys.getsizeof(obj)
+            if isinstance(obj, (list, tuple)):
+                own += sum(size(item) for item in obj)
+            return own
+
+        assert (size(ecdsa._generator_windows())
+                + size(ecdsa._generator_odd_multiples())) < 1 << 20
+
+    def test_steady_after_first_use(self, monkeypatch):
+        # Nothing warms up past the first call: fresh keys and digests
+        # build neither table again, and every verify is the same amount
+        # of work (measured 195–206 group operations over 300 keys).
+        ladders = []
+        real_evaluate = ecdsa._evaluate
+
+        def counting_evaluate(schedule):
+            ladders.append(len(schedule)
+                           + sum(len(slot) for slot in schedule if slot))
+            return real_evaluate(schedule)
+
+        ecdsa._generator_windows.cache_clear()
+        ecdsa._generator_odd_multiples.cache_clear()
+        assert ecdsa.verify(naive_multiply(KEY), DIGEST,
+                            ecdsa.sign(KEY, DIGEST))
+        monkeypatch.setattr(ecdsa, "_evaluate", counting_evaluate)
+        costs = []
+        for index in range(1, 41):
+            secret = int.from_bytes(sha256(b"key %d" % index), "big") % N
+            digest = sha256(b"digest %d" % index)
+            public = ecdsa.derive_public_key(secret)
+            signature = ecdsa.sign(secret, digest)
+            del ladders[:]
+            assert ecdsa.verify(public, digest, signature)
+            costs.append(ladders.pop())
+            assert not ladders  # one ladder per verify
+        assert ecdsa._generator_windows.cache_info().misses == 1
+        assert ecdsa._generator_odd_multiples.cache_info().misses == 1
+        assert max(costs) <= 1.1 * min(costs), (min(costs), max(costs))
+
+    def test_nothing_is_built_at_import(self):
+        code = ("from repro.crypto import ecdsa, keys\n"
+                "assert ecdsa._generator_windows.cache_info().currsize == 0\n"
+                "assert ecdsa._generator_odd_multiples.cache_info().currsize == 0\n"
+                "assert keys._decompress.cache_info().currsize == 0\n")
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 @settings(max_examples=20, deadline=None)

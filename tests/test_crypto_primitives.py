@@ -1,6 +1,8 @@
 """Hashing, key handling, authenticated encryption, Shamir sharing and
 multisig — the non-ECDSA crypto substrate."""
 
+import hmac
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,7 @@ from repro.crypto import (
     sha256d,
     split_secret,
 )
-from repro.crypto.authenticated import nonce_from_counter
+from repro.crypto.authenticated import SecureChannelKeys, nonce_from_counter
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.crypto.multisig import collect_signatures, share_indices_for_keys
 from repro.crypto.shamir import Share, reshare
@@ -148,6 +150,44 @@ class TestAuthenticatedEncryption:
     def test_empty_plaintext(self):
         keys, _, _ = self._keys()
         assert decrypt(keys, encrypt(keys, nonce_from_counter(2), b"")) == b""
+
+    # Envelopes produced by the byte-at-a-time XOR this module shipped
+    # with: (nonce counter, plaintext, nonce || ciphertext || tag).  Sealed
+    # state and recorded frames from older builds must keep opening.
+    VECTOR_KEYS = SecureChannelKeys(sha256(b"vector-enc"), sha256(b"vector-mac"))
+    VECTORS = [
+        (7, bytes(range(33)),
+         "0000000000000000000000075692afa57ae032f96eaba9cdb014c15956a24492"
+         "65c4bf3652bc4e1707f73b6a4d116e759f6470f198a897cdde36a94d2162b062"
+         "60741e84b019d531454b893afd"),
+        (1 << 40, b"teechain" * 9 + b"!",
+         "0000000000000100000000009b1ff9a3ef5d558c0deeefe9790bc95d4b0ddc4a"
+         "1aa5a5950d411e74385ee4f1afa6e238281aa32c9c207c216ad4ae15c89961ba"
+         "db29ba4de5edd715cd71d6a7a5c8772b97459b870797588102be3b87ff620d1b"
+         "aa2324380aba5f1b569ef6324bcfcb395b22729d37"),
+    ]
+
+    @pytest.mark.parametrize("counter,plaintext,envelope", VECTORS)
+    def test_wire_format_matches_recorded_envelopes(
+            self, counter, plaintext, envelope):
+        sealed = encrypt(self.VECTOR_KEYS, nonce_from_counter(counter), plaintext)
+        assert sealed.hex() == envelope
+        assert decrypt(self.VECTOR_KEYS, bytes.fromhex(envelope)) == plaintext
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 200, 65_536])
+    def test_matches_bytewise_reference(self, length):
+        # The construction spelled out a byte at a time: SHA-256 in
+        # counter mode XOR the plaintext, then HMAC over nonce||ciphertext.
+        keys, nonce = self.VECTOR_KEYS, nonce_from_counter(length + 1)
+        plaintext = (sha256(b"pattern") * (length // 32 + 1))[:length]
+        stream = b"".join(
+            sha256(keys.encrypt_key + nonce + block.to_bytes(8, "big"))
+            for block in range((length + 31) // 32))
+        ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+        tag = hmac.new(keys.mac_key, nonce + ciphertext, "sha256").digest()
+        envelope = encrypt(keys, nonce, plaintext)
+        assert envelope == nonce + ciphertext + tag
+        assert decrypt(keys, envelope) == plaintext
 
     @settings(max_examples=25, deadline=None)
     @given(st.binary(max_size=512), st.integers(min_value=1, max_value=2**40))
