@@ -84,6 +84,10 @@ class ChannelProtocol(EnclaveProgram):
         # identity key's compressed encoding.
         self.secure_channels: Dict[bytes, SecureChannel] = {}
         self.peer_names: Dict[bytes, str] = {}
+        # The reverse of peer_names, for inbound traffic (addressed by
+        # name); written wherever peer_names is.  A name rebound to a new
+        # identity key resolves to the newest.
+        self._peer_key_by_name: Dict[str, bytes] = {}
         # Channel state: cid → ChannelState.
         self.channels: Dict[str, ChannelState] = {}
         # Deposits: allDeps/freeDeps in the paper collapse into records
@@ -304,7 +308,7 @@ class ChannelProtocol(EnclaveProgram):
                 "already exists"
             )
         self.secure_channels[key_bytes] = channel
-        self.peer_names[key_bytes] = peer_name
+        self._name_peer(key_bytes, peer_name)
         self.approved_deposits.setdefault(key_bytes, set())
 
     def reinstall_secure_channel(
@@ -335,7 +339,11 @@ class ChannelProtocol(EnclaveProgram):
             )
         retired.add(existing.session)
         self.secure_channels[key_bytes] = channel
+        self._name_peer(key_bytes, peer_name)
+
+    def _name_peer(self, key_bytes: bytes, peer_name: str) -> None:
         self.peer_names[key_bytes] = peer_name
+        self._peer_key_by_name[peer_name] = key_bytes
 
     # ------------------------------------------------------------------
     # Payment channel creation (Alg. 1 lines 18–31)
@@ -1109,11 +1117,7 @@ class ChannelProtocol(EnclaveProgram):
         — or, for fast-path-eligible types arriving bare, relies on the
         secure channel's MAC — and dispatches on the message type.
         """
-        remote_key = None
-        for key_bytes, name in self.peer_names.items():
-            if name == peer_name:
-                remote_key = key_bytes
-                break
+        remote_key = self._peer_key_by_name.get(peer_name)
         if remote_key is None:
             raise ChannelStateError(f"no secure channel with peer {peer_name!r}")
         secure = self.secure_channels[remote_key]

@@ -122,7 +122,10 @@ class MultihopMixin:
     def __init__(self) -> None:
         super().__init__()
         self.multihop_sessions: Dict[str, MultihopSession] = {}
-        self.multihop_completed: List[str] = []
+        # Payment ids in completion order; only ever tested for
+        # membership (once per wake-up of a waiting pay-multihop), so a
+        # dict, not a list that every test would walk.
+        self.multihop_completed: Dict[str, None] = {}
         self.multihop_aborted: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
@@ -704,7 +707,7 @@ class MultihopMixin:
             channel = self.channels[channel_id]
             channel.stage = MultihopStage.IDLE
             channel.locked_amount = 0
-        self.multihop_completed.append(session.path.payment_id)
+        self.multihop_completed[session.path.payment_id] = None
         self.pending_candidate_txids.pop(session.path.payment_id, None)
         del self.multihop_sessions[session.path.payment_id]
 

@@ -19,32 +19,50 @@ There are exactly two scalar-multiplication paths:
 * **Variable base** (``u1*G + u2*Q``: verification; ``k*Q``: ECDH).  One
   joint Strauss–Shamir ladder.  The secp256k1 endomorphism
   ``lambda*(x, y) = (beta*x, y)`` (GLV) splits every scalar into two
-  ~128-bit halves, so the ladder runs ~129 doublings instead of 256; each
-  half is recoded in width-w NAF over affine odd-multiples tables (``Q``
-  and ``lambda*Q`` per call, ``G`` and ``lambda*G`` once per process), so
-  every addition in the ladder is mixed.  Verification never leaves
-  Jacobian coordinates: it checks ``r * Z^2 == X (mod p)`` instead of
-  inverting ``Z``.
+  ~128-bit halves; each half is cut into 33-bit chunks, one per *base*
+  ``2^(33j) * Q`` of the point's table, and each chunk is recoded in
+  width-w NAF over the affine odd multiples of its base — so the ladder
+  runs ~34 doublings instead of 256 and every addition in it is mixed.
+  Tables hold the plain multiples only; the ``lambda`` images cost one
+  field multiply per queued addition.  Verification never leaves Jacobian
+  coordinates: it checks ``r * Z^2 == X (mod p)`` instead of inverting
+  ``Z``.
 
-Tables are built lazily on first use (~10 ms and ~250 kB in all); nothing
-is computed at import.
+Tables of ``Q`` outlive the call in a bounded LRU keyed by the (public)
+point, and are *promoted on reuse*: a key's first use builds the one-base
+table a cacheless verify would build anyway (8 points, ~129 doublings in
+the ladder) and keeps it; its second use builds the four-base table (32
+points, ~130 group operations, ~6 KB) that every later use finds.  A key
+seen once — a deposit key during chain validation, an account opening —
+and a key population cycling through a cache too small for it therefore
+cost what they always did; building the big table on every miss would
+make each of those ~50 % dearer.  ``G`` has the same four-base shape from
+the same builder, built once per process.
+
+Tables are built lazily on first use (~13 ms and ~250 kB for the two of
+``G``); nothing is computed at import.  The LRU holds at most 2048 keys,
+~13 MB if every one is promoted.
 
 Performance note: pure-Python ECDSA signs in roughly 0.3 ms and verifies
-in roughly 0.7 ms here (libsecp256k1: tens of µs).  The DES benchmark
-harness therefore measures protocol timing on the simulated clock and uses
-a calibrated CPU cost model (see ``repro.bench.calibration``); the crypto
-here guarantees *correctness* of every signature the protocols exchange.
+in roughly 0.45 ms against a promoted key, 0.75 ms against a new one
+(libsecp256k1: tens of µs).  The DES benchmark harness therefore measures
+protocol timing on the simulated clock and uses a calibrated CPU cost model
+(see ``repro.bench.calibration``); the crypto here guarantees *correctness*
+of every signature the protocols exchange.
 
 Side channels: this code is **variable-time** by construction — Python
 integers, data-dependent branches, wNAF digit patterns and table indices
 all depend on secret scalars, as in any big-integer Python ladder.  The
-simulated enclave makes no side-channel claim.
+table cache adds a dependence on which *public* keys were used recently,
+nothing secret.  The simulated enclave makes no side-channel claim.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, List, Optional, Sequence, Tuple
@@ -245,10 +263,28 @@ _GLV_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
 _GLV_B2 = _GLV_A1
 
 # wNAF widths: digits are odd, |d| < 2^(width - 1), at most one in any
-# `width` consecutive bits.  The per-call table of Q is kept small (8
-# points: building it is on the clock); G's is built once, so it is wider.
+# `width` consecutive bits.  The table of Q is kept small (8 points a base:
+# building it is on the clock of a key's first and second use); G's is
+# built once, so it is wider.
 _Q_WIDTH = 5
 _G_WIDTH = 8
+
+# A table may hold several bases, B_j = 2^(_CHUNK_BITS * j) * Q with the
+# odd multiples of each: a GLV half h = sum(c_j * 2^(_CHUNK_BITS * j)) is
+# then sum(c_j * B_j), every c_j its own wNAF stream on the same ~33 bit
+# positions, so the shared ladder doubles ~34 times instead of ~129.
+# _BASES * _CHUNK_BITS = 132 covers the 129 bits of a half.
+_CHUNK_BITS = 33
+_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
+_BASES = 4
+
+# Tables of Q outlive the call in a bounded LRU keyed by the affine point.
+# Full of promoted entries (32 points, ~6.3 KB each) it holds ~13 MB;
+# DESIGN.md section 16 states the budget: <= 16 MB.
+_Q_TABLE_CACHE_SIZE = 2048
+
+# rows[j][i] == (2i + 1) * 2^(_CHUNK_BITS * j) * point, affine.
+Table = List[List[FinitePoint]]
 
 
 def _glv_split(scalar: int) -> Tuple[int, int]:
@@ -269,21 +305,81 @@ def _endomorphism(points: Sequence[FinitePoint]) -> List[FinitePoint]:
     return [(x * _BETA % P, y) for x, y in points]
 
 
-def _odd_multiples(point: FinitePoint, count: int) -> List[FinitePoint]:
-    """``[1, 3, ..., 2*count - 1] * point``, affine, for one inversion."""
-    first = (point[0], point[1], 1)
-    twice = _jacobian_double(first)
-    multiples = [first]
-    for _ in range(count - 1):
-        multiples.append(_jacobian_add(multiples[-1], twice))
-    return _batch_normalise(multiples)
+def _odd_multiples_table(point: FinitePoint, width: int, bases: int) -> Table:
+    """The width-``width`` wNAF table of ``point`` over ``bases`` bases:
+    ``[1, 3, ..., 2^(width - 1) - 1] * 2^(_CHUNK_BITS * j) * point`` for
+    each ``j < bases``, all affine for one inversion."""
+    count = 1 << (width - 2)
+    multiples: List[JacobianPoint] = []
+    base: JacobianPoint = (point[0], point[1], 1)
+    for index in range(bases):
+        if index:
+            for _ in range(_CHUNK_BITS):
+                base = _jacobian_double(base)
+        twice = _jacobian_double(base)
+        entry = base
+        for _ in range(count - 1):
+            multiples.append(entry)
+            entry = _jacobian_add(entry, twice)
+        multiples.append(entry)
+    affine = _batch_normalise(multiples)
+    return [affine[start:start + count]
+            for start in range(0, len(affine), count)]
 
 
 @lru_cache(maxsize=None)
-def _generator_odd_multiples() -> Tuple[List[FinitePoint], List[FinitePoint]]:
-    """``[1, 3, 5, ...] * G`` and the same times LAMBDA, affine."""
-    multiples = _odd_multiples((GX, GY), 1 << (_G_WIDTH - 2))
-    return multiples, _endomorphism(multiples)
+def _generator_table() -> Table:
+    """The multi-base table of G, built once per process."""
+    return _odd_multiples_table((GX, GY), _G_WIDTH, _BASES)
+
+
+class _TableCache:
+    """Bounded LRU of verification tables, promoted on reuse.
+
+    A point's first use builds what a cacheless verify would build anyway
+    (one base) and keeps it; its second use replaces that with the
+    ``_BASES``-base table, which every later use finds.  One-shot keys, and
+    a population cycling through a cache too small for it, therefore never
+    cost more than building per call; only a key seen twice pays for the
+    table that makes its third verify cheap.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self._tables: "OrderedDict[FinitePoint, Table]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._tables)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._tables.clear()
+
+    def table(self, point: FinitePoint) -> Table:
+        """The table to use for ``point`` now; ``point`` must be on the
+        curve (callers validate: the cache never holds an invalid key)."""
+        with self._lock:
+            table = self._tables.get(point)
+            if table is None:
+                state, bases = "first", 1
+            elif len(table) == 1:
+                state, bases = "promoted", _BASES
+            else:
+                state, bases = "hit", 0
+            if bases:
+                table = _odd_multiples_table(point, _Q_WIDTH, bases)
+                self._tables[point] = table
+                if len(self._tables) > self.size:
+                    self._tables.popitem(last=False)
+            self._tables.move_to_end(point)
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.inc(f"crypto.verify_table[{state}]")
+        return table
+
+
+_Q_TABLES = _TableCache(_Q_TABLE_CACHE_SIZE)
 
 
 def _schedule_wnaf(schedule: Schedule, scalar: int,
@@ -314,30 +410,53 @@ def _schedule_wnaf(schedule: Schedule, scalar: int,
             slot.append(point)
 
 
+def _chunks(half: int, table: Table) -> Iterator[Tuple[int, List[FinitePoint]]]:
+    """``half`` (either sign) as one signed chunk per base of ``table``:
+    ``_CHUNK_BITS`` bits each, the last base taking whatever is left — all
+    of it when the table has a single base."""
+    sign = -1 if half < 0 else 1
+    magnitude = abs(half)
+    for row in table[:-1]:
+        yield sign * (magnitude & _CHUNK_MASK), row
+        magnitude >>= _CHUNK_BITS
+    yield sign * magnitude, table[-1]
+
+
 def _jacobian_multiply_sum(g_scalar: int, q_scalar: int,
                            q_point: AffinePoint) -> JacobianPoint:
     """``g_scalar * G + q_scalar * q_point`` in one joint ladder.
 
-    Each scalar is GLV-split, each half wNAF-recoded onto the bit positions
-    of one shared schedule; the ladder then doubles once per bit and adds
-    whatever the schedule holds there.  A zero scalar contributes no
-    stream, so ``k * Q`` is the same ladder with the G streams empty.
+    Each scalar is GLV-split, each half cut into one chunk per base of its
+    point's table, each chunk wNAF-recoded onto the bit positions of a
+    shared schedule; the ladder then doubles once per bit and adds whatever
+    the schedule holds there.  Tables store the plain multiples only: the
+    LAMBDA halves are scheduled apart and mapped through the endomorphism
+    (one field multiply per queued point) as the two schedules merge.  A
+    zero scalar contributes no stream, so ``k * Q`` is the same ladder with
+    the G streams empty.
     """
-    operands = []  # (scalar, (odd multiples, the same * LAMBDA), width)
+    operands = []  # (scalar, table, width)
     g_scalar %= N
     if g_scalar:
-        operands.append((g_scalar, _generator_odd_multiples(), _G_WIDTH))
+        operands.append((g_scalar, _generator_table(), _G_WIDTH))
     q_scalar %= N
     if q_scalar and q_point is not None:
-        plain = _odd_multiples(q_point, 1 << (_Q_WIDTH - 2))
-        operands.append((q_scalar, (plain, _endomorphism(plain)), _Q_WIDTH))
-    streams = [(half, table, width)
-               for scalar, tables, width in operands
-               for half, table in zip(_glv_split(scalar), tables)]
-    bits = max((abs(half).bit_length() for half, _, _ in streams), default=0)
+        operands.append((q_scalar, _Q_TABLES.table(q_point), _Q_WIDTH))
+    # One wNAF stream per chunk; `image` marks the chunks of a LAMBDA
+    # half, whose points are still to be mapped through the endomorphism.
+    streams = [(chunk, row, width, image)
+               for scalar, table, width in operands
+               for image, half in enumerate(_glv_split(scalar))
+               for chunk, row in _chunks(half, table)]
+    bits = max((abs(chunk).bit_length() for chunk, _, _, _ in streams),
+               default=0)
     schedule: Schedule = [None] * (bits + 1)
-    for half, table, width in streams:
-        _schedule_wnaf(schedule, half, table, width)
+    images: Schedule = [None] * (bits + 1)
+    for chunk, row, width, image in streams:
+        _schedule_wnaf(images if image else schedule, chunk, row, width)
+    for position, slot in enumerate(images):
+        if slot:
+            schedule[position] = (schedule[position] or []) + _endomorphism(slot)
     return _evaluate(schedule)
 
 

@@ -351,11 +351,17 @@ class NodeDaemon:
 
     async def _wait_for(self, predicate: Callable[[], bool],
                         timeout: float = 10.0, what: str = "condition") -> None:
+        # Everything awaited here (a peer's attested key, a deposit
+        # approval, a multihop completion) changes only while an inbound
+        # frame is handled, so sleep until the transport reports one.
         deadline = time.monotonic() + timeout
         while not predicate():
-            if time.monotonic() > deadline:
-                raise ReproError(f"{self.name}: timed out waiting for {what}")
-            await asyncio.sleep(0.01)
+            try:
+                await asyncio.wait_for(self.net.next_progress(),
+                                       deadline - time.monotonic())
+            except asyncio.TimeoutError:
+                raise ReproError(
+                    f"{self.name}: timed out waiting for {what}") from None
 
     # ------------------------------------------------------------------
     # Peer handshake: quotes over the wire → secure channels

@@ -45,7 +45,7 @@ import logging
 import random
 import time
 from dataclasses import replace
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
 from repro.network.transport import BaseNetwork, Message
@@ -227,6 +227,7 @@ class _PeerLink:
         handler = self.network.hello_ack_handler
         if handler is not None:
             handler(ack)
+            self.network.pulse_progress()
 
     def _after_pop(self) -> None:
         # Hysteresis: credit returns only once the drain loop has pulled
@@ -332,6 +333,9 @@ class AsyncTcpNetwork(BaseNetwork):
         self.hello_handler: Optional[Callable[[Hello], Optional[HelloAck]]] = None
         self.hello_ack_handler: Optional[Callable[[HelloAck], None]] = None
         self.control_handler: Optional[Callable[[Any, Optional[str]], None]] = None
+        # Futures resolved once the next inbound frame has been handled
+        # (see next_progress).
+        self._progress_waiters: List["asyncio.Future[None]"] = []
         self._links: Dict[str, _PeerLink] = {}
         self._server: Optional[asyncio.AbstractServer] = None
 
@@ -544,6 +548,7 @@ class AsyncTcpNetwork(BaseNetwork):
                 else:
                     logger.warning("%s: unhandled control frame %s",
                                    self.name, type(obj).__name__)
+                self.pulse_progress()
         except asyncio.CancelledError:
             return  # loop teardown at shutdown; exit without the log noise
         except (asyncio.IncompleteReadError, ConnectionResetError):
@@ -553,6 +558,24 @@ class AsyncTcpNetwork(BaseNetwork):
                            self.name, peer_name, exc)
         finally:
             writer.close()
+
+    def next_progress(self) -> "asyncio.Future[None]":
+        """A future resolved once the next inbound frame has been handled:
+        a host waiting for state that only a peer's message can change
+        awaits this instead of polling, and re-tests its own condition on
+        waking.  The waiter is registered before this returns, so no frame
+        handled after the caller's last test can be missed."""
+        waiter = asyncio.get_running_loop().create_future()
+        self._progress_waiters.append(waiter)
+        return waiter
+
+    def pulse_progress(self) -> None:
+        """Resolve every ``next_progress`` future; free when nobody waits."""
+        if self._progress_waiters:
+            waiters, self._progress_waiters = self._progress_waiters, []
+            for waiter in waiters:
+                if not waiter.done():  # a timed-out waiter was cancelled
+                    waiter.set_result(None)
 
     def _dispatch(self, envelope: Envelope, wire_size: int,
                   context: Optional[TraceContext] = None) -> None:

@@ -300,3 +300,91 @@ class TestSettlement:
         alice.approve_and_associate(bob, record, channel2)
         alice.pay(channel2, 1_000)
         assert alice.channel_balance(channel2) == (4_000, 1_000)
+
+
+class TestInboundPeerLookup:
+    """Regression: ``handle_envelope`` found the sender's key by scanning
+    ``peer_names`` — O(peers) per inbound message at a hub.  It now reads
+    a name → key index kept by (re)install."""
+
+    class _Unwalkable(dict):
+        """A dict that may be indexed, never iterated."""
+
+        def _refuse(self, *args):
+            raise AssertionError("inbound delivery walked peer_names")
+
+        __iter__ = items = keys = values = _refuse
+
+    class _CountingIndex(dict):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.lookups = []
+
+        def get(self, key, default=None):
+            self.lookups.append(key)
+            return super().get(key, default)
+
+    @staticmethod
+    def _crowd(node, count):
+        """Install ``count`` more peers on ``node``; only their identity
+        keys and names matter, so they share one set of channel keys."""
+        from repro.crypto.authenticated import derive_channel_keys
+        from repro.crypto.keys import KeyPair
+        from repro.network.secure_channel import SecureChannel
+
+        local = node.enclave.identity
+        keys = derive_channel_keys(local.private,
+                                   KeyPair.from_seed(b"crowd").public)
+        for index in range(count):
+            remote = KeyPair.from_seed(b"crowd %d" % index).public
+            node._ecall("install_secure_channel",
+                        SecureChannel(local.public, remote, keys),
+                        f"peer{index}")
+
+    def test_one_delivery_touches_one_entry_among_a_thousand(
+            self, open_channel):
+        network, alice, bob, channel = open_channel
+        self._crowd(bob, 1000)
+        program = bob.program
+        assert len(program.peer_names) == 1001
+        program.peer_names = self._Unwalkable(program.peer_names)
+        program._peer_key_by_name = index = self._CountingIndex(
+            program._peer_key_by_name)
+        before = bob.channel_balance(channel)[0]
+        alice.pay(channel, 700)
+        assert bob.channel_balance(channel)[0] == before + 700
+        assert index.lookups == ["alice"]
+
+    def test_unknown_peer_still_raises(self, open_channel):
+        network, alice, bob, channel = open_channel
+        with pytest.raises(ChannelStateError, match="no secure channel"):
+            bob.program.handle_envelope("mallory", b"\x00" * 64)
+
+    def test_reinstall_after_a_restart_keeps_the_index_right(
+            self, open_channel):
+        from repro.crypto.authenticated import derive_channel_keys
+        from repro.network.secure_channel import SecureChannel
+
+        network, alice, bob, channel = open_channel
+        self._crowd(bob, 5)
+        alice_key, bob_key = alice.enclave.public_key, bob.enclave.public_key
+        # A fresh boot nonce renews the session keys on both sides; the
+        # identity keys, and so the payment channel, survive.
+        session = b"second boot"
+        for node, peer, remote_key in ((alice, bob, bob_key),
+                                       (bob, alice, alice_key)):
+            keys = derive_channel_keys(node.enclave.identity.private,
+                                       remote_key, session=session)
+            node._ecall("reinstall_secure_channel",
+                        SecureChannel(node.enclave.public_key, remote_key,
+                                      keys, session=session),
+                        peer.name)
+        program = bob.program
+        assert program._peer_key_by_name["alice"] == alice_key.to_bytes()
+        assert len(program._peer_key_by_name) == len(program.peer_names) == 6
+        assert ({name: key for key, name in program.peer_names.items()}
+                == program._peer_key_by_name)
+        before = bob.channel_balance(channel)[0]
+        alice.pay(channel, 300)
+        bob.pay(channel, 100)
+        assert bob.channel_balance(channel)[0] == before + 200

@@ -280,3 +280,38 @@ class TestPoPT:
         for candidate in list(session_c.local_pre_settlements.values()) + \
                 list(session_c.local_post_settlements.values()):
             assert tau.conflicts_with(candidate)
+
+
+class TestCompletedPayments:
+    """Regression: ``multihop_completed`` was a list tested with ``in`` —
+    every completion check walked every payment ever made."""
+
+    class _Id(str):
+        """A payment id that counts how often it is compared."""
+
+        comparisons = 0
+
+        def __eq__(self, other):
+            type(self).comparisons += 1
+            return str.__eq__(self, other)
+
+        __hash__ = str.__hash__
+
+    def test_membership_does_not_walk_five_thousand_ids(self, three_hop_path):
+        network, alice, bob, carol, ab, bc = three_hop_path
+        completed = alice.program.multihop_completed
+        for index in range(5000):
+            completed[self._Id(f"old-{index}")] = None
+        payment = alice.pay_multihop([alice, bob, carol], 1_000)
+        self._Id.comparisons = 0
+        assert alice.multihop_completed(payment)
+        assert not alice.multihop_completed("never-made")
+        assert alice.multihop_completed("old-4999")
+        # Hash lookups: a handful of comparisons, not thousands.
+        assert self._Id.comparisons <= 4
+
+    def test_completion_order_is_kept(self, three_hop_path):
+        network, alice, bob, carol, ab, bc = three_hop_path
+        payments = [alice.pay_multihop([alice, bob, carol], 100)
+                    for _ in range(3)]
+        assert list(alice.program.multihop_completed) == payments
