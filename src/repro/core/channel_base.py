@@ -6,10 +6,11 @@ registration / approval / association / dissociation, payments, deposit
 rebalancing, and off-chain or on-chain settlement.  Method docstrings cite
 the algorithm lines they implement.
 
-Messages arrive through :meth:`handle_envelope` — sealed under the secure
-channel (confidentiality + freshness) and signed by the sender's identity
-key (authentication).  Every guard in the paper's pseudo-code is an
-explicit check raising a :class:`~repro.errors.ProtocolError` subclass.
+Messages arrive through :meth:`handle_envelope`, sealed under the attested
+secure channel (confidentiality, peer authentication, freshness); identity
+signatures are kept for artefacts a third party may verify (DESIGN.md
+§11).  Every guard in the paper's pseudo-code is an explicit check raising
+a :class:`~repro.errors.ProtocolError` subclass.
 """
 
 from __future__ import annotations
@@ -136,11 +137,11 @@ class ChannelProtocol(EnclaveProgram):
         # only co-sign transactions in their replicated valid set, so the
         # pre/post/τ candidates must be replicated ahead of signing.
         self.pending_candidate_txids: Dict[str, Set[str]] = {}
-        # Session-MAC fast path: when enabled, Paid messages ride the
-        # secure channel's MAC alone and the identity signature over the
-        # channel state is deferred into a ChannelCheckpoint every
-        # ``checkpoint_every`` payments (and forced before any balance-
-        # affecting reconfiguration — see _flush_checkpoint).
+        # Fast path, the checkpoint cadence for Paid: off, every Paid is
+        # sent signed; on, a Paid travels bare like any other message and
+        # the identity signature over the channel state is deferred into
+        # a ChannelCheckpoint every ``checkpoint_every`` payments (and
+        # forced before any reconfiguration — see _flush_checkpoint).
         self.fastpath_enabled = False
         self.checkpoint_every = 64
         # On-chain fee policy: value per vsize byte charged against the
@@ -154,9 +155,9 @@ class ChannelProtocol(EnclaveProgram):
         # Per channel: checkpoint counters (ours sent / theirs accepted).
         self._checkpoint_index_out: Dict[str, int] = {}
         self._checkpoint_index_in: Dict[str, int] = {}
-        # Latest verified remote checkpoint per channel (dispute evidence:
-        # a signed commitment to balances at a known sequence point).
-        self._remote_checkpoints: Dict[str, ChannelCheckpoint] = {}
+        # Latest verified remote checkpoint per channel, signature included
+        # (dispute evidence anyone holding the peer's key can check).
+        self._remote_checkpoints: Dict[str, SignedMessage] = {}
         # Audit-snapshot ordering counter; not protocol state, so not in
         # _ROLLBACK_ATTRS — a rolled-back ecall still consumed a seq.
         self._audit_seq = 0
@@ -269,25 +270,25 @@ class ChannelProtocol(EnclaveProgram):
             raise ChannelStateError(f"unknown channel {channel_id!r}")
         return channel
 
-    def send_secure(self, remote_key: PublicKey, body: Any) -> None:
-        """Sign with the enclave identity, seal under the secure channel,
-        and queue for the host to deliver."""
-        secure = self._secure_channel_for(remote_key)
-        signed = SignedMessage.create(body, self.identity.private)
-        envelope = secure.seal_message(signed)
-        peer_name = self.peer_names[remote_key.to_bytes()]
-        self.send(peer_name, envelope)
+    def _send(self, remote_key: PublicKey, body: Any) -> None:
+        """Seal ``body`` under the secure channel and queue it for the
+        host to deliver — the one send path for Alg. 1 and 2 messages.
 
-    def _send_fastpath(self, remote_key: PublicKey, body: Any) -> None:
-        """Seal a bare message under the secure channel — no identity
-        signature.  The channel's encrypt-then-MAC (session keys from the
-        attested handshake) plus its replay counters already authenticate
-        the sending *enclave*; the deferred signature is re-established by
-        the next :class:`ChannelCheckpoint`."""
+        The channel's encrypt-then-MAC (session keys from the attested
+        handshake) and replay counters authenticate the sending *enclave*
+        to its peer, the only party that ever sees the frame.  A
+        signature belongs to an artefact a third party may be shown, not
+        to the envelope: callers ``_signed``-wrap those bodies."""
         secure = self._secure_channel_for(remote_key)
         envelope = secure.seal_message(body)
-        peer_name = self.peer_names[remote_key.to_bytes()]
-        self.send(peer_name, envelope)
+        if not isinstance(body, SignedMessage):
+            metrics = get_metrics()
+            if metrics.enabled:
+                metrics.inc("crypto.mac_fastpath")
+        self.send(self.peer_names[remote_key.to_bytes()], envelope)
+
+    def _signed(self, body: Any) -> SignedMessage:
+        return SignedMessage.create(body, self.identity.private)
 
     # ------------------------------------------------------------------
     # Secure network channels (Alg. 1 line 15)
@@ -357,7 +358,7 @@ class ChannelProtocol(EnclaveProgram):
         my_settlement_address: str,
     ) -> None:
         """``newPayChannel`` (line 18): record channel parameters and send
-        a signed acknowledgement.  The channel opens when the remote's
+        an acknowledgement.  The channel opens when the remote's
         acknowledgement arrives (line 27)."""
         self._secure_channel_for(remote_key)  # must be attested first
         if channel_id in self.channels and not self.channels[channel_id].terminated:
@@ -371,7 +372,7 @@ class ChannelProtocol(EnclaveProgram):
         self._pay_seq_out[channel_id] = 0
         self._pay_seq_in[channel_id] = 0
         self._replicated(f"new_pay_channel:{channel_id}")
-        self.send_secure(
+        self._send(
             remote_key,
             NewChannelAck(
                 channel_id=channel_id,
@@ -456,10 +457,9 @@ class ChannelProtocol(EnclaveProgram):
             raise DepositError(f"deposit {outpoint} is not free")  # line 50
         if outpoint in self.approved_deposits[key_bytes]:
             raise DepositError(f"deposit {outpoint} already approved")  # line 51
-        self.send_secure(
+        self._send(
             remote_key,
             ApproveMyDeposit(
-                sender_key=self.identity.public,
                 outpoint=outpoint,
                 value=record.value,
                 threshold=record.spec.threshold,
@@ -499,11 +499,8 @@ class ChannelProtocol(EnclaveProgram):
                 f"{self.required_confirmations} confirmations"  # line 56
             )
         approved.add(request.outpoint)  # line 57
-        self.send_secure(
-            sender,
-            ApprovedDeposit(sender_key=self.identity.public,
-                            outpoint=request.outpoint),  # line 58
-        )
+        self._send(sender,
+                   ApprovedDeposit(outpoint=request.outpoint))  # line 58
 
     def _on_approved_deposit(self, sender: PublicKey,
                              approval: ApprovedDeposit) -> None:
@@ -558,7 +555,7 @@ class ChannelProtocol(EnclaveProgram):
                 ("deposit-key", deposit_address, private.to_bytes())
             )
         self._replicated(f"associate:{channel_id}:{outpoint}")
-        self.send_secure(
+        self._send(
             channel.remote_key,
             AssociatedDeposit(
                 channel_id=channel_id,
@@ -646,7 +643,7 @@ class ChannelProtocol(EnclaveProgram):
                 f"balance {channel.my_balance} below deposit value "
                 f"{record.value}: cannot dissociate"  # line 92
             )
-        self.send_secure(
+        self._send(
             channel.remote_key,
             DissociateDeposit(channel_id=channel_id, outpoint=outpoint),  # 93
         )
@@ -679,7 +676,7 @@ class ChannelProtocol(EnclaveProgram):
         self._replicated(
             f"remote_dissociate:{request.channel_id}:{request.outpoint}"
         )
-        self.send_secure(
+        self._send(
             sender,
             DissociateDepositAck(channel_id=request.channel_id,
                                  outpoint=request.outpoint),  # line 99
@@ -724,20 +721,18 @@ class ChannelProtocol(EnclaveProgram):
         message = Paid(channel_id=channel_id, amount=amount,
                        sequence=self._pay_seq_out[channel_id],
                        batch_count=batch_count)  # line 86
-        if self.fastpath_enabled:
-            # MAC fast path: skip the per-payment ECDSA signature and
-            # defer it into the next checkpoint.
-            self._send_fastpath(channel.remote_key, message)
-            self._fastpath_unsigned[channel_id] = (
-                self._fastpath_unsigned.get(channel_id, 0) + 1)
-            metrics = get_metrics()
-            if metrics.enabled:
-                metrics.inc("crypto.mac_fastpath")
-                metrics.inc("crypto.sign_deferred")
-            if self._fastpath_unsigned[channel_id] >= self.checkpoint_every:
-                self.checkpoint(channel_id)
-        else:
-            self.send_secure(channel.remote_key, message)
+        if not self.fastpath_enabled:
+            # K = 1: the checkpoint is fused into the payment frame.
+            self._send(channel.remote_key, self._signed(message))
+            return
+        self._send(channel.remote_key, message)
+        self._fastpath_unsigned[channel_id] = (
+            self._fastpath_unsigned.get(channel_id, 0) + 1)
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.inc("crypto.sign_deferred")
+        if self._fastpath_unsigned[channel_id] >= self.checkpoint_every:
+            self.checkpoint(channel_id)
 
     # ------------------------------------------------------------------
     # Fast-path configuration and deferred checkpoints
@@ -792,16 +787,16 @@ class ChannelProtocol(EnclaveProgram):
         if metrics.enabled:
             metrics.inc("crypto.checkpoints_sent")
         self._replicated(f"checkpoint:{channel_id}:{index}")
-        self.send_secure(
+        self._send(
             channel.remote_key,
-            ChannelCheckpoint(
+            self._signed(ChannelCheckpoint(
                 channel_id=channel_id,
                 index=index,
                 sequence_out=self._pay_seq_out.get(channel_id, 0),
                 sequence_in=self._pay_seq_in.get(channel_id, 0),
                 my_balance=channel.my_balance,
                 remote_balance=channel.remote_balance,
-            ),
+            )),
         )
         return True
 
@@ -824,8 +819,9 @@ class ChannelProtocol(EnclaveProgram):
             self.checkpoint(channel_id)
 
     def _on_channel_checkpoint(self, sender: PublicKey,
-                               checkpoint: ChannelCheckpoint) -> None:
-        """Validate and record the peer's signed balance commitment.
+                               signed: SignedMessage) -> None:
+        """Validate and record the peer's signed balance commitment
+        (``handle_envelope`` has verified the signature).
 
         Per-direction FIFO delivery means every payment the checkpoint
         covers arrived before it, so the sender's ``sequence_out`` must
@@ -834,7 +830,10 @@ class ChannelProtocol(EnclaveProgram):
         in flight toward them — but can never exceed it.  Balances are
         compared only when both directions are quiescent; with traffic in
         flight the views legitimately differ by the in-flight amounts.
-        """
+
+        It is kept *with* its signature: dispute evidence must verify
+        for someone holding nothing but the peer's public key."""
+        checkpoint: ChannelCheckpoint = signed.body
         channel = self._channel(checkpoint.channel_id)
         channel.require_open()
         if channel.remote_key != sender:
@@ -860,7 +859,7 @@ class ChannelProtocol(EnclaveProgram):
                 f"{checkpoint.remote_balance}) disagree with local view "
                 f"({channel.remote_balance}, {channel.my_balance})")
         self._checkpoint_index_in[cid] = checkpoint.index
-        self._remote_checkpoints[cid] = checkpoint
+        self._remote_checkpoints[cid] = signed
         metrics = get_metrics()
         if metrics.enabled:
             metrics.inc("crypto.checkpoints_accepted")
@@ -912,14 +911,14 @@ class ChannelProtocol(EnclaveProgram):
             channel.settling_offchain = True
             for outpoint in sorted(channel.my_deposits):
                 self.dissociate_deposit(channel_id, outpoint)  # line 107
-            self.send_secure(channel.remote_key,
-                             SettleRequest(channel_id=channel_id))  # line 108
+            self._send(channel.remote_key,
+                       SettleRequest(channel_id=channel_id))  # line 108
             # Channel resets once all dissociations complete (acks arrive)
             # and the peer has dissociated its side; see _maybe_finish_
             # offchain_settle.
             return None
         transaction = self.unilateral_settlement(channel_id)  # lines 114–118
-        self.send_secure(
+        self._send(
             channel.remote_key,
             SettleNotify(channel_id=channel_id,
                          settlement_txid=transaction.txid),  # line 120
@@ -1095,55 +1094,44 @@ class ChannelProtocol(EnclaveProgram):
         DissociateDeposit: "_on_dissociate_deposit",
         DissociateDepositAck: "_on_dissociate_ack",
         Paid: "_on_paid",
-        ChannelCheckpoint: "_on_channel_checkpoint",
         SettleRequest: "_on_settle_request",
         SettleNotify: "_on_settle_notify",
     }
 
-    # Message types the MAC fast path may deliver *without* an identity
-    # signature: only Paid.  A bare Paid is still authenticated (secure-
-    # channel MAC, keys from the attested handshake) and fresh (replay
-    # counters), and it can only move value *from* the authenticated
-    # sender to us — the deferred signature is recovered by the next
-    # ChannelCheckpoint.  Everything else (checkpoints included) must
-    # arrive signed.
-    _FASTPATH_TYPES = (Paid,)
+    # Bodies that travel inside a SignedMessage — artefacts a third party
+    # may be shown.  A checkpoint exists to carry the signature, so it is
+    # refused bare; a Paid is signed when the sender's fast path is off.
+    # Everything else is authenticated by the secure channel alone.
+    _SIGNED_ARTEFACTS = (ChannelCheckpoint, Paid)
 
     def handle_envelope(self, peer_name: str, envelope: bytes) -> None:
-        """Entry point for all incoming protocol traffic.
-
-        Looks up the secure channel for ``peer_name``, opens the sealed
-        envelope (authenticity + freshness), verifies the inner signature
-        — or, for fast-path-eligible types arriving bare, relies on the
-        secure channel's MAC — and dispatches on the message type.
-        """
+        """Entry point for all incoming protocol traffic: open the sealed
+        envelope (authenticity + freshness) and dispatch on the body.
+        The sender is the channel's pinned, attested identity key — never
+        a field of the message — and a signed artefact must verify under
+        that same key."""
         remote_key = self._peer_key_by_name.get(peer_name)
         if remote_key is None:
             raise ChannelStateError(f"no secure channel with peer {peer_name!r}")
         secure = self.secure_channels[remote_key]
         payload = secure.open_message(envelope)
+        sender = secure.remote_key
         if isinstance(payload, SignedMessage):
-            payload.verify(expected_sender=secure.remote_key)
-            self.dispatch(payload.sender_key, payload.body)
-            return
-        if isinstance(payload, self._FASTPATH_TYPES):
-            # The secure channel authenticated the peer enclave; its
-            # pinned identity key is the sender.
-            self.dispatch(secure.remote_key, payload)
-            return
-        raise ProtocolError(
-            f"{type(payload).__name__} may not arrive unsigned")
-
-    def dispatch(self, sender: PublicKey, body: Any) -> None:
-        handler_name = self._lookup_handler(type(body))
+            if not isinstance(payload.body, self._SIGNED_ARTEFACTS):
+                raise ProtocolError(
+                    f"{type(payload.body).__name__} is not a signed artefact")
+            payload.verify(expected_sender=sender)
+            if isinstance(payload.body, ChannelCheckpoint):
+                self._on_channel_checkpoint(sender, payload)
+                return
+            payload = payload.body
+        elif isinstance(payload, ChannelCheckpoint):
+            raise ProtocolError("ChannelCheckpoint may not arrive unsigned")
+        handler_name = self._HANDLERS.get(type(payload))
         if handler_name is None:
             raise ProtocolError(
-                f"no handler for message type {type(body).__name__}"
-            )
-        getattr(self, handler_name)(sender, body)
-
-    def _lookup_handler(self, body_type: type) -> Optional[str]:
-        return self._HANDLERS.get(body_type)
+                f"no handler for message type {type(payload).__name__}")
+        getattr(self, handler_name)(sender, payload)
 
 
 def _committee_placeholder_spec(message: AssociatedDeposit):

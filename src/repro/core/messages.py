@@ -1,11 +1,12 @@
-"""Signed protocol messages.
+"""Protocol messages, and the signature wrapper for the few that need one.
 
-Every inter-TEE message in Algorithms 1–3 is "signed by k_me" — the
-sender's enclave identity key.  :class:`SignedMessage` wraps a message
-dataclass with a signature over its canonical serialisation; receivers
-verify against the channel's pinned remote key before dispatching, which
-(together with the secure channel's freshness counters) implements the
-paper's anti-forking authentication (§4.1).
+Algorithms 1–3 say every inter-TEE message is "signed by k_me".  Between
+attested enclaves the secure channel's session MAC and replay counters
+already authenticate the sender to the only party that sees the frame
+(§4.1), so messages are sent bare and :class:`SignedMessage` wraps only
+*artefacts* a third party may verify: a :class:`ChannelCheckpoint`, a
+:class:`Paid` sent with the fast path off, hub client requests and
+routing gossip (DESIGN.md §11 has the table).
 
 Message classes are plain frozen dataclasses; :func:`canonical_bytes`
 serialises them deterministically (type tag + sorted field/value pairs)
@@ -65,7 +66,7 @@ def canonical_bytes(message: Any) -> bytes:
 
 @dataclass(frozen=True)
 class SignedMessage:
-    """A protocol message plus the sender's identity signature."""
+    """An artefact plus its author's signature (module docstring)."""
 
     body: Any
     sender_key: PublicKey
@@ -112,7 +113,6 @@ class NewChannelAck:
 class ApproveMyDeposit:
     """Alg. 1 line 52: ask the remote to approve a deposit."""
 
-    sender_key: PublicKey
     outpoint: OutPoint
     value: int
     threshold: int       # m of the deposit's m-of-n lock
@@ -124,7 +124,6 @@ class ApproveMyDeposit:
 class ApprovedDeposit:
     """Alg. 1 line 58: notify the owner their deposit was approved."""
 
-    sender_key: PublicKey
     outpoint: OutPoint
 
 

@@ -132,9 +132,6 @@ class MultihopMixin:
     # Helpers
     # ------------------------------------------------------------------
 
-    def _peer_name_of_key(self, key: PublicKey) -> str:
-        return self.peer_names[key.to_bytes()]
-
     def _idle_channel_with(self, peer_name: str) -> ChannelState:
         """Pick an open, idle channel whose peer is ``peer_name``.
 
@@ -321,14 +318,13 @@ class MultihopMixin:
             path=path, channel_ids=(), tau_deposits=(), tau_payouts=(),
             pre_settlement_txids=(), post_settlement_txids=(),
         )
-        self._handle_lock(self.identity.public, empty_lock, self_delivery=True)
+        self._handle_lock(self.identity.public, empty_lock)
 
     # ------------------------------------------------------------------
     # Stage 1: lock (1→n), Alg. 2 line 5
     # ------------------------------------------------------------------
 
-    def _handle_lock(self, sender: PublicKey, lock: MultihopLock,
-                     self_delivery: bool = False) -> None:
+    def _handle_lock(self, sender: PublicKey, lock: MultihopLock) -> None:
         path = lock.path
         my_name = self._my_name()
         position = path.position_of(my_name)
@@ -399,7 +395,7 @@ class MultihopMixin:
             session.post_txids = forwarded.post_settlement_txids
             self.multihop_sessions[path.payment_id] = session
             self._replicated(f"mh_lock:{path.payment_id}")
-            self.send_secure(out_channel.remote_key, forwarded)  # line 11
+            self._send(out_channel.remote_key, forwarded)  # line 11
             return
 
         # Terminal hop p_n (Alg. 2 line 12): build τ, sign our inputs,
@@ -417,7 +413,7 @@ class MultihopMixin:
         self._set_stage(session, MultihopStage.SIGN)  # line 13
         self.multihop_sessions[path.payment_id] = session
         self._replicated(f"mh_lock_last:{path.payment_id}")
-        self.send_secure(
+        self._send(
             in_channel.remote_key,
             MultihopSign(path=path, tau=tau,
                          pre_settlement_txids=lock.pre_settlement_txids,
@@ -513,7 +509,7 @@ class MultihopMixin:
             self._set_stage(session, MultihopStage.SIGN)  # line 18
             in_channel = self.channels[session.in_channel_id]
             self._replicated(f"mh_sign:{session.path.payment_id}")
-            self.send_secure(
+            self._send(
                 in_channel.remote_key,
                 MultihopSign(
                     path=message.path, tau=tau,
@@ -527,8 +523,8 @@ class MultihopMixin:
         session.tau = tau  # line 21
         self._set_stage(session, MultihopStage.PRE_UPDATE)  # line 22
         self._replicated(f"mh_sign_head:{session.path.payment_id}")
-        self.send_secure(out_channel.remote_key,
-                         MultihopPreUpdate(path=message.path, tau=tau))  # 23
+        self._send(out_channel.remote_key,
+                   MultihopPreUpdate(path=message.path, tau=tau))  # 23
 
     def _adopt_candidate_txids(self, session: MultihopSession,
                                message: MultihopSign) -> None:
@@ -581,14 +577,14 @@ class MultihopMixin:
             self._set_stage(session, MultihopStage.PRE_UPDATE)  # line 28
             out_channel = self.channels[session.out_channel_id]
             self._replicated(f"mh_preupdate:{session.path.payment_id}")
-            self.send_secure(out_channel.remote_key, message)  # line 29
+            self._send(out_channel.remote_key, message)  # line 29
             return
         # p_n (line 30): commit to post-payment and start update phase.
         self._set_stage(session, MultihopStage.UPDATE)  # line 31
         self._apply_balance_update(session)  # line 32
         self._replicated(f"mh_update_last:{session.path.payment_id}")
-        self.send_secure(in_channel.remote_key,
-                         MultihopUpdate(path=message.path))  # line 33
+        self._send(in_channel.remote_key,
+                   MultihopUpdate(path=message.path))  # line 33
 
     def _apply_balance_update(self, session: MultihopSession) -> None:
         """Move ``amount`` across this node's adjacent channels.
@@ -625,15 +621,15 @@ class MultihopMixin:
             self._apply_balance_update(session)  # lines 38–39
             in_channel = self.channels[session.in_channel_id]
             self._replicated(f"mh_update:{session.path.payment_id}")
-            self.send_secure(in_channel.remote_key, message)  # line 40
+            self._send(in_channel.remote_key, message)  # line 40
             return
         # p1 (line 41): discard τ, commit our balance, enter postUpdate.
         session.tau = None  # line 42
         self._apply_balance_update(session)
         self._set_stage(session, MultihopStage.POST_UPDATE)  # line 43
         self._replicated(f"mh_postupdate_head:{session.path.payment_id}")
-        self.send_secure(out_channel.remote_key,
-                         MultihopPostUpdate(path=message.path))  # line 44
+        self._send(out_channel.remote_key,
+                   MultihopPostUpdate(path=message.path))  # line 44
 
     # ------------------------------------------------------------------
     # Stage 5: postUpdate (1→n), Alg. 2 line 46
@@ -654,13 +650,13 @@ class MultihopMixin:
             self._set_stage(session, MultihopStage.POST_UPDATE)  # line 50
             out_channel = self.channels[session.out_channel_id]
             self._replicated(f"mh_postupdate:{session.path.payment_id}")
-            self.send_secure(out_channel.remote_key, message)  # line 51
+            self._send(out_channel.remote_key, message)  # line 51
             return
         # p_n (line 52): done — release locks back toward p1.
         self._finish_session(session)  # line 53 (stage ← idle)
         self._replicated(f"mh_release_last:{session.path.payment_id}")
-        self.send_secure(in_channel.remote_key,
-                         MultihopRelease(path=message.path))  # line 54
+        self._send(in_channel.remote_key,
+                   MultihopRelease(path=message.path))  # line 54
 
     # ------------------------------------------------------------------
     # Stage 6: release (n→1), Alg. 2 line 55
@@ -680,7 +676,7 @@ class MultihopMixin:
         self._replicated(f"mh_release:{session.path.payment_id}")
         if session.position > 1:  # line 58
             in_channel = self.channels[session.in_channel_id]
-            self.send_secure(in_channel.remote_key, message)  # line 59
+            self._send(in_channel.remote_key, message)  # line 59
 
     def _finish_session(self, session: MultihopSession) -> None:
         metrics = get_metrics()
@@ -717,7 +713,7 @@ class MultihopMixin:
 
     def _send_abort(self, path: PathDescriptor, toward: PublicKey,
                     reason: str) -> None:
-        self.send_secure(toward, MultihopAbort(path=path, reason=reason))
+        self._send(toward, MultihopAbort(path=path, reason=reason))
 
     def _handle_abort(self, sender: PublicKey, message: MultihopAbort) -> None:
         session = self.multihop_sessions.get(message.path.payment_id)
@@ -739,7 +735,7 @@ class MultihopMixin:
         self._replicated(f"mh_abort:{message.path.payment_id}")
         if session.position > 1 and session.in_channel_id is not None:
             in_channel = self.channels[session.in_channel_id]
-            self.send_secure(in_channel.remote_key, message)
+            self._send(in_channel.remote_key, message)
 
     def _unlock_channel(self, channel: ChannelState) -> None:
         channel.stage = MultihopStage.IDLE
@@ -859,7 +855,8 @@ class MultihopMixin:
     # Dispatch extension
     # ------------------------------------------------------------------
 
-    _MULTIHOP_HANDLERS = {
+    _HANDLERS = {
+        **ChannelProtocol._HANDLERS,
         MultihopLock: "_handle_lock",
         MultihopSign: "_handle_sign",
         MultihopPreUpdate: "_handle_pre_update",
@@ -868,12 +865,6 @@ class MultihopMixin:
         MultihopRelease: "_handle_release",
         MultihopAbort: "_handle_abort",
     }
-
-    def _lookup_handler(self, body_type: type):
-        handler = self._MULTIHOP_HANDLERS.get(body_type)
-        if handler is not None:
-            return handler
-        return super()._lookup_handler(body_type)
 
 
 class TeechainEnclave(HubAccountsMixin, MultihopMixin, ChannelProtocol):

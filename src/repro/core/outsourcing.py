@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import pickle
 from typing import Any, Dict, Optional, Tuple
 
 from repro.core.multihop import TeechainEnclave
 from repro.crypto.authenticated import ecdh_shared_secret
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import AttestationError, MessageAuthenticationError
+from repro.runtime import codec
 from repro.tee.attestation import AttestationService, verify_quote
 from repro.tee.enclave import Enclave
 
@@ -62,11 +62,13 @@ class OutsourcingGateway(TeechainEnclave):
     def outsourced_command(self, envelope: bytes) -> Any:
         """Verify and execute one remote-user command.
 
-        The envelope is ``user_key(33 B) ‖ pickle((counter, method, args))
+        The envelope is ``user_key(33 B) ‖ codec((counter, method, args))
         ‖ mac(32 B)``.  The user key prefix has a fixed width so the MAC
         can be verified *before* any deserialisation — untrusted bytes are
-        never parsed unauthenticated.  Counters must strictly increase
-        (replay protection against the relaying operator)."""
+        never parsed unauthenticated — and the body is a wire-codec frame:
+        an enrolled user can name a permitted command, not run code.
+        Counters must strictly increase (replay protection against the
+        relaying operator)."""
         if len(envelope) < 33 + 32:
             raise MessageAuthenticationError("malformed command envelope")
         user_key_bytes = envelope[:33]
@@ -79,7 +81,13 @@ class OutsourcingGateway(TeechainEnclave):
                             hashlib.sha256).digest()
         if not hmac.compare_digest(tag, expected):
             raise MessageAuthenticationError("bad command MAC")
-        counter, method, args = pickle.loads(body)
+        try:
+            counter, method, args = codec.decode(body)
+            if (type(counter), type(method), type(args)) != (int, str, tuple):
+                raise ValueError("not a (counter, method, args) triple")
+        except (codec.CodecError, TypeError, ValueError) as exc:
+            raise MessageAuthenticationError(
+                f"malformed command body: {exc}") from exc
         if counter <= last_counter:
             raise MessageAuthenticationError(
                 f"replayed command: counter {counter} ≤ {last_counter}"
@@ -136,7 +144,7 @@ class OutsourcedUser:
             raise AttestationError("user has not attested an enclave")
         self._counter += 1
         prefix = self.keys.public.to_bytes()
-        body = pickle.dumps((self._counter, method, args))
+        body = codec.encode((self._counter, method, args))
         tag = hmac.new(self._secret, prefix + body, hashlib.sha256).digest()
         return prefix + body + tag
 

@@ -423,12 +423,12 @@ class HubAccountsMixin:
         elif body.route == "channel":
             # Existing channel machinery does the heavy lifting: pay()
             # validates the channel (open, idle, sufficient hub balance)
-            # and raises before any ledger mutation; the forced
-            # checkpoint flush pins the withdrawal to a fresh signed
-            # state per the fast-path rules, like every other external
-            # fund move.  The ecall guard only rolls back on replication
-            # failure, so any *other* failure after pay() has moved
-            # channel funds and queued frames must be unwound here —
+            # and raises before any ledger mutation.  Like every external
+            # fund move the withdrawal leaves under a signature: a signed
+            # Paid, or on the fast path a bare Paid and the checkpoint
+            # flushed behind it.  The ecall guard only rolls back on
+            # replication failure, so any *other* failure after pay() has
+            # moved channel funds and queued frames must be unwound here —
             # otherwise the channel has paid out while the account is
             # still credited, and the client can withdraw again.
             snapshot = self._rollback_snapshot()

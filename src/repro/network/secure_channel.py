@@ -19,7 +19,6 @@ After establishment a :class:`SecureChannel` provides:
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
@@ -39,28 +38,23 @@ from repro.errors import (
 from repro.tee.attestation import AttestationService, Quote, verify_quote
 from repro.tee.enclave import Enclave
 
-# Sealed plaintexts use the runtime wire codec when the payload has a wire
-# encoding (every protocol message does), so envelopes crossing a real
-# socket never contain pickle — decoding pickle from the network is an
-# arbitrary-code-execution hole.  Payloads with no wire form (test doubles)
-# fall back to pickle, which only ever happens in-process.  The two are
-# distinguished on decode by the codec's leading magic: pickle protocol ≥ 2
-# streams start with 0x80, never ``b"TCW"``.  The codec import is lazy to
-# keep this module importable without dragging the runtime package in.
+# Sealed plaintexts are wire-codec frames and nothing else: a payload with
+# no wire encoding raises CodecError at the sender, and a MAC-valid
+# plaintext that is not a well-formed frame is refused like a forgery.
+# (Lazy codec import: keeps this module importable without the runtime.)
 
 def _serialise(obj: Any) -> bytes:
     from repro.runtime import codec
-    try:
-        return codec.encode(obj)
-    except codec.CodecError:
-        return pickle.dumps(obj)
+    return codec.encode(obj)
 
 
 def _deserialise(data: bytes) -> Any:
     from repro.runtime import codec
-    if data[:3] == codec.MAGIC:
+    try:
         return codec.decode(data)
-    return pickle.loads(data)
+    except codec.CodecError as exc:
+        raise MessageAuthenticationError(
+            f"sealed plaintext is not a wire frame: {exc}") from exc
 
 
 @dataclass
@@ -75,6 +69,7 @@ class SecureChannel:
     session: bytes = b""
     _send_counter: int = 0
     _recv_counter: int = 0
+    _blob_counter: int = 0
 
     def seal_message(self, payload: Any) -> bytes:
         """Encrypt + authenticate a payload with a fresh nonce.
@@ -95,10 +90,10 @@ class SecureChannel:
         deposit private key, Alg. 1 line 72).
 
         Blobs use a separate nonce namespace and carry no ordering: the
-        enclosing signed message already provides freshness, and checking
+        enclosing message already provides freshness, and checking
         the stream counter here would falsely flag the blob as a replay of
         the message that carries it."""
-        self._blob_counter = getattr(self, "_blob_counter", 0) + 1
+        self._blob_counter += 1
         plaintext = _serialise((self.local_key.to_bytes(), payload))
         # High bit of the nonce prefix separates the blob namespace from
         # the message-stream namespace.

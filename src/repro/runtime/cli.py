@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import ctypes
 import json
 import logging
 import sys
@@ -149,10 +150,27 @@ def run_top(targets: List[str], interval: float, iterations: int,
             client.close()
 
 
+def _pin_malloc_thresholds() -> None:
+    """asyncio reads each socket through a fresh 256 KiB buffer, which
+    glibc serves with mmap/munmap — two page faults, ~20 µs per read —
+    until the free of some larger block raises its *dynamic* threshold.
+    Whether set-up happened to free one decided a daemon's speed; fixed
+    thresholds do not.  No-op without glibc's ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     arguments = build_parser().parse_args(argv)
     if arguments.command == "serve":
         logging.basicConfig(level=arguments.log_level.upper())
+        _pin_malloc_thresholds()
         allocations = _parse_fund(arguments.fund)
         try:
             if arguments.workers > 0:

@@ -1378,6 +1378,7 @@ class NodeDaemon:
                     program._checkpoint_index_out.values()),
                 "checkpoints_accepted": sum(
                     program._checkpoint_index_in.values()),
+                "checkpoints_held": len(program._remote_checkpoints),
             },
             "uptime_s": self.scheduler.now,
             "restored": self.restored,

@@ -73,3 +73,20 @@ def three_hop_path(network):
     deposit_bc = bob.create_deposit(40_000)
     bob.approve_and_associate(carol, deposit_bc, bc)
     return network, alice, bob, carol, ab, bc
+
+
+def renew_secure_session(left, right, session: bytes) -> None:
+    """Re-key the secure channel between two nodes the way a restart
+    does: a fresh handshake salt renews the session keys on both sides;
+    the identity keys, and so the payment channels, survive."""
+    from repro.crypto.authenticated import derive_channel_keys
+    from repro.network.secure_channel import SecureChannel
+
+    for node, peer in ((left, right), (right, left)):
+        remote_key = peer.enclave.public_key
+        keys = derive_channel_keys(node.enclave.identity.private,
+                                   remote_key, session=session)
+        node._ecall("reinstall_secure_channel",
+                    SecureChannel(node.enclave.public_key, remote_key,
+                                  keys, session=session),
+                    peer.name)

@@ -362,23 +362,12 @@ class TestInboundPeerLookup:
 
     def test_reinstall_after_a_restart_keeps_the_index_right(
             self, open_channel):
-        from repro.crypto.authenticated import derive_channel_keys
-        from repro.network.secure_channel import SecureChannel
+        from tests.conftest import renew_secure_session
 
         network, alice, bob, channel = open_channel
         self._crowd(bob, 5)
-        alice_key, bob_key = alice.enclave.public_key, bob.enclave.public_key
-        # A fresh boot nonce renews the session keys on both sides; the
-        # identity keys, and so the payment channel, survive.
-        session = b"second boot"
-        for node, peer, remote_key in ((alice, bob, bob_key),
-                                       (bob, alice, alice_key)):
-            keys = derive_channel_keys(node.enclave.identity.private,
-                                       remote_key, session=session)
-            node._ecall("reinstall_secure_channel",
-                        SecureChannel(node.enclave.public_key, remote_key,
-                                      keys, session=session),
-                        peer.name)
+        alice_key = alice.enclave.public_key
+        renew_secure_session(alice, bob, b"second boot")
         program = bob.program
         assert program._peer_key_by_name["alice"] == alice_key.to_bytes()
         assert len(program._peer_key_by_name) == len(program.peer_names) == 6

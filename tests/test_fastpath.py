@@ -1,13 +1,11 @@
 """Session-MAC fast path: deferred signatures under checkpoints.
 
-With the fast path enabled, ``Paid`` messages between attested enclaves
-are authenticated by the secure channel's session MAC alone; the
-identity *signature* over channel state is amortised into a signed
-:class:`~repro.core.messages.ChannelCheckpoint` every K payments and
-forced before any balance-affecting reconfiguration.  These tests pin
-the protocol rules: checkpoint cadence, forced flushes, receiver-side
-validation, and the strict no-bare-messages policy for everything that
-is not fast-path eligible.
+With the fast path enabled, ``Paid`` messages carry no signature of
+their own; the identity *signature* over channel state is amortised into
+a signed :class:`~repro.core.messages.ChannelCheckpoint` every K payments
+and forced before any balance-affecting reconfiguration.  These tests
+pin the protocol rules: checkpoint cadence, forced flushes, receiver-side
+validation, and which bodies may (and must) arrive signed.
 """
 
 import pickle
@@ -45,7 +43,7 @@ class TestFastPathPayments:
         assert alice.program._checkpoint_index_out[channel] == 2
         assert alice.program._fastpath_unsigned[channel] == 2
         assert bob.program._checkpoint_index_in[channel] == 2
-        recorded = bob.program._remote_checkpoints[channel]
+        recorded = bob.program._remote_checkpoints[channel].body
         assert recorded.sequence_out == 10
         assert recorded.my_balance == 49_000
 
@@ -57,7 +55,7 @@ class TestFastPathPayments:
         assert alice.program._fastpath_unsigned[channel] == 3
         alice._ecall("set_fastpath", False)
         assert alice.program._fastpath_unsigned[channel] == 0
-        assert bob.program._remote_checkpoints[channel].sequence_out == 3
+        assert bob.program._remote_checkpoints[channel].body.sequence_out == 3
 
     def test_settle_flushes_and_conserves_exactly(self, open_channel):
         network, alice, bob, channel = open_channel
@@ -114,24 +112,22 @@ class TestFastPathSecurity:
         secure = sender.program.secure_channels[state.remote_key.to_bytes()]
         return secure.seal_message(payload)
 
-    def test_bare_non_paid_rejected(self, open_channel):
-        """Fast-path leniency is scoped to ``Paid`` alone: any other
-        message arriving without a signature is an attack, not a
-        configuration."""
+    def test_signature_is_for_artefacts_not_envelopes(self, open_channel):
+        """The whitelist inverted: the secure channel authenticates every
+        message, so a control message dispatches bare (the parent refused
+        it), while a signature around one is refused — only checkpoints
+        and payments are signed artefacts.  The bare-checkpoint and
+        wrong-signer rejects are in test_send_path.py."""
         network, alice, bob, channel = open_channel
+        signed = SignedMessage.create(SettleRequest(channel_id=channel),
+                                      alice.enclave.identity.private)
+        with pytest.raises(ProtocolError):
+            bob.program.handle_envelope("alice",
+                                        self._seal_from(alice, signed))
+        assert not bob.program.channels[channel].settling_offchain
         envelope = self._seal_from(alice, SettleRequest(channel_id=channel))
-        with pytest.raises(ProtocolError):
-            bob.program.handle_envelope("alice", envelope)
-
-    def test_bare_checkpoint_rejected(self, open_channel):
-        """Checkpoints exist to carry the deferred *signature*; a MAC-only
-        checkpoint would defeat their purpose and must be refused."""
-        network, alice, bob, channel = open_channel
-        bare = ChannelCheckpoint(channel_id=channel, index=1, sequence_out=0,
-                                 sequence_in=0, my_balance=50_000,
-                                 remote_balance=30_000)
-        with pytest.raises(ProtocolError):
-            bob.program.handle_envelope("alice", self._seal_from(alice, bare))
+        bob.program.handle_envelope("alice", envelope)
+        assert bob.program.channels[channel].settling_offchain
 
     def _signed_checkpoint(self, alice, checkpoint):
         signed = SignedMessage.create(checkpoint,

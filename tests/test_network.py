@@ -345,6 +345,41 @@ class TestSecureChannel:
         with pytest.raises(MessageAuthenticationError):
             chan_b.open_message(envelope)
 
+    def test_payload_without_a_wire_encoding_is_refused_at_the_sender(self):
+        """Fails before the pickle fallback was deleted: an object the
+        codec cannot encode used to be pickled into the plaintext."""
+        from repro.runtime.codec import CodecError
+        service, a, b = self._pair()
+        chan_a, _ = establish_secure_channel(a, b, service)
+        for seal in (chan_a.seal_message, chan_a.seal_blob):
+            with pytest.raises(CodecError):
+                seal(object())
+
+    def test_pickle_plaintext_is_refused_not_loaded(self):
+        """Fails before the pickle fallback was deleted: a MAC-valid
+        plaintext that is not a ``TCW`` frame used to reach
+        ``pickle.loads`` — code execution for whoever holds the channel
+        keys (a compromised peer enclave)."""
+        import pickle
+        from repro.crypto.authenticated import encrypt, nonce_from_counter
+        service, a, b = self._pair()
+        chan_a, chan_b = establish_secure_channel(a, b, service)
+        fired = []
+
+        class Payload:
+            def __reduce__(self):
+                return (fired.append, ("executed",))
+
+        sender = chan_a.local_key.to_bytes()
+        for plaintext, opener in (
+                (pickle.dumps((sender, 1, Payload())), chan_b.open_message),
+                (pickle.dumps((sender, Payload())), chan_b.open_blob)):
+            sealed = encrypt(chan_a.keys, nonce_from_counter(1), plaintext)
+            with pytest.raises(MessageAuthenticationError):
+                opener(sealed)
+        assert fired == []
+        assert chan_b._recv_counter == 0
+
     def test_wrong_program_fails_attestation(self):
         service, a, _ = self._pair()
         tampered = Enclave(Tampered(), seed=b"evil")

@@ -127,14 +127,40 @@ class TestOutsourcing:
         with pytest.raises(MessageAuthenticationError):
             user.command("provision_user", user.keys.public)
 
-    def test_operator_cannot_forge_for_user(self, network):
-        """The untrusted operator relays envelopes but cannot mint them."""
+    def test_pickled_command_body_is_refused_not_loaded(self, network):
+        """Fails before the fix: the gateway MAC-checked the body and
+        then ``pickle.loads``-ed it, so any *enrolled* user — not an
+        outsider, the MAC is genuine — ran code of their choosing inside
+        the enclave program."""
         import hashlib
         import hmac as hmac_mod
         import pickle
         gateway, user = self._gateway(network)
+        fired = []
+
+        class Payload:
+            def __reduce__(self):
+                return (fired.append, ("executed inside the enclave",))
+
         prefix = user.keys.public.to_bytes()
-        body = pickle.dumps((99, "new_deposit_address", ()))
+        body = pickle.dumps((1, "list_channels", (Payload(),)))
+        tag = hmac_mod.new(user._secret, prefix + body,
+                           hashlib.sha256).digest()
+        with pytest.raises(MessageAuthenticationError):
+            gateway.ecall("outsourced_command", prefix + body + tag)
+        assert fired == []
+        # Nothing ran, the replay counter included: the user's next
+        # genuine command (counter 1) is still accepted.
+        assert user.command("list_channels") == []
+
+    def test_operator_cannot_forge_for_user(self, network):
+        """The untrusted operator relays envelopes but cannot mint them."""
+        import hashlib
+        import hmac as hmac_mod
+        from repro.runtime import codec
+        gateway, user = self._gateway(network)
+        prefix = user.keys.public.to_bytes()
+        body = codec.encode((99, "new_deposit_address", ()))
         forged_tag = hmac_mod.new(b"operator-guess", prefix + body,
                                   hashlib.sha256).digest()
         with pytest.raises(MessageAuthenticationError):

@@ -8,6 +8,9 @@ with balance correctness asserted at every stage.  Only the wire codec
 crosses the sockets; nothing pickled, nothing shared in memory.
 """
 
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -107,3 +110,64 @@ def test_two_daemons_full_payment_lifecycle():
     finally:
         for handle in handles.values():
             handle.shutdown()
+
+
+_ECHO_FAULTS = """
+import asyncio, socket, sys
+if sys.argv[1] == "pinned":
+    from repro.runtime.cli import _pin_malloc_thresholds
+    _pin_malloc_thresholds()
+
+def minor_faults():
+    with open("/proc/self/stat") as handle:
+        return int(handle.read().rsplit(")", 1)[1].split()[7])
+
+async def echo(reader, writer):
+    while line := await reader.readline():
+        writer.write(line)
+        await writer.drain()
+
+def client(port):
+    stream = socket.create_connection(("127.0.0.1", port)).makefile("rwb")
+    def round_trips(count):
+        for _ in range(count):
+            stream.write(b'{"cmd": "ping"}\\n')
+            stream.flush()
+            stream.readline()
+    round_trips(100)
+    before = minor_faults()
+    round_trips(1000)
+    return minor_faults() - before
+
+async def main():
+    server = await asyncio.start_server(echo, "127.0.0.1", 0)
+    port = server.sockets[0].getsockname()[1]
+    print(await asyncio.get_running_loop().run_in_executor(
+        None, client, port))
+
+asyncio.run(main())
+"""
+
+
+@pytest.mark.live
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="needs Linux /proc fault counters")
+def test_serve_pins_malloc_thresholds_so_reads_take_no_page_faults():
+    """asyncio reads every socket through a fresh 256 KiB buffer.  Left
+    to its dynamic thresholds glibc serves that block by mmap/munmap (or
+    from a heap top it trims again on free): two minor faults per read,
+    a control round trip ~2x and a fast-path payment ~1.3x slower — or
+    not, depending on what the process happened to free earlier, which
+    is how a change that made channel set-up *lighter* slowed every
+    daemon down.  ``serve`` pins the thresholds; a bare asyncio line
+    server shows the effect without a daemon's history in the way."""
+    def faults(mode):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", _ECHO_FAULTS, mode],
+                              env=env, capture_output=True, text=True,
+                              timeout=60, check=True)
+        return int(done.stdout)
+
+    assert faults("pinned") < 50
+    if faults("dynamic") < 1000:
+        pytest.skip("this C library does not mmap asyncio's read buffer")

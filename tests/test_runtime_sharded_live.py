@@ -147,7 +147,10 @@ class TestShardedDaemon:
         assert stats["channels"] == len(SPOKES)
 
         metrics = control.call("metrics")["metrics"]["counters"]
-        assert metrics.get("crypto.mac_fastpath", 0) == 20
+        assert metrics.get("crypto.sign_deferred", 0) == 20
+        # Every bare frame counts: the 20 Paid plus, per spoke, the hub's
+        # NewChannelAck, ApproveMyDeposit and AssociatedDeposit.
+        assert metrics.get("crypto.mac_fastpath", 0) == 20 + 3 * len(SPOKES)
 
         # Settle both channels; each routes to its owner and conserves
         # money exactly (the pre-settle checkpoint flush covered the
