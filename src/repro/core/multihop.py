@@ -46,7 +46,6 @@ from repro.core.messages import (
 from repro.core.channel_base import ChannelProtocol
 from repro.core.settlement import (
     add_tau_signatures,
-    build_channel_settlement,
     build_tau_from_components,
     build_unsigned_settlement,
     settlement_fee,
@@ -70,8 +69,10 @@ class MultihopSession:
     stage: MultihopStage
     in_channel_id: Optional[str]       # channel with the previous hop
     out_channel_id: Optional[str]      # channel with the next hop
-    # Candidate settlements of *local* channels at both states, built and
-    # signed at lock time so eject never needs remote cooperation.
+    # *Unsigned* candidate settlements of the local channels at both
+    # states, built at lock time.  Only their (witness-free) txids ever
+    # travel; eject signs the ones it releases, with keys this enclave or
+    # its committee holds, so it still needs no remote cooperation.
     local_pre_settlements: Dict[str, Transaction] = field(default_factory=dict)
     local_post_settlements: Dict[str, Transaction] = field(default_factory=dict)
     # txids of every channel's candidate settlements (from the lock
@@ -164,10 +165,9 @@ class MultihopMixin:
 
     def _channel_candidates_unsigned(
         self, channel: ChannelState, amount: int, outgoing: bool
-    ):
-        """Unsigned pre/post-payment candidate settlements (and the
-        channel's deposit records).  ``outgoing`` is True when the local
-        party pays on this channel."""
+    ) -> Tuple[Transaction, Transaction]:
+        """Unsigned pre/post-payment candidate settlements.  ``outgoing``
+        is True when the local party pays on this channel."""
         records = [self.deposits[outpoint]
                    for outpoint in sorted(channel.all_deposits())]
         # Candidates carry the same fee policy as unilateral settlement:
@@ -190,28 +190,22 @@ class MultihopMixin:
         post = build_unsigned_settlement(
             records, post_payouts,
             fee=settlement_fee(records, post_payouts, feerate))
-        return pre, post, records
+        return pre, post
 
     def _channel_snapshot_settlements(
-        self, channel: ChannelState, amount: int, outgoing: bool,
-        payment_id: str,
-    ) -> Tuple[Transaction, Transaction]:
-        """Build the channel's *signed* pre- and post-payment settlement
-        candidates.
+        self, session: MultihopSession, channel: ChannelState,
+        pre: Transaction, post: Transaction,
+    ) -> None:
+        """Record the channel's unsigned pre/post candidates in the
+        session and announce (replicate) their txids to the committee.
 
-        The unsigned txids are announced (replicated) to the committee
-        first: members refuse to co-sign anything outside their
-        replicated valid set, so candidates become valid before the
-        signing round — the in-enclave analogue of Alg. 3's
-        replicate-before-act rule."""
-        pre_unsigned, post_unsigned, records = \
-            self._channel_candidates_unsigned(channel, amount, outgoing)
-        self._announce_candidates(
-            payment_id, (pre_unsigned.txid, post_unsigned.txid))
-        provider = self._signing_provider()
-        pre = sign_settlement(pre_unsigned, records, provider)
-        post = sign_settlement(post_unsigned, records, provider)
-        return pre, post
+        Members refuse to co-sign anything outside their replicated valid
+        set, so the candidates are valid from here on — whenever an eject
+        asks for the signatures (:meth:`_sign_candidates`)."""
+        self._announce_candidates(session.path.payment_id,
+                                  (pre.txid, post.txid))
+        session.local_pre_settlements[channel.channel_id] = pre
+        session.local_post_settlements[channel.channel_id] = post
 
     def _announce_candidates(self, payment_id: str, txids) -> None:
         pending = self.pending_candidate_txids.setdefault(payment_id, set())
@@ -346,7 +340,9 @@ class MultihopMixin:
                 )
             if in_channel.remote_key != sender:
                 raise MultihopError("lock sender is not the channel peer")
-            self._verify_hop_contribution(lock, in_channel)
+            in_pre, in_post = self._channel_candidates_unsigned(
+                in_channel, path.amount, outgoing=False)
+            self._verify_hop_contribution(lock, in_channel, in_pre, in_post)
             try:
                 self._lock_channel(in_channel, path.amount, outgoing=False)
             except MultihopError:
@@ -365,12 +361,8 @@ class MultihopMixin:
             # Alg. 2 line 64 ejects with settlements of *both* adjacent
             # channels, so the in-channel candidates are snapshotted at
             # lock time too.
-            pre, post = self._channel_snapshot_settlements(
-                in_channel, path.amount, outgoing=False,
-                payment_id=path.payment_id,
-            )
-            session.local_pre_settlements[in_channel.channel_id] = pre
-            session.local_post_settlements[in_channel.channel_id] = post
+            self._channel_snapshot_settlements(
+                session, in_channel, in_pre, in_post)
 
         if not is_last:
             next_name = path.hops[position]  # 0-based: hops[position]
@@ -384,12 +376,10 @@ class MultihopMixin:
                                      reason="out-channel unavailable")
                 raise
             session.out_channel_id = out_channel.channel_id
-            pre, post = self._channel_snapshot_settlements(
-                out_channel, path.amount, outgoing=True,
-                payment_id=path.payment_id,
-            )
-            session.local_pre_settlements[out_channel.channel_id] = pre
-            session.local_post_settlements[out_channel.channel_id] = post
+            pre, post = self._channel_candidates_unsigned(
+                out_channel, path.amount, outgoing=True)
+            self._channel_snapshot_settlements(
+                session, out_channel, pre, post)
             forwarded = self._extend_lock(lock, out_channel, pre, post)
             session.pre_txids = forwarded.pre_settlement_txids
             session.post_txids = forwarded.post_settlement_txids
@@ -407,9 +397,7 @@ class MultihopMixin:
         session.post_txids = lock.post_settlement_txids
         tau = build_tau_from_components(lock.tau_deposits, lock.tau_payouts)
         self._announce_candidates(path.payment_id, (tau.txid,))
-        tau = add_tau_signatures(
-            tau, self._known_deposit_records(tau), self._signing_provider()
-        )
+        tau = self._sign_tau_inputs(tau, in_channel)
         self._set_stage(session, MultihopStage.SIGN)  # line 13
         self.multihop_sessions[path.payment_id] = session
         self._replicated(f"mh_lock_last:{path.payment_id}")
@@ -421,13 +409,12 @@ class MultihopMixin:
         )  # line 14
 
     def _verify_hop_contribution(self, lock: MultihopLock,
-                                 channel: ChannelState) -> None:
+                                 channel: ChannelState,
+                                 pre: Transaction, post: Transaction) -> None:
         """The previous hop claimed our shared channel's balances and
-        deposits inside τ; recompute and compare.  A lying hop (trying to
-        settle the path at balances favouring itself) is caught here."""
-        pre, post, _records = self._channel_candidates_unsigned(
-            channel, lock.path.amount, outgoing=False
-        )
+        deposits inside τ; compare with ``pre``/``post``, the candidates
+        computed from our own view of the channel.  A lying hop (trying
+        to settle the path at balances favouring itself) is caught here."""
         if lock.pre_settlement_txids[-1] != pre.txid:
             raise MultihopError(
                 "previous hop misstated the channel's pre-payment settlement"
@@ -473,17 +460,30 @@ class MultihopMixin:
             post_settlement_txids=lock.post_settlement_txids + (post.txid,),
         )
 
-    def _known_deposit_records(self, tau: Transaction):
-        """Deposit records (with keys we hold) for τ inputs we can sign."""
+    def _sign_tau_inputs(self, tau: Transaction,
+                         in_channel: Optional[ChannelState]) -> Transaction:
+        """Sign the τ inputs whose witness this hop must supply: those it
+        holds a key for, except the 1-of-1 deposits of its in-channel.
+
+        A 1-of-1 deposit key is shared with the channel peer at
+        association, and the in-channel peer is the next hop on the n→1
+        sign route: it signs that input itself before any enclave stores
+        τ, so a witness attached here would only be overwritten.
+        Committee deposits share no key; their owner's committee signs
+        them wherever they sit.  ``_verify_tau_complete`` at p1 refuses a
+        τ that any hop left unsigned."""
+        upstream = in_channel.all_deposits() if in_channel else frozenset()
         records = []
         for tx_input in tau.inputs:
             record = self.deposits.get(tx_input.outpoint)
             if record is None:
                 continue
+            if record.spec.total == 1 and record.outpoint in upstream:
+                continue
             addresses = {key.address() for key in record.spec.public_keys}
             if addresses & set(self.deposit_keys):
                 records.append(record)
-        return records
+        return add_tau_signatures(tau, records, self._signing_provider())
 
     # ------------------------------------------------------------------
     # Stage 2: sign (n→1), Alg. 2 line 15
@@ -500,10 +500,8 @@ class MultihopMixin:
             raise MultihopError("sign from unexpected peer")
         self._announce_candidates(message.path.payment_id,
                                   (message.tau.txid,))
-        tau = add_tau_signatures(
-            message.tau, self._known_deposit_records(message.tau),
-            self._signing_provider(),
-        )
+        tau = self._sign_tau_inputs(
+            message.tau, self.channels.get(session.in_channel_id))
         self._adopt_candidate_txids(session, message)
         if session.position > 1:  # line 17
             self._set_stage(session, MultihopStage.SIGN)  # line 18
@@ -719,6 +717,10 @@ class MultihopMixin:
         session = self.multihop_sessions.get(message.path.payment_id)
         if session is None:
             return  # already aborted/unknown; nothing to release
+        # Aborts travel n→1: only the next hop may release our locks.
+        out_channel = self.channels.get(session.out_channel_id)
+        if out_channel is None or out_channel.remote_key != sender:
+            raise MultihopError("abort from unexpected peer")
         if session.stage is not MultihopStage.LOCK:
             raise MultihopError(
                 "abort received after the sign phase began; aborting is no "
@@ -757,19 +759,46 @@ class MultihopMixin:
           whole path at post-payment;
         * stage **postUpdate**/**release** — the local channels'
           *post-payment* settlements.
+
+        The transactions are decided and signed *before* the session is
+        terminated: an eject that cannot produce them (no τ, committee
+        quorum down) raises with nothing changed and can be retried.
         """
         session = self._session(payment_id)
-        stage = session.stage  # line 61
+        transactions = self._ejection(session)
         self._terminate_session(session)  # line 62
+        return transactions
+
+    def _ejection(self, session: MultihopSession) -> List[Transaction]:
+        """What ``eject`` releases at the session's stage, signed.
+        Changes nothing."""
+        stage = session.stage  # line 61
         if stage in (MultihopStage.LOCK, MultihopStage.SIGN):
-            return list(session.local_pre_settlements.values())  # line 64
+            return self._sign_candidates(
+                session.local_pre_settlements)  # line 64
         if stage in (MultihopStage.PRE_UPDATE, MultihopStage.UPDATE):
             if session.tau is None:
                 raise SettlementError("no τ held at this stage")
             return [session.tau]  # line 65
         if stage in (MultihopStage.POST_UPDATE, MultihopStage.RELEASE):
-            return list(session.local_post_settlements.values())  # line 64
+            return self._sign_candidates(
+                session.local_post_settlements)  # line 64
         raise MultihopError(f"cannot eject from stage {stage.value}")
+
+    def _sign_candidates(
+        self, candidates: Dict[str, Transaction]
+    ) -> List[Transaction]:
+        """Sign the session's unsigned candidates for release — the one
+        place a candidate settlement acquires witnesses."""
+        provider = self._signing_provider()
+        return [
+            sign_settlement(
+                unsigned,
+                [self.deposits[outpoint]
+                 for outpoint in unsigned.spent_outpoints()],
+                provider)
+            for unsigned in candidates.values()
+        ]
 
     def release_dangling_locks(self) -> List[str]:
         """Unlock channels whose lock phase never committed a session —
@@ -807,14 +836,18 @@ class MultihopMixin:
         Dangling lock-phase channel locks (see
         :meth:`release_dangling_locks`) are lifted first.  Returns
         ``payment_id → settlements to broadcast``; already terminated
-        sessions are skipped."""
+        sessions are skipped.  Every session is signed before any is
+        terminated, so a failure loses no transaction already produced."""
         self.release_dangling_locks()
-        ejected: Dict[str, List[Transaction]] = {}
-        for payment_id in sorted(self.multihop_sessions):
-            session = self.multihop_sessions[payment_id]
-            if session.stage in (MultihopStage.TERMINATED, MultihopStage.IDLE):
-                continue
-            ejected[payment_id] = self.eject(payment_id)
+        sessions = [
+            session for _, session in sorted(self.multihop_sessions.items())
+            if session.stage not in (MultihopStage.TERMINATED,
+                                     MultihopStage.IDLE)
+        ]
+        ejected = {session.path.payment_id: self._ejection(session)
+                   for session in sessions}
+        for session in sessions:
+            self._terminate_session(session)
         return ejected
 
     def eject_with_popt(self, payment_id: str,
@@ -826,18 +859,17 @@ class MultihopMixin:
         releases this node's settlements in the matching state."""
         session = self._session(payment_id)
         if popt.txid in session.pre_txids:
-            state = "pre"  # line 69
+            candidates = session.local_pre_settlements  # lines 69–70
         elif popt.txid in session.post_txids:
-            state = "post"  # line 71
+            candidates = session.local_post_settlements  # lines 71–72
         else:
             raise SettlementError(
                 "presented transaction is not a settlement of any channel "
                 "in this multi-hop payment"
             )
+        transactions = self._sign_candidates(candidates)
         self._terminate_session(session)  # line 68
-        if state == "pre":
-            return list(session.local_pre_settlements.values())  # line 70
-        return list(session.local_post_settlements.values())  # line 72
+        return transactions
 
     def _terminate_session(self, session: MultihopSession) -> None:
         session.stage = MultihopStage.TERMINATED

@@ -1,4 +1,4 @@
-"""Settlement-transaction construction and proofs of premature termination.
+"""Settlement-transaction construction.
 
 Settlement is where Teechain touches the blockchain: a single transaction
 spends all of a channel's deposits and pays each party its final balance
@@ -16,8 +16,7 @@ post-payment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.blockchain.script import LockingScript, Witness
 from repro.blockchain.transaction import OutPoint, Transaction, TxInput, TxOutput
@@ -229,16 +228,6 @@ def build_release(
 # τ — the intermediate path settlement transaction (§5.1)
 # ---------------------------------------------------------------------------
 
-def build_unsigned_tau(
-    deposits: Sequence[DepositRecord],
-    payouts: Sequence[Tuple[str, int]],
-) -> Transaction:
-    """τ spends every deposit of every channel in the path and settles all
-    participants at post-payment balances.  Structurally it is just a large
-    settlement; its power comes from *what it conflicts with*."""
-    return build_unsigned_settlement(deposits, _merge_payouts(payouts))
-
-
 def build_tau_from_components(
     deposits: Sequence[Tuple[OutPoint, int]],
     payouts: Sequence[Tuple[str, int]],
@@ -291,39 +280,3 @@ def add_tau_signatures(
         else:
             witnesses.append(tx_input.witness)
     return tau.with_witnesses(witnesses)
-
-
-# ---------------------------------------------------------------------------
-# Proofs of premature termination (§5.1)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PoPT:
-    """A proof of premature termination: a settlement transaction (observed
-    on the blockchain) of *some other channel in the same multi-hop
-    payment*, terminated at pre- or post-payment state."""
-
-    settlement: Transaction
-
-
-def classify_popt(
-    popt: PoPT,
-    pre_payment_candidates: Iterable[Transaction],
-    post_payment_candidates: Iterable[Transaction],
-) -> str:
-    """Decide whether a PoPT shows a pre- or post-payment termination.
-
-    The TEE recorded every other channel's candidate settlements inside τ's
-    construction; a valid PoPT must be byte-identical (same txid) to one of
-    them.  Returns ``"pre"`` or ``"post"``; raises
-    :class:`SettlementError` for transactions that prove nothing.
-    """
-    txid = popt.settlement.txid
-    if any(candidate.txid == txid for candidate in pre_payment_candidates):
-        return "pre"
-    if any(candidate.txid == txid for candidate in post_payment_candidates):
-        return "post"
-    raise SettlementError(
-        "presented transaction is not a settlement of any channel in the "
-        "multi-hop payment"
-    )

@@ -12,11 +12,9 @@ from repro.core.messages import (
     canonical_bytes,
 )
 from repro.core.settlement import (
-    PoPT,
     build_release,
     build_tau_from_components,
     build_unsigned_settlement,
-    build_unsigned_tau,
     local_key_provider,
     sign_settlement,
 )

@@ -1,11 +1,24 @@
 """Algorithm 2: multi-hop payments — stage machine, τ, aborts, ejections
 at every stage, and PoPT classification."""
 
+import copy
+
 import pytest
 
+from repro import obs
 from repro.core.state import MultihopStage
-from repro.errors import MultihopError, SettlementError
+from repro.errors import (
+    MultihopError,
+    ReplicationError,
+    SettlementError,
+    ThresholdError,
+)
+from repro.faults.matrix import recovery_sweep
 from repro.network import NetworkAdversary
+from repro.tee import crash_enclave
+from repro.tee.enclave import EnclaveStatus
+
+from tests.test_send_path import fingerprint
 
 
 class TestHappyPath:
@@ -258,14 +271,25 @@ class TestPoPT:
 
     def test_conflicting_settlements_cannot_both_confirm(self, three_hop_path):
         """The blockchain-level invariant PoPTs rely on: pre- and
-        post-payment settlements of the same channel conflict."""
+        post-payment settlements of the same channel conflict.  Bob
+        ejects in two forks of the scenario — before the sign reaches
+        alice (pre) and after the release is lost (post) — and both
+        results are offered to the chain the forks share."""
         network, alice, bob, carol, ab, bc = three_hop_path
-        stall(network, "bob", "alice", 1)
-        payment = alice.pay_multihop([alice, bob, carol], 5_000)
-        session_c = carol.program.multihop_sessions[payment]
-        pre = session_c.local_pre_settlements[bc]
-        post = session_c.local_post_settlements[bc]
-        assert pre.conflicts_with(post)
+        bc_deposits = set(bob.program.channels[bc].all_deposits())
+        settlements = {}
+        for state, link in (("pre", ("bob", "alice", 0)),
+                            ("post", ("carol", "bob", 2))):
+            fork = copy.deepcopy(network)
+            stall(fork, *link)
+            payment = fork.nodes["alice"].pay_multihop(
+                [fork.nodes[name] for name in ("alice", "bob", "carol")],
+                5_000)
+            settlements[state] = next(
+                tx for tx in fork.nodes["bob"]._ecall("eject", payment)
+                if set(tx.spent_outpoints()) == bc_deposits)
+        pre, post = settlements["pre"], settlements["post"]
+        assert pre.txid != post.txid and pre.conflicts_with(post)
         network.chain.submit(post)
         from repro.errors import DoubleSpend
         with pytest.raises(DoubleSpend):
@@ -280,6 +304,286 @@ class TestPoPT:
         for candidate in list(session_c.local_pre_settlements.values()) + \
                 list(session_c.local_post_settlements.values()):
             assert tau.conflicts_with(candidate)
+
+
+L, S, P, U, Q = (MultihopStage.LOCK, MultihopStage.SIGN,
+                 MultihopStage.PRE_UPDATE, MultihopStage.UPDATE,
+                 MultihopStage.POST_UPDATE)
+NAMES = ("alice", "bob", "carol")
+# One row per message of the pipeline: dropping it (and everything after
+# it on that link) leaves alice–bob–carol at rest in the listed stages;
+# ``None`` = no session yet, or already finished.  Together the rows
+# visit every reachable (stage, position) pair — p_n never rests in
+# lock, preUpdate or postUpdate, p_1 never in sign or update.
+RESTING_POINTS = [
+    (("alice", "bob", 0), (L, None, None)),    # lock
+    (("bob", "carol", 0), (L, L, None)),
+    (("carol", "bob", 0), (L, L, S)),          # sign
+    (("bob", "alice", 0), (L, S, S)),
+    (("alice", "bob", 1), (P, S, S)),          # preUpdate
+    (("bob", "carol", 1), (P, P, S)),
+    (("carol", "bob", 1), (P, P, U)),          # update
+    (("bob", "alice", 1), (P, U, U)),
+    (("alice", "bob", 2), (Q, U, U)),          # postUpdate
+    (("bob", "carol", 2), (Q, Q, U)),
+    (("carol", "bob", 2), (Q, Q, None)),       # release
+    (("bob", "alice", 2), (Q, None, None)),
+]
+EJECT_CELLS = [
+    pytest.param(link, stages, position,
+                 id=f"{link[0]}-{link[1]}-{link[2]}:{NAMES[position]}")
+    for link, stages in RESTING_POINTS
+    for position, stage in enumerate(stages) if stage is not None
+]
+
+
+def session_stages(nodes, payment):
+    stages = []
+    for node in nodes:
+        session = node.program.multihop_sessions.get(payment)
+        stages.append(session.stage if session else None)
+    return tuple(stages)
+
+
+def eject_checked(network, node, payment, *ecall):
+    """Run an eject ecall without the host's broadcast and check what it
+    released: announced before it was signed, and valid on chain."""
+    program = node.program
+    session = program.multihop_sessions[payment]
+    tau = session.tau
+    announced = set(program.pending_candidate_txids[payment])
+    transactions = node._ecall(*ecall)
+    assert transactions
+    for transaction in transactions:
+        assert transaction.txid in announced
+        assert (transaction.txid in session.pre_txids + session.post_txids
+                or transaction is tau)
+        network.chain.submit(transaction)  # raises on a bad witness
+    return transactions
+
+
+def assert_everyone_whole(network, nodes):
+    for node in nodes:
+        node.assert_balance_correct()
+    assert network.chain.utxos.total_value() == network.chain.total_minted()
+
+
+class TestEjectEverywhere:
+    """Candidates are signed when an eject releases them, not at lock
+    time: whatever comes out must be exactly an announced candidate and
+    carry witnesses the chain accepts, wherever the pipeline stopped."""
+
+    @pytest.mark.parametrize("link, stages, position", EJECT_CELLS)
+    def test_eject_at_every_resting_point(self, three_hop_path, link,
+                                          stages, position):
+        network, alice, bob, carol, ab, bc = three_hop_path
+        nodes = (alice, bob, carol)
+        stall(network, *link)
+        payment = alice.pay_multihop(nodes, 5_000)
+        assert session_stages(nodes, payment) == stages
+        first = nodes[position]
+        transactions = eject_checked(network, first, payment,
+                                     "eject", payment)
+        if stages[position] in (P, U):
+            assert len(transactions) == 1  # τ
+        else:
+            assert len(transactions) == len(
+                first.program.multihop_sessions[payment].local_channel_ids())
+        network.mine()
+        # Everyone else terminates consistently with what confirmed.
+        for node in nodes:
+            recovery_sweep(node)
+            network.mine()
+        assert_everyone_whole(network, nodes)
+        paid = stages[position] not in (L, S)
+        assert network.chain.balance(carol.address) == \
+            100_000 + (5_000 if paid else 0)
+
+    @pytest.mark.parametrize("link, paid", [
+        pytest.param(("bob", "alice", 0), False, id="pre"),
+        pytest.param(("bob", "carol", 2), True, id="post"),
+    ])
+    def test_eject_with_popt(self, three_hop_path, link, paid):
+        """Alice settles a–b; carol, shown that transaction, settles b–c
+        in the same state though her own stage (sign / update) would
+        have released something else."""
+        network, alice, bob, carol, ab, bc = three_hop_path
+        nodes = (alice, bob, carol)
+        stall(network, *link)
+        payment = alice.pay_multihop(nodes, 5_000)
+        (popt,) = eject_checked(network, alice, payment, "eject", payment)
+        network.mine()
+        (settlement,) = eject_checked(network, carol, payment,
+                                      "eject_with_popt", payment, popt)
+        assert settlement.txid != popt.txid
+        network.mine()
+        recovery_sweep(bob)
+        network.mine()
+        assert_everyone_whole(network, nodes)
+        assert network.chain.balance(carol.address) == \
+            100_000 + (5_000 if paid else 0)
+
+    def test_eject_with_committee_members_down(self, network):
+        """2-of-3 committee deposits on both channels.  Lazy signing
+        needs a quorum at eject time — what unilateral settle needs too:
+        one member down is tolerated, two make eject fail *before* it
+        touches anything, and it succeeds once one of them is back."""
+        alice = network.create_node("alice", funds=100_000)
+        bob = network.create_node("bob", funds=100_000)
+        carol = network.create_node("carol", funds=100_000)
+        nodes = (alice, bob, carol)
+        alice.attach_committee(backups=2, threshold=2)
+        bob.attach_committee(backups=2, threshold=2)
+        ab = alice.open_channel(bob)
+        bc = bob.open_channel(carol)
+        alice.approve_and_associate(bob, alice.create_deposit(40_000), ab)
+        bob.approve_and_associate(carol, bob.create_deposit(40_000), bc)
+        stall(network, "bob", "alice", 0)  # alice lock; bob, carol sign
+        payment = alice.pay_multihop(nodes, 5_000)
+
+        def eject(node):
+            # The terminate step replicates; a chain that finds a dead
+            # member there freezes and rolls the ecall back, after which
+            # settlement operations (eject among them) go through.
+            try:
+                return eject_checked(network, node, payment,
+                                     "eject", payment)
+            except ReplicationError:
+                assert node.replication.frozen
+                return eject_checked(network, node, payment,
+                                     "eject", payment)
+
+        first, second = bob.replication.members
+        crash_enclave(first)
+        crash_enclave(second)
+        before = fingerprint(bob)
+        with pytest.raises(ThresholdError):
+            bob._ecall("eject", payment)
+        assert fingerprint(bob) == before
+        assert not bob.replication.frozen
+        second.status = EnclaveStatus.RUNNING  # was only unreachable
+        assert len(eject(bob)) == 2
+        crash_enclave(alice.replication.members[0])
+        assert len(eject(alice)) == 1
+        network.mine()
+        recovery_sweep(carol)
+        network.mine()
+        assert_everyone_whole(network, nodes)
+
+
+def signer_down_for(outpoints):
+    """A ``committee_provider`` that cannot sign for ``outpoints``."""
+    def chain(local):
+        def provide(deposit, digest, unsigned):
+            if deposit.outpoint in outpoints:
+                raise SettlementError("signer unavailable")
+            return local(deposit, digest, unsigned)
+        return provide
+    return chain
+
+
+class TestEjectOrdering:
+    """``eject`` used to terminate the session — channels reset, deposits
+    marked settled, ``mh_terminated`` replicated — and only then find out
+    it had nothing to return.  On the parent the first test fails with
+    the fingerprint changed; the other two never see their exception,
+    because nothing was signed at eject time."""
+
+    def test_missing_tau_leaves_state_untouched(self, three_hop_path):
+        network, alice, bob, carol, ab, bc = three_hop_path
+        stall(network, "alice", "bob", 1)
+        payment = alice.pay_multihop([alice, bob, carol], 5_000)
+        session = alice.program.multihop_sessions[payment]
+        assert session.stage is MultihopStage.PRE_UPDATE
+        tau, session.tau = session.tau, None
+        before = fingerprint(alice)
+        with pytest.raises(SettlementError):
+            alice.eject(payment)
+        assert fingerprint(alice) == before
+        session.tau = tau
+        assert alice.eject(payment) == [tau]
+        network.mine()
+        assert network.chain.contains(tau.txid)
+
+    def test_failed_signature_leaves_state_untouched(self, three_hop_path):
+        network, alice, bob, carol, ab, bc = three_hop_path
+        stall(network, "bob", "carol", 0)
+        payment = alice.pay_multihop([alice, bob, carol], 5_000)
+        provider = bob.program.committee_provider
+        bob.program.committee_provider = signer_down_for(
+            set(bob.program.deposits))
+        before = fingerprint(bob)
+        with pytest.raises(SettlementError):
+            bob.eject(payment)
+        assert fingerprint(bob) == before
+        bob.program.committee_provider = provider
+        assert len(bob.eject(payment)) == 2
+        network.mine()
+        alice.eject(payment)
+        network.mine()
+        for node in (alice, bob, carol):
+            node.assert_balance_correct()
+
+
+    def test_eject_all_signs_everything_before_terminating_anything(
+            self, three_hop_path):
+        """Bob is the payee of two stalled payments.  Signing the second
+        fails: the first must not have been terminated meanwhile, or its
+        signed settlements would be lost with the exception."""
+        network, alice, bob, carol, ab, bc = three_hop_path
+        dave = network.create_node("dave", funds=100_000)
+        db = dave.open_channel(bob)
+        dave.approve_and_associate(bob, dave.create_deposit(40_000), db)
+        stall(network, "bob", "alice", 0)
+        stall(network, "bob", "dave", 0)
+        payments = [alice.pay_multihop([alice, bob], 5_000),
+                    dave.pay_multihop([dave, bob], 5_000)]
+        assert sorted(bob.program.multihop_sessions) == payments
+        provider = bob.program.committee_provider
+        bob.program.committee_provider = signer_down_for(
+            set(bob.program.channels[db].all_deposits()))
+        before = fingerprint(bob)
+        with pytest.raises(SettlementError):
+            bob.eject_all()
+        assert fingerprint(bob) == before
+        bob.program.committee_provider = provider
+        assert sorted(bob.eject_all()) == payments
+        network.mine()
+        for node in (alice, bob, dave):
+            node.assert_balance_correct()
+
+
+class TestTauWitnesses:
+    def test_each_input_signed_once_by_the_hop_whose_witness_survives(
+            self, three_hop_path):
+        """Both channels funded from both sides: four τ inputs, every
+        1-of-1 key held by both endpoints of its channel.  Each input is
+        signed exactly once, and τ is what signing everything everywhere
+        produced (ECDSA here is deterministic, RFC 6979)."""
+        network, alice, bob, carol, ab, bc = three_hop_path
+        nodes = (alice, bob, carol)
+        bob.approve_and_associate(alice, bob.create_deposit(10_000), ab)
+        carol.approve_and_associate(bob, carol.create_deposit(10_000), bc)
+        stall(network, "carol", "bob", 1)  # update lost: τ held by all
+        with obs.collecting() as (registry, _tracer):
+            payment = alice.pay_multihop(nodes, 5_000)
+            counters = registry.snapshot()["counters"]
+        assert session_stages(nodes, payment) == (P, P, U)
+        tau = alice.program.multihop_sessions[payment].tau
+        assert len(tau.inputs) == 4
+        assert counters["crypto.sign"] == 4
+        for node in nodes:
+            assert node.program.multihop_sessions[payment].tau == tau
+        digest = tau.sighash()
+        for tx_input in tau.inputs:
+            record = bob.program.deposits[tx_input.outpoint]
+            (public_key,) = record.spec.public_keys
+            key = bob.program.deposit_keys[public_key.address()]
+            assert tx_input.witness.signatures == (key.sign(digest),)
+        bob.eject(payment)
+        network.mine()
+        assert network.chain.contains(tau.txid)
+        assert_everyone_whole(network, nodes)
 
 
 class TestCompletedPayments:

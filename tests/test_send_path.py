@@ -16,6 +16,7 @@ import pytest
 from repro import obs
 from repro.core.messages import (
     ChannelCheckpoint,
+    MultihopAbort,
     MultihopLock,
     MultihopPreUpdate,
     Paid,
@@ -157,6 +158,29 @@ class TestSenderIsTheChannelKey:
                         secure_to(carol, bob).seal_message(forged),
                         MultihopError)
 
+    def test_abort_from_off_path_or_upstream_rejected(self, three_hop_path):
+        """Fails on the parent, where ``_handle_abort`` was the one Alg. 2
+        handler without a peer check: dave, attested to bob but on no
+        channel of the payment, released bob's lock-phase locks by
+        naming the payment id.  Aborts travel n→1, so alice (upstream)
+        may not send one either; carol's stands."""
+        network, alice, bob, carol, ab, bc = three_hop_path
+        dave = network.create_node("dave", funds=10_000)
+        dave.open_channel(bob)
+        NetworkAdversary(network.transport).partition("bob", "carol")
+        payment = alice.pay_multihop([alice, bob, carol], 1_000)
+        session = bob.program.multihop_sessions[payment]
+        assert session.stage is MultihopStage.LOCK
+        abort = MultihopAbort(path=session.path, reason="griefing")
+        for intruder in (dave, alice):
+            assert_rejected(bob, intruder.name,
+                            secure_to(intruder, bob).seal_message(abort),
+                            MultihopError)
+        bob.program.handle_envelope(
+            "carol", secure_to(carol, bob).seal_message(abort))
+        assert payment in bob.program.multihop_aborted
+        assert bob.program.channels[ab].stage is MultihopStage.IDLE
+
 
 class TestSignedArtefactPolicy:
     def test_bare_checkpoint_rejected(self, open_channel):
@@ -222,8 +246,8 @@ class TestSignedArtefactPolicy:
 
 class TestOperationCounts:
     """Counts, not timings: a change that quietly re-signs stage
-    messages fails here.  The parent reads 24 signs + 12 verifies per
-    3-hop payment, and leaves ``crypto.mac_fastpath`` at 0."""
+    messages, or signs a settlement nobody asked to broadcast, fails
+    here."""
 
     @staticmethod
     def _crypto(counters):
@@ -238,11 +262,21 @@ class TestOperationCounts:
             payment = alice.pay_multihop([alice, bob, carol], 1_000)
             counters = registry.snapshot()["counters"]
         assert alice.multihop_completed(payment)
-        # 8 candidate settlements (pre + post, per channel, per
-        # endpoint) + 4 τ inputs; no message is signed or verified.
+        # One τ input per deposit, signed by the channel's upstream
+        # endpoint; candidate settlements stay unsigned unless someone
+        # ejects; no message is signed or verified.
         assert self._crypto(counters) == {
-            "sign": 12, "verify": 0, "mac_fastpath": 12}
+            "sign": 2, "verify": 0, "mac_fastpath": 12}
         assert len(frames) == 12
+        # Both channels funded from both sides: four τ inputs.
+        bob.approve_and_associate(alice, bob.create_deposit(10_000), ab)
+        carol.approve_and_associate(bob, carol.create_deposit(10_000), bc)
+        with obs.collecting() as (registry, _tracer):
+            payment = alice.pay_multihop([alice, bob, carol], 1_000)
+            counters = registry.snapshot()["counters"]
+        assert alice.multihop_completed(payment)
+        assert self._crypto(counters) == {
+            "sign": 4, "verify": 0, "mac_fastpath": 12}
 
     def test_signed_and_fast_path_pay(self, open_channel):
         network, alice, bob, channel = open_channel
