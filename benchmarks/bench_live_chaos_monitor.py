@@ -1,6 +1,6 @@
 """Chaos under observation: load + link faults + the fleet audit plane.
 
-The hub-and-spoke fleet from ``bench_live_hub_spoke.py`` runs its full
+A live hub-and-spoke fleet (1 hub, 4 spokes) runs its full
 bidirectional closed loop while two other things happen *at the same
 time*: a :class:`~repro.faults.live.LiveFaultInjector` severs transport
 links on a schedule (each sever is a real TCP cut; the dial loop redials

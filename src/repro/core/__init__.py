@@ -15,8 +15,8 @@
   (§6.2).
 * :mod:`~repro.core.outsourcing` — TEE outsourcing for users without local
   TEEs (§3).
-* :mod:`~repro.core.routing` / :mod:`~repro.core.temporary` — path
-  selection, dynamic rerouting, and temporary channels (§5.2, §7.4).
+* :mod:`~repro.core.temporary` — temporary channels (§5.2); path
+  selection and rerouting (§7.4) live in :mod:`repro.routing`.
 * :mod:`~repro.core.batching` — client-side transaction batching (§7.2).
 * :mod:`~repro.core.node` — :class:`~repro.core.node.TeechainNode`, the
   high-level public API.

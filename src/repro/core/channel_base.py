@@ -16,7 +16,8 @@ a :class:`~repro.errors.ProtocolError` subclass.
 from __future__ import annotations
 
 import logging
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.blockchain.transaction import OutPoint, Transaction
 from repro.core.deposits import DepositRecord, DepositStatus
@@ -59,6 +60,57 @@ logger = logging.getLogger(__name__)
 # the participant's required depth (Alg. 1 line 56 happens outside the TEE:
 # the *participant* checks the chain and instructs the TEE).
 DepositValidator = Callable[[OutPoint, int], bool]
+
+
+# Signature policy of an inbound message type.  Identity signatures are
+# for artefacts a third party may be shown: a checkpoint exists to carry
+# one, a Paid is signed when the sender's fast path is off, and everything
+# else is authenticated by the secure channel alone (DESIGN.md §11).
+NEVER, ALLOWED, REQUIRED = "never", "allowed", "required"
+
+
+class Inbound(NamedTuple):
+    """One ``_HANDLERS`` row, the whole declaration of an inbound message
+    type — the paper's "on receive m from K_remote" and, in Alg. 2,
+    "assert stage = s".  ``handle_envelope`` enforces it before the
+    handler runs, and the handler is given what ``rule`` resolved."""
+
+    handler: str     # the method that applies the message
+    rule: Callable   # who may send it: one of the three functions below
+    error: type      # the ProtocolError subclass a reject raises
+    names: Callable = attrgetter("channel_id")  # the channel / payment named
+    signature: str = NEVER
+    # path_neighbour rows (repro.core.multihop): the session stage the
+    # message is valid in; whether it travels 1→n, sent by the in-channel
+    # peer, or (the default) n→1, sent by the out-channel peer; whether
+    # an unknown payment is ignored rather than refused.
+    stage: Optional[MultihopStage] = None
+    downstream: bool = False
+    unknown_ok: bool = False
+
+
+def require_peer(channel: Optional[ChannelState], sender: PublicKey,
+                 message: Any, row: Inbound) -> ChannelState:
+    """The one sender comparison in ``repro.core``.  A channel that does
+    not exist and one that is somebody else's are refused alike."""
+    if channel is None or sender != channel.remote_key:
+        raise row.error(
+            f"{type(message).__name__} from a key that is not the peer of "
+            "the channel it concerns")
+    return channel
+
+
+def channel_peer(program: "ChannelProtocol", sender: PublicKey,
+                 message: Any, row: Inbound) -> ChannelState:
+    """The message names a channel whose remote key is the sender."""
+    return require_peer(program.channels.get(row.names(message)),
+                        sender, message, row)
+
+
+def any_attested(program: "ChannelProtocol", sender: PublicKey,
+                 message: Any, row: Inbound) -> PublicKey:
+    """Any attested peer: the state touched is keyed by the sender itself."""
+    return sender
 
 
 class ChannelProtocol(EnclaveProgram):
@@ -381,11 +433,9 @@ class ChannelProtocol(EnclaveProgram):
             ),
         )
 
-    def _on_new_channel_ack(self, sender: PublicKey, ack: NewChannelAck) -> None:
+    def _on_new_channel_ack(self, channel: ChannelState,
+                            ack: NewChannelAck) -> None:
         """Line 27: verify the echoed addresses and open the channel."""
-        channel = self._channel(ack.channel_id)
-        if channel.remote_key != sender:
-            raise ChannelStateError("ack from a key that is not the channel peer")
         if channel.is_open:
             raise ChannelStateError(f"channel {ack.channel_id!r} already open")
         # The sender's "my" address is our remote address and vice versa.
@@ -569,15 +619,12 @@ class ChannelProtocol(EnclaveProgram):
             ),
         )
 
-    def _on_associated_deposit(self, sender: PublicKey,
+    def _on_associated_deposit(self, channel: ChannelState,
                                message: AssociatedDeposit) -> None:
         """Line 74: adopt the peer's deposit into the channel and (for
         1-of-1) recover the shared deposit key."""
-        channel = self._channel(message.channel_id)
         channel.require_open()  # line 75
-        if channel.remote_key != sender:
-            raise DepositError("association from non-peer key")
-        key_bytes = sender.to_bytes()
+        key_bytes = channel.remote_key.to_bytes()
         if message.outpoint not in self.approved_deposits.get(key_bytes, set()):
             raise DepositError(
                 f"peer associated unapproved deposit {message.outpoint}"  # 76
@@ -593,7 +640,7 @@ class ChannelProtocol(EnclaveProgram):
             # Reconstruct the spec from the shared key (1-of-1) or accept
             # the committee form (keys live with the committee).
             if message.encrypted_deposit_key:
-                secure = self._secure_channel_for(sender)
+                secure = self._secure_channel_for(channel.remote_key)
                 tag, address, key_bytes_raw = secure.open_blob(
                     message.encrypted_deposit_key
                 )
@@ -648,14 +695,11 @@ class ChannelProtocol(EnclaveProgram):
             DissociateDeposit(channel_id=channel_id, outpoint=outpoint),  # 93
         )
 
-    def _on_dissociate_deposit(self, sender: PublicKey,
+    def _on_dissociate_deposit(self, channel: ChannelState,
                                request: DissociateDeposit) -> None:
         """Line 94: peer dissociates one of *their* deposits; we drop it,
         reduce their balance, destroy our copy of the key, and ack."""
-        channel = self._channel(request.channel_id)
         channel.require_open()
-        if channel.remote_key != sender:
-            raise DepositError("dissociation from non-peer key")
         if request.outpoint not in channel.remote_deposits:
             raise DepositError(
                 f"{request.outpoint} is not a remote deposit here"  # line 95
@@ -677,18 +721,15 @@ class ChannelProtocol(EnclaveProgram):
             f"remote_dissociate:{request.channel_id}:{request.outpoint}"
         )
         self._send(
-            sender,
+            channel.remote_key,
             DissociateDepositAck(channel_id=request.channel_id,
                                  outpoint=request.outpoint),  # line 99
         )
         self._maybe_finish_offchain_settle(channel)
 
-    def _on_dissociate_ack(self, sender: PublicKey,
+    def _on_dissociate_ack(self, channel: ChannelState,
                            ack: DissociateDepositAck) -> None:
         """Line 100: complete dissociation — the deposit becomes free."""
-        channel = self._channel(ack.channel_id)
-        if channel.remote_key != sender:
-            raise DepositError("dissociation ack from non-peer key")
         if ack.outpoint not in channel.my_deposits:
             raise DepositError(f"{ack.outpoint} is not pending dissociation")
         record = self.deposits[ack.outpoint]
@@ -818,7 +859,7 @@ class ChannelProtocol(EnclaveProgram):
         if self._fastpath_unsigned.get(channel_id, 0):
             self.checkpoint(channel_id)
 
-    def _on_channel_checkpoint(self, sender: PublicKey,
+    def _on_channel_checkpoint(self, channel: ChannelState,
                                signed: SignedMessage) -> None:
         """Validate and record the peer's signed balance commitment
         (``handle_envelope`` has verified the signature).
@@ -834,10 +875,7 @@ class ChannelProtocol(EnclaveProgram):
         It is kept *with* its signature: dispute evidence must verify
         for someone holding nothing but the peer's public key."""
         checkpoint: ChannelCheckpoint = signed.body
-        channel = self._channel(checkpoint.channel_id)
         channel.require_open()
-        if channel.remote_key != sender:
-            raise PaymentError("checkpoint from non-peer key")
         cid = checkpoint.channel_id
         expected_index = self._checkpoint_index_in.get(cid, 0) + 1
         if checkpoint.index != expected_index:
@@ -865,12 +903,9 @@ class ChannelProtocol(EnclaveProgram):
             metrics.inc("crypto.checkpoints_accepted")
         self._replicated(f"checkpoint_in:{cid}:{checkpoint.index}")
 
-    def _on_paid(self, sender: PublicKey, payment: Paid) -> None:
+    def _on_paid(self, channel: ChannelState, payment: Paid) -> None:
         """Line 87: credit an incoming payment."""
-        channel = self._channel(payment.channel_id)
         channel.require_open()
-        if channel.remote_key != sender:
-            raise PaymentError("payment from non-peer key")
         expected = self._pay_seq_in[payment.channel_id] + 1
         if payment.sequence != expected:
             raise PaymentError(
@@ -956,14 +991,11 @@ class ChannelProtocol(EnclaveProgram):
         channel.reset()  # line 119
         self._replicated(f"settled:{channel.channel_id}")
 
-    def _on_settle_request(self, sender: PublicKey,
+    def _on_settle_request(self, channel: ChannelState,
                            request: SettleRequest) -> None:
         """Line 108's receiving side: the peer wants an off-chain
         termination; dissociate all our deposits in the channel."""
-        channel = self._channel(request.channel_id)
         channel.require_open()
-        if channel.remote_key != sender:
-            raise SettlementError("settle request from non-peer key")
         if not channel.is_neutral(self._deposit_value):
             raise SettlementError(
                 "peer requested off-chain termination on non-neutral channel"
@@ -973,12 +1005,9 @@ class ChannelProtocol(EnclaveProgram):
             self.dissociate_deposit(request.channel_id, outpoint)
         self._maybe_finish_offchain_settle(channel)
 
-    def _on_settle_notify(self, sender: PublicKey,
+    def _on_settle_notify(self, channel: ChannelState,
                           notice: SettleNotify) -> None:
         """Line 120's receiving side: the peer settled on-chain; reset."""
-        channel = self._channel(notice.channel_id)
-        if channel.remote_key != sender:
-            raise SettlementError("settle notice from non-peer key")
         if channel.terminated:
             return
         for outpoint in channel.all_deposits():
@@ -1087,51 +1116,59 @@ class ChannelProtocol(EnclaveProgram):
     # ------------------------------------------------------------------
 
     _HANDLERS = {
-        NewChannelAck: "_on_new_channel_ack",
-        ApproveMyDeposit: "_on_approve_my_deposit",
-        ApprovedDeposit: "_on_approved_deposit",
-        AssociatedDeposit: "_on_associated_deposit",
-        DissociateDeposit: "_on_dissociate_deposit",
-        DissociateDepositAck: "_on_dissociate_ack",
-        Paid: "_on_paid",
-        SettleRequest: "_on_settle_request",
-        SettleNotify: "_on_settle_notify",
+        NewChannelAck: Inbound(
+            "_on_new_channel_ack", channel_peer, ChannelStateError),
+        ApproveMyDeposit: Inbound(
+            "_on_approve_my_deposit", any_attested, DepositError),
+        ApprovedDeposit: Inbound(
+            "_on_approved_deposit", any_attested, DepositError),
+        AssociatedDeposit: Inbound(
+            "_on_associated_deposit", channel_peer, DepositError),
+        DissociateDeposit: Inbound(
+            "_on_dissociate_deposit", channel_peer, DepositError),
+        DissociateDepositAck: Inbound(
+            "_on_dissociate_ack", channel_peer, DepositError),
+        Paid: Inbound(
+            "_on_paid", channel_peer, PaymentError, signature=ALLOWED),
+        ChannelCheckpoint: Inbound(
+            "_on_channel_checkpoint", channel_peer, PaymentError,
+            signature=REQUIRED),
+        SettleRequest: Inbound(
+            "_on_settle_request", channel_peer, SettlementError),
+        SettleNotify: Inbound(
+            "_on_settle_notify", channel_peer, SettlementError),
     }
-
-    # Bodies that travel inside a SignedMessage — artefacts a third party
-    # may be shown.  A checkpoint exists to carry the signature, so it is
-    # refused bare; a Paid is signed when the sender's fast path is off.
-    # Everything else is authenticated by the secure channel alone.
-    _SIGNED_ARTEFACTS = (ChannelCheckpoint, Paid)
 
     def handle_envelope(self, peer_name: str, envelope: bytes) -> None:
         """Entry point for all incoming protocol traffic: open the sealed
-        envelope (authenticity + freshness) and dispatch on the body.
-        The sender is the channel's pinned, attested identity key — never
-        a field of the message — and a signed artefact must verify under
-        that same key."""
+        envelope (authenticity + freshness), enforce the message type's
+        ``_HANDLERS`` row, and dispatch.  The sender is the channel's
+        pinned, attested identity key — never a field of the message —
+        and a signed artefact must verify under that same key."""
         remote_key = self._peer_key_by_name.get(peer_name)
         if remote_key is None:
             raise ChannelStateError(f"no secure channel with peer {peer_name!r}")
         secure = self.secure_channels[remote_key]
         payload = secure.open_message(envelope)
-        sender = secure.remote_key
-        if isinstance(payload, SignedMessage):
-            if not isinstance(payload.body, self._SIGNED_ARTEFACTS):
-                raise ProtocolError(
-                    f"{type(payload.body).__name__} is not a signed artefact")
-            payload.verify(expected_sender=sender)
-            if isinstance(payload.body, ChannelCheckpoint):
-                self._on_channel_checkpoint(sender, payload)
-                return
-            payload = payload.body
-        elif isinstance(payload, ChannelCheckpoint):
-            raise ProtocolError("ChannelCheckpoint may not arrive unsigned")
-        handler_name = self._HANDLERS.get(type(payload))
-        if handler_name is None:
+        signed = isinstance(payload, SignedMessage)
+        body = payload.body if signed else payload
+        row = self._HANDLERS.get(type(body))
+        if row is None:
             raise ProtocolError(
-                f"no handler for message type {type(payload).__name__}")
-        getattr(self, handler_name)(sender, payload)
+                f"no handler for message type {type(body).__name__}")
+        if row.signature == (NEVER if signed else REQUIRED):
+            raise ProtocolError(
+                f"{type(body).__name__} arrived "
+                f"{'signed' if signed else 'bare'}: its signature is "
+                f"{row.signature}")
+        subject = row.rule(self, secure.remote_key, body, row)
+        if subject is None:
+            return
+        if signed:
+            payload.verify(expected_sender=secure.remote_key)
+        # A required signature is the artefact: its handler keeps it.
+        getattr(self, row.handler)(
+            subject, payload if row.signature == REQUIRED else body)
 
 
 def _committee_placeholder_spec(message: AssociatedDeposit):

@@ -225,10 +225,6 @@ class PathDescriptor:
     amount: int
     hops: Tuple[str, ...]  # node names p1 … pn
 
-    def position_of(self, node: str) -> int:
-        """1-based index of ``node`` in the path."""
-        return self.hops.index(node) + 1
-
 
 @dataclass(frozen=True)
 class MultihopLock:
@@ -305,52 +301,3 @@ class MultihopRelease:
     """Alg. 2 line 54/59: release channel locks."""
 
     path: PathDescriptor
-
-
-# ---------------------------------------------------------------------------
-# Algorithm 3 — chain replication messages
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Attest:
-    """Alg. 3 line 3: attestation challenge/response during backup setup."""
-
-    measurement_hash: bytes
-
-
-@dataclass(frozen=True)
-class AddBackup:
-    """Alg. 3 line 16: ask a TEE to become our backup."""
-
-    primary_name: str
-
-
-@dataclass(frozen=True)
-class StateUpdate:
-    """Alg. 3 line 21: replicate a state snapshot down the chain.
-
-    ``version`` totally orders updates; a backup refuses any version that
-    does not strictly increase (rollback protection inside the chain).
-    """
-
-    chain_id: str
-    version: int
-    state_digest: bytes
-    state_blob: bytes  # sealed/serialised deposit + channel state
-
-
-@dataclass(frozen=True)
-class StateUpdateAck:
-    """Ack travelling back up the chain; releases the primary's block."""
-
-    chain_id: str
-    version: int
-
-
-@dataclass(frozen=True)
-class Freeze:
-    """Force-freeze notification: a read occurred (or a failure was
-    detected) somewhere in the chain; every member freezes."""
-
-    chain_id: str
-    reason: str

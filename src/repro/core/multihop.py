@@ -28,11 +28,13 @@ Premature termination:
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.blockchain.transaction import OutPoint, Transaction
+from repro.core import messages
 from repro.core.messages import (
     MultihopAbort,
     MultihopLock,
@@ -43,7 +45,12 @@ from repro.core.messages import (
     MultihopUpdate,
     PathDescriptor,
 )
-from repro.core.channel_base import ChannelProtocol
+from repro.core.channel_base import (
+    ChannelProtocol,
+    Inbound,
+    channel_peer,
+    require_peer,
+)
 from repro.core.settlement import (
     add_tau_signatures,
     build_tau_from_components,
@@ -115,6 +122,29 @@ _STAGE_ORDER: Tuple[MultihopStage, ...] = (
 _STAGE_INDEX: Dict[MultihopStage, int] = {
     stage: index for index, stage in enumerate(_STAGE_ORDER)
 }
+
+
+def path_neighbour(program: "MultihopMixin", sender: PublicKey,
+                   message, row: Inbound) -> Optional[MultihopSession]:
+    """The sender is the named session's in-channel peer for a message
+    travelling 1→n, its out-channel peer for one travelling n→1, and the
+    session is in the stage the message belongs to.  p1 has no in-channel
+    and p_n no out-channel: nobody may send them a message from there."""
+    session = program.multihop_sessions.get(message.path.payment_id)
+    if session is None:
+        if row.unknown_ok:
+            return None
+        raise row.error(
+            f"unknown multi-hop payment {message.path.payment_id!r}")
+    require_peer(
+        program.channels.get(session.in_channel_id if row.downstream
+                             else session.out_channel_id),
+        sender, message, row)
+    if session.stage is not row.stage:
+        raise row.error(
+            f"{type(message).__name__} in stage {session.stage.value}, "
+            f"expected {row.stage.value}")
+    return session
 
 
 class MultihopMixin:
@@ -312,41 +342,38 @@ class MultihopMixin:
             path=path, channel_ids=(), tau_deposits=(), tau_payouts=(),
             pre_settlement_txids=(), post_settlement_txids=(),
         )
-        self._handle_lock(self.identity.public, empty_lock)
+        self._handle_lock(None, empty_lock)
 
     # ------------------------------------------------------------------
     # Stage 1: lock (1→n), Alg. 2 line 5
     # ------------------------------------------------------------------
 
-    def _handle_lock(self, sender: PublicKey, lock: MultihopLock) -> None:
+    def _handle_lock(self, in_channel: Optional[ChannelState],
+                     lock: MultihopLock) -> None:
+        """``in_channel`` is our channel with the previous hop — chosen by
+        it, the last accumulated channel id, and resolved by the sender
+        rule — or None for p1's own ``pay_multihop``.  A lock from the
+        wire therefore never lands at position 1: every hop before us
+        contributed exactly one channel."""
         path = lock.path
         my_name = self._my_name()
-        position = path.position_of(my_name)
+        position = path.hops.index(my_name) + 1 if my_name in path.hops else 0
+        if position != len(lock.channel_ids) + 1:
+            raise MultihopError(
+                f"lock carries {len(lock.channel_ids)} channels but the "
+                f"path places this node at position {position}")
         if path.payment_id in self.multihop_sessions:
             raise MultihopError(f"duplicate lock for {path.payment_id!r}")
         is_last = position == len(path.hops)
 
-        in_channel: Optional[ChannelState] = None
-        if position > 1:
-            # Our channel with the previous hop was chosen by the sender
-            # and is the last accumulated channel id.  Verify and lock it.
-            if not lock.channel_ids:
-                raise MultihopError("lock arrived without a channel choice")
-            in_channel = self.channels.get(lock.channel_ids[-1])
-            if in_channel is None:
-                raise MultihopError(
-                    f"previous hop chose unknown channel "
-                    f"{lock.channel_ids[-1]!r}"
-                )
-            if in_channel.remote_key != sender:
-                raise MultihopError("lock sender is not the channel peer")
+        if in_channel is not None:
             in_pre, in_post = self._channel_candidates_unsigned(
                 in_channel, path.amount, outgoing=False)
             self._verify_hop_contribution(lock, in_channel, in_pre, in_post)
             try:
                 self._lock_channel(in_channel, path.amount, outgoing=False)
             except MultihopError:
-                self._send_abort(path, toward=sender,
+                self._send_abort(path, toward=in_channel.remote_key,
                                  reason="in-channel busy")
                 raise
 
@@ -372,7 +399,7 @@ class MultihopMixin:
             except MultihopError:
                 if in_channel is not None:
                     self._unlock_channel(in_channel)
-                    self._send_abort(path, toward=sender,
+                    self._send_abort(path, toward=in_channel.remote_key,
                                      reason="out-channel unavailable")
                 raise
             session.out_channel_id = out_channel.channel_id
@@ -415,11 +442,11 @@ class MultihopMixin:
         deposits inside τ; compare with ``pre``/``post``, the candidates
         computed from our own view of the channel.  A lying hop (trying
         to settle the path at balances favouring itself) is caught here."""
-        if lock.pre_settlement_txids[-1] != pre.txid:
+        if lock.pre_settlement_txids[-1:] != (pre.txid,):
             raise MultihopError(
                 "previous hop misstated the channel's pre-payment settlement"
             )
-        if lock.post_settlement_txids[-1] != post.txid:
+        if lock.post_settlement_txids[-1:] != (post.txid,):
             raise MultihopError(
                 "previous hop misstated the channel's post-payment settlement"
             )
@@ -489,15 +516,9 @@ class MultihopMixin:
     # Stage 2: sign (n→1), Alg. 2 line 15
     # ------------------------------------------------------------------
 
-    def _handle_sign(self, sender: PublicKey, message: MultihopSign) -> None:
-        session = self._session(message.path.payment_id)
-        if session.stage is not MultihopStage.LOCK:  # line 16
-            raise MultihopError(
-                f"sign in stage {session.stage.value}, expected lock"
-            )
+    def _handle_sign(self, session: MultihopSession,
+                     message: MultihopSign) -> None:
         out_channel = self.channels[session.out_channel_id]
-        if out_channel.remote_key != sender:
-            raise MultihopError("sign from unexpected peer")
         self._announce_candidates(message.path.payment_id,
                                   (message.tau.txid,))
         tau = self._sign_tau_inputs(
@@ -559,16 +580,9 @@ class MultihopMixin:
     # Stage 3: preUpdate (1→n), Alg. 2 line 24
     # ------------------------------------------------------------------
 
-    def _handle_pre_update(self, sender: PublicKey,
+    def _handle_pre_update(self, session: MultihopSession,
                            message: MultihopPreUpdate) -> None:
-        session = self._session(message.path.payment_id)
-        if session.stage is not MultihopStage.SIGN:  # line 25
-            raise MultihopError(
-                f"preUpdate in stage {session.stage.value}, expected sign"
-            )
         in_channel = self.channels[session.in_channel_id]
-        if in_channel.remote_key != sender:
-            raise MultihopError("preUpdate from unexpected peer")
         self._verify_tau_complete(message.tau)
         session.tau = message.tau  # line 26
         if session.position < len(session.path.hops):  # line 27
@@ -604,16 +618,9 @@ class MultihopMixin:
     # Stage 4: update (n→1), Alg. 2 line 34
     # ------------------------------------------------------------------
 
-    def _handle_update(self, sender: PublicKey,
+    def _handle_update(self, session: MultihopSession,
                        message: MultihopUpdate) -> None:
-        session = self._session(message.path.payment_id)
-        if session.stage is not MultihopStage.PRE_UPDATE:  # line 35
-            raise MultihopError(
-                f"update in stage {session.stage.value}, expected preUpdate"
-            )
         out_channel = self.channels[session.out_channel_id]
-        if out_channel.remote_key != sender:
-            raise MultihopError("update from unexpected peer")
         if session.position > 1:  # line 36
             self._set_stage(session, MultihopStage.UPDATE)  # line 37
             self._apply_balance_update(session)  # lines 38–39
@@ -633,16 +640,9 @@ class MultihopMixin:
     # Stage 5: postUpdate (1→n), Alg. 2 line 46
     # ------------------------------------------------------------------
 
-    def _handle_post_update(self, sender: PublicKey,
+    def _handle_post_update(self, session: MultihopSession,
                             message: MultihopPostUpdate) -> None:
-        session = self._session(message.path.payment_id)
-        if session.stage is not MultihopStage.UPDATE:  # line 47
-            raise MultihopError(
-                f"postUpdate in stage {session.stage.value}, expected update"
-            )
         in_channel = self.channels[session.in_channel_id]
-        if in_channel.remote_key != sender:
-            raise MultihopError("postUpdate from unexpected peer")
         session.tau = None  # line 49
         if session.position < len(session.path.hops):  # line 48
             self._set_stage(session, MultihopStage.POST_UPDATE)  # line 50
@@ -660,16 +660,8 @@ class MultihopMixin:
     # Stage 6: release (n→1), Alg. 2 line 55
     # ------------------------------------------------------------------
 
-    def _handle_release(self, sender: PublicKey,
+    def _handle_release(self, session: MultihopSession,
                         message: MultihopRelease) -> None:
-        session = self._session(message.path.payment_id)
-        if session.stage is not MultihopStage.POST_UPDATE:  # line 56
-            raise MultihopError(
-                f"release in stage {session.stage.value}, expected postUpdate"
-            )
-        out_channel = self.channels[session.out_channel_id]
-        if out_channel.remote_key != sender:
-            raise MultihopError("release from unexpected peer")
         self._finish_session(session)  # line 57
         self._replicated(f"mh_release:{session.path.payment_id}")
         if session.position > 1:  # line 58
@@ -713,19 +705,11 @@ class MultihopMixin:
                     reason: str) -> None:
         self._send(toward, MultihopAbort(path=path, reason=reason))
 
-    def _handle_abort(self, sender: PublicKey, message: MultihopAbort) -> None:
-        session = self.multihop_sessions.get(message.path.payment_id)
-        if session is None:
-            return  # already aborted/unknown; nothing to release
-        # Aborts travel n→1: only the next hop may release our locks.
-        out_channel = self.channels.get(session.out_channel_id)
-        if out_channel is None or out_channel.remote_key != sender:
-            raise MultihopError("abort from unexpected peer")
-        if session.stage is not MultihopStage.LOCK:
-            raise MultihopError(
-                "abort received after the sign phase began; aborting is no "
-                "longer safe — use eject"
-            )
+    def _handle_abort(self, session: MultihopSession,
+                      message: MultihopAbort) -> None:
+        """Aborts travel n→1 and stop being safe once the sign phase has
+        begun (then: eject); for an already aborted or unknown payment
+        there is nothing to release and none arrives here."""
         for channel_id in session.local_channel_ids():
             self._unlock_channel(self.channels[channel_id])
         del self.multihop_sessions[message.path.payment_id]
@@ -889,13 +873,30 @@ class MultihopMixin:
 
     _HANDLERS = {
         **ChannelProtocol._HANDLERS,
-        MultihopLock: "_handle_lock",
-        MultihopSign: "_handle_sign",
-        MultihopPreUpdate: "_handle_pre_update",
-        MultihopUpdate: "_handle_update",
-        MultihopPostUpdate: "_handle_post_update",
-        MultihopRelease: "_handle_release",
-        MultihopAbort: "_handle_abort",
+        # The lock creates the session; its sender must own the channel
+        # it chose for us, the last one accumulated.
+        MultihopLock: Inbound(
+            "_handle_lock", channel_peer, MultihopError,
+            names=lambda lock: (lock.channel_ids[-1] if lock.channel_ids
+                                else None)),
+        MultihopSign: Inbound(
+            "_handle_sign", path_neighbour, MultihopError,
+            stage=MultihopStage.LOCK),  # line 16
+        MultihopPreUpdate: Inbound(
+            "_handle_pre_update", path_neighbour, MultihopError,
+            stage=MultihopStage.SIGN, downstream=True),  # line 25
+        MultihopUpdate: Inbound(
+            "_handle_update", path_neighbour, MultihopError,
+            stage=MultihopStage.PRE_UPDATE),  # line 35
+        MultihopPostUpdate: Inbound(
+            "_handle_post_update", path_neighbour, MultihopError,
+            stage=MultihopStage.UPDATE, downstream=True),  # line 47
+        MultihopRelease: Inbound(
+            "_handle_release", path_neighbour, MultihopError,
+            stage=MultihopStage.POST_UPDATE),  # line 56
+        MultihopAbort: Inbound(
+            "_handle_abort", path_neighbour, MultihopError,
+            stage=MultihopStage.LOCK, unknown_ok=True),
     }
 
 
@@ -919,3 +920,15 @@ class TeechainEnclave(HubAccountsMixin, MultihopMixin, ChannelProtocol):
     # The account ledger rolls back with the rest of the enclave state
     # when a replication barrier fails mid-ecall.
     _ROLLBACK_ATTRS = ChannelProtocol._ROLLBACK_ATTRS + ("hub",)
+
+
+# A message type without a declared sender rule must not reach a peer:
+# every message dataclass of repro.core.messages — what the wire codec
+# registers as protocol messages — has a _HANDLERS row.
+_undeclared = sorted(
+    name for name, cls in vars(messages).items()
+    if dataclasses.is_dataclass(cls) and cls.__module__ == messages.__name__
+    and cls not in (messages.SignedMessage, PathDescriptor,
+                    *TeechainEnclave._HANDLERS))
+if _undeclared:
+    raise ImportError(f"no _HANDLERS row for {', '.join(_undeclared)}")

@@ -1,9 +1,8 @@
 """The one route-selection implementation.
 
 Everything that picks a payment path — live daemons resolving
-``pay-multihop dest=``, DES multihop, ``bench/netsim.py``, and the
-deprecated free functions in ``core/routing.py`` — goes through
-:class:`RoutePlanner`.  networkx is confined to this module (it backs
+``pay-multihop dest=``, DES multihop and ``bench/netsim.py`` — goes
+through :class:`RoutePlanner`.  networkx is confined to this module (it backs
 the k-shortest simple-path enumeration); nothing outside
 ``repro.routing`` may import it.
 
@@ -309,8 +308,7 @@ _MISSING = _Missing()
 
 
 # ---------------------------------------------------------------------
-# Canonical overlay helpers (the old ``core.routing`` API, now shimmed
-# there) and analysis helpers for the routing benchmarks.
+# Overlay helpers and analysis helpers for the routing benchmarks.
 # ---------------------------------------------------------------------
 
 

@@ -389,8 +389,11 @@ def encoded_size(obj: Any) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # Wire schema — crypto and blockchain value types
 # ---------------------------------------------------------------------------
-# Tag blocks: 1–19 value types, 20–49 protocol messages (Algorithms 1–3),
+# Tag blocks: 1–19 value types, 20–49 protocol messages (Algorithms 1–2),
 # 50–69 runtime control plane (repro.runtime.messages).  Append only.
+# Retired, never reuse: 37–41 (Alg. 3 frames nothing sent or handled —
+# replication runs over ecalls) and 56 (ChainMine, superseded by
+# ChainBlock).
 
 def _register_schema() -> None:
     from repro.blockchain.chain import Block
@@ -456,11 +459,6 @@ def _register_schema() -> None:
     register_dataclass(34, m.MultihopUpdate)
     register_dataclass(35, m.MultihopPostUpdate)
     register_dataclass(36, m.MultihopRelease)
-    register_dataclass(37, m.Attest)
-    register_dataclass(38, m.AddBackup)
-    register_dataclass(39, m.StateUpdate)
-    register_dataclass(40, m.StateUpdateAck)
-    register_dataclass(41, m.Freeze)
     register_dataclass(42, m.ChannelCheckpoint)
 
     from repro.hub import messages as hub_messages

@@ -73,7 +73,7 @@ class ControlClient:
         """Send one command and wait (bounded) for its response.
 
         ``timeout`` overrides the client default for this call only —
-        a ``bench-pay`` needs more room than a ``ping``.
+        a ``settle`` needs more room than a ``ping``.
         """
         request = {"cmd": cmd, **kwargs}
         deadline = self.timeout if timeout is None else timeout

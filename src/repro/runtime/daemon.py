@@ -77,12 +77,10 @@ from repro.obs import (
     prometheus_text,
     set_metrics,
     set_tracer,
-    summarize_samples,
 )
 from repro.obs.collector import TelemetryCollector
 from repro.runtime.messages import (
     ChainBlock,
-    ChainMine,
     ChainRequest,
     ChainTx,
     Echo,
@@ -204,8 +202,10 @@ class NodeDaemon:
                                    metrics=self.metrics)
         self.planner = RoutePlanner(self.topology, metrics=self.metrics)
         self._announced_channels: set = set()
-        self._pending_opens: Dict[str, asyncio.Event] = {}
-        self._echo_futures: Dict[int, asyncio.Future] = {}
+        # channel id → (peer asked, set once it confirms); probe seq →
+        # (peer probed, resolved by its reply).
+        self._pending_opens: Dict[str, Tuple[str, asyncio.Event]] = {}
+        self._echo_futures: Dict[int, Tuple[str, asyncio.Future]] = {}
         self._echo_seq = 0
         self._opening = 0
         self._applying_remote = False
@@ -531,23 +531,12 @@ class NodeDaemon:
             self._apply_remote_block(obj.block, peer_name)
         elif isinstance(obj, ChainRequest):
             self._on_chain_request(obj, peer_name)
-        elif isinstance(obj, ChainMine):
-            # Legacy txid-only announcement (pre block-body gossip): a
-            # modern chain cannot reconstruct the block from txids alone,
-            # and blindly mining locally is exactly the divergence bug
-            # this frame was retired for.  Ignore; tip sync reconciles.
-            logger.warning("%s: ignoring legacy ChainMine from %s "
-                           "(height %d)", self.name, peer_name, obj.height)
         elif isinstance(obj, OpenChannel):
-            self._on_open_channel(obj)
+            self._on_open_channel(obj, peer_name)
         elif isinstance(obj, OpenChannelOk):
-            self.node.channels[obj.channel_id] = obj.responder
-            self._save_host_meta()
-            event = self._pending_opens.get(obj.channel_id)
-            if event is not None:
-                event.set()
+            self._on_open_channel_ok(obj, peer_name)
         elif isinstance(obj, Echo):
-            self._on_echo(obj)
+            self._on_echo(obj, peer_name)
         elif (isinstance(obj, SignedMessage)
               and isinstance(obj.body, (ChannelAnnounce, ChannelUpdate))):
             self._on_gossip(obj, peer_name)
@@ -555,11 +544,15 @@ class NodeDaemon:
             logger.warning("%s: unknown control frame %s",
                            self.name, type(obj).__name__)
 
-    def _on_open_channel(self, request: OpenChannel) -> None:
-        peer_key = self._peer_keys.get(request.initiator)
-        if peer_key is None:
-            logger.warning("%s: OpenChannel from unknown peer %r",
-                           self.name, request.initiator)
+    def _on_open_channel(self, request: OpenChannel,
+                         peer_name: Optional[str]) -> None:
+        # Who is asking is the link the frame arrived on, never a field
+        # of the frame: a connected peer may only open channels with us
+        # for itself.
+        peer_key = self._peer_keys.get(peer_name)
+        if peer_key is None or request.initiator != peer_name:
+            logger.warning("%s: dropped OpenChannel naming %r from peer %r",
+                           self.name, request.initiator, peer_name)
             return
         # Ecall + pump: our NewChannelAck goes on the wire now, and the
         # initiator's held ack follows once ours is processed there.
@@ -567,14 +560,25 @@ class NodeDaemon:
             "new_pay_channel", request.channel_id, peer_key,
             request.settlement_address, self.node.address,
         )
-        self.node.channels[request.channel_id] = request.initiator
+        self.node.channels[request.channel_id] = peer_name
         self._save_host_meta()
         self.net.send_control(
-            request.initiator,
+            peer_name,
             OpenChannelOk(channel_id=request.channel_id, responder=self.name,
                           settlement_address=self.node.address),
         )
         self._advertise_channel(request.channel_id)
+
+    def _on_open_channel_ok(self, ok: OpenChannelOk,
+                            peer_name: Optional[str]) -> None:
+        """Only the peer an ``open-channel`` of ours is waiting on may
+        confirm it; the waiting verb records the channel."""
+        pending = self._pending_opens.get(ok.channel_id)
+        if pending is None or pending[0] != peer_name:
+            logger.warning("%s: dropped OpenChannelOk for %r from peer %r",
+                           self.name, ok.channel_id, peer_name)
+            return
+        pending[1].set()
 
     # ------------------------------------------------------------------
     # Routing gossip: flooded ChannelAnnounce/ChannelUpdate frames feed
@@ -642,14 +646,23 @@ class NodeDaemon:
         except RoutingError as exc:
             raise CommandError(str(exc), code="no_route") from exc
 
-    def _on_echo(self, echo: Echo) -> None:
+    def _on_echo(self, echo: Echo, peer_name: Optional[str]) -> None:
+        """Answer a probe on the link it came in on, and count a reply
+        only from the peer that was probed: ``origin`` is a label, not an
+        address."""
         if not echo.reply:
+            if peer_name is None or echo.origin != peer_name:
+                logger.warning("%s: dropped Echo naming %r from peer %r",
+                               self.name, echo.origin, peer_name)
+                return
             self.net.send_control(
-                echo.origin, Echo(seq=echo.seq, origin=echo.origin, reply=True)
-            )
+                peer_name, Echo(seq=echo.seq, origin=peer_name, reply=True))
             return
-        future = self._echo_futures.pop(echo.seq, None)
-        if future is not None and not future.done():
+        probed, future = self._echo_futures.get(echo.seq, (None, None))
+        if probed is None or probed != peer_name:
+            return
+        del self._echo_futures[echo.seq]
+        if not future.done():
             future.set_result(time.perf_counter())
 
     async def _echo_round_trip(self, peer: str,
@@ -659,7 +672,7 @@ class NodeDaemon:
         self._echo_seq += 1
         seq = self._echo_seq
         future: asyncio.Future = asyncio.get_event_loop().create_future()
-        self._echo_futures[seq] = future
+        self._echo_futures[seq] = (peer, future)
         started = time.perf_counter()
         self.net.send_control(peer, Echo(seq=seq, origin=self.name))
         finished = await asyncio.wait_for(future, timeout)
@@ -775,7 +788,7 @@ class NodeDaemon:
                                code="not_connected")
         cid = channel_id or self.network.next_channel_id(self.name, peer)
         event = asyncio.Event()
-        self._pending_opens[cid] = event
+        self._pending_opens[cid] = (peer, event)
         self._opening += 1
         try:
             # Direct ecall, NOT node._ecall: the ack must stay in the
@@ -1158,63 +1171,6 @@ class NodeDaemon:
         return {"payment_id": pid, "amount": amount,
                 "hops": len(hop_names) - 1, "route": hop_names,
                 "routed": routed, "completed": True}
-
-    @COMMANDS.command(
-        "bench-pay",
-        Param("channel_id"),
-        Param("count", int, doc="number of payments"),
-        Param("amount", int, required=False, default=1),
-        doc="Throughput probe: count payments, echo-barrier timed.")
-    async def bench_pay(self, channel_id: str, count: int, amount: int = 1,
-                        timeout: float = 120.0) -> Dict[str, Any]:
-        """Throughput probe: ``count`` payments, timed until the peer has
-        processed the last one (echo barrier), not merely until enqueued.
-
-        Payments ride the backpressured pipeline (flow control instead of
-        the old manual every-64-sends yield), so the probe can sustain
-        arbitrary counts without dropping protocol frames."""
-        peer = self.node.channels[channel_id]
-        started = time.perf_counter()
-        for _ in range(count):
-            await self._pay_pipelined(channel_id, amount)
-        await self.net.flush(peer, timeout=timeout)
-        await self._echo_round_trip(peer, timeout)
-        elapsed = time.perf_counter() - started
-        # A rate computed from a ~zero elapsed is reported as null, not
-        # 0.0 — "0 payments/s" reads as a stall, which is the opposite of
-        # what a sub-resolution elapsed means.
-        return {"count": count, "elapsed_s": elapsed,
-                "payments_per_s": count / elapsed if elapsed > 0 else None}
-
-    @COMMANDS.command(
-        "bench-latency",
-        Param("channel_id"),
-        Param("count", int, doc="number of samples"),
-        Param("amount", int, required=False, default=1),
-        doc="Latency probe: per-payment round trips.")
-    async def bench_latency(self, channel_id: str, count: int, amount: int = 1,
-                            timeout: float = 30.0) -> Dict[str, Any]:
-        """Latency probe: per-payment round trips (pay + echo barrier).
-
-        Quantiles come from the shared nearest-rank helper — the naive
-        ``ordered[int(n * 0.95)]`` indexing it replaces returned the
-        maximum for small n and the upper median for even n."""
-        peer = self.node.channels[channel_id]
-        samples: List[float] = []
-        for _ in range(count):
-            started = time.perf_counter()
-            await self._pay_pipelined(channel_id, amount)
-            await self._echo_round_trip(peer, timeout)
-            samples.append(time.perf_counter() - started)
-        summary = summarize_samples(samples)
-        return {
-            "count": count,
-            "mean_s": summary["mean"],
-            "p50_s": summary["p50"],
-            "p95_s": summary["p95"],
-            "min_s": summary["min"],
-            "max_s": summary["max"],
-        }
 
     @COMMANDS.command(
         "echo",

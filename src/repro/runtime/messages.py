@@ -11,7 +11,7 @@ them, mirroring the paper's untrusted-host model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.blockchain.chain import Block
 from repro.blockchain.transaction import Transaction
@@ -116,19 +116,6 @@ class ChainTx:
 
 
 @dataclass(frozen=True)
-class ChainMine:
-    """Legacy block gossip (pre-fork-choice): the sender mined a block of
-    ``txids`` and every daemon re-mined its own mempool replica, merely
-    warning on divergence.  Superseded by :class:`ChainBlock`, which
-    carries the block body so replicas converge by hash-chain
-    reconciliation instead of hope; kept registered so old frames still
-    decode (receivers ignore them with a warning)."""
-
-    txids: Tuple[str, ...]
-    height: int
-
-
-@dataclass(frozen=True)
 class ChainBlock:
     """Block-body gossip: the sender's chain accepted ``block``.
 
@@ -167,7 +154,6 @@ codec.register_dataclass(52, Envelope)
 codec.register_dataclass(53, OpenChannel)
 codec.register_dataclass(54, OpenChannelOk)
 codec.register_dataclass(55, ChainTx)
-codec.register_dataclass(56, ChainMine)
 codec.register_dataclass(57, Echo)
 codec.register_dataclass(60, ChainBlock)
 codec.register_dataclass(61, ChainRequest)

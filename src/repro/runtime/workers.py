@@ -86,8 +86,7 @@ class ShardedDaemon:
     #: Routed by the peer name in the request (consistent hash).
     BY_PEER = frozenset({"connect", "echo"})
     #: Routed by the channel id in the request (recorded at open).
-    BY_CHANNEL = frozenset({"pay", "bench-pay", "bench-latency", "settle",
-                            "channel"})
+    BY_CHANNEL = frozenset({"pay", "settle", "channel"})
     #: Routed by the client account key inside the signed request.
     BY_ACCOUNT = frozenset({"account-open", "account-pay",
                             "account-withdraw", "account-query"})

@@ -59,36 +59,6 @@ class TestRouting:
             list(planner.iter_routes("Nhub1", "mars"))
 
 
-class TestDeprecatedShims:
-    """`core.routing` keeps working, but warns toward `repro.routing`."""
-
-    def test_shortest_path_shim_warns_and_delegates(self):
-        from repro.core.routing import shortest_path
-        overlay = hub_and_spoke_overlay()
-        with pytest.deprecated_call():
-            path = shortest_path(overlay, "Nhub1", "Nhub2")
-        assert path == ["Nhub1", "Nhub2"]
-
-    def test_iter_paths_shim_warns_and_delegates(self):
-        from repro.core.routing import iter_paths_by_length
-        overlay = hub_and_spoke_overlay()
-        with pytest.deprecated_call():
-            paths = list(iter_paths_by_length(overlay, "Nhub1", "Nhub2",
-                                              limit=2))
-        assert len(paths) == 2
-
-    def test_path_length_shim_warns(self):
-        from repro.core.routing import path_length as shimmed
-        with pytest.deprecated_call():
-            assert shimmed(["a", "b", "c"]) == 2
-
-    def test_no_networkx_import_in_shim_module(self):
-        # The acceptance bar: networkx stays confined to repro.routing.
-        import inspect
-        import repro.core.routing as shim
-        assert "import networkx" not in inspect.getsource(shim)
-
-
 class TestTemporaryChannels:
     @pytest.fixture
     def contended(self, funded_pair):

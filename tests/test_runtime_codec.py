@@ -201,6 +201,24 @@ class TestCodecFraming:
         with pytest.raises(codec.CodecError, match="unknown wire tag"):
             codec.decode(frame)
 
+    @pytest.mark.parametrize("tag, fields", [
+        (37, (b"measurement",)),                 # Attest
+        (38, ("primary",)),                      # AddBackup
+        (39, ("chain", b"blob", b"digest", 3)),  # StateUpdate
+        (40, ("chain", 3)),                      # StateUpdateAck
+        (41, ("chain", "reason")),               # Freeze
+        (56, (9, ("txid",))),                    # ChainMine
+    ])
+    def test_retired_tags_no_longer_decode(self, tag, fields):
+        """Frames that decoded from any peer's bytes while nothing in the
+        program constructed or handled their classes.  The tags stay
+        retired: a reused one would give old frames a new meaning."""
+        frame = (codec.MAGIC + bytes([codec.VERSION, 0x00, 0x10])
+                 + codec._uvarint(tag) + codec._uvarint(len(fields))
+                 + b"".join(codec._encode_value(value) for value in fields))
+        with pytest.raises(codec.CodecError, match="unknown wire tag"):
+            codec.decode(frame)
+
     def test_unencodable_object_raises(self):
         with pytest.raises(codec.CodecError, match="no wire encoding"):
             codec.encode(object())

@@ -6,7 +6,12 @@ import pytest
 
 from repro.baselines import LightningChannel
 from repro.blockchain import Blockchain, LockingScript
-from repro.core.messages import Paid, SignedMessage
+from repro.core.messages import (
+    MultihopLock,
+    Paid,
+    PathDescriptor,
+    SignedMessage,
+)
 from repro.crypto import KeyPair
 from repro.errors import (
     AccountFundsError,
@@ -14,6 +19,7 @@ from repro.errors import (
     DoubleSpend,
     LedgerTamperError,
     MessageAuthenticationError,
+    MultihopError,
     PaymentError,
 )
 from repro.hub.messages import AccountDeposit, AccountPay, AccountWithdraw
@@ -21,6 +27,8 @@ from repro.network import NetworkAdversary
 from repro.obs import MetricsRegistry, set_metrics
 from repro.runtime.registry import code_for_exception
 from repro.tee import extract_secrets, fork_enclave
+
+from tests.test_send_path import assert_rejected, secure_to
 
 
 class TestMessageAttacks:
@@ -63,6 +71,54 @@ class TestMessageAttacks:
         envelope = secure.seal_message(signed)
         with pytest.raises(PaymentError):
             bob.program.handle_envelope("alice", envelope)
+
+
+class TestNoPaymentWithoutAnEcall:
+    """None of the fifteen hand-written sender guards covered it:
+    ``_handle_lock`` checked its sender only ``if position > 1``; the
+    position-1 branch exists for ``pay_multihop``'s local call.  A lock
+    from the wire that placed the receiver first made bob pay carol
+    5 000 out of ``bc`` with no ecall from bob's host."""
+
+    @pytest.fixture
+    def with_dave(self, three_hop_path):
+        network, alice, bob, carol, ab, bc = three_hop_path
+        dave = network.create_node("dave", funds=10_000)
+        return network, bob, dave, dave.open_channel(bob), bc
+
+    @staticmethod
+    def lock(hops, channel_ids):
+        return MultihopLock(
+            path=PathDescriptor(payment_id="unasked", amount=5_000,
+                                hops=hops),
+            channel_ids=channel_ids, tau_deposits=(), tau_payouts=(),
+            pre_settlement_txids=("x",) * len(channel_ids),
+            post_settlement_txids=("y",) * len(channel_ids))
+
+    def refused(self, with_dave, lock):
+        network, bob, dave, db, bc = with_dave
+        assert_rejected(bob, "dave", secure_to(dave, bob).seal_message(lock),
+                        MultihopError)
+        bob._pump()
+        network.run()
+        assert bob.channel_balance(bc) == (40_000, 0)
+        assert not bob.program.multihop_completed
+        assert not bob.program.multihop_sessions
+
+    def test_lock_naming_no_channel(self, with_dave):
+        self.refused(with_dave, self.lock(("bob", "carol"), ()))
+
+    def test_lock_over_the_senders_own_channel_at_position_one(self,
+                                                                with_dave):
+        db = with_dave[3]
+        self.refused(with_dave, self.lock(("bob", "carol"), (db,)))
+
+    def test_lock_whose_channel_count_disagrees_with_the_position(
+            self, with_dave):
+        db = with_dave[3]
+        self.refused(with_dave,
+                     self.lock(("dave", "bob", "carol"), ("elsewhere", db)))
+        self.refused(with_dave, self.lock(("dave", "carol"), (db,)))
 
 
 class TestTEECompromise:
