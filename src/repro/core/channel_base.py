@@ -21,6 +21,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.blockchain.transaction import OutPoint, Transaction
 from repro.core.deposits import DepositRecord, DepositStatus
+from repro.core.journal import ABSENT, DELETED, UndoJournal, unchanged
 from repro.core.messages import (
     ApproveMyDeposit,
     ApprovedDeposit,
@@ -103,8 +104,10 @@ def require_peer(channel: Optional[ChannelState], sender: PublicKey,
 def channel_peer(program: "ChannelProtocol", sender: PublicKey,
                  message: Any, row: Inbound) -> ChannelState:
     """The message names a channel whose remote key is the sender."""
-    return require_peer(program.channels.get(row.names(message)),
-                        sender, message, row)
+    channel = require_peer(program.channels.get(row.names(message)),
+                           sender, message, row)
+    program._touch_channel(channel.channel_id)
+    return channel
 
 
 def any_attested(program: "ChannelProtocol", sender: PublicKey,
@@ -213,6 +216,9 @@ class ChannelProtocol(EnclaveProgram):
         # Audit-snapshot ordering counter; not protocol state, so not in
         # _ROLLBACK_ATTRS — a rolled-back ecall still consumed a seq.
         self._audit_seq = 0
+        # Undo records of the open guarded ecall; its dirty keys are the
+        # next replication delta.
+        self.journal = UndoJournal(self)
 
     # ------------------------------------------------------------------
     # Transactional ecalls (Alg. 3: replication ack gates state updates)
@@ -231,50 +237,51 @@ class ChannelProtocol(EnclaveProgram):
         Algorithm 3 requires the backup's acknowledgement *before* a state
         update takes effect.  Handlers mutate first and replicate last (the
         ecall has not returned, so nothing external observed the
-        mutation); if replication fails, this guard restores the
-        pre-ecall state and discards any queued outgoing messages, making
+        mutation); if replication fails, the undo journal puts back every
+        entry the ecall touched and drops the messages it queued, making
         the failed operation a no-op."""
         if self.replication_hook is None or method in self.READ_ONLY_ECALLS:
             return handler(*args, **kwargs)
-        snapshot = self._rollback_snapshot()
+        journal = self.journal
+        journal.begin()
         try:
             return handler(*args, **kwargs)
         except ReplicationError:
-            self._rollback(snapshot)
+            journal.undo()
             raise
+        finally:
+            journal.end()
 
+    # What the undo journal (repro.core.journal) rolls back: keyed
+    # sections one entry at a time, scalars whole.  Every section keyed by
+    # channel id is recorded with its channel (_touch_channel).
     _ROLLBACK_ATTRS = (
         "channels", "deposits", "deposit_keys", "approved_deposits",
         "_pay_seq_out", "_pay_seq_in", "settlements",
         "pending_candidate_txids", "retired_sessions",
         "_fastpath_unsigned", "_checkpoint_index_out",
         "_checkpoint_index_in", "_remote_checkpoints",
-        "settlement_feerate",
+    )
+    _ROLLBACK_SCALARS = (
+        "payments_sent", "payments_received", "settlement_feerate",
+        "fastpath_enabled", "checkpoint_every",
+    )
+    _CHANNEL_SECTIONS = (
+        "channels", "_pay_seq_out", "_pay_seq_in", "settlements",
+        "_fastpath_unsigned", "_checkpoint_index_out",
+        "_checkpoint_index_in", "_remote_checkpoints",
     )
 
-    def _rollback_snapshot(self):
-        import copy
+    def _touch_channel(self, channel_id: str) -> None:
+        """Journal every row keyed by ``channel_id`` before it changes."""
+        journal = self.journal
+        if journal.depth:
+            journal.record_row(self._CHANNEL_SECTIONS, channel_id)
 
-        state = {
-            name: copy.deepcopy(getattr(self, name))
-            for name in self._ROLLBACK_ATTRS
-        }
-        state["payments_sent"] = self.payments_sent
-        state["payments_received"] = self.payments_received
-        sessions = getattr(self, "multihop_sessions", None)
-        if sessions is not None:
-            state["multihop_sessions"] = copy.deepcopy(sessions)
-        state["_outbox"] = list(self._outbox)
-        return state
-
-    def _rollback(self, snapshot) -> None:
-        for name in self._ROLLBACK_ATTRS:
-            setattr(self, name, snapshot[name])
-        self.payments_sent = snapshot["payments_sent"]
-        self.payments_received = snapshot["payments_received"]
-        if "multihop_sessions" in snapshot:
-            self.multihop_sessions = snapshot["multihop_sessions"]
-        self._outbox = snapshot["_outbox"]
+    def _deposit(self, outpoint: OutPoint) -> Optional[DepositRecord]:
+        """The deposit record, journalled: for callers that change it."""
+        self.journal.record("deposits", outpoint)
+        return self.deposits.get(outpoint)
 
     # ------------------------------------------------------------------
     # Internal plumbing
@@ -320,6 +327,7 @@ class ChannelProtocol(EnclaveProgram):
         channel = self.channels.get(channel_id)
         if channel is None:
             raise ChannelStateError(f"unknown channel {channel_id!r}")
+        self._touch_channel(channel_id)
         return channel
 
     def _send(self, remote_key: PublicKey, body: Any) -> None:
@@ -362,6 +370,7 @@ class ChannelProtocol(EnclaveProgram):
             )
         self.secure_channels[key_bytes] = channel
         self._name_peer(key_bytes, peer_name)
+        self.journal.record("approved_deposits", key_bytes)
         self.approved_deposits.setdefault(key_bytes, set())
 
     def reinstall_secure_channel(
@@ -385,6 +394,7 @@ class ChannelProtocol(EnclaveProgram):
                 f"no secure channel with {channel.remote_key.fingerprint()}"
                 " to replace"
             )
+        self.journal.record("retired_sessions", key_bytes)
         retired = self.retired_sessions.setdefault(key_bytes, set())
         if channel.session in retired:
             raise ChannelStateError(
@@ -415,6 +425,7 @@ class ChannelProtocol(EnclaveProgram):
         self._secure_channel_for(remote_key)  # must be attested first
         if channel_id in self.channels and not self.channels[channel_id].terminated:
             raise ChannelStateError(f"channel {channel_id!r} already exists")
+        self._touch_channel(channel_id)
         self.channels[channel_id] = ChannelState(
             channel_id=channel_id,
             remote_key=remote_key,
@@ -456,6 +467,7 @@ class ChannelProtocol(EnclaveProgram):
         leaves except via deposit association (line 73)."""
         key = PrivateKey.generate()
         address = key.public_key.address()
+        self.journal.record("deposit_keys", address)
         self.deposit_keys[address] = key
         self._replicated(f"new_addr:{address}")
         return address, key.public_key
@@ -479,6 +491,7 @@ class ChannelProtocol(EnclaveProgram):
             )
         if record.status is not DepositStatus.FREE:
             raise DepositError("new deposits must be free")
+        self.journal.record("deposits", record.outpoint)
         self.deposits[record.outpoint] = record
         self._replicated(f"new_deposit:{record.outpoint}")
 
@@ -486,7 +499,7 @@ class ChannelProtocol(EnclaveProgram):
                         destination_address: str) -> Transaction:
         """``releaseDeposit`` (line 42): spend a free deposit out of the
         network.  Returns the transaction for the host to broadcast."""
-        record = self.deposits.get(outpoint)
+        record = self._deposit(outpoint)
         if record is None or not record.is_free:
             raise DepositError(f"deposit {outpoint} is not free")  # line 43
         transaction = build_release(
@@ -528,6 +541,7 @@ class ChannelProtocol(EnclaveProgram):
         enclave trusts *its own* participant's view, never the remote's.
         """
         key_bytes = sender.to_bytes()
+        self.journal.record("approved_deposits", key_bytes)
         approved = self.approved_deposits.setdefault(key_bytes, set())
         if request.outpoint in approved:
             raise DepositError(
@@ -562,6 +576,7 @@ class ChannelProtocol(EnclaveProgram):
                 f"approval for unknown or non-free deposit "
                 f"{approval.outpoint}"  # line 61
             )
+        self.journal.record("approved_deposits", key_bytes)
         approved = self.approved_deposits.setdefault(key_bytes, set())
         if approval.outpoint in approved:
             raise DepositError(
@@ -588,7 +603,7 @@ class ChannelProtocol(EnclaveProgram):
             raise DepositError(
                 f"deposit {outpoint} not approved by channel peer"  # line 66
             )
-        record = self.deposits.get(outpoint)
+        record = self._deposit(outpoint)
         if record is None or not record.is_free:
             raise DepositError(f"deposit {outpoint} is not free")  # line 67
         record.mark_associated(channel_id)  # line 68/69
@@ -634,7 +649,8 @@ class ChannelProtocol(EnclaveProgram):
         channel.remote_deposits.add(message.outpoint)  # line 77
         channel.remote_balance += message.value  # line 78
         # Track the remote's deposit so settlement can reference it.
-        if message.outpoint not in self.deposits:
+        record = self._deposit(message.outpoint)
+        if record is None:
             from repro.crypto.multisig import MultisigSpec  # local import: cycle
 
             # Reconstruct the spec from the shared key (1-of-1) or accept
@@ -649,6 +665,7 @@ class ChannelProtocol(EnclaveProgram):
                 private = PrivateKey.from_bytes(key_bytes_raw)  # line 80/81
                 if private.public_key.address() != address:
                     raise DepositError("deposit key does not match address")
+                self.journal.record("deposit_keys", address)
                 self.deposit_keys[address] = private
                 spec = MultisigSpec(1, (private.public_key,))
             else:
@@ -667,7 +684,7 @@ class ChannelProtocol(EnclaveProgram):
             )
             self.deposits[message.outpoint] = record
         else:
-            self.deposits[message.outpoint].mark_associated(message.channel_id)
+            record.mark_associated(message.channel_id)
         self._replicated(
             f"remote_associate:{message.channel_id}:{message.outpoint}"
         )
@@ -704,7 +721,7 @@ class ChannelProtocol(EnclaveProgram):
             raise DepositError(
                 f"{request.outpoint} is not a remote deposit here"  # line 95
             )
-        record = self.deposits[request.outpoint]
+        record = self._deposit(request.outpoint)
         if channel.remote_balance < record.value:
             raise DepositError(
                 "peer balance below deposit value: dissociation refused"  # 96
@@ -715,6 +732,7 @@ class ChannelProtocol(EnclaveProgram):
         # side for their copy; we destroy ours on ack-send so the deposit
         # is single-owner again).
         for public_key in record.spec.public_keys:
+            self.journal.record("deposit_keys", public_key.address())
             self.deposit_keys.pop(public_key.address(), None)
         del self.deposits[request.outpoint]
         self._replicated(
@@ -732,7 +750,7 @@ class ChannelProtocol(EnclaveProgram):
         """Line 100: complete dissociation — the deposit becomes free."""
         if ack.outpoint not in channel.my_deposits:
             raise DepositError(f"{ack.outpoint} is not pending dissociation")
-        record = self.deposits[ack.outpoint]
+        record = self._deposit(ack.outpoint)
         channel.my_deposits.discard(ack.outpoint)  # line 101
         channel.my_balance -= record.value  # line 102
         record.mark_free()  # line 103
@@ -984,7 +1002,7 @@ class ChannelProtocol(EnclaveProgram):
     def _finalize_settlement(self, channel: ChannelState,
                              transaction: Transaction) -> None:
         for outpoint in channel.all_deposits():
-            record = self.deposits.get(outpoint)
+            record = self._deposit(outpoint)
             if record is not None:
                 record.mark_settled()
         self.settlements[channel.channel_id] = transaction
@@ -1011,7 +1029,7 @@ class ChannelProtocol(EnclaveProgram):
         if channel.terminated:
             return
         for outpoint in channel.all_deposits():
-            record = self.deposits.get(outpoint)
+            record = self._deposit(outpoint)
             if record is not None:
                 record.mark_settled()
         channel.reset()
@@ -1190,47 +1208,93 @@ def _committee_placeholder_spec(message: AssociatedDeposit):
 
 
 # ---------------------------------------------------------------------------
-# Replication support (consumed by repro.core.replication / committee)
+# Replication support (consumed by repro.core.replication / persistence)
 # ---------------------------------------------------------------------------
 
-def _valid_settlement_txids(program: "ChannelProtocol") -> Set[str]:
-    """txids of every settlement transaction consistent with the program's
-    current state: each open channel's current-balance settlement, plus —
-    for channels inside a multi-hop payment — the recorded pre/post
-    candidates and τ.  Committee members refuse to co-sign anything outside
-    this set (the Byzantine-TEE defence of §6.1)."""
+class StateDelta(NamedTuple):
+    """What changed since the backups' last acknowledged update — the
+    undo journal's pending keys, encoded like :func:`replication_state`:
+    state path → {key: value or ``DELETED``}, and scalar path → value."""
+
+    sections: Dict[Tuple[str, ...], Dict[Any, Any]]
+    scalars: Dict[Tuple[str, ...], Any]
+
+
+def _live_channel(channel: ChannelState) -> Any:
+    return DELETED if channel.terminated else channel
+
+
+# Where replication_state keeps each journalled section, and how it
+# encodes a value (None: as is).  ``settlements`` and
+# ``pending_candidate_txids`` are not replicated; candidates reach the
+# backups as txids (CANDIDATES).
+_REPLICATED_SECTIONS = {
+    "channels": (("channels",), _live_channel),
+    "deposits": (("deposits",), None),
+    "deposit_keys": (("deposit_keys",), PrivateKey.to_bytes),
+    "approved_deposits": (("approved_deposits",), set),
+    "_pay_seq_out": (("pay_seq_out",), None),
+    "_pay_seq_in": (("pay_seq_in",), None),
+    "retired_sessions": (("retired_sessions",), set),
+    "_fastpath_unsigned": (("fastpath", "unsigned"), None),
+    "_checkpoint_index_out": (("fastpath", "index_out"), None),
+    "_checkpoint_index_in": (("fastpath", "index_in"), None),
+    "_remote_checkpoints": (("fastpath", "remote_checkpoints"), None),
+    "multihop_sessions": (("multihop_sessions",), None),
+    "hub.balances": (("hub", "balances"), None),
+    "hub.nonces": (("hub", "nonces"), None),
+}
+# Scalars whose state path is not their dotted attribute name.
+_SCALAR_PATHS = {
+    "fastpath_enabled": ("fastpath", "enabled"),
+    "checkpoint_every": ("fastpath", "checkpoint_every"),
+    "settlement_feerate": ("fee_policy", "settlement_feerate"),
+}
+# Each multi-hop payment's candidate txids, kept per payment so a delta
+# replaces one payment's; ``valid_txids`` is their union.
+CANDIDATES = ("candidate_txids",)
+
+
+def _scalar_path(name: str) -> Tuple[str, ...]:
+    return _SCALAR_PATHS.get(name) or tuple(name.split("."))
+
+
+def current_settlement_txid(channel: ChannelState,
+                            deposits: Dict[OutPoint, DepositRecord],
+                            feerate: float) -> Optional[str]:
+    """txid of the channel's settlement at its current balances; None
+    when the channel is closed or empty, or a deposit is unknown.
+
+    A committee member derives it from its replicated state when asked to
+    co-sign (``repro.core.replication``): the state is all it needs, so
+    no push has to ship it."""
     from repro.core.settlement import build_unsigned_settlement, settlement_fee
 
-    feerate = getattr(program, "settlement_feerate", 0.0)
-    txids: Set[str] = set()
-    for channel in program.channels.values():
-        if not channel.is_open or channel.terminated:
-            continue
-        records = []
-        known = True
-        for outpoint in sorted(channel.all_deposits()):
-            record = program.deposits.get(outpoint)
-            if record is None:
-                known = False
-                break
-            records.append(record)
-        if not known or not records:
-            continue
-        if channel.capacity > 0:
-            payouts = [
-                (channel.my_settlement_address, channel.my_balance),
-                (channel.remote_settlement_address, channel.remote_balance),
-            ]
-            unsigned = build_unsigned_settlement(
-                records,
-                payouts=payouts,
-                fee=settlement_fee(records, payouts, feerate),
-            )
-            txids.add(unsigned.txid)
-    for pending in program.pending_candidate_txids.values():
-        txids.update(pending)
-    sessions = getattr(program, "multihop_sessions", {})
-    for session in sessions.values():
+    if not channel.is_open or channel.terminated or channel.capacity <= 0:
+        return None
+    records = []
+    for outpoint in sorted(channel.all_deposits()):
+        record = deposits.get(outpoint)
+        if record is None:
+            return None
+        records.append(record)
+    if not records:
+        return None
+    payouts = [
+        (channel.my_settlement_address, channel.my_balance),
+        (channel.remote_settlement_address, channel.remote_balance),
+    ]
+    return build_unsigned_settlement(
+        records, payouts=payouts,
+        fee=settlement_fee(records, payouts, feerate)).txid
+
+
+def _candidate_txids(program: "ChannelProtocol", payment_id: str):
+    """Every candidate of one multi-hop payment: those announced before
+    signing, the pre/post PoPT sets, the local candidates and τ."""
+    txids = set(program.pending_candidate_txids.get(payment_id, ()))
+    session = getattr(program, "multihop_sessions", {}).get(payment_id)
+    if session is not None:
         txids.update(session.pre_txids)
         txids.update(session.post_txids)
         for settlements in (session.local_pre_settlements,
@@ -1238,74 +1302,88 @@ def _valid_settlement_txids(program: "ChannelProtocol") -> Set[str]:
             txids.update(tx.txid for tx in settlements.values())
         if session.tau is not None:
             txids.add(session.tau.txid)
-    return txids
+    return frozenset(txids)
 
 
-def _replication_blob(program: "ChannelProtocol") -> bytes:
-    """Serialise everything a backup needs to settle on the primary's
-    behalf: channel states, deposit records, deposit keys, and the
-    valid-settlement txid set.  On the wire this blob travels only inside
-    attested secure channels."""
+def replication_state(program: "ChannelProtocol") -> Dict[str, Any]:
+    """Everything a backup needs to settle on the primary's behalf:
+    channel states, deposit records, deposit keys, the multi-hop
+    candidates, and every journalled section and scalar.  Holds live
+    objects: serialise it before it leaves the enclave."""
+    state: Dict[str, Any] = {}
+    for section in program._ROLLBACK_ATTRS:
+        layout = _REPLICATED_SECTIONS.get(section)
+        if layout is None:
+            continue
+        path, encode = layout
+        target = _subdict(state, path)
+        for key, value in attrgetter(section)(program).items():
+            if encode is not None:
+                value = encode(value)
+            if value is not DELETED:
+                target[key] = value
+    for name in program._ROLLBACK_SCALARS:
+        *parents, leaf = _scalar_path(name)
+        _subdict(state, parents)[leaf] = attrgetter(name)(program)
+    candidates = _subdict(state, CANDIDATES)
+    for payment_id in {*program.pending_candidate_txids,
+                       *getattr(program, "multihop_sessions", ())}:
+        txids = _candidate_txids(program, payment_id)
+        if txids:
+            candidates[payment_id] = txids
+    state["valid_txids"] = set().union(*candidates.values())
+    return state
+
+
+def replication_delta(program: "ChannelProtocol") -> Optional[StateDelta]:
+    """The journal's pending keys as a :class:`StateDelta`; None when the
+    journal does not know what the backups hold (ship the full state)."""
+    pending = program.journal.pending()
+    if pending is None:
+        return None
+    dirty, scalars = pending
+    sections: Dict[Tuple[str, ...], Dict[Any, Any]] = {}
+    payments: Set[str] = set()
+    for section, held in dirty.items():
+        container = attrgetter(section)(program)
+        keys = [key for key, value in held.items()
+                if not unchanged(container.get(key, ABSENT), value)]
+        if not keys:
+            continue
+        if section in ("multihop_sessions", "pending_candidate_txids"):
+            payments.update(keys)
+        layout = _REPLICATED_SECTIONS.get(section)
+        if layout is None:
+            continue
+        path, encode = layout
+        changes = sections[path] = {}
+        for key in keys:
+            value = container.get(key, DELETED)
+            if value is not DELETED and encode is not None:
+                value = encode(value)
+            changes[key] = value
+    if payments:
+        sections[CANDIDATES] = {
+            payment_id: _candidate_txids(program, payment_id) or DELETED
+            for payment_id in payments}
+    return StateDelta(sections, {
+        _scalar_path(name): attrgetter(name)(program) for name in scalars})
+
+
+def _subdict(state: Dict[str, Any], path) -> Dict[Any, Any]:
+    for name in path:
+        state = state.setdefault(name, {})
+    return state
+
+
+def replication_blob(program: "ChannelProtocol") -> bytes:
+    """:func:`replication_state`, serialised.  On the wire this blob
+    travels only inside attested secure channels."""
     import pickle
 
-    state = {
-        "channels": {
-            cid: channel for cid, channel in program.channels.items()
-            if not channel.terminated
-        },
-        "deposits": dict(program.deposits),
-        "deposit_keys": {
-            address: key.to_bytes()
-            for address, key in program.deposit_keys.items()
-        },
-        "valid_txids": _valid_settlement_txids(program),
-        "approved_deposits": {
-            key: set(values)
-            for key, values in program.approved_deposits.items()
-        },
-        "pay_seq_out": dict(program._pay_seq_out),
-        "pay_seq_in": dict(program._pay_seq_in),
-        # Retired handshake salts must survive a restart or the replayed-
-        # handshake defence in reinstall_secure_channel resets with it.
-        "retired_sessions": {
-            key: set(values)
-            for key, values in program.retired_sessions.items()
-        },
-        "payments_sent": program.payments_sent,
-        "payments_received": program.payments_received,
-        # Fast-path bookkeeping: a recovering enclave must know how many
-        # payments its last checkpoint left unsigned (it flushes them on
-        # restore) and must not regress the checkpoint index chains.
-        "fastpath": {
-            "enabled": program.fastpath_enabled,
-            "checkpoint_every": program.checkpoint_every,
-            "unsigned": dict(program._fastpath_unsigned),
-            "index_out": dict(program._checkpoint_index_out),
-            "index_in": dict(program._checkpoint_index_in),
-            "remote_checkpoints": dict(program._remote_checkpoints),
-        },
-        # Fee policy: a recovering or backup enclave must settle with the
-        # same feerate or its settlement txids fall outside the committee's
-        # valid set.
-        "fee_policy": {
-            "settlement_feerate": getattr(program, "settlement_feerate", 0.0),
-        },
-        # In-flight multi-hop sessions (absent on bare ChannelProtocol
-        # programs): a restored/recovering enclave must be able to eject
-        # in-flight payments, which needs the candidate settlements and
-        # PoPT recognition sets held per session.
-        "multihop_sessions": dict(getattr(program, "multihop_sessions", {})),
-    }
-    # Account-hub ledger (repro.hub): balances, nonces, and totals must
-    # survive a crash or the hub could re-accept replayed requests and
-    # lose track of what it owes clients.
-    hub = getattr(program, "hub", None)
-    if hub is not None:
-        state["hub"] = hub.to_state()
-    return pickle.dumps(state)
+    return pickle.dumps(replication_state(program))
 
 
-# Public aliases: these are module-level functions (not methods) because
-# they are consumed by the replication layer, outside the ecall surface.
-valid_settlement_txids = _valid_settlement_txids
-replication_blob = _replication_blob
+# Public alias: a module-level function (not a method) because it is
+# consumed outside the ecall surface.
+_replication_blob = replication_blob

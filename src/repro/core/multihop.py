@@ -61,7 +61,7 @@ from repro.core.settlement import (
 from repro.core.state import ChannelState, MultihopStage
 from repro.crypto.keys import PublicKey
 from repro.errors import MultihopError, SettlementError
-from repro.hub.ledger import HubAccountsMixin
+from repro.hub.ledger import AccountLedger, HubAccountsMixin
 from repro.obs import get_metrics, get_tracer
 
 logger = logging.getLogger(__name__)
@@ -144,6 +144,7 @@ def path_neighbour(program: "MultihopMixin", sender: PublicKey,
         raise row.error(
             f"{type(message).__name__} in stage {session.stage.value}, "
             f"expected {row.stage.value}")
+    program._touch_payment(session.path.payment_id)
     return session
 
 
@@ -188,7 +189,20 @@ class MultihopMixin:
         session = self.multihop_sessions.get(payment_id)
         if session is None:
             raise MultihopError(f"unknown multi-hop payment {payment_id!r}")
+        self._touch_payment(payment_id)
         return session
+
+    def _touch_payment(self, payment_id: str) -> None:
+        """Journal a payment's session, its announced candidates, and the
+        channels the session holds, before any of them changes."""
+        journal = self.journal
+        if journal.depth:
+            journal.record_row(
+                ("multihop_sessions", "pending_candidate_txids"), payment_id)
+            session = self.multihop_sessions.get(payment_id)
+            if session is not None:
+                for channel_id in session.local_channel_ids():
+                    self._touch_channel(channel_id)
 
     def _my_name(self) -> str:
         return self.enclave.name
@@ -246,6 +260,7 @@ class MultihopMixin:
 
     def _lock_channel(self, channel: ChannelState, amount: int,
                       outgoing: bool) -> None:
+        self._touch_channel(channel.channel_id)
         channel.require_open()
         channel.require_stage(MultihopStage.IDLE)
         if outgoing and channel.my_balance < amount:  # Alg. 2 line 7
@@ -365,6 +380,7 @@ class MultihopMixin:
         if path.payment_id in self.multihop_sessions:
             raise MultihopError(f"duplicate lock for {path.payment_id!r}")
         is_last = position == len(path.hops)
+        self._touch_payment(path.payment_id)
 
         if in_channel is not None:
             in_pre, in_post = self._channel_candidates_unsigned(
@@ -724,6 +740,7 @@ class MultihopMixin:
             self._send(in_channel.remote_key, message)
 
     def _unlock_channel(self, channel: ChannelState) -> None:
+        self._touch_channel(channel.channel_id)
         channel.stage = MultihopStage.IDLE
         channel.locked_amount = 0
         channel.locked_outgoing = False
@@ -856,11 +873,12 @@ class MultihopMixin:
         return transactions
 
     def _terminate_session(self, session: MultihopSession) -> None:
+        self._touch_payment(session.path.payment_id)
         session.stage = MultihopStage.TERMINATED
         for channel_id in session.local_channel_ids():
             channel = self.channels[channel_id]
             for outpoint in channel.all_deposits():
-                record = self.deposits.get(outpoint)
+                record = self._deposit(outpoint)
                 if record is not None:
                     record.mark_settled()
             self.settlements.setdefault(channel_id, None)
@@ -917,9 +935,12 @@ class TeechainEnclave(HubAccountsMixin, MultihopMixin, ChannelProtocol):
         "hub_stats",
     })
 
-    # The account ledger rolls back with the rest of the enclave state
-    # when a replication barrier fails mid-ecall.
-    _ROLLBACK_ATTRS = ChannelProtocol._ROLLBACK_ATTRS + ("hub",)
+    # Sessions and the account ledger roll back with the rest of the
+    # enclave state when a replication barrier fails mid-ecall.
+    _ROLLBACK_ATTRS = ChannelProtocol._ROLLBACK_ATTRS + (
+        "multihop_sessions", "hub.balances", "hub.nonces")
+    _ROLLBACK_SCALARS = ChannelProtocol._ROLLBACK_SCALARS + tuple(
+        f"hub.{name}" for name in AccountLedger.SCALARS)
 
 
 # A message type without a declared sender rule must not reach a peer:

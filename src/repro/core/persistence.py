@@ -17,10 +17,9 @@ Table 1's stable-storage row.
 
 from __future__ import annotations
 
-import pickle
 from typing import Any, Dict, List, Optional
 
-from repro.core.channel_base import ChannelProtocol, replication_blob
+from repro.core.channel_base import ChannelProtocol, replication_state
 from repro.core.deposits import DepositRecord
 from repro.core.state import ChannelState
 from repro.crypto.keys import PrivateKey
@@ -80,8 +79,8 @@ class PersistentStore:
         """Increment the counter and seal the current state."""
         completion = self.counter.increment(self.scheduler.now)
         self.last_seal_completion = completion
-        state = pickle.loads(replication_blob(self.enclave.program))
-        blob = self.sealing.seal(state, self.counter.value)
+        blob = self.sealing.seal(replication_state(self.enclave.program),
+                                 self.counter.value)
         if self.latest_blob is not None:
             self.history.append(self.latest_blob)
         self.latest_blob = blob
@@ -151,3 +150,5 @@ def restore_program_state(program: ChannelProtocol,
         from repro.hub.ledger import AccountLedger
 
         program.hub = AccountLedger.from_state(hub_state)
+    # Whatever a replication chain's backups held, it is not this.
+    program.journal.resync()

@@ -10,12 +10,16 @@ channels and releasing deposits.
 
 :class:`CommitteeMemberProgram` is the enclave program run by backups; it
 
+* applies the primary's updates: a full state, or — once it holds one —
+  a delta carrying only the entries changed since the last update;
 * refuses non-monotonic state versions (in-chain rollback protection);
 * freezes the whole chain on any state read;
 * holds its *own* deposit keys for m-of-n committee deposits and co-signs
-  spends **only** when the unsigned transaction appears in the replicated
-  valid-settlement set (see :mod:`repro.core.committee`) — the defence
-  against a compromised primary.
+  spends **only** when the replicated state vouches for the unsigned
+  transaction — a channel's settlement at its current balances, a
+  multi-hop candidate, or a free deposit's release (see
+  :mod:`repro.core.committee`) — the defence against a compromised
+  primary.
 
 :class:`ReplicationChain` is the host-side wiring: it installs the
 primary's replication hook and propagates updates down the member list,
@@ -28,10 +32,19 @@ is modelled by the benchmark harness on the simulated clock
 from __future__ import annotations
 
 import pickle
+from functools import reduce
 from typing import Any, Dict, List, Optional, Set
 
 from repro.blockchain.transaction import Transaction
-from repro.core.channel_base import ChannelProtocol, replication_blob
+from repro.core.channel_base import (
+    CANDIDATES,
+    ChannelProtocol,
+    StateDelta,
+    current_settlement_txid,
+    replication_delta,
+    replication_state,
+)
+from repro.core.journal import DELETED
 from repro.core.settlement import local_key_provider, sign_settlement
 from repro.core.settlement import build_unsigned_settlement, build_release
 from repro.crypto.keys import PrivateKey, PublicKey
@@ -84,10 +97,13 @@ class CommitteeMemberProgram(EnclaveProgram):
     # -- Alg. 3 lines 21–28: state updates -------------------------------
 
     def state_update(self, chain_id: str, version: int, blob: bytes) -> None:
-        """Apply a replicated state snapshot.
+        """Apply a replicated full state or delta.
 
-        Versions must strictly increase — a replayed (older) update is an
-        in-chain rollback attempt and is refused."""
+        A full state's version must strictly increase — a replayed (older)
+        update is an in-chain rollback attempt and is refused.  A delta
+        only means something on top of the exact state it was cut from:
+        it must carry version ``current + 1`` and find a full state in
+        place, or a skipped update would silently diverge this backup."""
         if self.frozen:
             raise EnclaveFrozen("chain member is frozen; updates refused")
         if chain_id != self.chain_id:
@@ -95,14 +111,41 @@ class CommitteeMemberProgram(EnclaveProgram):
                 f"update for chain {chain_id!r}, member belongs to "
                 f"{self.chain_id!r}"
             )
-        if version <= self.version:
+        update = pickle.loads(blob)
+        if not isinstance(update, StateDelta):
+            if version <= self.version:
+                raise ReplicationError(
+                    f"non-monotonic state update: version {version} "
+                    f"≤ current {self.version}"
+                )
+            self.state = update
+        elif self.state is None:
+            raise ReplicationError("delta before any full state")
+        elif version != self.version + 1:
             raise ReplicationError(
-                f"non-monotonic state update: version {version} "
-                f"≤ current {self.version}"
+                f"delta version {version} does not follow current "
+                f"{self.version}"
             )
-        self.state = pickle.loads(blob)
+        else:
+            self._apply_delta(update)
         self.version = version
         self.updates_applied += 1
+
+    def _apply_delta(self, delta: StateDelta) -> None:
+        state = self.state
+        for path, changes in delta.sections.items():
+            target = reduce(dict.__getitem__, path, state)
+            for key, value in changes.items():
+                if value is DELETED:
+                    target.pop(key, None)
+                else:
+                    target[key] = value
+        for (*parents, leaf), value in delta.scalars.items():
+            reduce(dict.__getitem__, parents, state)[leaf] = value
+        if CANDIDATES in delta.sections:
+            # Only in-flight payments have candidates: rebuild the union.
+            state["valid_txids"] = set().union(
+                *state[CANDIDATES[0]].values())
 
     # -- force-freeze on read ---------------------------------------------
 
@@ -137,12 +180,13 @@ class CommitteeMemberProgram(EnclaveProgram):
         """Co-sign a deposit spend *iff* it is consistent with replicated
         state.
 
-        A transaction qualifies when its txid is in the replicated
-        valid-settlement set, or when it is a structurally valid release of
-        a deposit the replicated state says is free (releases pay a
-        caller-chosen address, so their txids cannot be pre-registered).
-        Anything else — in particular a stale-balance settlement proposed
-        by a compromised primary — is refused."""
+        A transaction qualifies when it settles a replicated channel at
+        its current balances, when its txid is a replicated multi-hop
+        candidate, or when it is a structurally valid release of a deposit
+        the replicated state says is free (releases pay a caller-chosen
+        address, so their txids cannot be pre-registered).  Anything else
+        — in particular a stale-balance settlement proposed by a
+        compromised primary — is refused."""
         key = self.deposit_keys.get(key_address)
         if key is None:
             raise SettlementError(
@@ -161,7 +205,23 @@ class CommitteeMemberProgram(EnclaveProgram):
         valid_txids: Set[str] = self.state.get("valid_txids", set())
         if unsigned.txid in valid_txids:
             return True
-        return self._is_free_deposit_release(unsigned)
+        return (self._is_current_settlement(unsigned)
+                or self._is_free_deposit_release(unsigned))
+
+    def _is_current_settlement(self, unsigned: Transaction) -> bool:
+        """Derived here, from the replicated channel its first input
+        belongs to — so no update has to carry it."""
+        deposits = self.state.get("deposits", {})
+        record = deposits.get(unsigned.inputs[0].outpoint) \
+            if unsigned.inputs else None
+        channel = self.state.get("channels", {}).get(
+            record.channel_id) if record is not None else None
+        if channel is None:
+            return False
+        feerate = self.state.get("fee_policy", {}).get(
+            "settlement_feerate", 0.0)
+        return current_settlement_txid(
+            channel, deposits, feerate) == unsigned.txid
 
     def _is_free_deposit_release(self, unsigned: Transaction) -> bool:
         deposits = self.state.get("deposits", {})
@@ -210,6 +270,8 @@ class ReplicationChain:
 
     def _install_hook(self) -> None:
         program: ChannelProtocol = self.primary.program
+        # The members hold nothing yet: the first push ships everything.
+        program.journal.resync()
 
         def hook(description: str) -> None:
             # A frozen chain accepts no updates, but the settlement
@@ -227,13 +289,22 @@ class ReplicationChain:
         return 1 + len(self.members)
 
     def push(self) -> None:
-        """Replicate the primary's current state down the chain,
-        blocking until every member has applied it (Alg. 3 line 24)."""
+        """Replicate the primary's changes down the chain, blocking until
+        every member has applied them (Alg. 3 line 24).
+
+        Ships the journal's delta — the entries changed since the last
+        acknowledged push — or, on the first push and after any failure,
+        the full state."""
         if self.frozen:
             raise ReplicationError(f"{self.chain_id} is frozen")
         if not self.members:
             return
-        blob = replication_blob(self.primary.program)
+        program: ChannelProtocol = self.primary.program
+        update = replication_delta(program)
+        full = update is None
+        if full:
+            update = replication_state(program)
+        blob = pickle.dumps(update)
         self.version += 1
         self.pushes += 1
         metrics = get_metrics()
@@ -242,15 +313,25 @@ class ReplicationChain:
             # blob size drives the replication-bandwidth bottleneck (§7.3).
             metrics.inc("replication.chain_updates")
             metrics.inc("replication.member_updates", len(self.members))
+            if full:
+                metrics.inc("replication.full_pushes")
             metrics.observe("replication.blob_bytes", len(blob),
                             buckets=_BLOB_BUCKETS)
-        tracer = get_tracer()
-        if tracer.enabled:
-            with tracer.span("replication.push", chain=self.chain_id,
-                             members=len(self.members), bytes=len(blob)):
+        try:
+            tracer = get_tracer()
+            if tracer.enabled:
+                with tracer.span("replication.push", chain=self.chain_id,
+                                 members=len(self.members), bytes=len(blob),
+                                 full=full):
+                    self._push_members(blob)
+            else:
                 self._push_members(blob)
-        else:
-            self._push_members(blob)
+        except BaseException:
+            # Some members may have applied this version, some not: only
+            # a full state (strictly-greater rule) can realign them.
+            program.journal.resync()
+            raise
+        program.journal.shipped()
 
     def _push_members(self, blob: bytes) -> None:
         for member in self.members:

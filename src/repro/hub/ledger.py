@@ -52,9 +52,13 @@ class AccountLedger:
     """Account table living inside the hub enclave.
 
     Keys are the 33-byte compressed client public keys; values are plain
-    integers, so the whole ledger deep-copies cheaply for the ecall
-    rollback guard and pickles into the sealed replication blob.
+    integers.  ``balances`` and ``nonces`` are journalled per account, the
+    :attr:`SCALARS` whole (``repro.core.journal``).
     """
+
+    SCALARS = ("fee_per_pay", "fee_bucket", "deposited_total",
+               "withdrawn_total", "withdrawn_onchain", "payout_pending",
+               "pays")
 
     def __init__(self) -> None:
         self.balances: Dict[bytes, int] = {}
@@ -87,30 +91,19 @@ class AccountLedger:
         return self.liabilities() == self.deposited_total - self.withdrawn_total
 
     def to_state(self) -> Dict[str, Any]:
-        return {
-            "balances": dict(self.balances),
-            "nonces": dict(self.nonces),
-            "fee_per_pay": self.fee_per_pay,
-            "fee_bucket": self.fee_bucket,
-            "deposited_total": self.deposited_total,
-            "withdrawn_total": self.withdrawn_total,
-            "withdrawn_onchain": self.withdrawn_onchain,
-            "payout_pending": self.payout_pending,
-            "pays": self.pays,
-        }
+        state: Dict[str, Any] = {"balances": dict(self.balances),
+                                 "nonces": dict(self.nonces)}
+        for name in self.SCALARS:
+            state[name] = getattr(self, name)
+        return state
 
     @classmethod
     def from_state(cls, state: Dict[str, Any]) -> "AccountLedger":
         ledger = cls()
         ledger.balances = dict(state.get("balances", {}))
         ledger.nonces = dict(state.get("nonces", {}))
-        ledger.fee_per_pay = state.get("fee_per_pay", 0)
-        ledger.fee_bucket = state.get("fee_bucket", 0)
-        ledger.deposited_total = state.get("deposited_total", 0)
-        ledger.withdrawn_total = state.get("withdrawn_total", 0)
-        ledger.withdrawn_onchain = state.get("withdrawn_onchain", 0)
-        ledger.payout_pending = state.get("payout_pending", 0)
-        ledger.pays = state.get("pays", 0)
+        for name in cls.SCALARS:
+            setattr(ledger, name, state.get(name, 0))
         return ledger
 
 
@@ -237,6 +230,7 @@ class HubAccountsMixin:
                 "still pending host execution — refused (only an "
                 "unexecuted chain payout can fail and be refunded)")
         self._hub_check_conserved()
+        self._touch_account(key)
         self.hub.balances[key] += amount
         self.hub.withdrawn_total -= amount
         self.hub.withdrawn_onchain -= amount
@@ -282,6 +276,12 @@ class HubAccountsMixin:
                        if record.is_free)
         return backing
 
+    def _touch_account(self, key: bytes) -> None:
+        """Journal one account's balance and nonce before they change."""
+        journal = self.journal
+        if journal.depth:
+            journal.record_row(("hub.balances", "hub.nonces"), key)
+
     def _hub_check_conserved(self) -> None:
         if not self.hub.conserved():
             get_metrics().inc("hub.rejected_tamper")
@@ -315,6 +315,7 @@ class HubAccountsMixin:
             raise
         key = account.to_bytes()
         if not isinstance(body, AccountQuery):
+            self._touch_account(key)
             self._hub_check_conserved()
             last = self.hub.nonces.get(key, 0)
             if body.nonce <= last:
@@ -327,7 +328,7 @@ class HubAccountsMixin:
     def _hub_commit(self, key: bytes, nonce: int, description: str) -> None:
         """Advance the account nonce and run the replication/persistence
         barrier — one atomic step with the handler's balance mutation
-        (the ecall rollback guard snapshots ``hub`` wholesale)."""
+        (``_hub_apply`` journalled the account before either changed)."""
         self.hub.nonces[key] = nonce
         self._replicated(description)
 
@@ -369,6 +370,7 @@ class HubAccountsMixin:
         if recipient not in self.hub.balances:
             raise NoSuchAccountError(
                 f"no recipient account {recipient.hex()[:12]}… at this hub")
+        self._touch_account(recipient)
         fee = self.hub.fee_per_pay
         if fee and body.amount <= fee:
             raise HubError(
@@ -418,6 +420,7 @@ class HubAccountsMixin:
             if destination not in self.hub.balances:
                 raise NoSuchAccountError(
                     f"no account {destination.hex()[:12]}… at this hub")
+            self._touch_account(destination)
             self.hub.balances[key] = balance - body.amount
             self.hub.balances[destination] += body.amount
         elif body.route == "channel":
@@ -431,15 +434,9 @@ class HubAccountsMixin:
             # moved channel funds and queued frames must be unwound here —
             # otherwise the channel has paid out while the account is
             # still credited, and the client can withdraw again.
-            snapshot = self._rollback_snapshot()
-            try:
+            with self.journal.savepoint():
                 self.pay(body.destination, body.amount)
                 self._flush_checkpoint(body.destination)
-            except ReplicationError:
-                raise  # the ecall guard restores the same snapshot
-            except Exception:
-                self._rollback(snapshot)
-                raise
             self.hub.balances[key] = balance - body.amount
             self.hub.withdrawn_total += body.amount
         else:  # chain
