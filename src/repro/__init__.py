@@ -23,7 +23,7 @@ Package layout:
 * :mod:`repro.blockchain` — the simulated Bitcoin-like ledger with
   asynchronous write access.
 * :mod:`repro.network` — transport, topologies, attested secure channels.
-* :mod:`repro.crypto` — secp256k1 ECDSA, AEAD, Shamir sharing, multisig.
+* :mod:`repro.crypto` — secp256k1 ECDSA, AEAD, multisig.
 * :mod:`repro.baselines` — Lightning Network, DMC, SFMC.
 * :mod:`repro.workloads` — synthetic Bitcoin-trace payment workloads.
 * :mod:`repro.bench` — the evaluation harness reproducing every table and

@@ -207,10 +207,6 @@ class Blockchain:
             if transaction.is_coinbase
         )
 
-    def mempool_fee(self, txid: str) -> int:
-        """Fee of a queued transaction (0 for unknown txids)."""
-        return self._mempool_fees.get(txid, 0)
-
     def feerate_estimate(self, limit: Optional[int] = None) -> float:
         """Marginal feerate (value per vsize byte) to enter the next block.
 

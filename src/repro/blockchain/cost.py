@@ -17,9 +17,9 @@ is (2 + n)/2 = 1 + n/2 — exactly the paper's formula.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional
+from typing import Iterable
 
-from repro.blockchain.transaction import OutPoint, Transaction
+from repro.blockchain.transaction import Transaction
 
 
 def transaction_pubkeys(transaction: Transaction) -> int:
@@ -49,61 +49,3 @@ def transaction_cost(transaction: Transaction) -> float:
 def blockchain_cost(transactions: Iterable[Transaction]) -> float:
     """Total cost of a set of transactions (e.g. a channel's lifecycle)."""
     return sum(transaction_cost(transaction) for transaction in transactions)
-
-
-# ---------------------------------------------------------------------------
-# Fee accounting (chain-realism extension of the Table-4 model)
-# ---------------------------------------------------------------------------
-
-def transaction_fee(
-    transaction: Transaction,
-    resolve_input_value: Callable[[OutPoint], int],
-) -> int:
-    """Fee paid by one transaction: ``inputs − outputs``.
-
-    ``resolve_input_value`` maps an outpoint to the value of the output it
-    spends (e.g. a closure over a :class:`~repro.blockchain.utxo.UTXOSet`
-    or a deposit-record index); coinbases pay no fee by definition."""
-    if transaction.is_coinbase:
-        return 0
-    input_value = sum(
-        resolve_input_value(tx_input.outpoint)
-        for tx_input in transaction.inputs
-    )
-    return input_value - transaction.total_output_value()
-
-
-def transaction_cost_with_fees(
-    transaction: Transaction,
-    resolve_input_value: Optional[Callable[[OutPoint], int]] = None,
-) -> Dict[str, float]:
-    """Table-4 cost with the fee market folded in.
-
-    Returns the pair-count cost (the paper's blockchain-agnostic metric),
-    the fee in value units (the realistic on-chain price), and the vsize
-    the fee was priced against.  The two costs are reported side by side
-    rather than summed — they are different units; Table 4 counts what a
-    transaction *places* on chain, the fee is what inclusion *costs*."""
-    fee = (
-        transaction_fee(transaction, resolve_input_value)
-        if resolve_input_value is not None
-        else 0
-    )
-    return {
-        "pairs": transaction_cost(transaction),
-        "fee": float(fee),
-        "vsize": float(transaction.vsize),
-    }
-
-
-def settlement_cost(
-    transactions: Iterable[Transaction],
-    resolve_input_value: Optional[Callable[[OutPoint], int]] = None,
-) -> Dict[str, float]:
-    """Aggregate :func:`transaction_cost_with_fees` over a lifecycle."""
-    total = {"pairs": 0.0, "fee": 0.0, "vsize": 0.0}
-    for transaction in transactions:
-        row = transaction_cost_with_fees(transaction, resolve_input_value)
-        for key in total:
-            total[key] += row[key]
-    return total

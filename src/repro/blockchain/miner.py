@@ -57,8 +57,3 @@ class Miner:
             timestamp=self.scheduler.now, limit=self.block_tx_limit
         )
         self._schedule_next()
-
-    def mine_now(self) -> None:
-        """Mine one block immediately (test/bootstrap convenience)."""
-        self.chain.mine_block(timestamp=self.scheduler.now,
-                              limit=self.block_tx_limit)

@@ -45,10 +45,6 @@ class LockingScript:
     def pay_to_multisig(cls, spec: MultisigSpec) -> "LockingScript":
         return cls(multisig=spec)
 
-    @property
-    def is_multisig(self) -> bool:
-        return self.multisig is not None
-
     def destination(self) -> str:
         """The address this output pays to (for balance queries)."""
         if self.p2pkh_address is not None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.blockchain.script import LockingScript
 from repro.blockchain.transaction import OutPoint, Transaction, TxOutput
@@ -42,9 +42,6 @@ class UTXOSet:
         # entry is kept so a reorg can restore it verbatim on unwind.
         self._spent: Dict[OutPoint, Tuple[str, UTXOEntry]] = {}
         self._by_address: Dict[str, set] = {}
-
-    def __len__(self) -> int:
-        return len(self._unspent)
 
     def __contains__(self, outpoint: OutPoint) -> bool:
         return outpoint in self._unspent
@@ -111,12 +108,6 @@ class UTXOSet:
                 outpoint
             )
 
-    def would_conflict(self, transaction: Transaction) -> bool:
-        """Whether any input of ``transaction`` is already spent."""
-        return any(
-            outpoint in self._spent for outpoint in transaction.spent_outpoints()
-        )
-
     def balance(self, address: str) -> int:
         """Total unspent value locked to ``address``."""
         outpoints = self._by_address.get(address, set())
@@ -127,9 +118,6 @@ class UTXOSet:
         outpoints = self._by_address.get(address, set())
         entries = [self._unspent[outpoint] for outpoint in outpoints]
         return sorted(entries, key=lambda entry: (entry.height, entry.outpoint))
-
-    def __iter__(self) -> Iterator[UTXOEntry]:
-        return iter(self._unspent.values())
 
     def total_value(self) -> int:
         """Sum of all unspent value (conservation-of-value invariant)."""

@@ -3,10 +3,11 @@
 * :mod:`~repro.core.state` / :mod:`~repro.core.deposits` — channel and
   deposit state (paper §3, §4).
 * :mod:`~repro.core.messages` — signed protocol messages.
-* :mod:`~repro.core.channel` — the payment-channel protocol, Algorithm 1.
+* :mod:`~repro.core.channel_base` — the payment-channel protocol, Algorithm 1.
 * :mod:`~repro.core.settlement` — settlement-transaction construction and
   proofs of premature termination.
-* :mod:`~repro.core.multihop` — the multi-hop protocol, Algorithm 2.
+* :mod:`~repro.core.multihop` — the multi-hop protocol, Algorithm 2, and
+  :class:`TeechainEnclave`, the program an enclave hosts (Alg. 1 + 2).
 * :mod:`~repro.core.replication` — force-freeze chain replication,
   Algorithm 3.
 * :mod:`~repro.core.committee` — committee chains: replication + threshold
@@ -24,7 +25,7 @@
   (Appendix A).
 """
 
-from repro.core.channel import TeechainEnclave
+from repro.core.multihop import TeechainEnclave
 from repro.core.correctness import BalanceTracker
 from repro.core.deposits import DepositRecord, DepositStatus
 from repro.core.node import TeechainNode, TeechainNetwork

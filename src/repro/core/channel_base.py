@@ -131,7 +131,6 @@ class ChannelProtocol(EnclaveProgram):
         "release_deposit",
         "list_channels",
         "channel_snapshot",
-        "state_snapshot",
     )
 
     def __init__(self) -> None:
@@ -227,8 +226,8 @@ class ChannelProtocol(EnclaveProgram):
     # Ecalls that never mutate protocol state; everything else runs under
     # the rollback guard when a replication chain is attached.
     READ_ONLY_ECALLS = frozenset({
-        "list_channels", "channel_snapshot", "state_snapshot",
-        "valid_settlement_txids", "audit_snapshot",
+        "list_channels", "channel_snapshot", "valid_settlement_txids",
+        "audit_snapshot",
     })
 
     def ecall_guard(self, method, handler, args, kwargs):
@@ -1065,23 +1064,6 @@ class ChannelProtocol(EnclaveProgram):
             "stage": channel.stage.value,
         }
 
-    def state_snapshot(self) -> Dict[str, Any]:
-        """Full protocol state digest for replication and sealing."""
-        return {
-            "channels": {
-                cid: self.channel_snapshot(cid)
-                for cid, channel in self.channels.items()
-                if not channel.terminated
-            },
-            "free_deposits": sorted(
-                outpoint
-                for outpoint, record in self.deposits.items()
-                if record.is_free
-            ),
-            "payments_sent": self.payments_sent,
-            "payments_received": self.payments_received,
-        }
-
     def audit_snapshot(self) -> Dict[str, Any]:
         """One-slice audit digest for the fleet auditor (DESIGN.md §14).
 
@@ -1374,16 +1356,3 @@ def _subdict(state: Dict[str, Any], path) -> Dict[Any, Any]:
     for name in path:
         state = state.setdefault(name, {})
     return state
-
-
-def replication_blob(program: "ChannelProtocol") -> bytes:
-    """:func:`replication_state`, serialised.  On the wire this blob
-    travels only inside attested secure channels."""
-    import pickle
-
-    return pickle.dumps(replication_state(program))
-
-
-# Public alias: a module-level function (not a method) because it is
-# consumed outside the ecall surface.
-_replication_blob = replication_blob

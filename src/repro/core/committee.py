@@ -13,12 +13,11 @@ settlements, tolerating crashed members as long as a quorum survives.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.blockchain.transaction import Transaction
 from repro.core.deposits import DepositRecord
-from repro.core.replication import CommitteeMemberProgram, ReplicationChain
-from repro.core.settlement import SigningProvider
+from repro.core.replication import ReplicationChain
 from repro.crypto.ecdsa import Signature
 from repro.crypto.keys import PublicKey
 from repro.crypto.multisig import MultisigSpec
@@ -44,10 +43,6 @@ class CommitteeCoordinator:
         self.threshold = threshold
         # deposit address (of the multisig) → per-member key addresses.
         self._member_keys: Dict[str, List[Tuple[Enclave, str]]] = {}
-
-    @property
-    def total(self) -> int:
-        return self.chain.length
 
     def member_names(self) -> Tuple[str, ...]:
         return tuple(
@@ -130,15 +125,3 @@ class CommitteeCoordinator:
                 f"primary holds no key for {key_address}"
             )
         return key.sign(unsigned.sighash())
-
-    def signing_provider(self, fallback: SigningProvider) -> SigningProvider:
-        """Provider that routes committee deposits through quorum signing
-        and everything else through ``fallback`` (local keys)."""
-
-        def provide(deposit: DepositRecord, digest: bytes,
-                    unsigned: Transaction) -> Sequence[Signature]:
-            if deposit.address in self._member_keys:
-                return self.gather_signatures(deposit, unsigned)
-            return fallback(deposit, digest, unsigned)
-
-        return provide

@@ -65,12 +65,6 @@ class BalanceTracker:
     def inflight(self, user: str) -> int:
         return self._inflight.get(user, 0)
 
-    def paid(self, user: str) -> int:
-        return self._paid.get(user, 0)
-
-    def received(self, user: str) -> int:
-        return self._received.get(user, 0)
-
     def perceived_balance(self, user: str) -> int:
         """perceivedBal(u) = L0(u) + rcvd(u) − paid(u)."""
         return (

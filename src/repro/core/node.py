@@ -457,17 +457,6 @@ class TeechainNode:
         self.deposits.append(record)
         return record
 
-    def deposit(self, value: int, confirm: bool = True) -> DepositRecord:
-        """Unified-API alias for :meth:`create_deposit` — same verb and
-        signature as the daemon's ``deposit`` control command."""
-        return self.create_deposit(value, confirm=confirm)
-
-    def deposit_by_txid(self, txid: str) -> DepositRecord:
-        for record in self.deposits:
-            if record.outpoint.txid == txid:
-                return record
-        raise ReproError(f"no deposit with txid {txid[:12]}…")
-
     def approve_deposit(self, peer: "PeerRef",
                         record: DepositRecord) -> None:
         """Run the approval exchange for one of our deposits with
@@ -492,14 +481,6 @@ class TeechainNode:
         if record.outpoint not in already:
             self.approve_deposit(peer, record)
         self.associate_deposit(channel_id, record)
-
-    def approve_associate(self, peer: "PeerRef", channel_id: str,
-                          txid: str) -> None:
-        """Unified-API verb matching the daemon's ``approve-associate``
-        control command: the deposit is addressed by funding txid rather
-        than by record."""
-        self.approve_and_associate(peer, self.deposit_by_txid(txid),
-                                   channel_id)
 
     def dissociate_deposit(self, channel_id: str,
                            record: DepositRecord) -> None:

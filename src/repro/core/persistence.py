@@ -17,7 +17,7 @@ Table 1's stable-storage row.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.channel_base import ChannelProtocol, replication_state
 from repro.core.deposits import DepositRecord
@@ -59,7 +59,6 @@ class PersistentStore:
         self.counter = self.counters.create()
         self.sealing = SealingService(platform_secret, enclave.measurement)
         self.latest_blob: Optional[SealedBlob] = None
-        self.history: List[SealedBlob] = []  # old blobs (rollback tests)
         self.seals_written = 0
         # Simulated time at which the most recent seal completed; the
         # difference against scheduler.now is the stable-storage latency
@@ -79,11 +78,8 @@ class PersistentStore:
         """Increment the counter and seal the current state."""
         completion = self.counter.increment(self.scheduler.now)
         self.last_seal_completion = completion
-        blob = self.sealing.seal(replication_state(self.enclave.program),
-                                 self.counter.value)
-        if self.latest_blob is not None:
-            self.history.append(self.latest_blob)
-        self.latest_blob = blob
+        self.latest_blob = self.sealing.seal(
+            replication_state(self.enclave.program), self.counter.value)
         self.seals_written += 1
 
     def restore(self, enclave: Enclave,

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Set
 
-from repro.blockchain.transaction import OutPoint, Transaction
+from repro.blockchain.transaction import OutPoint
 from repro.crypto.keys import PublicKey
 from repro.errors import ChannelStateError
 
@@ -54,9 +54,6 @@ class ChannelState:
     # Direction of the in-flight multi-hop payment through this channel:
     # True if the local party is paying (balance decreases on update).
     locked_outgoing: bool = False
-    # Snapshot settlement transactions for PoPT handling (Alg. 2 eject):
-    pre_payment_settlement: Optional[Transaction] = None   # cpre_pay_tx
-    post_payment_settlement: Optional[Transaction] = None  # cpost_pay_tx
     terminated: bool = False
     # An off-chain (neutral-balance) termination is in progress: once both
     # parties' deposits are fully dissociated the channel resets
@@ -111,7 +108,5 @@ class ChannelState:
         self.stage = MultihopStage.IDLE
         self.locked_amount = 0
         self.locked_outgoing = False
-        self.pre_payment_settlement = None
-        self.post_payment_settlement = None
         self.settling_offchain = False
         self.terminated = True

@@ -12,8 +12,6 @@ cryptography is not):
 * :mod:`~repro.crypto.authenticated` — encrypt-then-MAC authenticated
   encryption (SHA-256-CTR + HMAC-SHA256) and ECDH key agreement, standing in
   for the paper's AES-GCM/ECDH secure channels.
-* :mod:`~repro.crypto.shamir` — Shamir threshold secret sharing over a prime
-  field (the "threshold secret sharing" of paper §6).
 * :mod:`~repro.crypto.multisig` — m-of-n multisignature helpers matching
   Bitcoin's CHECKMULTISIG semantics.
 """
@@ -28,8 +26,7 @@ from repro.crypto.authenticated import (
 from repro.crypto.ecdsa import Signature, sign, verify
 from repro.crypto.hashing import hash160, merkle_root, sha256, sha256d
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey
-from repro.crypto.multisig import MultisigSpec, collect_signatures, verify_multisig
-from repro.crypto.shamir import combine_shares, split_secret
+from repro.crypto.multisig import MultisigSpec
 
 __all__ = [
     "KeyPair",
@@ -38,8 +35,6 @@ __all__ = [
     "PublicKey",
     "SecureChannelKeys",
     "Signature",
-    "collect_signatures",
-    "combine_shares",
     "decrypt",
     "derive_channel_keys",
     "ecdh_shared_secret",
@@ -49,7 +44,5 @@ __all__ = [
     "sha256",
     "sha256d",
     "sign",
-    "split_secret",
     "verify",
-    "verify_multisig",
 ]

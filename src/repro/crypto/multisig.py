@@ -9,11 +9,11 @@ and the settlement builder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.crypto.ecdsa import Signature
 from repro.crypto.hashing import hash160
-from repro.crypto.keys import PrivateKey, PublicKey
+from repro.crypto.keys import PublicKey
 from repro.errors import ThresholdError
 
 
@@ -64,52 +64,3 @@ class MultisigSpec:
             if matched >= self.threshold:
                 return True
         return False
-
-    def cost_weight(self) -> float:
-        """Table 4 blockchain-cost weight for an output locked by this spec:
-        ``n/2`` — *n* public keys, counted in units of (pubkey+signature)
-        pairs per the paper's cost metric."""
-        return self.total / 2.0
-
-
-def collect_signatures(
-    digest: bytes, private_keys: Sequence[PrivateKey], spec: MultisigSpec
-) -> List[Signature]:
-    """Sign ``digest`` with each key and check the bundle satisfies ``spec``.
-
-    Raises :class:`ThresholdError` if the provided keys cannot meet the
-    threshold — callers (committee chains) use this to fail loudly when a
-    quorum is unavailable rather than emitting an unspendable transaction.
-    """
-    signatures = [key.sign(digest) for key in private_keys]
-    if not spec.verify(digest, signatures):
-        raise ThresholdError(
-            f"{len(private_keys)} keys do not satisfy "
-            f"{spec.threshold}-of-{spec.total} for this digest"
-        )
-    return signatures
-
-
-def verify_multisig(
-    spec: MultisigSpec, digest: bytes, signatures: Sequence[Signature]
-) -> bool:
-    """Functional wrapper over :meth:`MultisigSpec.verify`."""
-    return spec.verify(digest, signatures)
-
-
-def share_indices_for_keys(
-    spec: MultisigSpec, holders: Dict[str, PublicKey]
-) -> Dict[str, int]:
-    """Map holder names to their key's 1-based position in the spec.
-
-    Committee bookkeeping helper: share indices in Shamir sharing must match
-    multisig key positions so reconstructed keys sign for the right slot.
-    """
-    positions = {key.to_bytes(): i + 1 for i, key in enumerate(spec.public_keys)}
-    result = {}
-    for name, key in holders.items():
-        encoded = key.to_bytes()
-        if encoded not in positions:
-            raise ThresholdError(f"holder {name} is not a committee member")
-        result[name] = positions[encoded]
-    return result

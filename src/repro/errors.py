@@ -31,7 +31,7 @@ class DecryptionError(CryptoError):
 
 
 class ThresholdError(CryptoError):
-    """Not enough shares/signatures to meet a threshold."""
+    """Not enough signatures to meet a threshold."""
 
 
 class BlockchainError(ReproError):

@@ -134,20 +134,6 @@ class DesFaultInjector:
                 return None
             raise
 
-    def run_scheduler(self, until: Optional[float] = None) -> None:
-        """Advance the simulated clock, riding through injected crashes
-        (each crash aborts the scheduler's current run; dead nodes are
-        unregistered, so re-running makes progress and terminates)."""
-        while True:
-            try:
-                self.network.run(until=until)
-                return
-            except EnclaveCrashed:
-                continue
-            except NetworkError as exc:
-                if not isinstance(exc.__cause__, EnclaveCrashed):
-                    raise
-
     # -- recovery ---------------------------------------------------------
 
     def restore_node(self, node: TeechainNode,

@@ -7,9 +7,8 @@ verification happens inside the hub's enclave, so the client needs to
 trust neither the transport nor the hub's host.
 
 :class:`HubClient` mirrors :class:`~repro.runtime.control.ControlClient`
-(blocking sockets, context manager); :class:`AsyncHubClient` mirrors
-:class:`~repro.runtime.control.AsyncControlClient` for asyncio callers
-like the ``repro.load`` generators.
+(blocking sockets, context manager); asyncio callers like the
+``repro.load`` generators sign with :class:`_RequestSigner` directly.
 
 Nonces are tracked client-side: on first use the client asks the hub
 for the last accepted nonce (a signed, read-only query), then counts
@@ -29,9 +28,9 @@ from repro.hub.messages import (
 )
 from repro.core.messages import SignedMessage
 from repro.runtime import codec
-from repro.runtime.control import AsyncControlClient, ControlClient
+from repro.runtime.control import ControlClient
 
-RecipientRef = Union[PublicKey, "HubClient", "AsyncHubClient", str]
+RecipientRef = Union[PublicKey, "HubClient", str]
 
 
 def sign_request(body: Any, private: PrivateKey) -> str:
@@ -55,13 +54,13 @@ def decode_request(request_hex: str) -> SignedMessage:
 def _recipient_key(recipient: RecipientRef) -> PublicKey:
     if isinstance(recipient, PublicKey):
         return recipient
-    if isinstance(recipient, (HubClient, AsyncHubClient)):
+    if isinstance(recipient, HubClient):
         return recipient.account
     return PublicKey.from_bytes(bytes.fromhex(recipient))
 
 
 class _RequestSigner:
-    """Nonce bookkeeping + request construction shared by both clients."""
+    """Nonce bookkeeping + request construction for one account key."""
 
     def __init__(self, keypair: Optional[KeyPair] = None,
                  seed: Optional[bytes] = None) -> None:
@@ -157,54 +156,3 @@ class HubClient(_RequestSigner):
 
     def balance(self) -> int:
         return self.query()["balance"]
-
-
-class AsyncHubClient(_RequestSigner):
-    """Asyncio hub client (one control connection, like its sync twin)."""
-
-    def __init__(self, control: AsyncControlClient,
-                 keypair: Optional[KeyPair] = None,
-                 seed: Optional[bytes] = None) -> None:
-        super().__init__(keypair, seed)
-        self.control = control
-
-    @classmethod
-    async def connect(cls, host: str, port: int,
-                      keypair: Optional[KeyPair] = None,
-                      seed: Optional[bytes] = None,
-                      timeout: float = 120.0) -> "AsyncHubClient":
-        control = await AsyncControlClient.connect(host, port,
-                                                   timeout=timeout)
-        return cls(control, keypair, seed)
-
-    async def close(self) -> None:
-        await self.control.close()
-
-    async def _ensure_nonce(self) -> None:
-        if self._nonce is None:
-            self.sync_nonce((await self.query())["nonce"])
-
-    async def query(self) -> Dict[str, Any]:
-        return await self.control.call("account-query",
-                                       request=self.query_request())
-
-    async def open(self, amount: int = 0) -> Dict[str, Any]:
-        await self._ensure_nonce()
-        return await self.control.call("account-open",
-                                       request=self.deposit_request(amount))
-
-    async def pay(self, recipient: RecipientRef,
-                  amount: int) -> Dict[str, Any]:
-        await self._ensure_nonce()
-        return await self.control.call(
-            "account-pay", request=self.pay_request(recipient, amount))
-
-    async def withdraw(self, amount: int, route: str = "account",
-                       destination: str = "") -> Dict[str, Any]:
-        await self._ensure_nonce()
-        return await self.control.call(
-            "account-withdraw",
-            request=self.withdraw_request(amount, route, destination))
-
-    async def balance(self) -> int:
-        return (await self.query())["balance"]

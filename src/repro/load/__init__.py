@@ -8,24 +8,18 @@ many channels/daemons concurrently from asyncio tasks, measures
 per-channel latency and throughput through :mod:`repro.obs`, and writes
 the ``BENCH_load`` sidecar.
 
-Two generator disciplines (the classic load-testing split):
-
-* **closed loop** (:func:`run_closed_loop`) — N concurrent users per
-  target, each issuing its next payment the moment the previous one
-  completes.  Offered load adapts to the system; latency measures pure
-  service time.  This is the discipline for "how fast can it go".
-* **open loop** (:func:`run_open_loop`) — payments are *scheduled* at a
-  fixed target rate regardless of completions, so queueing delay shows
-  up in the latency numbers instead of silently throttling the offered
-  load.  This is the discipline for "what happens at rate R".
+The generator is *closed loop* (:func:`run_closed_loop`): N concurrent
+users per target, each issuing its next payment the moment the previous
+one completes.  Offered load adapts to the system; latency measures pure
+service time — the discipline for "how fast can it go".
 
 Each concurrent user is one control connection (the daemon serves each
 connection serially, so in-flight concurrency equals open connections),
 and the payments themselves ride the daemon's backpressured send path —
-under overload the generators slow down rather than the transport
+under overload the generator slows down rather than the transport
 dropping protocol frames.
 
-``python -m repro.load`` exposes both against running daemons, plus a
+``python -m repro.load`` drives running daemons with it, plus a
 self-contained ``smoke`` mode used by CI (spawn a loopback pair, run a
 closed-loop burst, verify conservation and zero protocol-plane drops).
 """
@@ -35,8 +29,6 @@ from repro.load.generators import (
     LoadReport,
     LoadTarget,
     run_closed_loop,
-    run_load,
-    run_open_loop,
     transport_drops,
 )
 
@@ -45,7 +37,5 @@ __all__ = [
     "LoadReport",
     "LoadTarget",
     "run_closed_loop",
-    "run_load",
-    "run_open_loop",
     "transport_drops",
 ]

@@ -44,7 +44,7 @@ from repro.load.accounts import AccountFleet
 from repro.load.generators import (
     LoadReport,
     LoadTarget,
-    run_load,
+    run_closed_loop,
     transport_drops,
 )
 from repro.obs import MetricsRegistry
@@ -123,10 +123,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args, {f"{host}:{port}": (host, port) for host, port in addresses})
     registry = MetricsRegistry()
     try:
-        report = asyncio.run(run_load(
-            targets, mode=args.mode, payments_per_target=args.count,
-            concurrency=args.concurrency, rate=args.rate,
-            duration_s=args.duration, max_inflight=args.max_inflight,
+        report = asyncio.run(run_closed_loop(
+            targets, args.count, concurrency=args.concurrency,
             timeout=args.timeout, registry=registry))
         drops = asyncio.run(transport_drops(addresses))
     except BaseException:
@@ -204,8 +202,8 @@ def _smoke_channel(args: argparse.Namespace) -> int:
                        amount=B_TO_A, label="bob->alice"),
         ]
         registry = MetricsRegistry()
-        report = asyncio.run(run_load(
-            targets, mode="closed", payments_per_target=payments,
+        report = asyncio.run(run_closed_loop(
+            targets, payments_per_target=payments,
             concurrency=args.concurrency, registry=registry))
 
         # Every payment the generators report complete must land in the
@@ -334,8 +332,8 @@ def _smoke_account(args: argparse.Namespace) -> int:
             HOST, handles["hub"].control_port, ACCOUNT_PAY,
             streams=streams)
         registry = MetricsRegistry()
-        report = asyncio.run(run_load(
-            targets, mode="closed", payments_per_target=payments,
+        report = asyncio.run(run_closed_loop(
+            targets, payments_per_target=payments,
             concurrency=args.concurrency, registry=registry))
 
         # Adversarial injections: a request signed with the wrong key,
@@ -467,18 +465,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                      metavar="HOST:PORT/CHANNEL",
                      help="control address of the paying daemon plus the "
                           "channel id (repeatable)")
-    run.add_argument("--mode", choices=("closed", "open"), default="closed")
     run.add_argument("--count", type=int, default=100,
-                     help="payments per target (closed, or open without "
-                          "--duration)")
+                     help="payments per target")
     run.add_argument("--concurrency", type=int, default=4,
-                     help="closed loop: users per target")
-    run.add_argument("--rate", type=float, default=100.0,
-                     help="open loop: payments/s per target")
-    run.add_argument("--duration", type=float, default=None,
-                     help="open loop: run length in seconds")
-    run.add_argument("--max-inflight", type=int, default=64,
-                     help="open loop: in-flight cap per target")
+                     help="closed-loop users per target")
     run.add_argument("--amount", type=int, default=1)
     run.add_argument("--timeout", type=float, default=120.0)
     run.add_argument("--sidecar", default=None, metavar="NAME",

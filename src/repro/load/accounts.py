@@ -68,9 +68,6 @@ class AccountFleet:
                 partner[index] = group[(position + 1) % len(group)]
         return partner
 
-    def __len__(self) -> int:
-        return len(self.signers)
-
     def deposit_requests(self, amount: int) -> List[str]:
         """One signed opening deposit per client (consumes a nonce)."""
         return [signer.deposit_request(amount) for signer in self.signers]

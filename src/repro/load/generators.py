@@ -1,4 +1,4 @@
-"""Open- and closed-loop payment generators.
+"""The closed-loop payment generator.
 
 A *target* is one payment stream: the control address of the daemon
 that originates the payments plus the channel to pay over.  Generators
@@ -7,11 +7,8 @@ from parallel control connections (the daemon serves each connection
 serially, so one :class:`AsyncControlClient` is exactly one in-flight
 command).
 
-Closed loop fixes the number of users; open loop fixes the offered
-rate.  Open-loop latency is measured from each payment's *scheduled*
-time, not its actual send time — when the system can't keep up, the
-queueing delay lands in the latency numbers instead of being hidden by
-a generator that quietly slowed down (the coordinated-omission trap).
+Closed loop fixes the number of users: each issues its next payment
+the moment the previous one completes.
 """
 
 from __future__ import annotations
@@ -29,8 +26,6 @@ __all__ = [
     "LoadReport",
     "LoadTarget",
     "run_closed_loop",
-    "run_load",
-    "run_open_loop",
     "transport_drops",
 ]
 
@@ -80,8 +75,6 @@ class _TargetState:
         self.sent = 0
         self.completed = 0
         self.errors = 0
-        self.late = 0     # open loop: payments scheduled in the past
-        self.stalls = 0   # open loop: scheduler blocked on the pool
         self.samples: List[float] = []
         self.aborted: Optional[str] = None
         self.rejected: Dict[str, int] = {}  # error code -> count
@@ -130,9 +123,6 @@ class _TargetState:
             # a report can distinguish "the hub refused these" from "the
             # transport ate these".
             row["rejected"] = dict(sorted(self.rejected.items()))
-        if self.late or self.stalls:
-            row["late"] = self.late
-            row["stalls"] = self.stalls
         if self.aborted is not None:
             row["aborted"] = self.aborted
         return row
@@ -142,7 +132,6 @@ class _TargetState:
 class LoadReport:
     """Outcome of one generator run, ready for the sidecar."""
 
-    mode: str
     elapsed_s: float
     targets: List[Dict[str, Any]]
 
@@ -171,7 +160,6 @@ class LoadReport:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "mode": self.mode,
             "elapsed_s": self.elapsed_s,
             "completed": self.completed,
             "errors": self.errors,
@@ -182,8 +170,7 @@ class LoadReport:
 
 
 async def _pay_once(client: AsyncControlClient, state: _TargetState,
-                    registry: MetricsRegistry,
-                    started_at: Optional[float] = None) -> None:
+                    registry: MetricsRegistry) -> None:
     """One payment attempt with the generators' shared error policy:
     command-level rejections (the daemon answered) count as errors and
     the stream continues; transport-level failures abort the target —
@@ -195,7 +182,7 @@ async def _pay_once(client: AsyncControlClient, state: _TargetState,
     else:
         cmd, kwargs = "pay", {"channel_id": target.channel_id,
                               "amount": target.amount}
-    reference = time.perf_counter() if started_at is None else started_at
+    reference = time.perf_counter()
     try:
         await client.call(cmd, **kwargs)
     except ControlError as exc:
@@ -246,112 +233,8 @@ async def run_closed_loop(
     ]
     await asyncio.gather(*workers)
     elapsed = time.perf_counter() - started
-    return LoadReport(mode="closed", elapsed_s=elapsed,
+    return LoadReport(elapsed_s=elapsed,
                       targets=[state.result(elapsed) for state in states])
-
-
-async def _open_target(state: _TargetState, rate: float, total: int,
-                       max_inflight: int, timeout: float,
-                       registry: MetricsRegistry) -> None:
-    """Schedule ``total`` payments at ``rate``/s against one target.
-
-    A bounded pool of control connections caps in-flight commands; when
-    the pool is dry the scheduler blocks (counted as a stall) — past
-    that point the run is no longer truly open loop, and the stall count
-    says so in the report.
-    """
-    pool_size = min(max_inflight, total)
-    pool: "asyncio.Queue[AsyncControlClient]" = asyncio.Queue()
-    clients = [
-        await AsyncControlClient.connect(state.target.host,
-                                         state.target.port, timeout=timeout)
-        for _ in range(pool_size)
-    ]
-    for client in clients:
-        pool.put_nowait(client)
-
-    async def fire(client: AsyncControlClient, due: float) -> None:
-        await _pay_once(client, state, registry, started_at=due)
-        pool.put_nowait(client)
-
-    tasks: List["asyncio.Task[None]"] = []
-    epoch = time.perf_counter()
-    try:
-        for index in range(total):
-            if not state.take():
-                break
-            due = epoch + index / rate
-            delay = due - time.perf_counter()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            else:
-                state.late += 1
-            if pool.empty():
-                state.stalls += 1
-            client = await pool.get()
-            tasks.append(asyncio.ensure_future(fire(client, due)))
-        if tasks:
-            await asyncio.gather(*tasks)
-    finally:
-        for client in clients:
-            await client.close()
-
-
-async def run_open_loop(
-    targets: Sequence[LoadTarget],
-    rate: float,
-    duration_s: Optional[float] = None,
-    payments_per_target: Optional[int] = None,
-    max_inflight: int = 64,
-    timeout: float = 120.0,
-    registry: Optional[MetricsRegistry] = None,
-) -> LoadReport:
-    """Fixed-rate load: ``rate`` payments/s per target, for ``duration_s``
-    seconds or ``payments_per_target`` payments (one must be given)."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    if payments_per_target is None:
-        if duration_s is None:
-            raise ValueError(
-                "open loop needs duration_s or payments_per_target")
-        payments_per_target = max(1, int(rate * duration_s))
-    metrics = registry if registry is not None else obs.get_metrics()
-    states = [_TargetState(target, payments_per_target)
-              for target in targets]
-    started = time.perf_counter()
-    await asyncio.gather(*[
-        _open_target(state, rate, payments_per_target, max_inflight,
-                     timeout, metrics)
-        for state in states
-    ])
-    elapsed = time.perf_counter() - started
-    return LoadReport(mode="open", elapsed_s=elapsed,
-                      targets=[state.result(elapsed) for state in states])
-
-
-async def run_load(
-    targets: Sequence[LoadTarget],
-    mode: str = "closed",
-    payments_per_target: int = 100,
-    concurrency: int = 4,
-    rate: float = 100.0,
-    duration_s: Optional[float] = None,
-    max_inflight: int = 64,
-    timeout: float = 120.0,
-    registry: Optional[MetricsRegistry] = None,
-) -> LoadReport:
-    """Dispatch to the generator named by ``mode`` (closed | open)."""
-    if mode == "closed":
-        return await run_closed_loop(
-            targets, payments_per_target, concurrency=concurrency,
-            timeout=timeout, registry=registry)
-    if mode == "open":
-        return await run_open_loop(
-            targets, rate, duration_s=duration_s,
-            payments_per_target=(None if duration_s is not None
-                                 else payments_per_target),
-            max_inflight=max_inflight, timeout=timeout, registry=registry)
-    raise ValueError(f"unknown load mode {mode!r} (closed | open)")
 
 
 async def transport_drops(

@@ -98,9 +98,6 @@ class BaseNetwork:
         original = self._handler_for(name)
         self._handlers[name] = wrap(original)
 
-    def is_registered(self, name: str) -> bool:
-        return name in self._handlers
-
     def add_tap(self, tap: Callable[[Message], Optional[bool]]) -> None:
         """Install a wire tap (adversary hook).
 
@@ -174,9 +171,6 @@ class Network(BaseNetwork):
                 delay += (size * 8) / bits_per_second
         return delay
 
-    def rtt(self, a: str, b: str) -> float:
-        return self._latency(a, b)
-
     def send(self, sender: str, destination: str, payload: Any,
              size: Optional[int] = None) -> None:
         """Deliver ``payload`` after the modelled delay.
@@ -218,7 +212,6 @@ class InstantNetwork(BaseNetwork):
         super().__init__()
         self._queue: Deque[Message] = deque()
         self._draining = False
-        self.delivered: List[Message] = []
 
     def send(self, sender: str, destination: str, payload: Any,
              size: Optional[int] = None) -> None:
@@ -255,7 +248,6 @@ class InstantNetwork(BaseNetwork):
                 handler = self._handlers.get(message.destination)
                 if handler is None:
                     continue
-                self.delivered.append(message)
                 try:
                     handler(message)
                 except Exception as exc:  # noqa: BLE001 — isolate handlers

@@ -97,10 +97,6 @@ class Alert:
     cleared_at: Optional[float] = None
     context: Dict[str, Any] = field(default_factory=dict)
 
-    @property
-    def active(self) -> bool:
-        return self.cleared_at is None
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "code": self.code,

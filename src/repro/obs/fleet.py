@@ -283,11 +283,12 @@ class FleetMonitorThread:
     dedicated loop so it sweeps continuously while the driver does
     whatever it wants on the main thread.
 
-    Use as a context manager; after exit (one final sweep taken) the
-    underlying monitor is available for assertions and the sidecar::
+    After :meth:`stop` (one final sweep taken) the underlying monitor is
+    available for assertions and the sidecar::
 
-        with FleetMonitorThread(targets, interval=0.25) as monitored:
-            ... drive load / faults ...
+        monitored = FleetMonitorThread(targets, interval=0.25).start()
+        ... drive load / faults ...
+        monitored.stop()
         assert not monitored.monitor.auditor.critical_alerts()
     """
 
@@ -330,9 +331,3 @@ class FleetMonitorThread:
         if self._loop is not None and self._stop is not None:
             self._loop.call_soon_threadsafe(self._stop.set)
         self._thread.join(timeout=60)
-
-    def __enter__(self) -> "FleetMonitorThread":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()

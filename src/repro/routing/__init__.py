@@ -16,11 +16,8 @@ from repro.routing.gossip import GossipEngine
 from repro.routing.messages import ChannelAnnounce, ChannelUpdate
 from repro.routing.planner import (
     RoutePlanner,
-    iter_paths_by_length,
     load_concentration,
-    overlay_graph,
     path_length,
-    shortest_path,
 )
 from repro.routing.topology import ChannelHalf, EdgeInfo, TopologyView
 
@@ -32,9 +29,6 @@ __all__ = [
     "GossipEngine",
     "RoutePlanner",
     "TopologyView",
-    "iter_paths_by_length",
     "load_concentration",
-    "overlay_graph",
     "path_length",
-    "shortest_path",
 ]

@@ -266,7 +266,7 @@ class RoutePlanner:
         """Usable simple paths from cheapest to costliest.
 
         Raises :class:`RoutingError` (on first iteration) when no usable
-        path exists — matching the old ``iter_paths_by_length``."""
+        path exists."""
         self._refresh()
         effective = self._effective_amount(amount)
         graph = networkx.DiGraph()
@@ -308,30 +308,8 @@ _MISSING = _Missing()
 
 
 # ---------------------------------------------------------------------
-# Overlay helpers and analysis helpers for the routing benchmarks.
+# Analysis helpers for the routing benchmarks.
 # ---------------------------------------------------------------------
-
-
-def overlay_graph(overlay: Overlay) -> "networkx.Graph":
-    """Build the (undirected) channel graph for an overlay."""
-    graph = networkx.Graph()
-    graph.add_nodes_from(overlay.nodes)
-    graph.add_edges_from(overlay.channels)
-    return graph
-
-
-def shortest_path(overlay: Overlay, source: str, target: str) -> List[str]:
-    """The single shortest channel path from ``source`` to ``target``."""
-    planner = RoutePlanner.from_overlay(overlay)
-    return planner.find_route(source, target)
-
-
-def iter_paths_by_length(overlay: Overlay, source: str, target: str,
-                         limit: Optional[int] = None) -> Iterator[List[str]]:
-    """Simple paths from shortest to longest — the dynamic-routing retry
-    order (§7.4)."""
-    planner = RoutePlanner.from_overlay(overlay)
-    return planner.iter_routes(source, target, limit=limit)
 
 
 def path_length(path: Sequence[str]) -> int:

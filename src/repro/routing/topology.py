@@ -87,9 +87,6 @@ class TopologyView:
             return True
         return False
 
-    def key_for(self, name: str) -> Optional[bytes]:
-        return self._keys.get(name)
-
     # -- gossip application -------------------------------------------
 
     def upsert(
@@ -123,10 +120,6 @@ class TopologyView:
         )
         self.version += 1
         return True
-
-    def last_seq(self, origin: str, channel_id: str) -> int:
-        half = self._halves.get((origin, channel_id))
-        return half.seq if half is not None else -1
 
     # -- planner-facing queries ---------------------------------------
 

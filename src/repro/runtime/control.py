@@ -38,19 +38,14 @@ CONTROL_LINE_LIMIT = 1 << 20
 class ControlError(ReproError):
     """A control command failed; ``code`` is the stable error code.
 
-    ``request_sent`` records whether the request bytes reached the
-    transport before the failure.  ``False`` means the daemon cannot
-    have seen the command, so even a non-idempotent verb is safe to
-    retry; ``True`` (the conservative default) means the command may
-    already have been applied and only idempotent verbs may be
-    replayed.
+    Nothing replays a command after ``timeout`` or ``connection_closed``:
+    the daemon may already have applied it, and a replayed ``pay`` is a
+    double-pay.
     """
 
-    def __init__(self, message: str, code: str = "error",
-                 request_sent: bool = True) -> None:
+    def __init__(self, message: str, code: str = "error") -> None:
         super().__init__(message)
         self.code = code
-        self.request_sent = request_sent
 
 
 class ControlClient:
@@ -78,21 +73,18 @@ class ControlClient:
         request = {"cmd": cmd, **kwargs}
         deadline = self.timeout if timeout is None else timeout
         self._socket.settimeout(deadline)
-        sent = False
         try:
             self._socket.sendall(json.dumps(request).encode() + b"\n")
-            sent = True
             line = self._reader.readline()
         except socket.timeout:
             raise ControlError(
                 f"{cmd!r} to {self.host}:{self.port} got no response "
-                f"within {deadline:.1f}s", code="timeout",
-                request_sent=sent) from None
+                f"within {deadline:.1f}s", code="timeout") from None
         except OSError as exc:
             raise ControlError(
                 f"transport failure for {cmd!r} to "
                 f"{self.host}:{self.port}: {exc}",
-                code="connection_closed", request_sent=sent) from exc
+                code="connection_closed") from exc
         if not line:
             raise ControlError(
                 f"daemon at {self.host}:{self.port} hung up "
@@ -104,18 +96,6 @@ class ControlClient:
                 code=response.get("code", "error"),
             )
         return response
-
-    def reconnect(self) -> None:
-        """Tear down and re-dial the control connection.
-
-        After a timeout the stream is desynchronised — a late reply to
-        the timed-out request would be mis-paired with the next command
-        — so retry helpers must reconnect before re-sending anything.
-        """
-        self.close()
-        self._socket = socket.create_connection((self.host, self.port),
-                                                timeout=self.timeout)
-        self._reader = self._socket.makefile("rb")
 
     def close(self) -> None:
         try:
@@ -171,26 +151,19 @@ class AsyncControlClient:
                    **kwargs: Any) -> Dict[str, Any]:
         request = {"cmd": cmd, **kwargs}
         deadline = self.timeout if timeout is None else timeout
-        # Once the payload is handed to the writer the daemon may
-        # receive it even if drain() later fails, so the request counts
-        # as sent from the first write onward (same conservative rule
-        # as the blocking client).
-        sent = False
         try:
             self._writer.write(json.dumps(request).encode() + b"\n")
-            sent = True
             await asyncio.wait_for(self._writer.drain(), deadline)
             line = await asyncio.wait_for(self._reader.readline(), deadline)
         except asyncio.TimeoutError:
             raise ControlError(
                 f"{cmd!r} to {self.host}:{self.port} got no response "
-                f"within {deadline:.1f}s", code="timeout",
-                request_sent=sent) from None
+                f"within {deadline:.1f}s", code="timeout") from None
         except OSError as exc:
             raise ControlError(
                 f"transport failure for {cmd!r} to "
                 f"{self.host}:{self.port}: {exc}",
-                code="connection_closed", request_sent=sent) from exc
+                code="connection_closed") from exc
         if not line:
             raise ControlError(
                 f"daemon at {self.host}:{self.port} hung up "
@@ -209,87 +182,6 @@ class AsyncControlClient:
             await self._writer.wait_closed()
         except (OSError, asyncio.CancelledError):
             pass
-
-    async def __aenter__(self) -> "AsyncControlClient":
-        return self
-
-    async def __aexit__(self, *exc_info: Any) -> None:
-        await self.close()
-
-
-def _command_is_idempotent(cmd: str) -> bool:
-    """Look up ``cmd``'s declared idempotency in the daemon registry.
-
-    Unknown commands (or an import failure in stripped-down test rigs)
-    default to non-idempotent: the only safe assumption about a verb we
-    know nothing about is that replaying it is not free.
-    """
-    try:
-        from repro.runtime.daemon import COMMANDS
-        return COMMANDS._commands[cmd].idempotent
-    except Exception:
-        return False
-
-
-def call_with_retry(client: ControlClient, cmd: str, *, attempts: int = 5,
-                    backoff: float = 0.1, backoff_cap: float = 2.0,
-                    idempotent: Optional[bool] = None,
-                    **kwargs: Any) -> Dict[str, Any]:
-    """Retry a command on *transport-level* failures with exponential
-    backoff plus jitter.
-
-    Command-level failures (the daemon answered ``ok: false``) are never
-    retried: the daemon spoke, and blindly repeating a rejected request
-    is how duplicate payments happen.
-
-    Transport failures are retried only when replaying is provably
-    safe: either the request never reached the wire
-    (``ControlError.request_sent`` is False), or the command is
-    idempotent — declared per-command in the daemon registry, or
-    overridden with the ``idempotent`` argument.  A non-idempotent verb
-    that failed *mid-response* (request possibly applied, reply lost)
-    raises ``code="retry_unsafe"`` instead of double-applying: the
-    caller must inspect daemon state to learn the outcome.
-
-    Each retry re-dials the connection: after a timeout the old stream
-    may still deliver the late reply, which would be mis-paired with
-    the retried request.
-    """
-    if idempotent is None:
-        idempotent = _command_is_idempotent(cmd)
-    last: Optional[Exception] = None
-    for attempt in range(attempts):
-        try:
-            return client.call(cmd, **kwargs)
-        except ControlError as exc:
-            if exc.code not in ("timeout", "connection_closed"):
-                raise
-            if not idempotent and exc.request_sent:
-                raise ControlError(
-                    f"{cmd!r} hit a transport failure after the request "
-                    f"was sent and is not idempotent; refusing to replay "
-                    f"(outcome unknown): {exc}",
-                    code="retry_unsafe") from exc
-            last = exc
-        except (OSError, json.JSONDecodeError) as exc:
-            # Raw transport errors carry no sent/unsent marker; assume
-            # the request may have been applied.
-            if not idempotent:
-                raise ControlError(
-                    f"{cmd!r} hit an ambiguous transport failure and is "
-                    f"not idempotent; refusing to replay: {exc}",
-                    code="retry_unsafe") from exc
-            last = exc
-        if attempt < attempts - 1:
-            time.sleep(backoff * (1.0 + random.random() * 0.5))
-            backoff = min(backoff * 2, backoff_cap)
-            try:
-                client.reconnect()
-            except OSError as exc:
-                last = exc
-    raise ControlError(
-        f"{cmd!r} failed after {attempts} attempts: {last}",
-        code="retries_exhausted")
 
 
 def wait_for_control(host: str, port: int, timeout: float = 15.0,

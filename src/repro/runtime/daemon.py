@@ -750,13 +750,11 @@ class NodeDaemon:
     # verbs mirror TeechainNode's API (see README's command table).
     # ------------------------------------------------------------------
 
-    @COMMANDS.command("ping", doc="Liveness check; returns name and clock.",
-                      idempotent=True)
+    @COMMANDS.command("ping", doc="Liveness check; returns name and clock.")
     async def _cmd_ping(self) -> Dict[str, Any]:
         return {"name": self.name, "now": self.scheduler.now}
 
-    @COMMANDS.command("help", doc="List every command with its signature.",
-                      idempotent=True)
+    @COMMANDS.command("help", doc="List every command with its signature.")
     async def _cmd_help(self) -> Dict[str, Any]:
         return {"commands": COMMANDS.help_table()}
 
@@ -765,8 +763,7 @@ class NodeDaemon:
         Param("peer", doc="peer daemon name"),
         Param("host", doc="peer host"),
         Param("port", int, doc="peer port"),
-        doc="Dial a peer and complete the attested handshake.",
-        idempotent=True)
+        doc="Dial a peer and complete the attested handshake.")
     async def connect(self, peer: str, host: str, port: int,
                       timeout: float = 10.0) -> Dict[str, Any]:
         self.net.add_peer(peer, host, port)
@@ -885,8 +882,7 @@ class NodeDaemon:
     @COMMANDS.command(
         "batch-window",
         Param("window_ms", int, doc="batching window in ms; 0 disables"),
-        doc="Configure §7.2 client-side payment batching.",
-        idempotent=True)
+        doc="Configure §7.2 client-side payment batching.")
     async def _cmd_batch_window(self, window_ms: int) -> Dict[str, Any]:
         if window_ms < 0:
             raise CommandError(f"window_ms must be >= 0, got {window_ms}",
@@ -915,8 +911,7 @@ class NodeDaemon:
               doc="signed checkpoint every K fast-path payments"),
         Param("checkpoint_ms", int, required=False, default=0,
               doc="also flush checkpoints every T ms (0 = payments only)"),
-        doc="Configure the session-MAC payment fast path.",
-        idempotent=True)
+        doc="Configure the session-MAC payment fast path.")
     async def _cmd_fastpath(self, enabled: int,
                             checkpoint_every: Optional[int] = None,
                             checkpoint_ms: int = 0) -> Dict[str, Any]:
@@ -1058,8 +1053,7 @@ class NodeDaemon:
         "account-query",
         Param("request", doc="hex-encoded signed AccountQuery"),
         doc="Read an account's balance and last accepted nonce "
-            "(signed: balances are private to the keyholder).",
-        idempotent=True)
+            "(signed: balances are private to the keyholder).")
     async def _cmd_account_query(self, request: str) -> Dict[str, Any]:
         signed = self._decode_account_request(request,
                                               hub_messages.AccountQuery)
@@ -1095,7 +1089,7 @@ class NodeDaemon:
     @COMMANDS.command(
         "account-stats",
         doc="Hub ledger summary: accounts, balances, fee bucket, backing, "
-            "conservation and solvency checks.", idempotent=True)
+            "conservation and solvency checks.")
     async def _cmd_account_stats(self) -> Dict[str, Any]:
         return {"name": self.name,
                 "hub": self.node.enclave.ecall("hub_stats")}
@@ -1104,7 +1098,7 @@ class NodeDaemon:
         "hub-fee",
         Param("fee_per_pay", int, doc="fee collected per account pay"),
         doc="Set the hub's per-payment fee (accumulates in the fee "
-            "bucket).", idempotent=True)
+            "bucket).")
     async def _cmd_hub_fee(self, fee_per_pay: int) -> Dict[str, Any]:
         return self.node.enclave.ecall("hub_set_fee", fee_per_pay)
 
@@ -1114,8 +1108,7 @@ class NodeDaemon:
         Param("amount", int, required=False, default=0,
               doc="filter out edges below this capacity (0 = ignore)"),
         doc="Resolve a route to dest over the gossip-discovered topology "
-            "(no payment); 'no_route' when none exists yet.",
-        idempotent=True)
+            "(no payment); 'no_route' when none exists yet.")
     async def _cmd_route(self, dest: str, amount: int = 0) -> Dict[str, Any]:
         route = self._resolve_route(str(dest), amount)
         return {"dest": dest, "route": route, "hops": len(route) - 1,
@@ -1175,8 +1168,7 @@ class NodeDaemon:
     @COMMANDS.command(
         "echo",
         Param("peer"),
-        doc="Round-trip a control frame to a peer; returns the RTT.",
-        idempotent=True)
+        doc="Round-trip a control frame to a peer; returns the RTT.")
     async def _cmd_echo(self, peer: str) -> Dict[str, Any]:
         rtt = await self._echo_round_trip(peer)
         return {"peer": peer, "rtt_s": rtt}
@@ -1271,8 +1263,7 @@ class NodeDaemon:
                 "feerate_estimate": self.network.chain.feerate_estimate(
                     self.network.chain.block_limit or 10)}
 
-    @COMMANDS.command("balance", doc="On-chain balance of this node.",
-                      idempotent=True)
+    @COMMANDS.command("balance", doc="On-chain balance of this node.")
     async def _cmd_balance(self) -> Dict[str, Any]:
         return {"name": self.name,
                 "onchain": self.node.onchain_balance()}
@@ -1280,8 +1271,7 @@ class NodeDaemon:
     @COMMANDS.command(
         "channel",
         Param("channel_id"),
-        doc="Snapshot one channel's balances and deposits.",
-        idempotent=True)
+        doc="Snapshot one channel's balances and deposits.")
     async def _cmd_channel(self, channel_id: str) -> Dict[str, Any]:
         snapshot = self.node.program.channel_snapshot(channel_id)
         return {
@@ -1295,8 +1285,7 @@ class NodeDaemon:
                                 for o in snapshot["remote_deposits"]],
         }
 
-    @COMMANDS.command("stats", doc="Transport, chain, and uptime stats.",
-                      idempotent=True)
+    @COMMANDS.command("stats", doc="Transport, chain, and uptime stats.")
     async def _cmd_stats(self) -> Dict[str, Any]:
         batcher = self.batcher
         program = self.node.program
@@ -1340,16 +1329,14 @@ class NodeDaemon:
             "restored": self.restored,
         }
 
-    @COMMANDS.command("metrics", doc="Snapshot of the obs metrics registry.",
-                      idempotent=True)
+    @COMMANDS.command("metrics", doc="Snapshot of the obs metrics registry.")
     async def _cmd_metrics(self) -> Dict[str, Any]:
         return {"metrics": self.metrics.snapshot()}
 
     @COMMANDS.command(
         "trace_dump",
         doc="This daemon's span ring plus the clock metadata trace "
-            "merging needs (local/wall clocks, handshake skew offsets).",
-        idempotent=True)
+            "merging needs (local/wall clocks, handshake skew offsets).")
     async def _cmd_trace_dump(self) -> Dict[str, Any]:
         return self.collector.trace_dump(peer_offsets=self.net.peer_offsets)
 
@@ -1362,8 +1349,7 @@ class NodeDaemon:
 
     @COMMANDS.command(
         "metrics_prom",
-        doc="Metrics in Prometheus text exposition format.",
-        idempotent=True)
+        doc="Metrics in Prometheus text exposition format.")
     async def _cmd_metrics_prom(self) -> Dict[str, Any]:
         return {"text": prometheus_text(self.metrics.snapshot())}
 
@@ -1372,8 +1358,7 @@ class NodeDaemon:
         doc="Atomic audit digest for the fleet auditor: channel "
             "balances, free deposits, hub ledger verdicts, on-chain "
             "balance, and transport pressure, read in one event-loop "
-            "slice so it never races a fund movement.",
-        idempotent=True)
+            "slice so it never races a fund movement.")
     async def _cmd_audit_snapshot(self) -> Dict[str, Any]:
         # No await between the ecall and the host-side reads: command
         # handlers run to completion inside one event-loop slice, so a
@@ -1407,7 +1392,7 @@ class NodeDaemon:
     @COMMANDS.command(
         "health",
         doc="Cheap liveness summary: uptime, trace ring pressure, "
-            "peer/channel counts.", idempotent=True)
+            "peer/channel counts.")
     async def _cmd_health(self) -> Dict[str, Any]:
         return self.collector.health(
             peers=len(self._peer_keys),
@@ -1445,8 +1430,7 @@ class NodeDaemon:
             self.metrics.inc(f"faults.injected[{action}]")
         return {"action": action, "peer": peer}
 
-    @COMMANDS.command("shutdown", doc="Stop the daemon gracefully.",
-                      idempotent=True)
+    @COMMANDS.command("shutdown", doc="Stop the daemon gracefully.")
     async def _cmd_shutdown(self) -> Dict[str, Any]:
         self._shutdown.set()
         return {"stopping": True}

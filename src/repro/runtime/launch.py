@@ -90,16 +90,6 @@ class DaemonHandle:
         finally:
             self.control.close()
 
-    def kill(self) -> None:
-        """SIGKILL — no shutdown handshake; the crash-recovery tests'
-        power-cord pull."""
-        self.process.kill()
-        self.process.wait()
-        try:
-            self.control.close()
-        except Exception:  # noqa: BLE001 — peer may have reset it already
-            pass
-
     def respawn(self, startup_timeout: float = 20.0) -> "DaemonHandle":
         """Start a fresh process on the same ports and state directory
         (requires the old process to be dead).  Returns a new handle —

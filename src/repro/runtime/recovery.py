@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import pickle
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.blockchain.chain import Blockchain
-from repro.blockchain.transaction import Transaction
 from repro.crypto.hashing import sha256
 from repro.errors import SealingError
 from repro.tee.sealing import SealedBlob
@@ -109,10 +108,7 @@ def chain_snapshot(chain: Blockchain) -> ChainSnapshot:
     (full :class:`Block` bodies — fork choice, fee coinbases, and block
     identity must survive a restart byte-exact) plus the mempool.
     Genesis is excluded — it is rebuilt deterministically from the
-    funding allocations all daemons share.
-
-    Legacy note: pre-fork snapshots stored ``(height, timestamp, txs)``
-    tuples; :func:`replay_chain` still accepts them."""
+    funding allocations all daemons share."""
     return {
         "blocks": list(chain.blocks[1:]),
         "mempool": list(chain._mempool),
@@ -124,14 +120,7 @@ def replay_chain(chain: Blockchain, snapshot: ChainSnapshot) -> None:
     (hash-chain linkage re-validates on connect).  Must run before gossip
     listeners are subscribed (replay is local history, not news)."""
     for stored in snapshot.get("blocks", []):
-        if isinstance(stored, tuple):
-            # Legacy tuple snapshot: re-mine from the transactions.
-            _height, timestamp, transactions = stored
-            for transaction in transactions:
-                chain.submit(transaction)
-            chain.mine_block(timestamp=timestamp)
-        else:
-            chain.receive_block(stored)
+        chain.receive_block(stored)
     for transaction in snapshot.get("mempool", []):
         try:
             chain.submit(transaction)

@@ -75,12 +75,6 @@ class CommandSpec:
     params: Tuple[Param, ...]
     doc: str
     attribute: str
-    # Whether replaying the command is always safe.  Retry helpers may
-    # only re-send a command after a transport failure *mid-response*
-    # (request possibly applied, reply lost) when this is True; a
-    # replayed ``pay`` is a double-pay.  Defaults to False — commands
-    # must opt in to being replayable.
-    idempotent: bool = False
 
     def signature(self) -> str:
         parts = []
@@ -110,12 +104,8 @@ class CommandRegistry:
     def __init__(self) -> None:
         self._commands: Dict[str, CommandSpec] = {}
 
-    def command(self, name: str, *params: Param,
-                doc: str = "", idempotent: bool = False) -> Callable:
-        """Decorator registering an async method as a control command.
-
-        ``idempotent=True`` declares the command safe to replay after an
-        ambiguous transport failure (see :class:`CommandSpec`)."""
+    def command(self, name: str, *params: Param, doc: str = "") -> Callable:
+        """Decorator registering an async method as a control command."""
         def register(method: Callable) -> Callable:
             if name in self._commands:
                 raise ReproError(f"command {name!r} registered twice")
@@ -123,7 +113,6 @@ class CommandRegistry:
                 name=name, params=tuple(params),
                 doc=doc or (method.__doc__ or "").strip().split("\n")[0],
                 attribute=method.__name__,
-                idempotent=idempotent,
             )
             return method
         return register
@@ -191,9 +180,6 @@ class CommandRegistry:
             f"  {(row['cmd'] + ' ' + row['args']).strip():<{width}}  "
             f"{row['doc']}" for row in rows
         )
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._commands
 
     def __iter__(self):
         return iter(self._commands.values())

@@ -85,11 +85,6 @@ class WallClockScheduler:
     def events_processed(self) -> int:
         return self._events_processed
 
-    @property
-    def pending(self) -> int:
-        # Timers live inside the asyncio loop; nothing meaningful to count.
-        return 0
-
     def call_after(self, delay: float, callback: Callable[[], Any]) -> _Handle:
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")

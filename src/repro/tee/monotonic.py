@@ -95,6 +95,3 @@ class MonotonicCounterBank:
         if counter is None:
             raise TEEError(f"no monotonic counter {counter_id}")
         return counter
-
-    def __len__(self) -> int:
-        return len(self._counters)

@@ -8,6 +8,7 @@ from repro.blockchain import (
     build_p2pkh_transfer,
 )
 from repro.blockchain.chain import Block
+from repro.blockchain.transaction import OutPoint
 from repro.crypto import KeyPair
 from repro.errors import BlockchainError, InvalidTransaction
 from repro.faults import run_all_chain_cells
@@ -85,6 +86,30 @@ class TestForkChoice:
         assert chain.confirmations(transfer.txid) == 0
         assert chain.in_mempool(transfer.txid)
         assert chain.reorg_count == 1
+
+    def test_heavier_branch_that_fails_to_connect_is_discarded(self):
+        chain, _ = _funded_chain()
+        fork_parent = chain.tip_hash
+        honest = chain.mine_block(timestamp=1.0)
+        # Its first block spends an output that never existed: the branch
+        # attaches fine and fails only when the reorg connects it.
+        bogus = build_p2pkh_transfer(
+            [(OutPoint("ee" * 32, 0), 1_000)], ALICE.private,
+            [(BOB.address(), 1_000)])
+        bad = Block(height=honest.height, previous_hash=fork_parent,
+                    transactions=(bogus,), timestamp=1.0, miner=MINER)
+        child = Block(height=honest.height + 1,
+                      previous_hash=bad.block_hash, transactions=(),
+                      timestamp=2.0, miner=MINER)
+        assert chain.receive_block(bad) == "connected"
+        assert chain.receive_block(child) == "connected"
+        assert chain.tip_hash == honest.block_hash
+        assert chain.reorg_count == 0
+        # The bad block and its descendant are forgotten for good.
+        assert chain.receive_block(bad) == "known"
+        assert chain.receive_block(child) == "known"
+        chain.mine_block(timestamp=3.0)
+        assert chain.height == honest.height + 1
 
     def test_evicted_transaction_reconfirms_with_same_txid(self):
         chain, coinbase = _funded_chain()

@@ -748,8 +748,12 @@ class TestTableCache:
                 if (not ecdsa.verify(public, digest, signature)
                         or ecdsa.verify(public, digest, bad)):
                     failures.append((offset, step))
-                if len(cache) > cache.size:
-                    oversize.append(len(cache))
+                # Read under the cache's lock: inside ``table`` the length
+                # is size + 1 between insert and evict, which an unlocked
+                # reader sees whenever a profiler adds switch points there.
+                with cache._lock:
+                    if len(cache) > cache.size:
+                        oversize.append(len(cache))
                 step += 1 + offset % 2
 
         interval = sys.getswitchinterval()

@@ -1,5 +1,5 @@
-"""Hashing, key handling, authenticated encryption, Shamir sharing and
-multisig — the non-ECDSA crypto substrate."""
+"""Hashing, key handling, authenticated encryption and multisig — the
+non-ECDSA crypto substrate."""
 
 import hmac
 
@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import (
     KeyPair,
     MultisigSpec,
-    combine_shares,
     decrypt,
     derive_channel_keys,
     ecdh_shared_secret,
@@ -18,12 +17,9 @@ from repro.crypto import (
     merkle_root,
     sha256,
     sha256d,
-    split_secret,
 )
 from repro.crypto.authenticated import SecureChannelKeys, nonce_from_counter
 from repro.crypto.keys import PrivateKey, PublicKey
-from repro.crypto.multisig import collect_signatures, share_indices_for_keys
-from repro.crypto.shamir import Share, reshare
 from repro.errors import DecryptionError, InvalidKey, ThresholdError
 
 
@@ -198,58 +194,6 @@ class TestAuthenticatedEncryption:
         assert decrypt(keys, envelope) == plaintext
 
 
-class TestShamir:
-    def test_roundtrip(self):
-        shares = split_secret(424242, threshold=3, total=5)
-        assert combine_shares(shares[:3], 3) == 424242
-
-    def test_any_subset_works(self):
-        shares = split_secret(99, threshold=2, total=4)
-        assert combine_shares([shares[1], shares[3]], 2) == 99
-
-    def test_too_few_shares_fail(self):
-        shares = split_secret(99, threshold=3, total=5)
-        with pytest.raises(ThresholdError):
-            combine_shares(shares[:2], 3)
-
-    def test_duplicate_index_not_counted(self):
-        shares = split_secret(99, threshold=2, total=3)
-        with pytest.raises(ThresholdError):
-            combine_shares([shares[0], shares[0]], 2)
-
-    def test_conflicting_duplicates_rejected(self):
-        shares = split_secret(99, threshold=2, total=3)
-        forged = Share(shares[0].index, (shares[0].value + 1))
-        with pytest.raises(ThresholdError):
-            combine_shares([shares[0], forged], 2)
-
-    def test_one_of_n_degenerates_to_replication(self):
-        shares = split_secret(7, threshold=1, total=3)
-        for share in shares:
-            assert combine_shares([share], 1) == 7
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ThresholdError):
-            split_secret(1, threshold=0, total=3)
-        with pytest.raises(ThresholdError):
-            split_secret(1, threshold=4, total=3)
-
-    def test_reshare(self):
-        shares = split_secret(1234, threshold=2, total=3)
-        new_shares = reshare(shares[:2], threshold=2, new_total=5)
-        assert len(new_shares) == 5
-        assert combine_shares(new_shares[3:], 2) == 1234
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**128),
-           st.integers(min_value=1, max_value=5),
-           st.integers(min_value=0, max_value=3))
-    def test_property_threshold_roundtrip(self, secret, threshold, extra):
-        total = threshold + extra
-        shares = split_secret(secret, threshold, total)
-        assert combine_shares(shares[extra:], threshold) == secret
-
-
 class TestMultisig:
     def _spec(self, m, n):
         keys = [KeyPair.from_seed(f"ms{i}".encode()) for i in range(n)]
@@ -301,34 +245,3 @@ class TestMultisig:
         assert spec.address().startswith("msig")
         spec2, _ = self._spec(2, 3)
         assert spec.address() == spec2.address()
-
-    def test_collect_signatures_success(self):
-        spec, keys = self._spec(2, 3)
-        digest = sha256(b"spend")
-        signatures = collect_signatures(
-            digest, [keys[0].private, keys[1].private], spec
-        )
-        assert spec.verify(digest, signatures)
-
-    def test_collect_signatures_under_threshold(self):
-        spec, keys = self._spec(2, 3)
-        with pytest.raises(ThresholdError):
-            collect_signatures(sha256(b"spend"), [keys[0].private], spec)
-
-    def test_cost_weight(self):
-        spec, _ = self._spec(2, 3)
-        assert spec.cost_weight() == 1.5
-
-    def test_share_indices(self):
-        spec, keys = self._spec(2, 3)
-        indices = share_indices_for_keys(
-            spec, {"first": keys[0].public, "third": keys[2].public}
-        )
-        assert indices == {"first": 1, "third": 3}
-
-    def test_share_indices_unknown_holder(self):
-        spec, _ = self._spec(2, 3)
-        with pytest.raises(ThresholdError):
-            share_indices_for_keys(
-                spec, {"evil": KeyPair.from_seed(b"evil").public}
-            )

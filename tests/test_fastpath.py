@@ -8,16 +8,19 @@ pin the protocol rules: checkpoint cadence, forced flushes, receiver-side
 validation, and which bodies may (and must) arrive signed.
 """
 
+import asyncio
 import pickle
+import time
 
 import pytest
 
 from repro import obs
-from repro.core.channel_base import replication_blob
+from repro.core.channel_base import replication_state
 from repro.core.messages import ChannelCheckpoint, Paid, SettleRequest, \
     SignedMessage
 from repro.core.persistence import restore_program_state
 from repro.errors import PaymentError, ProtocolError
+from repro.runtime.daemon import NodeDaemon
 
 
 def enable_fastpath(node, every):
@@ -191,7 +194,7 @@ class TestFastPathPersistence:
         enable_fastpath(alice, 5)
         for _ in range(7):
             alice.pay(channel, 100)
-        state = pickle.loads(replication_blob(alice.program))
+        state = pickle.loads(pickle.dumps(replication_state(alice.program)))
         assert state["fastpath"]["enabled"] is True
         assert state["fastpath"]["unsigned"][channel] == 2
         program = alice.program
@@ -207,8 +210,47 @@ class TestFastPathPersistence:
 
     def test_pre_fastpath_blob_restores_with_defaults(self, open_channel):
         network, alice, bob, channel = open_channel
-        state = pickle.loads(replication_blob(alice.program))
+        state = pickle.loads(pickle.dumps(replication_state(alice.program)))
         del state["fastpath"]
         restore_program_state(alice.program, state)
         assert alice.program.fastpath_enabled is False
         assert alice.program.checkpoint_every == 64
+
+
+@pytest.mark.live
+def test_checkpoint_timer_signs_fewer_than_k_payments():
+    """With fewer than K payments in flight only the daemon's
+    ``checkpoint_ms`` timer bounds how long they stay unsigned: two
+    in-process daemons, K=64, T=50 ms, three pays — the peer must hold a
+    signed checkpoint covering all three well within half a second."""
+    async def scenario():
+        funds = {"alice": 100_000, "bob": 100_000}
+        alice = NodeDaemon("alice", allocations=funds)
+        bob = NodeDaemon("bob", allocations=funds)
+        await alice.start()
+        await bob.start()
+        try:
+            await alice.connect("bob", bob.net.host, bob.net.port)
+            await bob.connect("alice", alice.net.host, alice.net.port)
+            channel = (await alice.open_channel("bob"))["channel_id"]
+            deposit = await alice.deposit(10_000)
+            await alice.approve_associate("bob", channel, deposit["txid"])
+            await alice._cmd_fastpath(1, checkpoint_every=64,
+                                      checkpoint_ms=50)
+            for amount in (100, 200, 300):
+                await alice.pay(channel, amount)
+            held = bob.node.program._remote_checkpoints
+            deadline = time.monotonic() + 0.5
+            while channel not in held and time.monotonic() < deadline:
+                await asyncio.sleep(0.005)
+            assert channel in held, "no checkpoint within 0.5 s"
+            checkpoint = held[channel].body
+            assert isinstance(checkpoint, ChannelCheckpoint)
+            assert (checkpoint.sequence_out, checkpoint.my_balance,
+                    checkpoint.remote_balance) == (3, 9_400, 600)
+        finally:
+            await alice.stop()
+            await bob.stop()
+
+    with obs.collecting():  # NodeDaemon installs its own registry globally
+        asyncio.run(scenario())

@@ -10,7 +10,7 @@ import pickle
 
 import pytest
 
-from repro.core.channel_base import _replication_blob
+from repro.core.channel_base import replication_state
 from repro.core.persistence import restore_program_state
 from repro.core.multihop import TeechainEnclave
 from repro.core.messages import SignedMessage
@@ -450,7 +450,7 @@ class TestRollbackAndPersistence:
 
     def test_replication_blob_round_trips_the_ledger(self, hub):
         _, alice, _, _ = hub
-        blob = _replication_blob(alice.program)
+        blob = pickle.dumps(replication_state(alice.program))
         replica = TeechainEnclave()
         restore_program_state(replica, pickle.loads(blob))
         assert replica.hub.to_state() == alice.program.hub.to_state()
@@ -459,7 +459,7 @@ class TestRollbackAndPersistence:
         """Blobs sealed before the hub existed carry no 'hub' key; the
         restored enclave starts with a fresh, conserved ledger."""
         _, alice, _, _ = hub
-        state = pickle.loads(_replication_blob(alice.program))
+        state = pickle.loads(pickle.dumps(replication_state(alice.program)))
         del state["hub"]
         replica = TeechainEnclave()
         restore_program_state(replica, state)

@@ -1,5 +1,7 @@
 """§6.2 stable storage and §3 TEE outsourcing."""
 
+import tracemalloc
+
 import pytest
 
 from repro.core.multihop import TeechainEnclave
@@ -54,10 +56,31 @@ class TestPersistence:
     def test_rollback_blob_refused(self, persistent_pair):
         network, alice, bob, channel, store = persistent_pair
         alice.pay(channel, 1_000)
+        old = store.latest_blob
         alice.pay(channel, 1_000)
         fresh = Enclave(TeechainEnclave(), seed=b"enclave:alice")
         with pytest.raises(SealingError):
-            store.restore(fresh, blob=store.history[-1])
+            store.restore(fresh, blob=old)
+
+    def test_sealing_keeps_no_old_blobs(self, persistent_pair):
+        """A --state-dir daemon seals on every payment for as long as it
+        runs, so a payment must leave nothing behind: the store keeps the
+        latest blob only (each superseded one used to stay, ~1.8 KB a
+        payment) and the in-memory transport keeps no delivered frames."""
+        network, alice, bob, channel, store = persistent_pair
+        alice._ecall("set_fastpath", True, 64)
+        for _ in range(20):  # warm the signing/verification caches
+            alice.pay(channel, 1)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for _ in range(1_000):
+                alice.pay(channel, 1)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert store.seals_written >= 1_020
+        assert after - before < 200_000
 
     def test_counter_throttle_serialises(self, persistent_pair):
         network, alice, bob, channel, store = persistent_pair

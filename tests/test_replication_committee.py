@@ -1,8 +1,11 @@
 """Algorithm 3 + §6.1: force-freeze chain replication and committee
 chains."""
 
+import pickle
+
 import pytest
 
+from repro.core.channel_base import replication_state
 from repro.core.replication import (
     CommitteeMemberProgram,
     ReplicationChain,
@@ -53,8 +56,7 @@ class TestReplication:
     def test_replayed_old_update_refused(self, committee_pair):
         network, alice, bob, channel, _ = committee_pair
         member = alice.replication.members[0]
-        from repro.core.channel_base import replication_blob
-        blob = replication_blob(alice.program)
+        blob = pickle.dumps(replication_state(alice.program))
         version = member.ecall("latest_version")
         with pytest.raises(ReplicationError):
             member.ecall("state_update", alice.replication.chain_id,

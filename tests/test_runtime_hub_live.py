@@ -139,6 +139,15 @@ def test_live_hub_thousand_accounts():
               what="channel withdrawal to reach alice")
         assert client0.balance() == balance0 - w_channel - w_chain
 
+        # A newcomer opens its account and is paid, the README's client
+        # flow; the hub keeps its fee out of what the recipient gets.
+        with HubClient(HOST, handles["hub"].control_port,
+                       seed=b"live-newcomer") as newcomer:
+            assert newcomer.open(0)["balance"] == 0
+            client0.pay(newcomer, 5)
+            assert newcomer.balance() == 5 - HUB_FEE
+        assert client0.balance() == balance0 - w_channel - w_chain - 5
+
         stats = hub.call("account-stats")["hub"]
         assert stats["withdrawn_total"] == w_channel + w_chain
         assert stats["conserved"] and stats["solvent"]
@@ -167,8 +176,8 @@ def test_live_hub_thousand_accounts():
             handle.shutdown()
 
     assert drops["protocol"] == 0
-    assert counters.get("hub.accounts") == ACCOUNTS
-    assert counters.get("hub.account_pays") == expected_pays
+    assert counters.get("hub.accounts") == ACCOUNTS + 1
+    assert counters.get("hub.account_pays") == expected_pays + 1
     assert counters.get("hub.rejected_sigs") == 1
     assert counters.get("hub.rejected_nonces") == 1
 

@@ -22,7 +22,10 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.load import LoadTarget, run_closed_loop, transport_drops
+from repro.obs import MetricsRegistry
+from repro.runtime.daemon import NodeDaemon
 from repro.runtime.launch import HOST, launch_network
 
 SPOKES = 3
@@ -132,3 +135,24 @@ def test_hub_under_concurrent_bidirectional_load():
     for name in names[1:]:
         assert balances[name] == GENESIS + NET
     assert sum(balances.values()) == len(names) * GENESIS
+
+
+@pytest.mark.live
+def test_rejected_payments_are_counted_by_code():
+    """A payment the daemon refuses is an error under its stable code and
+    the stream goes on; only a transport failure aborts a target."""
+    async def scenario():
+        daemon = NodeDaemon("alice")
+        _, control_port = await daemon.start()
+        try:
+            return await run_closed_loop(
+                [LoadTarget(HOST, control_port, "no-such-channel")], 3,
+                concurrency=1, registry=MetricsRegistry())
+        finally:
+            await daemon.stop()
+
+    with obs.collecting():  # NodeDaemon installs its own registry globally
+        report = asyncio.run(scenario())
+    assert (report.completed, report.errors) == (0, 3)
+    assert report.rejected == {"channel_state": 3}
+    assert "aborted" not in report.targets[0]

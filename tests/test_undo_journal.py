@@ -25,7 +25,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro import obs
-from repro.core.channel_base import ChannelProtocol, replication_blob
+from repro.core.channel_base import ChannelProtocol, replication_state
 from repro.core.messages import PathDescriptor, SignedMessage
 from repro.core.node import TeechainNetwork
 from repro.core.replication import ReplicationChain
@@ -143,7 +143,7 @@ def audited(monkeypatch):
         audit.push(self)
         audit.pushes += 1
         audit.deltas += not full
-        expected = canon(pickle.loads(replication_blob(self.primary.program)))
+        expected = canon(replication_state(self.primary.program))
         for member in self.members:
             assert canon(member.program.state) == expected
 
@@ -424,5 +424,5 @@ def test_after_a_failed_push_the_next_one_is_full_and_realigns_members():
     with obs.collecting() as (registry, _):
         alice.pay(channel, 1_000)
     assert registry.snapshot()["counters"]["replication.full_pushes"] == 1
-    expected = canon(pickle.loads(replication_blob(alice.program)))
+    expected = canon(replication_state(alice.program))
     assert canon(first.state) == canon(second.state) == expected
