@@ -1206,25 +1206,26 @@ def _live_channel(channel: ChannelState) -> Any:
     return DELETED if channel.terminated else channel
 
 
-# Where replication_state keeps each journalled section, and how it
-# encodes a value (None: as is).  ``settlements`` and
-# ``pending_candidate_txids`` are not replicated; candidates reach the
-# backups as txids (CANDIDATES).
+# Where replication_state keeps each journalled section, how it encodes
+# a value, and how restore_program_state decodes it back (None: as is).
+# ``settlements`` are not replicated; announced candidates reach the
+# backups, and come back on restore, as txids (CANDIDATES).
 _REPLICATED_SECTIONS = {
-    "channels": (("channels",), _live_channel),
-    "deposits": (("deposits",), None),
-    "deposit_keys": (("deposit_keys",), PrivateKey.to_bytes),
-    "approved_deposits": (("approved_deposits",), set),
-    "_pay_seq_out": (("pay_seq_out",), None),
-    "_pay_seq_in": (("pay_seq_in",), None),
-    "retired_sessions": (("retired_sessions",), set),
-    "_fastpath_unsigned": (("fastpath", "unsigned"), None),
-    "_checkpoint_index_out": (("fastpath", "index_out"), None),
-    "_checkpoint_index_in": (("fastpath", "index_in"), None),
-    "_remote_checkpoints": (("fastpath", "remote_checkpoints"), None),
-    "multihop_sessions": (("multihop_sessions",), None),
-    "hub.balances": (("hub", "balances"), None),
-    "hub.nonces": (("hub", "nonces"), None),
+    "channels": (("channels",), _live_channel, None),
+    "deposits": (("deposits",), None, None),
+    "deposit_keys": (("deposit_keys",), PrivateKey.to_bytes,
+                     PrivateKey.from_bytes),
+    "approved_deposits": (("approved_deposits",), set, set),
+    "_pay_seq_out": (("pay_seq_out",), None, None),
+    "_pay_seq_in": (("pay_seq_in",), None, None),
+    "retired_sessions": (("retired_sessions",), set, set),
+    "_fastpath_unsigned": (("fastpath", "unsigned"), None, None),
+    "_checkpoint_index_out": (("fastpath", "index_out"), None, None),
+    "_checkpoint_index_in": (("fastpath", "index_in"), None, None),
+    "_remote_checkpoints": (("fastpath", "remote_checkpoints"), None, None),
+    "multihop_sessions": (("multihop_sessions",), None, None),
+    "hub.balances": (("hub", "balances"), None, None),
+    "hub.nonces": (("hub", "nonces"), None, None),
 }
 # Scalars whose state path is not their dotted attribute name.
 _SCALAR_PATHS = {
@@ -1297,7 +1298,7 @@ def replication_state(program: "ChannelProtocol") -> Dict[str, Any]:
         layout = _REPLICATED_SECTIONS.get(section)
         if layout is None:
             continue
-        path, encode = layout
+        path, encode, _ = layout
         target = _subdict(state, path)
         for key, value in attrgetter(section)(program).items():
             if encode is not None:
@@ -1337,7 +1338,7 @@ def replication_delta(program: "ChannelProtocol") -> Optional[StateDelta]:
         layout = _REPLICATED_SECTIONS.get(section)
         if layout is None:
             continue
-        path, encode = layout
+        path, encode, _ = layout
         changes = sections[path] = {}
         for key in keys:
             value = container.get(key, DELETED)

@@ -4,10 +4,9 @@ For users who trust TEE integrity (no Byzantine failures) but want to
 survive crashes without a committee chain, Teechain seals protocol state to
 local storage after every update, binding each sealed blob to a hardware
 monotonic counter value.  On restart, the enclave unseals the latest blob
-and refuses anything whose bound counter disagrees with the hardware
-counter — defeating rollback (feeding the enclave an old blob) and state
-forking (running two enclaves from the same blob: only one can match the
-counter).
+and refuses anything bound behind the hardware counter — defeating
+rollback (feeding the enclave an old blob) and state forking (running two
+enclaves from the same blob: only one can advance the counter).
 
 The monotonic counter is the throttle: SGX counters manage ~10 increments
 per second (the paper emulates them with a 100 ms delay, and so do we via
@@ -17,12 +16,17 @@ Table 1's stable-storage row.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from functools import reduce
+from operator import attrgetter, getitem
+from typing import Any, Callable, Dict, Optional
 
-from repro.core.channel_base import ChannelProtocol, replication_state
-from repro.core.deposits import DepositRecord
-from repro.core.state import ChannelState
-from repro.crypto.keys import PrivateKey
+from repro.core.channel_base import (
+    _REPLICATED_SECTIONS,
+    CANDIDATES,
+    ChannelProtocol,
+    _scalar_path,
+    replication_state,
+)
 from repro.errors import SealingError, TEEError
 from repro.simulation.scheduler import Scheduler
 from repro.tee.enclave import Enclave
@@ -33,15 +37,10 @@ from repro.tee.sealing import SealedBlob, SealingService
 class PersistentStore:
     """Durable, rollback-protected state storage for one enclave.
 
-    Install with :meth:`attach`; every protocol state mutation then
-
-    1. increments the enclave's monotonic counter (throttled — the
-       returned completion time is recorded so benchmarks can account for
-       the 100 ms delay), and
-    2. seals the full protocol state bound to the new counter value.
-
-    :meth:`restore` rebuilds a fresh enclave's program state from the
-    latest blob, verifying the counter binding.
+    Install with :meth:`attach`; every protocol state mutation is then
+    sealed (:meth:`persist`), and :meth:`restore` rebuilds a fresh
+    enclave's program state from the latest blob.  ``write`` makes each
+    blob durable (the daemon's state directory), if given.
     """
 
     def __init__(
@@ -50,6 +49,7 @@ class PersistentStore:
         scheduler: Scheduler,
         platform_secret: bytes = b"platform",
         increment_delay: float = 0.100,
+        write: Optional[Callable[[SealedBlob], None]] = None,
     ) -> None:
         if not isinstance(enclave.program, ChannelProtocol):
             raise TEEError("persistent store requires the Teechain program")
@@ -58,6 +58,7 @@ class PersistentStore:
         self.counters = MonotonicCounterBank(increment_delay=increment_delay)
         self.counter = self.counters.create()
         self.sealing = SealingService(platform_secret, enclave.measurement)
+        self.write = write
         self.latest_blob: Optional[SealedBlob] = None
         self.seals_written = 0
         # Simulated time at which the most recent seal completed; the
@@ -75,16 +76,22 @@ class PersistentStore:
         program.replication_hook = hook
 
     def persist(self) -> None:
-        """Increment the counter and seal the current state."""
-        completion = self.counter.increment(self.scheduler.now)
-        self.last_seal_completion = completion
-        self.latest_blob = self.sealing.seal(
-            replication_state(self.enclave.program), self.counter.value)
+        """Seal the state at the counter's next value, make it durable,
+        then increment the (throttled) counter."""
+        blob = self.sealing.seal(replication_state(self.enclave.program),
+                                 self.counter.value + 1)
+        if self.write is not None:
+            self.write(blob)
+        self.last_seal_completion = self.counter.increment(self.scheduler.now)
+        self.latest_blob = blob
         self.seals_written += 1
 
     def restore(self, enclave: Enclave,
                 blob: Optional[SealedBlob] = None) -> None:
-        """Load sealed state into ``enclave``'s (fresh) program.
+        """Load sealed state into ``enclave``'s (fresh) program and commit
+        it: seal it again at the next counter value, so a blob an
+        interrupted seal left at counter + 1 (the host may hold it back)
+        is stale before the enclave releases anything (DESIGN.md §8).
 
         ``blob`` defaults to the latest; passing an older blob — the
         rollback attack — fails the counter check inside
@@ -96,55 +103,33 @@ class PersistentStore:
             raise SealingError("no sealed state to restore")
         state = self.sealing.unseal(target, counter=self.counter)
         restore_program_state(enclave.program, state)
+        self.enclave = enclave
+        self.persist()
 
 
 def restore_program_state(program: ChannelProtocol,
                           state: Dict[str, Any]) -> None:
-    """Write a replicated/sealed state snapshot into a program instance."""
-    program.channels = dict(state.get("channels", {}))
-    program.deposits = dict(state.get("deposits", {}))
-    program.deposit_keys = {
-        address: PrivateKey.from_bytes(raw)
-        for address, raw in state.get("deposit_keys", {}).items()
-    }
-    program.approved_deposits = {
-        key: set(values)
-        for key, values in state.get("approved_deposits", {}).items()
-    }
-    program._pay_seq_out = dict(state.get("pay_seq_out", {}))
-    program._pay_seq_in = dict(state.get("pay_seq_in", {}))
-    program.retired_sessions = {
-        key: set(values)
-        for key, values in state.get("retired_sessions", {}).items()
-    }
-    program.payments_sent = state.get("payments_sent", 0)
-    program.payments_received = state.get("payments_received", 0)
-    # Session-MAC fast-path bookkeeping (absent in pre-fast-path blobs:
-    # the defaults leave the fast path off with clean counters).
-    fastpath = state.get("fastpath", {})
-    program.fastpath_enabled = fastpath.get("enabled", False)
-    program.checkpoint_every = fastpath.get("checkpoint_every", 64)
-    # Settlement fee policy (absent in pre-fee blobs: default is feeless,
-    # matching what those enclaves were settling with).
-    fee_policy = state.get("fee_policy", {})
-    program.settlement_feerate = fee_policy.get("settlement_feerate", 0.0)
-    program._fastpath_unsigned = dict(fastpath.get("unsigned", {}))
-    program._checkpoint_index_out = dict(fastpath.get("index_out", {}))
-    program._checkpoint_index_in = dict(fastpath.get("index_in", {}))
-    program._remote_checkpoints = dict(fastpath.get("remote_checkpoints", {}))
-    # In-flight multi-hop sessions, when the program supports them (the
-    # full TeechainEnclave does; bare ChannelProtocol programs do not).
-    # Restoring these is what lets a recovered enclave eject payments
-    # that were mid-flight at the crash (Alg. 2 lines 60–72).
-    sessions = state.get("multihop_sessions")
-    if sessions is not None and hasattr(program, "multihop_sessions"):
-        program.multihop_sessions = dict(sessions)
-    # Account-hub ledger, when the program carries one (pre-hub blobs
-    # simply leave a fresh empty ledger in place).
-    hub_state = state.get("hub")
-    if hub_state is not None and hasattr(program, "hub"):
-        from repro.hub.ledger import AccountLedger
-
-        program.hub = AccountLedger.from_state(hub_state)
+    """Write a :func:`~repro.core.channel_base.replication_state` snapshot
+    into a program: the same layout read backwards, over the program's
+    own journalled sections and scalars."""
+    for section in program._ROLLBACK_ATTRS:
+        layout = _REPLICATED_SECTIONS.get(section)
+        if layout is None:
+            continue
+        path, _, decode = layout
+        rows = attrgetter(section)(program)
+        rows.clear()
+        for key, value in reduce(getitem, path, state).items():
+            rows[key] = value if decode is None else decode(value)
+    # Announced candidates travel as each payment's candidate set, which
+    # the sessions' own candidates are a part of.
+    program.pending_candidate_txids = {
+        payment_id: set(txids)
+        for payment_id, txids in state[CANDIDATES[0]].items()}
+    for name in program._ROLLBACK_SCALARS:
+        *parents, leaf = _scalar_path(name)
+        owner, _, attr = name.rpartition(".")
+        setattr(attrgetter(owner)(program) if owner else program, attr,
+                reduce(getitem, parents, state)[leaf])
     # Whatever a replication chain's backups held, it is not this.
     program.journal.resync()

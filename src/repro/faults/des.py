@@ -155,7 +155,6 @@ class DesFaultInjector:
         node.enclave = fresh
         node._install_validator()
         node.program.committee_provider = node._signing_chain
-        store.enclave = fresh
         store.attach()
         self.network.transport.register(node.name, node._on_message)
         del self.crashed[node.name]

@@ -90,22 +90,6 @@ class AccountLedger:
     def conserved(self) -> bool:
         return self.liabilities() == self.deposited_total - self.withdrawn_total
 
-    def to_state(self) -> Dict[str, Any]:
-        state: Dict[str, Any] = {"balances": dict(self.balances),
-                                 "nonces": dict(self.nonces)}
-        for name in self.SCALARS:
-            state[name] = getattr(self, name)
-        return state
-
-    @classmethod
-    def from_state(cls, state: Dict[str, Any]) -> "AccountLedger":
-        ledger = cls()
-        ledger.balances = dict(state.get("balances", {}))
-        ledger.nonces = dict(state.get("nonces", {}))
-        for name in cls.SCALARS:
-            setattr(ledger, name, state.get(name, 0))
-        return ledger
-
 
 class HubAccountsMixin:
     """Account-multiplexing ecalls for a channel-protocol enclave.

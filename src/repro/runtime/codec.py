@@ -4,9 +4,10 @@ The discrete-event simulator passes message payloads between endpoints as
 in-process Python objects; :func:`repro.core.messages.canonical_bytes`
 serialises them only far enough to *sign*.  This module provides the
 missing half: a lossless, self-describing binary encoding so a message
-can be decoded on the far side of a real socket — without pickle, whose
-wire format is both unversioned and an arbitrary-code-execution hazard
-when fed attacker-controlled bytes.
+can be decoded on the far side of a real socket — and, with the same
+schema, sealed enclave state and host metadata on disk.  Decoding only
+ever builds registered types, so attacker-controlled bytes cannot run
+code the way a general object serialiser would let them.
 
 Format (all integers big-endian):
 
@@ -390,7 +391,8 @@ def encoded_size(obj: Any) -> Optional[int]:
 # Wire schema — crypto and blockchain value types
 # ---------------------------------------------------------------------------
 # Tag blocks: 1–19 value types, 20–49 protocol messages (Algorithms 1–2),
-# 50–69 runtime control plane (repro.runtime.messages).  Append only.
+# 50–69 runtime control plane (repro.runtime.messages), 70–89 stable
+# storage (sealed enclave state, host metadata).  Append only.
 # Retired, never reuse: 37–41 (Alg. 3 frames nothing sent or handled —
 # replication runs over ecalls) and 56 (ChainMine, superseded by
 # ChainBlock).
@@ -472,6 +474,42 @@ def _register_schema() -> None:
 
     register_dataclass(58, routing_messages.ChannelAnnounce)
     register_dataclass(59, routing_messages.ChannelUpdate)
+
+    # What replication_state holds beyond the types above, and the blob
+    # that seals it.
+    from repro.core.deposits import DepositRecord, DepositStatus
+    from repro.core.multihop import MultihopSession
+    from repro.core.state import ChannelState, MultihopStage
+    from repro.tee.sealing import SealedBlob
+
+    def pack_items(items) -> bytes:
+        return _uvarint(len(items)) + b"".join(map(_encode_value, items))
+
+    def read_items(reader: _Reader) -> list:
+        return [_decode_value(reader) for _ in range(reader.uvarint())]
+
+    def pack_member(member) -> bytes:
+        return _encode_value(member.value)
+
+    def rebuild(kind: type, read: _Unpack) -> _Unpack:
+        def unpack(reader: _Reader) -> Any:
+            try:
+                return kind(read(reader))
+            except (TypeError, ValueError) as exc:  # unhashable, no member
+                raise CodecError(f"cannot rebuild {kind.__name__}: {exc}") \
+                    from exc
+        return unpack
+
+    register(70, set, pack_items, rebuild(set, read_items))
+    register(71, frozenset, pack_items, rebuild(frozenset, read_items))
+    register(72, MultihopStage, pack_member,
+             rebuild(MultihopStage, _decode_value))
+    register(73, DepositStatus, pack_member,
+             rebuild(DepositStatus, _decode_value))
+    register_dataclass(74, ChannelState)
+    register_dataclass(75, DepositRecord)
+    register_dataclass(76, MultihopSession)
+    register_dataclass(77, SealedBlob)
 
 
 _register_schema()

@@ -263,14 +263,15 @@ class NodeDaemon:
         self.pstore = PersistentStore(
             self.node.enclave, self.scheduler,
             platform_secret=store.platform_secret, increment_delay=0.0,
+            write=store.save_sealed,
         )
         if store.has_state:
             # Counter first (hardware survives power cycles), then the
-            # blob — unseal verifies the binding and rejects rollback.
+            # blob — unseal verifies the binding and rejects rollback, and
+            # restore commits the state at the next counter value.
             self.pstore.counter = self.pstore.counters.create(
                 initial=store.load_counter())
-            self.pstore.latest_blob = store.load_sealed()
-            self.pstore.restore(self.node.enclave)
+            self.pstore.restore(self.node.enclave, store.load_sealed())
             meta = store.load_host() or {}
             self.node.channels.update(meta.get("channels", {}))
             self._peer_addresses.update(meta.get("peer_addresses", {}))
@@ -286,11 +287,10 @@ class NodeDaemon:
                         "height=%d)", self.name, self.pstore.counter.value,
                         self.network.chain.height)
 
+        # Host metadata is saved where it changes, not per seal: it holds
+        # every block, so a save per payment grew with chain height.
         def hook(description: str) -> None:
-            pstore = self.pstore
-            pstore.persist()
-            store.save_sealed(pstore.latest_blob)
-            self._save_host_meta()
+            self.pstore.persist()
             if self.metrics.enabled:
                 self.metrics.inc("runtime.seals_written")
 

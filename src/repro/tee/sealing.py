@@ -4,9 +4,8 @@ SGX sealing encrypts enclave state under a key derived from the CPU and the
 enclave measurement, so only the same program on the same platform can
 unseal it.  Sealing alone permits *rollback*: an attacker can feed the
 enclave an old sealed blob.  Binding each blob to a monotonic-counter value
-(and refusing blobs whose counter does not match the hardware counter)
-closes that hole — the construction Teechain's stable-storage mode uses
-(§6.2).
+(and refusing blobs whose counter is behind the hardware counter) closes
+that hole — the construction Teechain's stable-storage mode uses (§6.2).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass
 from typing import Any, Optional
 import hashlib
 import hmac
-import pickle
 
 from repro.crypto.hashing import sha256
 from repro.errors import SealingError
@@ -24,40 +22,12 @@ from repro.tee.monotonic import MonotonicCounter
 
 @dataclass(frozen=True)
 class SealedBlob:
-    """Opaque sealed state: payload + counter binding + MAC."""
+    """Opaque sealed state: payload + counter binding + MAC.  On untrusted
+    disk it is a wire-codec frame; the MAC, not the framing, protects it."""
 
     payload: bytes
     counter_value: int
     mac: bytes
-
-    _WIRE_MAGIC = b"SEAL1"
-
-    def to_bytes(self) -> bytes:
-        """Flat byte encoding for storage on untrusted disk.
-
-        The blob is already integrity-protected by its MAC; this framing
-        adds nothing security-relevant, it just avoids pickling enclave
-        artefacts outside the enclave boundary."""
-        return (self._WIRE_MAGIC
-                + self.counter_value.to_bytes(8, "big")
-                + len(self.mac).to_bytes(2, "big") + self.mac
-                + self.payload)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "SealedBlob":
-        magic = cls._WIRE_MAGIC
-        if len(raw) < len(magic) + 10 or not raw.startswith(magic):
-            raise SealingError("not a serialised sealed blob")
-        offset = len(magic)
-        counter_value = int.from_bytes(raw[offset:offset + 8], "big")
-        offset += 8
-        mac_len = int.from_bytes(raw[offset:offset + 2], "big")
-        offset += 2
-        mac = raw[offset:offset + mac_len]
-        if len(mac) != mac_len:
-            raise SealingError("truncated sealed blob")
-        return cls(payload=raw[offset + mac_len:],
-                   counter_value=counter_value, mac=mac)
 
 
 class SealingService:
@@ -76,29 +46,31 @@ class SealingService:
         return hmac.new(self._key, message, hashlib.sha256).digest()
 
     def seal(self, state: Any, counter_value: int) -> SealedBlob:
-        """Seal ``state`` (any picklable object) bound to a counter value.
+        """Seal ``state`` (any wire-codec value) bound to a counter value."""
+        # Imported here: the codec's schema imports this module.
+        from repro.runtime import codec
 
-        Pickle is safe here because blobs are only ever unsealed after MAC
-        verification under an enclave-held key — an attacker cannot craft a
-        blob that passes the MAC.
-        """
-        payload = pickle.dumps(state)
+        payload = codec.encode(state)
         return SealedBlob(payload, counter_value, self._mac(payload, counter_value))
 
     def unseal(self, blob: SealedBlob,
                counter: Optional[MonotonicCounter] = None) -> Any:
         """Verify and open a sealed blob.
 
-        If ``counter`` is given, the blob's bound value must equal the
-        hardware counter's current value — a stale (rolled-back) blob fails
-        here even though its MAC is genuine.
+        If ``counter`` is given, the blob must be bound to the hardware
+        counter's value or the next one (a crash after the blob was stored
+        but before the counter moved); any other blob is stale (rolled
+        back) even though its MAC is genuine.
         """
+        from repro.runtime import codec
+
         expected = self._mac(blob.payload, blob.counter_value)
         if not hmac.compare_digest(blob.mac, expected):
             raise SealingError("sealed blob failed integrity check")
-        if counter is not None and blob.counter_value != counter.value:
+        if counter is not None and \
+                blob.counter_value - counter.value not in (0, 1):
             raise SealingError(
                 f"rollback detected: blob bound to counter value "
                 f"{blob.counter_value}, hardware counter is {counter.value}"
             )
-        return pickle.loads(blob.payload)
+        return codec.decode(blob.payload)

@@ -9,7 +9,6 @@ validation, and which bodies may (and must) arrive signed.
 """
 
 import asyncio
-import pickle
 import time
 
 import pytest
@@ -20,6 +19,7 @@ from repro.core.messages import ChannelCheckpoint, Paid, SettleRequest, \
     SignedMessage
 from repro.core.persistence import restore_program_state
 from repro.errors import PaymentError, ProtocolError
+from repro.runtime import codec
 from repro.runtime.daemon import NodeDaemon
 
 
@@ -194,7 +194,7 @@ class TestFastPathPersistence:
         enable_fastpath(alice, 5)
         for _ in range(7):
             alice.pay(channel, 100)
-        state = pickle.loads(pickle.dumps(replication_state(alice.program)))
+        state = codec.decode(codec.encode(replication_state(alice.program)))
         assert state["fastpath"]["enabled"] is True
         assert state["fastpath"]["unsigned"][channel] == 2
         program = alice.program
@@ -207,14 +207,6 @@ class TestFastPathPersistence:
         assert program.checkpoint_every == 5
         assert program._fastpath_unsigned[channel] == 2
         assert program._checkpoint_index_out[channel] == 1
-
-    def test_pre_fastpath_blob_restores_with_defaults(self, open_channel):
-        network, alice, bob, channel = open_channel
-        state = pickle.loads(pickle.dumps(replication_state(alice.program)))
-        del state["fastpath"]
-        restore_program_state(alice.program, state)
-        assert alice.program.fastpath_enabled is False
-        assert alice.program.checkpoint_every == 64
 
 
 @pytest.mark.live

@@ -6,8 +6,6 @@ Companion to ``tests/test_security_attacks.py::TestHubAccountAttacks``
 state-machine edges.
 """
 
-import pickle
-
 import pytest
 
 from repro.core.channel_base import replication_state
@@ -64,26 +62,6 @@ class TestAccountLedger:
         assert ledger.conserved()
         ledger.balances[b"a"] += 1  # tamper
         assert not ledger.conserved()
-
-    def test_state_round_trip(self):
-        ledger = AccountLedger()
-        ledger.balances = {b"a": 7}
-        ledger.nonces = {b"a": 3}
-        ledger.fee_per_pay = 2
-        ledger.fee_bucket = 4
-        ledger.deposited_total = 11
-        ledger.withdrawn_total = 4
-        ledger.pays = 2
-        restored = AccountLedger.from_state(ledger.to_state())
-        assert restored.to_state() == ledger.to_state()
-
-    def test_state_defaults_for_older_blobs(self):
-        """A blob sealed before a field existed restores to defaults."""
-        restored = AccountLedger.from_state({"balances": {b"a": 7}})
-        assert restored.balances == {b"a": 7}
-        assert restored.nonces == {}
-        assert restored.fee_per_pay == 0
-        assert restored.conserved() is False  # 7 owed, nothing deposited
 
 
 class TestCodecRegistration:
@@ -450,21 +428,12 @@ class TestRollbackAndPersistence:
 
     def test_replication_blob_round_trips_the_ledger(self, hub):
         _, alice, _, _ = hub
-        blob = pickle.dumps(replication_state(alice.program))
+        blob = codec.encode(replication_state(alice.program))
         replica = TeechainEnclave()
-        restore_program_state(replica, pickle.loads(blob))
-        assert replica.hub.to_state() == alice.program.hub.to_state()
-
-    def test_pre_hub_blob_restores_empty_ledger(self, hub):
-        """Blobs sealed before the hub existed carry no 'hub' key; the
-        restored enclave starts with a fresh, conserved ledger."""
-        _, alice, _, _ = hub
-        state = pickle.loads(pickle.dumps(replication_state(alice.program)))
-        del state["hub"]
-        replica = TeechainEnclave()
-        restore_program_state(replica, state)
-        assert replica.hub.balances == {}
-        assert replica.hub.conserved()
+        restore_program_state(replica, codec.decode(blob))
+        assert replication_state(replica)["hub"] \
+            == replication_state(alice.program)["hub"]
+        assert replica.hub.balances and replica.hub.conserved()
 
 
 class TestShardRouting:

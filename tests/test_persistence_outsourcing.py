@@ -4,9 +4,12 @@ import tracemalloc
 
 import pytest
 
+from repro.blockchain.script import LockingScript
+from repro.core.deposits import DepositRecord
 from repro.core.multihop import TeechainEnclave
 from repro.core.outsourcing import OutsourcedUser, OutsourcingGateway
 from repro.core.persistence import PersistentStore
+from repro.crypto.multisig import MultisigSpec
 from repro.errors import (
     AttestationError,
     MessageAuthenticationError,
@@ -192,40 +195,7 @@ class TestOutsourcing:
     def test_full_channel_lifecycle_outsourced(self, network):
         """Dave (no TEE) runs a channel on the operator's enclave against
         a regular node, settling to his *own* address."""
-        operator_host = network.create_node("operator", funds=0)
-        bob = network.create_node("bob", funds=100_000)
-        gateway = Enclave(OutsourcingGateway(), name="dave-gateway",
-                          seed=b"dave-gw")
-        user = OutsourcedUser("dave")
-        user.attest(gateway, network.attestation)
-
-        # Host-side wiring for the gateway enclave (the operator's job).
-        from repro.network.secure_channel import establish_secure_channel
-        ours, theirs = establish_secure_channel(
-            gateway, bob.enclave, network.attestation,
-            # The gateway expects a Teechain peer; bob expects a gateway.
-            expected_measurement_a=TeechainEnclave.measurement(),
-            expected_measurement_b=OutsourcingGateway.measurement(),
-        )
-        network.transport.register(
-            "dave-gateway",
-            lambda m: (gateway.ecall("handle_envelope", m.sender, m.payload),
-                       _pump(network, gateway, "dave-gateway")))
-        gateway.ecall("install_secure_channel", ours, "bob")
-        bob._ecall("install_secure_channel", theirs, "dave-gateway")
-        # The operator's host wires the gateway's blockchain validator.
-        gateway.program.deposit_validator = (
-            lambda outpoint, depth:
-            network.chain.confirmations(outpoint.txid) >= depth)
-
-        # Both sides create the channel before either acknowledgement is
-        # pumped (same ordering the node layer uses).
-        user.command("new_pay_channel", "dave-bob",
-                     bob.enclave.public_key, bob.address, user.address)
-        bob.enclave.ecall("new_pay_channel", "dave-bob",
-                          gateway.public_key, user.address, bob.address)
-        bob._pump()
-        _pump(network, gateway, "dave-gateway")
+        gateway, user, bob = _outsourced_channel(network)
 
         # Fund via bob's side for brevity: bob deposits and pays dave.
         record = bob.create_deposit(20_000)
@@ -242,6 +212,68 @@ class TestOutsourcing:
         network.mine()
         # Dave's 6,000 landed at DAVE's address, not the operator's.
         assert network.chain.balance(user.address) == 6_000
+
+    def test_user_registers_and_associates_own_deposit(self, network):
+        """Fails before DepositRecord had a wire form: the user's
+        ``register_deposit`` command could not even be encoded
+        (CodecError at the sender)."""
+        gateway, user, bob = _outsourced_channel(network)
+        _address, public = user.command("new_deposit_address")
+        spec = MultisigSpec(1, (public,))
+        funding = network.chain.mint(LockingScript.pay_to_multisig(spec),
+                                     20_000)
+        network.mine()
+        record = DepositRecord(outpoint=funding.outpoint(0), value=20_000,
+                               spec=spec)
+        user.command("register_deposit", record)
+        user.command("approve_my_deposit", bob.enclave.public_key,
+                     record.outpoint)
+        _pump(network, gateway, "dave-gateway")
+        user.command("associate_deposit", "dave-bob", record.outpoint)
+        _pump(network, gateway, "dave-gateway")
+        assert user.command("channel_snapshot", "dave-bob")["my_balance"] \
+            == 20_000
+        assert bob.channel_balance("dave-bob") == (0, 20_000)
+
+
+def _outsourced_channel(network):
+    """Dave attests a gateway enclave the operator hosts and opens
+    channel ``dave-bob`` on it with a regular node, bob."""
+    network.create_node("operator", funds=0)
+    bob = network.create_node("bob", funds=100_000)
+    gateway = Enclave(OutsourcingGateway(), name="dave-gateway",
+                      seed=b"dave-gw")
+    user = OutsourcedUser("dave")
+    user.attest(gateway, network.attestation)
+
+    # Host-side wiring for the gateway enclave (the operator's job).
+    from repro.network.secure_channel import establish_secure_channel
+    ours, theirs = establish_secure_channel(
+        gateway, bob.enclave, network.attestation,
+        # The gateway expects a Teechain peer; bob expects a gateway.
+        expected_measurement_a=TeechainEnclave.measurement(),
+        expected_measurement_b=OutsourcingGateway.measurement(),
+    )
+    network.transport.register(
+        "dave-gateway",
+        lambda m: (gateway.ecall("handle_envelope", m.sender, m.payload),
+                   _pump(network, gateway, "dave-gateway")))
+    gateway.ecall("install_secure_channel", ours, "bob")
+    bob._ecall("install_secure_channel", theirs, "dave-gateway")
+    # The operator's host wires the gateway's blockchain validator.
+    gateway.program.deposit_validator = (
+        lambda outpoint, depth:
+        network.chain.confirmations(outpoint.txid) >= depth)
+
+    # Both sides create the channel before either acknowledgement is
+    # pumped (same ordering the node layer uses).
+    user.command("new_pay_channel", "dave-bob",
+                 bob.enclave.public_key, bob.address, user.address)
+    bob.enclave.ecall("new_pay_channel", "dave-bob",
+                      gateway.public_key, user.address, bob.address)
+    bob._pump()
+    _pump(network, gateway, "dave-gateway")
+    return gateway, user, bob
 
 
 def _pump(network, enclave, name):

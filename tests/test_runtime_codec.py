@@ -22,6 +22,8 @@ from repro.blockchain.transaction import (
     TxOutput,
 )
 from repro.core import messages as m
+from repro.core.deposits import DepositRecord, DepositStatus
+from repro.core.state import MultihopStage
 from repro.crypto.ecdsa import Signature
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.crypto.multisig import MultisigSpec
@@ -87,6 +89,15 @@ quotes = st.builds(
     signature=signatures,
 )
 
+deposit_records = st.builds(
+    DepositRecord, outpoint=outpoints, value=st.integers(1, 2**48),
+    spec=multisig_specs, status=st.sampled_from(DepositStatus),
+    channel_id=st.one_of(st.none(), st.text(max_size=8)),
+    committee=st.lists(st.text(max_size=8), max_size=3).map(tuple),
+    multisig_address=st.one_of(st.none(), addresses),
+    fee=st.integers(0, 2**20),
+)
+
 _LEAVES = {
     int: st.integers(-(2**62), 2**62),
     bool: st.booleans(),
@@ -103,6 +114,11 @@ _LEAVES = {
     TxInput: tx_inputs,
     Transaction: transactions,
     Quote: quotes,
+    set: st.sets(outpoints, max_size=3),
+    frozenset: st.frozensets(txids, max_size=3),
+    MultihopStage: st.sampled_from(MultihopStage),
+    DepositStatus: st.sampled_from(DepositStatus),
+    DepositRecord: deposit_records,
 }
 
 
@@ -115,6 +131,11 @@ def _strategy_for(hint):
         if len(args) == 2 and args[1] is Ellipsis:
             return st.lists(_strategy_for(args[0]), max_size=3).map(tuple)
         return st.tuples(*(_strategy_for(arg) for arg in args))
+    if origin is set:
+        return st.sets(_strategy_for(args[0]), max_size=3)
+    if origin is dict:
+        return st.dictionaries(_strategy_for(args[0]),
+                               _strategy_for(args[1]), max_size=2)
     if origin is typing.Union:
         options = [st.none() if arg is type(None) else _strategy_for(arg)
                    for arg in args]
@@ -217,6 +238,20 @@ class TestCodecFraming:
                  + codec._uvarint(tag) + codec._uvarint(len(fields))
                  + b"".join(codec._encode_value(value) for value in fields))
         with pytest.raises(codec.CodecError, match="unknown wire tag"):
+            codec.decode(frame)
+
+    @pytest.mark.parametrize("tag, body", [
+        # A set holding a list, a frozenset holding a dict: unhashable.
+        (70, codec._uvarint(1) + codec._encode_value([1])),
+        (71, codec._uvarint(1) + codec._encode_value({"k": 1})),
+        # No such MultihopStage, no such DepositStatus.
+        (72, codec._encode_value("no-such-stage")),
+        (73, codec._encode_value(7)),
+    ])
+    def test_storage_tags_refuse_what_they_cannot_rebuild(self, tag, body):
+        frame = (codec.MAGIC + bytes([codec.VERSION, 0x00, 0x10])
+                 + codec._uvarint(tag) + body)
+        with pytest.raises(codec.CodecError, match="cannot rebuild"):
             codec.decode(frame)
 
     def test_unencodable_object_raises(self):
