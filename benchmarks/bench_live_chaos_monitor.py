@@ -10,8 +10,8 @@ every daemon's ``audit-snapshot`` on a 200 ms interval, feeding the
 
 What the run must prove (DESIGN.md §14):
 
-* **No CRITICAL, ever.**  Conservation, hub solvency and the fast-path
-  K-bound hold on every sweep — through the faults, through settlement.
+* **No CRITICAL, ever.**  Conservation and hub solvency hold on every
+  sweep — through the faults, through settlement.
   A CRITICAL that later "heals" still fails the run.
 * **Transient WARNs fire and clear.**  Each sever is observable — the
   severing daemon's ``reconnects`` counter bumps, so the auditor raises

@@ -7,10 +7,11 @@ rebalancing, and off-chain or on-chain settlement.  Method docstrings cite
 the algorithm lines they implement.
 
 Messages arrive through :meth:`handle_envelope`, sealed under the attested
-secure channel (confidentiality, peer authentication, freshness); identity
-signatures are kept for artefacts a third party may verify (DESIGN.md
-§11).  Every guard in the paper's pseudo-code is an explicit check raising
-a :class:`~repro.errors.ProtocolError` subclass.
+secure channel (confidentiality, peer authentication, freshness), and
+carry no identity signature: signatures belong to the settlements a
+third party verifies (DESIGN.md §11).  Every guard in the paper's
+pseudo-code is an explicit check raising a
+:class:`~repro.errors.ProtocolError` subclass.
 """
 
 from __future__ import annotations
@@ -26,14 +27,12 @@ from repro.core.messages import (
     ApproveMyDeposit,
     ApprovedDeposit,
     AssociatedDeposit,
-    ChannelCheckpoint,
     DissociateDeposit,
     DissociateDepositAck,
     NewChannelAck,
     Paid,
     SettleNotify,
     SettleRequest,
-    SignedMessage,
 )
 from repro.core.settlement import (
     SigningProvider,
@@ -63,13 +62,6 @@ logger = logging.getLogger(__name__)
 DepositValidator = Callable[[OutPoint, int], bool]
 
 
-# Signature policy of an inbound message type.  Identity signatures are
-# for artefacts a third party may be shown: a checkpoint exists to carry
-# one, a Paid is signed when the sender's fast path is off, and everything
-# else is authenticated by the secure channel alone (DESIGN.md §11).
-NEVER, ALLOWED, REQUIRED = "never", "allowed", "required"
-
-
 class Inbound(NamedTuple):
     """One ``_HANDLERS`` row, the whole declaration of an inbound message
     type — the paper's "on receive m from K_remote" and, in Alg. 2,
@@ -80,7 +72,6 @@ class Inbound(NamedTuple):
     rule: Callable   # who may send it: one of the three functions below
     error: type      # the ProtocolError subclass a reject raises
     names: Callable = attrgetter("channel_id")  # the channel / payment named
-    signature: str = NEVER
     # path_neighbour rows (repro.core.multihop): the session stage the
     # message is valid in; whether it travels 1→n, sent by the in-channel
     # peer, or (the default) n→1, sent by the out-channel peer; whether
@@ -191,27 +182,12 @@ class ChannelProtocol(EnclaveProgram):
         # only co-sign transactions in their replicated valid set, so the
         # pre/post/τ candidates must be replicated ahead of signing.
         self.pending_candidate_txids: Dict[str, Set[str]] = {}
-        # Fast path, the checkpoint cadence for Paid: off, every Paid is
-        # sent signed; on, a Paid travels bare like any other message and
-        # the identity signature over the channel state is deferred into
-        # a ChannelCheckpoint every ``checkpoint_every`` payments (and
-        # forced before any reconfiguration — see _flush_checkpoint).
-        self.fastpath_enabled = False
-        self.checkpoint_every = 64
         # On-chain fee policy: value per vsize byte charged against the
         # payouts of every settlement this enclave constructs.  Both
         # endpoints of a channel must run the same policy or their
         # settlement txids (and PoPT candidates) diverge; the default 0.0
         # keeps all txids identical to the feeless protocol.
         self.settlement_feerate = 0.0
-        # Per channel: MAC-only payments sent since the last checkpoint.
-        self._fastpath_unsigned: Dict[str, int] = {}
-        # Per channel: checkpoint counters (ours sent / theirs accepted).
-        self._checkpoint_index_out: Dict[str, int] = {}
-        self._checkpoint_index_in: Dict[str, int] = {}
-        # Latest verified remote checkpoint per channel, signature included
-        # (dispute evidence anyone holding the peer's key can check).
-        self._remote_checkpoints: Dict[str, SignedMessage] = {}
         # Audit-snapshot ordering counter; not protocol state, so not in
         # _ROLLBACK_ATTRS — a rolled-back ecall still consumed a seq.
         self._audit_seq = 0
@@ -258,17 +234,12 @@ class ChannelProtocol(EnclaveProgram):
         "channels", "deposits", "deposit_keys", "approved_deposits",
         "_pay_seq_out", "_pay_seq_in", "settlements",
         "pending_candidate_txids", "retired_sessions",
-        "_fastpath_unsigned", "_checkpoint_index_out",
-        "_checkpoint_index_in", "_remote_checkpoints",
     )
     _ROLLBACK_SCALARS = (
         "payments_sent", "payments_received", "settlement_feerate",
-        "fastpath_enabled", "checkpoint_every",
     )
     _CHANNEL_SECTIONS = (
         "channels", "_pay_seq_out", "_pay_seq_in", "settlements",
-        "_fastpath_unsigned", "_checkpoint_index_out",
-        "_checkpoint_index_in", "_remote_checkpoints",
     )
 
     def _touch_channel(self, channel_id: str) -> None:
@@ -335,19 +306,14 @@ class ChannelProtocol(EnclaveProgram):
 
         The channel's encrypt-then-MAC (session keys from the attested
         handshake) and replay counters authenticate the sending *enclave*
-        to its peer, the only party that ever sees the frame.  A
-        signature belongs to an artefact a third party may be shown, not
-        to the envelope: callers ``_signed``-wrap those bodies."""
+        to its peer, the only party that ever sees the frame, so no body
+        carries a signature."""
         secure = self._secure_channel_for(remote_key)
         envelope = secure.seal_message(body)
-        if not isinstance(body, SignedMessage):
-            metrics = get_metrics()
-            if metrics.enabled:
-                metrics.inc("crypto.mac_fastpath")
+        metrics = get_metrics()
+        if metrics.enabled:
+            metrics.inc("crypto.mac_fastpath")
         self.send(self.peer_names[remote_key.to_bytes()], envelope)
-
-    def _signed(self, body: Any) -> SignedMessage:
-        return SignedMessage.create(body, self.identity.private)
 
     # ------------------------------------------------------------------
     # Secure network channels (Alg. 1 line 15)
@@ -596,7 +562,9 @@ class ChannelProtocol(EnclaveProgram):
         channel = self._channel(channel_id)
         channel.require_open()  # line 65
         channel.require_stage(MultihopStage.IDLE)
-        self._flush_checkpoint(channel_id)
+        # Resolved before anything moves: a peer not handshaken since a
+        # restore refuses the ecall, not the frame after the credit.
+        secure = self._secure_channel_for(channel.remote_key)
         key_bytes = channel.remote_key.to_bytes()
         if outpoint not in self.approved_deposits.get(key_bytes, set()):
             raise DepositError(
@@ -612,7 +580,6 @@ class ChannelProtocol(EnclaveProgram):
         if record.spec.threshold == 1 and record.spec.total == 1:
             deposit_address = record.spec.public_keys[0].address()
             private = self.deposit_keys[deposit_address]
-            secure = self._secure_channel_for(channel.remote_key)
             # Line 72: the key crosses the wire only under the secure
             # channel's encryption.
             encrypted_key = secure.seal_blob(
@@ -695,7 +662,6 @@ class ChannelProtocol(EnclaveProgram):
         channel = self._channel(channel_id)
         channel.require_open()
         channel.require_stage(MultihopStage.IDLE)
-        self._flush_checkpoint(channel_id)
         if outpoint not in channel.my_deposits:
             raise DepositError(
                 f"deposit {outpoint} is not ours in channel {channel_id!r}"  # 91
@@ -761,7 +727,8 @@ class ChannelProtocol(EnclaveProgram):
     # ------------------------------------------------------------------
 
     def pay(self, channel_id: str, amount: int, batch_count: int = 1) -> None:
-        """``pay`` (line 82): single-message payment to the channel peer."""
+        """``pay`` (line 82): single-message payment to the channel peer —
+        one bare ``Paid`` under the secure channel, signed by nobody."""
         if amount <= 0:
             raise PaymentError(f"payment amount must be positive, got {amount}")
         channel = self._channel(channel_id)
@@ -771,48 +738,29 @@ class ChannelProtocol(EnclaveProgram):
             raise PaymentError(
                 f"balance {channel.my_balance} < payment {amount}"  # line 83
             )
+        # A debit the Paid cannot follow would strand the money and put
+        # every later Paid out of sequence at the peer.
+        self._secure_channel_for(channel.remote_key)
         channel.my_balance -= amount  # line 84
         channel.remote_balance += amount  # line 85
         self._pay_seq_out[channel_id] += 1
         self.payments_sent += batch_count
         self._replicated(f"pay:{channel_id}:{amount}")
-        message = Paid(channel_id=channel_id, amount=amount,
-                       sequence=self._pay_seq_out[channel_id],
-                       batch_count=batch_count)  # line 86
-        if not self.fastpath_enabled:
-            # K = 1: the checkpoint is fused into the payment frame.
-            self._send(channel.remote_key, self._signed(message))
-            return
-        self._send(channel.remote_key, message)
-        self._fastpath_unsigned[channel_id] = (
-            self._fastpath_unsigned.get(channel_id, 0) + 1)
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc("crypto.sign_deferred")
-        if self._fastpath_unsigned[channel_id] >= self.checkpoint_every:
-            self.checkpoint(channel_id)
-
-    # ------------------------------------------------------------------
-    # Fast-path configuration and deferred checkpoints
-    # ------------------------------------------------------------------
+        self._send(channel.remote_key,
+                   Paid(channel_id=channel_id, amount=amount,
+                        sequence=self._pay_seq_out[channel_id],
+                        batch_count=batch_count))  # line 86
 
     def set_fastpath(self, enabled: bool,
                      checkpoint_every: Optional[int] = None) -> Dict[str, Any]:
-        """Configure the session-MAC fast path.
-
-        Disabling flushes every channel's pending checkpoint first, so no
-        MAC-only payment is ever left without a covering signature once
-        the fast path is off."""
-        if checkpoint_every is not None:
-            if checkpoint_every < 1:
-                raise PaymentError(
-                    f"checkpoint_every must be >= 1, got {checkpoint_every}")
-            self.checkpoint_every = checkpoint_every
-        if not enabled and self.fastpath_enabled:
-            self.checkpoint_all()
-        self.fastpath_enabled = bool(enabled)
-        return {"enabled": self.fastpath_enabled,
-                "checkpoint_every": self.checkpoint_every}
+        """Accepts the retired fast-path switch and does nothing: every
+        ``Paid`` travels bare.  Only ``perf/layers.py`` still calls it;
+        the yardstick change (ROADMAP item 1) drops that call and the
+        change after it deletes this stub."""
+        if not enabled:
+            raise PaymentError("signed payments were removed; every Paid "
+                               "travels bare under the secure channel")
+        return {"enabled": True}
 
     def set_fee_policy(self, feerate: float) -> Dict[str, Any]:
         """Configure the on-chain settlement fee policy.
@@ -828,97 +776,6 @@ class ChannelProtocol(EnclaveProgram):
         self.settlement_feerate = float(feerate)
         self._replicated(f"fee_policy:{feerate}")
         return {"settlement_feerate": self.settlement_feerate}
-
-    def checkpoint(self, channel_id: str) -> bool:
-        """Emit the deferred state signature for one channel.
-
-        Sends a signed :class:`ChannelCheckpoint` covering every MAC-only
-        payment since the previous checkpoint.  No-op (returns False) when
-        nothing is pending."""
-        channel = self._channel(channel_id)
-        if self._fastpath_unsigned.get(channel_id, 0) == 0:
-            return False
-        self._fastpath_unsigned[channel_id] = 0
-        index = self._checkpoint_index_out.get(channel_id, 0) + 1
-        self._checkpoint_index_out[channel_id] = index
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc("crypto.checkpoints_sent")
-        self._replicated(f"checkpoint:{channel_id}:{index}")
-        self._send(
-            channel.remote_key,
-            self._signed(ChannelCheckpoint(
-                channel_id=channel_id,
-                index=index,
-                sequence_out=self._pay_seq_out.get(channel_id, 0),
-                sequence_in=self._pay_seq_in.get(channel_id, 0),
-                my_balance=channel.my_balance,
-                remote_balance=channel.remote_balance,
-            )),
-        )
-        return True
-
-    def checkpoint_all(self) -> int:
-        """Flush pending checkpoints on every channel; returns the count
-        flushed (the daemon's T-ms checkpoint timer calls this)."""
-        flushed = 0
-        for channel_id, pending in list(self._fastpath_unsigned.items()):
-            if pending and channel_id in self.channels \
-                    and not self.channels[channel_id].terminated:
-                if self.checkpoint(channel_id):
-                    flushed += 1
-        return flushed
-
-    def _flush_checkpoint(self, channel_id: str) -> None:
-        """Force the deferred signature out before any operation that
-        settles, reconfigures, or locks the channel — afterwards every
-        payment that influenced the balances is signature-covered."""
-        if self._fastpath_unsigned.get(channel_id, 0):
-            self.checkpoint(channel_id)
-
-    def _on_channel_checkpoint(self, channel: ChannelState,
-                               signed: SignedMessage) -> None:
-        """Validate and record the peer's signed balance commitment
-        (``handle_envelope`` has verified the signature).
-
-        Per-direction FIFO delivery means every payment the checkpoint
-        covers arrived before it, so the sender's ``sequence_out`` must
-        equal our inbound sequence exactly.  ``sequence_in`` (their view
-        of *our* payments) may lag ours — payments of ours may still be
-        in flight toward them — but can never exceed it.  Balances are
-        compared only when both directions are quiescent; with traffic in
-        flight the views legitimately differ by the in-flight amounts.
-
-        It is kept *with* its signature: dispute evidence must verify
-        for someone holding nothing but the peer's public key."""
-        checkpoint: ChannelCheckpoint = signed.body
-        channel.require_open()
-        cid = checkpoint.channel_id
-        expected_index = self._checkpoint_index_in.get(cid, 0) + 1
-        if checkpoint.index != expected_index:
-            raise ProtocolError(
-                f"checkpoint index {checkpoint.index}, expected "
-                f"{expected_index}")
-        if checkpoint.sequence_out != self._pay_seq_in.get(cid, 0):
-            raise PaymentError(
-                f"checkpoint covers sequence {checkpoint.sequence_out} but "
-                f"{self._pay_seq_in.get(cid, 0)} payments arrived")
-        if checkpoint.sequence_in > self._pay_seq_out.get(cid, 0):
-            raise PaymentError(
-                "checkpoint claims payments we never sent")
-        quiescent = checkpoint.sequence_in == self._pay_seq_out.get(cid, 0)
-        if quiescent and (checkpoint.my_balance != channel.remote_balance
-                          or checkpoint.remote_balance != channel.my_balance):
-            raise PaymentError(
-                f"checkpoint balances ({checkpoint.my_balance}, "
-                f"{checkpoint.remote_balance}) disagree with local view "
-                f"({channel.remote_balance}, {channel.my_balance})")
-        self._checkpoint_index_in[cid] = checkpoint.index
-        self._remote_checkpoints[cid] = signed
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc("crypto.checkpoints_accepted")
-        self._replicated(f"checkpoint_in:{cid}:{checkpoint.index}")
 
     def _on_paid(self, channel: ChannelState, payment: Paid) -> None:
         """Line 87: credit an incoming payment."""
@@ -958,7 +815,6 @@ class ChannelProtocol(EnclaveProgram):
         channel = self._channel(channel_id)
         channel.require_open()
         channel.require_stage(MultihopStage.IDLE)
-        self._flush_checkpoint(channel_id)
         if channel.is_neutral(self._deposit_value):  # line 106
             channel.settling_offchain = True
             for outpoint in sorted(channel.my_deposits):
@@ -988,7 +844,6 @@ class ChannelProtocol(EnclaveProgram):
             raise SettlementError(
                 "channel is locked in a multi-hop payment; use eject"
             )
-        self._flush_checkpoint(channel_id)
         transaction = build_channel_settlement(
             channel,
             deposits_of=self.deposits,
@@ -1072,10 +927,10 @@ class ChannelProtocol(EnclaveProgram):
         applied: per-channel balances (terminated channels included —
         their zeroed totals let the fleet-wide min-endpoint sum settle
         correctly while the peer still reports the pre-settle state),
-        free-deposit value, fast-path debt, the pending replication
-        outbox, and the hub ledger summary when one is mounted.  The
-        ``seq`` counter is bookkeeping outside the rollback set: it
-        orders snapshots, it is not protocol state."""
+        free-deposit value, the pending replication outbox, and the hub
+        ledger summary when one is mounted.  The ``seq`` counter is
+        bookkeeping outside the rollback set: it orders snapshots, it is
+        not protocol state."""
         self._audit_seq += 1
         channels: Dict[str, Any] = {}
         for cid, channel in self.channels.items():
@@ -1086,7 +941,6 @@ class ChannelProtocol(EnclaveProgram):
                 "remote_balance": channel.remote_balance,
                 "total": channel.my_balance + channel.remote_balance,
                 "locked_amount": channel.locked_amount,
-                "fastpath_unsigned": self._fastpath_unsigned.get(cid, 0),
             }
         snapshot: Dict[str, Any] = {
             "seq": self._audit_seq,
@@ -1098,11 +952,6 @@ class ChannelProtocol(EnclaveProgram):
             "payments_sent": self.payments_sent,
             "payments_received": self.payments_received,
             "outbox_pending": len(self._outbox),
-            "fastpath": {
-                "enabled": self.fastpath_enabled,
-                "checkpoint_every": self.checkpoint_every,
-                "unsigned_total": sum(self._fastpath_unsigned.values()),
-            },
         }
         # Account hub (repro.hub), when mixed in: its stats carry the
         # local conservation/solvency verdicts computed in this same
@@ -1128,11 +977,7 @@ class ChannelProtocol(EnclaveProgram):
             "_on_dissociate_deposit", channel_peer, DepositError),
         DissociateDepositAck: Inbound(
             "_on_dissociate_ack", channel_peer, DepositError),
-        Paid: Inbound(
-            "_on_paid", channel_peer, PaymentError, signature=ALLOWED),
-        ChannelCheckpoint: Inbound(
-            "_on_channel_checkpoint", channel_peer, PaymentError,
-            signature=REQUIRED),
+        Paid: Inbound("_on_paid", channel_peer, PaymentError),
         SettleRequest: Inbound(
             "_on_settle_request", channel_peer, SettlementError),
         SettleNotify: Inbound(
@@ -1143,32 +988,20 @@ class ChannelProtocol(EnclaveProgram):
         """Entry point for all incoming protocol traffic: open the sealed
         envelope (authenticity + freshness), enforce the message type's
         ``_HANDLERS`` row, and dispatch.  The sender is the channel's
-        pinned, attested identity key — never a field of the message —
-        and a signed artefact must verify under that same key."""
+        pinned, attested identity key — never a field of the message.  No
+        row takes a signature-wrapped body: one is refused unread."""
         remote_key = self._peer_key_by_name.get(peer_name)
         if remote_key is None:
             raise ChannelStateError(f"no secure channel with peer {peer_name!r}")
         secure = self.secure_channels[remote_key]
-        payload = secure.open_message(envelope)
-        signed = isinstance(payload, SignedMessage)
-        body = payload.body if signed else payload
+        body = secure.open_message(envelope)
         row = self._HANDLERS.get(type(body))
         if row is None:
             raise ProtocolError(
                 f"no handler for message type {type(body).__name__}")
-        if row.signature == (NEVER if signed else REQUIRED):
-            raise ProtocolError(
-                f"{type(body).__name__} arrived "
-                f"{'signed' if signed else 'bare'}: its signature is "
-                f"{row.signature}")
         subject = row.rule(self, secure.remote_key, body, row)
-        if subject is None:
-            return
-        if signed:
-            payload.verify(expected_sender=secure.remote_key)
-        # A required signature is the artefact: its handler keeps it.
-        getattr(self, row.handler)(
-            subject, payload if row.signature == REQUIRED else body)
+        if subject is not None:
+            getattr(self, row.handler)(subject, body)
 
 
 def _committee_placeholder_spec(message: AssociatedDeposit):
@@ -1219,18 +1052,12 @@ _REPLICATED_SECTIONS = {
     "_pay_seq_out": (("pay_seq_out",), None, None),
     "_pay_seq_in": (("pay_seq_in",), None, None),
     "retired_sessions": (("retired_sessions",), set, set),
-    "_fastpath_unsigned": (("fastpath", "unsigned"), None, None),
-    "_checkpoint_index_out": (("fastpath", "index_out"), None, None),
-    "_checkpoint_index_in": (("fastpath", "index_in"), None, None),
-    "_remote_checkpoints": (("fastpath", "remote_checkpoints"), None, None),
     "multihop_sessions": (("multihop_sessions",), None, None),
     "hub.balances": (("hub", "balances"), None, None),
     "hub.nonces": (("hub", "nonces"), None, None),
 }
 # Scalars whose state path is not their dotted attribute name.
 _SCALAR_PATHS = {
-    "fastpath_enabled": ("fastpath", "enabled"),
-    "checkpoint_every": ("fastpath", "checkpoint_every"),
     "settlement_feerate": ("fee_policy", "settlement_feerate"),
 }
 # Each multi-hop payment's candidate txids, kept per payment so a delta

@@ -1,12 +1,12 @@
-"""Protocol messages, and the signature wrapper for the few that need one.
+"""Protocol messages, and the signature wrapper for what crosses no
+attested channel.
 
 Algorithms 1–3 say every inter-TEE message is "signed by k_me".  Between
 attested enclaves the secure channel's session MAC and replay counters
 already authenticate the sender to the only party that sees the frame
-(§4.1), so messages are sent bare and :class:`SignedMessage` wraps only
-*artefacts* a third party may verify: a :class:`ChannelCheckpoint`, a
-:class:`Paid` sent with the fast path off, hub client requests and
-routing gossip (DESIGN.md §11 has the table).
+(§4.1), so every message here — a :class:`Paid` included — is sent bare.
+:class:`SignedMessage` wraps only what arrives from outside that channel:
+hub client requests and routing gossip (DESIGN.md §11 has the table).
 
 Message classes are plain frozen dataclasses; :func:`canonical_bytes`
 serialises them deterministically (type tag + sorted field/value pairs)
@@ -172,29 +172,6 @@ class Paid:
     amount: int
     sequence: int
     batch_count: int = 1
-
-
-@dataclass(frozen=True)
-class ChannelCheckpoint:
-    """A signed commitment to a channel's payment state, sent every K
-    fast-path payments (and forced before settle/reconfigure/eject).
-
-    On the MAC fast path individual :class:`Paid` messages are
-    authenticated only by the secure channel's session MAC; the deferred
-    identity *signature* over the balances is amortised into these
-    checkpoints.  ``index`` totally orders a sender's checkpoints per
-    channel; ``sequence_out``/``sequence_in`` pin the payment sequence
-    numbers the balances correspond to, so a receiver can validate the
-    checkpoint against its own view (per-direction FIFO delivery makes
-    ``sequence_out`` exact on arrival).
-    """
-
-    channel_id: str
-    index: int
-    sequence_out: int     # sender's outbound payment sequence
-    sequence_in: int      # sender's inbound payment sequence
-    my_balance: int       # sender's balance in the sender's view
-    remote_balance: int   # receiver's balance in the sender's view
 
 
 @dataclass(frozen=True)

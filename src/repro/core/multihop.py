@@ -268,11 +268,6 @@ class MultihopMixin:
                 f"balance {channel.my_balance} < multihop amount {amount} "
                 f"on {channel.channel_id}"
             )
-        # Locking freezes the balances candidate settlements are built
-        # from; any fast-path payments still lacking their deferred
-        # signature must be checkpointed first (so an eject from this
-        # multihop leaves no unsigned payment behind).
-        self._flush_checkpoint(channel.channel_id)
         channel.stage = MultihopStage.LOCK
         channel.locked_amount = amount
         channel.locked_outgoing = outgoing

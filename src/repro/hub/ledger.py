@@ -95,8 +95,8 @@ class HubAccountsMixin:
     """Account-multiplexing ecalls for a channel-protocol enclave.
 
     Relies on the :class:`~repro.core.channel_base.ChannelProtocol`
-    surface later in the MRO: ``channels``, ``deposits``, ``pay``,
-    ``_flush_checkpoint``, and ``_replicated``.
+    surface later in the MRO: ``channels``, ``deposits``, ``pay``, and
+    ``_replicated``.
     """
 
     _HUB_HANDLER_NAMES = {
@@ -410,17 +410,14 @@ class HubAccountsMixin:
         elif body.route == "channel":
             # Existing channel machinery does the heavy lifting: pay()
             # validates the channel (open, idle, sufficient hub balance)
-            # and raises before any ledger mutation.  Like every external
-            # fund move the withdrawal leaves under a signature: a signed
-            # Paid, or on the fast path a bare Paid and the checkpoint
-            # flushed behind it.  The ecall guard only rolls back on
-            # replication failure, so any *other* failure after pay() has
-            # moved channel funds and queued frames must be unwound here —
-            # otherwise the channel has paid out while the account is
-            # still credited, and the client can withdraw again.
+            # and raises before any ledger mutation.  The ecall guard only
+            # rolls back on replication failure, so any *other* failure
+            # after pay() has moved channel funds (its send, say) must be
+            # unwound here — otherwise the channel has paid out while the
+            # account is still credited, and the client can withdraw
+            # again.
             with self.journal.savepoint():
                 self.pay(body.destination, body.amount)
-                self._flush_checkpoint(body.destination)
             self.hub.balances[key] = balance - body.amount
             self.hub.withdrawn_total += body.amount
         else:  # chain

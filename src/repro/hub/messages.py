@@ -23,10 +23,8 @@ from repro.crypto.keys import PublicKey
 # Withdrawal routes (see DESIGN.md §12 "withdrawal rules"):
 #   account — internal ledger move to another account (destination is
 #             the recipient's 33-byte public key, hex).
-#   channel — out over a real payment channel via the enclave's pay /
-#             fastpath machinery (destination is a channel id); the
-#             checkpoint is flushed so the move stands on a fresh
-#             signature per the fast-path rules.
+#   channel — out over a real payment channel as one bare Paid from
+#             the enclave's pay (destination is a channel id).
 #   chain   — on-chain payout authorised by the enclave and executed by
 #             the host wallet (destination is an on-chain address).
 WITHDRAW_ROUTES = ("account", "channel", "chain")

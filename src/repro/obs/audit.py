@@ -31,11 +31,6 @@ faults are running*:
   solvency (``liabilities <= backing``) verdicts, computed in the same
   slice as the balances.  Either flag false is CRITICAL.
 
-* **Fast-path checkpoint lag** — MAC-only payments outstanding per
-  channel versus the configured checkpoint interval K: ``>= K`` unsigned
-  is WARN (checkpointing is falling behind), ``> 2K`` is CRITICAL (the
-  K-bound the security argument amortises over is broken).
-
 * **Replication-barrier / payout liveness** — a non-empty enclave
   outbox or a pending chain payout across consecutive sweeps means
   frames or payouts are stranded (WARN).
@@ -64,7 +59,8 @@ __all__ = [
 WARN = "WARN"
 CRITICAL = "CRITICAL"
 
-#: Stable alert codes (DESIGN.md §14) — additions only, never renames.
+#: Stable alert codes (DESIGN.md §14) — never renamed, and a retired
+#: code is never reused.
 ALERT_CODES = {
     "CONSERVATION_SURPLUS": CRITICAL,   # observed > expected: value minted
     "CONSERVATION_DEFICIT": WARN,       # observed < expected, persistent
@@ -72,7 +68,6 @@ ALERT_CODES = {
     "HUB_INSOLVENT": CRITICAL,          # liabilities exceed backing
     "NEGATIVE_BALANCE": CRITICAL,       # a channel balance went negative
     "CHANNEL_MIRROR_DIVERGED": WARN,    # endpoints disagree on a total
-    "FASTPATH_LAG": WARN,               # unsigned >= K (CRITICAL > 2K)
     "OUTBOX_STUCK": WARN,               # enclave outbox pending, persistent
     "PAYOUT_STUCK": WARN,               # chain payout pending, persistent
     "SCRAPE_FAILED": WARN,              # daemon unreachable this sweep
@@ -160,7 +155,7 @@ class InvariantAuditor:
         violation that later 'heals' still happened."""
         return [alert for alert in self.log if alert.severity == CRITICAL]
 
-    def _raise(self, code: str, subject: str, severity: str, detail: str,
+    def _raise(self, code: str, subject: str, detail: str,
                t: float, **context: Any) -> Alert:
         key = (code, subject)
         alert = self._active.get(key)
@@ -169,11 +164,8 @@ class InvariantAuditor:
             alert.sweeps += 1
             alert.detail = detail
             alert.context.update(context)
-            if severity == CRITICAL and alert.severity != CRITICAL:
-                alert.severity = CRITICAL  # escalate, never downgrade
-                if self.metrics is not None:
-                    self.metrics.inc("alerts.critical")
             return alert
+        severity = ALERT_CODES[code]
         alert = Alert(code=code, severity=severity, subject=subject,
                       detail=detail, first_seen=t, last_seen=t,
                       context=dict(context))
@@ -193,8 +185,8 @@ class InvariantAuditor:
                 self.metrics.inc("alerts.cleared")
 
     def _condition(self, code: str, subject: str, active: bool,
-                   detail: str, t: float, severity: Optional[str] = None,
-                   persist: int = 1, **context: Any) -> None:
+                   detail: str, t: float, persist: int = 1,
+                   **context: Any) -> None:
         """Raise after ``persist`` consecutive active sweeps; clear (and
         reset the streak) the first sweep the condition is gone."""
         key = (code, subject)
@@ -202,8 +194,7 @@ class InvariantAuditor:
             streak = self._streaks.get(key, 0) + 1
             self._streaks[key] = streak
             if streak >= persist:
-                self._raise(code, subject, severity or ALERT_CODES[code],
-                            detail, t, **context)
+                self._raise(code, subject, detail, t, **context)
         else:
             self._streaks.pop(key, None)
             self._clear(code, subject, t)
@@ -320,26 +311,6 @@ class InvariantAuditor:
                 f"{name} has {hub.get('payout_pending')} of chain payouts "
                 f"authorised but unexecuted for {self.stuck_sweeps}+ "
                 "sweeps", t, persist=self.stuck_sweeps)
-
-        fastpath = snapshot.get("fastpath", {})
-        k = fastpath.get("checkpoint_every", 0)
-        if fastpath.get("enabled") and k:
-            worst = max(
-                (channel.get("fastpath_unsigned", 0)
-                 for channel in snapshot.get("channels", {}).values()),
-                default=0)
-            if worst > 2 * k:
-                self._condition(
-                    "FASTPATH_LAG", name, True,
-                    f"{name} has {worst} unsigned fast-path payments "
-                    f"(checkpoint interval {k}): the 2K bound is broken",
-                    t, severity=CRITICAL, unsigned=worst, k=k)
-            else:
-                self._condition(
-                    "FASTPATH_LAG", name, worst >= k,
-                    f"{name} has {worst} unsigned fast-path payments "
-                    f"(checkpoint interval {k}): checkpointing lags",
-                    t, unsigned=worst, k=k)
 
         self._condition(
             "OUTBOX_STUCK", name, snapshot.get("outbox_pending", 0) > 0,

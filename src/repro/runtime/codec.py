@@ -394,8 +394,9 @@ def encoded_size(obj: Any) -> Optional[int]:
 # 50–69 runtime control plane (repro.runtime.messages), 70–89 stable
 # storage (sealed enclave state, host metadata).  Append only.
 # Retired, never reuse: 37–41 (Alg. 3 frames nothing sent or handled —
-# replication runs over ecalls) and 56 (ChainMine, superseded by
-# ChainBlock).
+# replication runs over ecalls), 42 (a signed channel-balance checkpoint
+# nothing read — payments carry no signature) and 56 (ChainMine,
+# superseded by ChainBlock).
 
 def _register_schema() -> None:
     from repro.blockchain.chain import Block
@@ -461,7 +462,6 @@ def _register_schema() -> None:
     register_dataclass(34, m.MultihopUpdate)
     register_dataclass(35, m.MultihopPostUpdate)
     register_dataclass(36, m.MultihopRelease)
-    register_dataclass(42, m.ChannelCheckpoint)
 
     from repro.hub import messages as hub_messages
 

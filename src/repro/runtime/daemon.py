@@ -221,13 +221,6 @@ class NodeDaemon:
         self.batcher: Optional[PaymentBatcher] = None
         self.batch_window_s = 0.0
 
-        # Session-MAC fast path (the ``fastpath`` control verb): the T-ms
-        # half of the checkpoint policy runs here as an asyncio timer —
-        # enclaves have no clock of their own, so the host triggers the
-        # periodic ``checkpoint_all`` ecall and ships what it emits.
-        self.checkpoint_ms = 0
-        self._checkpoint_task: Optional[asyncio.Task] = None
-
         # Stable storage (paper §6.2), gated on state_dir.  Restore runs
         # before the gossip subscriptions below: chain replay is local
         # history, not news to rebroadcast.
@@ -334,8 +327,6 @@ class NodeDaemon:
     async def stop(self) -> None:
         if self._pump_task is not None:
             self._pump_task.cancel()
-        if self._checkpoint_task is not None:
-            self._checkpoint_task.cancel()
         await self.net.stop()
         if self._control_server is not None:
             self._control_server.close()
@@ -721,30 +712,6 @@ class NodeDaemon:
             await self.net.send_wait(self.node.name, outbound.destination,
                                      outbound.payload)
 
-    async def _checkpoint_loop(self) -> None:
-        """The T-ms half of the fast path's K-payments/T-ms checkpoint
-        policy: periodically flush deferred state signatures so a quiet
-        channel is never more than ``checkpoint_ms`` behind its last
-        signed commitment."""
-        from repro.errors import EnclaveCrashed, EnclaveFrozen
-        while self.checkpoint_ms > 0:
-            await asyncio.sleep(self.checkpoint_ms / 1000.0)
-            try:
-                flushed = self.node.enclave.ecall("checkpoint_all")
-            except (EnclaveCrashed, EnclaveFrozen):
-                return  # fault injection / freeze; timer has nothing to do
-            if flushed:
-                await self._drain_outbox()
-
-    def _set_checkpoint_timer(self, checkpoint_ms: int) -> None:
-        self.checkpoint_ms = checkpoint_ms
-        if self._checkpoint_task is not None:
-            self._checkpoint_task.cancel()
-            self._checkpoint_task = None
-        if checkpoint_ms > 0:
-            self._checkpoint_task = asyncio.get_event_loop().create_task(
-                self._checkpoint_loop(), name=f"checkpoint:{self.name}")
-
     # ------------------------------------------------------------------
     # Control commands.  Each handler is declared in the registry; the
     # verbs mirror TeechainNode's API (see README's command table).
@@ -906,26 +873,19 @@ class NodeDaemon:
 
     @COMMANDS.command(
         "fastpath",
-        Param("enabled", int, doc="1 enables the MAC fast path, 0 disables"),
-        Param("checkpoint_every", int, required=False,
-              doc="signed checkpoint every K fast-path payments"),
-        Param("checkpoint_ms", int, required=False, default=0,
-              doc="also flush checkpoints every T ms (0 = payments only)"),
-        doc="Configure the session-MAC payment fast path.")
+        Param("enabled", int, doc="must be 1: every Paid travels bare"),
+        Param("checkpoint_every", int, required=False, doc="ignored"),
+        doc="Retired: accepted and ignored (payments carry no signature).")
     async def _cmd_fastpath(self, enabled: int,
-                            checkpoint_every: Optional[int] = None,
-                            checkpoint_ms: int = 0) -> Dict[str, Any]:
-        if checkpoint_ms < 0:
-            raise CommandError(
-                f"checkpoint_ms must be >= 0, got {checkpoint_ms}",
-                code="bad_request")
-        result = self.node.enclave.ecall("set_fastpath", bool(enabled),
-                                         checkpoint_every)
-        # Disabling flushes deferred checkpoints inside the enclave; they
-        # are in the outbox now and must reach the peer.
-        await self._drain_outbox()
-        self._set_checkpoint_timer(checkpoint_ms if enabled else 0)
-        return {**result, "checkpoint_ms": self.checkpoint_ms}
+                            checkpoint_every: Optional[int] = None
+                            ) -> Dict[str, Any]:
+        """Kept only for ``perf/workloads.py``; the yardstick change
+        (ROADMAP item 1) drops its two calls and the change after it
+        deletes this verb."""
+        if not enabled:
+            raise CommandError("signed payments were removed; every Paid "
+                               "travels bare", code="bad_request")
+        return {"enabled": True}
 
     # ------------------------------------------------------------------
     # Account hub (repro.hub): the host only shuttles signed request
@@ -1025,7 +985,7 @@ class NodeDaemon:
         "account-withdraw",
         Param("request", doc="hex-encoded signed AccountWithdraw"),
         doc="Withdraw from an account: internal move, out over a channel "
-            "(pinned to a fresh checkpoint), or on-chain via the hub "
+            "(one bare Paid), or on-chain via the hub "
             "wallet.")
     async def _cmd_account_withdraw(self, request: str) -> Dict[str, Any]:
         signed = self._decode_account_request(
@@ -1040,8 +1000,8 @@ class NodeDaemon:
             # fall through for the enclave's own validation.
             self.node._wallet_outpoints(body.amount)
         result = self.node.enclave.ecall("hub_handle_request", signed)
-        # Channel-route withdrawals leave Paid/checkpoint frames in the
-        # enclave outbox; chain-route ones return a payout authorisation
+        # Channel-route withdrawals leave a Paid frame in the enclave
+        # outbox; chain-route ones return a payout authorisation
         # the host wallet executes (observable on the replicated chain).
         await self._drain_outbox()
         if result.get("route") == "chain":
@@ -1288,7 +1248,6 @@ class NodeDaemon:
     @COMMANDS.command("stats", doc="Transport, chain, and uptime stats.")
     async def _cmd_stats(self) -> Dict[str, Any]:
         batcher = self.batcher
-        program = self.node.program
         return {
             "name": self.name,
             "transport": self.net.stats(),
@@ -1313,18 +1272,6 @@ class NodeDaemon:
                 "topology": self.topology.stats(),
             },
             "gossip": self.gossip.stats(),
-            "fastpath": {
-                "enabled": program.fastpath_enabled,
-                "checkpoint_every": program.checkpoint_every,
-                "checkpoint_ms": self.checkpoint_ms,
-                "unsigned_pending": sum(
-                    program._fastpath_unsigned.values()),
-                "checkpoints_sent": sum(
-                    program._checkpoint_index_out.values()),
-                "checkpoints_accepted": sum(
-                    program._checkpoint_index_in.values()),
-                "checkpoints_held": len(program._remote_checkpoints),
-            },
             "uptime_s": self.scheduler.now,
             "restored": self.restored,
         }
@@ -1371,7 +1318,6 @@ class NodeDaemon:
             "onchain": self.node.onchain_balance(),
             "chain_height": self.network.chain.height,
             "mempool": self.network.chain.mempool_size(),
-            "checkpoint_ms": self.checkpoint_ms,
             "transport": {
                 "peers": len(peers),
                 "disconnected": sum(

@@ -487,18 +487,6 @@ class ShardedDaemon:
             "onchain": sum(r.get("onchain", 0) for r in workers),
             "chain_height": max(r.get("chain_height", 0) for r in workers),
             "mempool": max(r.get("mempool", 0) for r in workers),
-            "checkpoint_ms": max(r.get("checkpoint_ms", 0)
-                                 for r in workers),
-            "fastpath": {
-                "enabled": any(r.get("fastpath", {}).get("enabled")
-                               for r in workers),
-                "checkpoint_every": max(
-                    r.get("fastpath", {}).get("checkpoint_every", 0)
-                    for r in workers),
-                "unsigned_total": sum(
-                    r.get("fastpath", {}).get("unsigned_total", 0)
-                    for r in workers),
-            },
             "transport": {
                 key: sum(r.get("transport", {}).get(key, 0)
                          for r in workers)

@@ -78,7 +78,9 @@ def three_hop_path(network):
 def renew_secure_session(left, right, session: bytes) -> None:
     """Re-key the secure channel between two nodes the way a restart
     does: a fresh handshake salt renews the session keys on both sides;
-    the identity keys, and so the payment channels, survive."""
+    the identity keys, and so the payment channels, survive.  A side
+    holding no session (a restored enclave) installs one, as the
+    daemon's handshake does."""
     from repro.crypto.authenticated import derive_channel_keys
     from repro.network.secure_channel import SecureChannel
 
@@ -86,7 +88,8 @@ def renew_secure_session(left, right, session: bytes) -> None:
         remote_key = peer.enclave.public_key
         keys = derive_channel_keys(node.enclave.identity.private,
                                    remote_key, session=session)
-        node._ecall("reinstall_secure_channel",
-                    SecureChannel(node.enclave.public_key, remote_key,
-                                  keys, session=session),
+        verb = ("reinstall_secure_channel" if node.is_connected(peer)
+                else "install_secure_channel")
+        node._ecall(verb, SecureChannel(node.enclave.public_key, remote_key,
+                                        keys, session=session),
                     peer.name)

@@ -219,9 +219,6 @@ class TestWithdrawRoutes:
         assert ledger.balances[CLIENT.public.to_bytes()] == 7_500
         assert ledger.withdrawn_total == 2_500
         assert ledger.conserved()
-        # The fast-path rule: the fund move stands on a fresh signed
-        # checkpoint, never on unsigned MAC frames alone.
-        assert not alice.program._fastpath_unsigned.get(channel)
 
     def test_channel_route_failure_leaves_ledger_untouched(self, hub):
         """A channel that cannot cover the withdrawal rejects before
@@ -248,16 +245,18 @@ class TestWithdrawRoutes:
             self, hub, monkeypatch):
         """The ecall guard only undoes replication failures; any other
         failure after pay() has moved channel funds must be unwound by
-        the handler itself — channel balance, queued frames, ledger,
-        and nonce all revert together."""
+        the handler itself — channel balance, payment sequence, queued
+        frames, ledger, and nonce all revert together.  The failure is
+        the Paid's send, after the debit."""
         network, alice, bob, channel = hub
         before = alice.program.channels[channel].my_balance
+        sequence = alice.program._pay_seq_out[channel]
         outbox_before = list(alice.program._outbox)
 
-        def boom(channel_id):
-            raise RuntimeError("injected after pay()")
+        def boom(remote_key, body):
+            raise RuntimeError("injected after pay() moved funds")
 
-        monkeypatch.setattr(alice.program, "_flush_checkpoint", boom)
+        monkeypatch.setattr(alice.program, "_send", boom)
         with pytest.raises(RuntimeError):
             alice.enclave.ecall(
                 "hub_handle_request",
@@ -265,6 +264,7 @@ class TestWithdrawRoutes:
                                        channel)))
         ledger = alice.program.hub
         assert alice.program.channels[channel].my_balance == before
+        assert alice.program._pay_seq_out[channel] == sequence
         assert alice.program._outbox == outbox_before
         assert ledger.balances[CLIENT.public.to_bytes()] == 10_000
         assert ledger.withdrawn_total == 0

@@ -5,7 +5,7 @@ Three suites, none touching sockets:
 * :class:`TestInvariantAuditor` drives :class:`repro.obs.audit.
   InvariantAuditor` with synthetic ``audit-snapshot`` dicts — the same
   shapes the daemon emits — and checks the alert lifecycle: severity,
-  persistence thresholds, escalation, clears, last-good caching.
+  persistence thresholds, clears, last-good caching.
 * :class:`TestPrometheusExposition` validates the text exposition
   against the 0.0.4 format rules with an in-test parser: one ``# TYPE``
   per family, every sample contiguous under its family header, label
@@ -26,24 +26,21 @@ from repro.obs.export import fleet_prometheus_text, prometheus_text
 # ---------------------------------------------------------------------------
 
 
-def chan(mine, theirs, unsigned=0, terminated=False):
+def chan(mine, theirs, terminated=False):
     return {
         "is_open": not terminated, "terminated": terminated,
         "my_balance": mine, "remote_balance": theirs,
         "total": mine + theirs, "locked_amount": 0,
-        "fastpath_unsigned": unsigned,
     }
 
 
-def snap(onchain=0, free=0, channels=None, hub=None, fastpath=None,
-         outbox=0, transport=None):
+def snap(onchain=0, free=0, channels=None, hub=None, outbox=0,
+         transport=None):
     return {
         "seq": 1, "onchain": onchain, "free_deposit_value": free,
         "channels": dict(channels or {}),
         "payments_sent": 0, "payments_received": 0,
         "outbox_pending": outbox,
-        "fastpath": fastpath or {"enabled": False, "checkpoint_every": 0,
-                                 "unsigned_total": 0},
         "transport": dict(transport or {}),
         **({"hub": hub} if hub is not None else {}),
     }
@@ -162,26 +159,6 @@ class TestInvariantAuditor:
         alerts = auditor.audit(
             {"a": snap(channels={"a:b:1": chan(-5, 5)})}, 1.0)
         assert "NEGATIVE_BALANCE" in codes(alerts)
-
-    def test_fastpath_lag_warns_at_k_and_escalates_past_2k(self):
-        auditor = InvariantAuditor(expected_total=40)
-        fast = {"enabled": True, "checkpoint_every": 4,
-                "unsigned_total": 0}
-
-        def at(unsigned):
-            return {"a": snap(channels={"a:b:1": chan(20, 20, unsigned)},
-                              fastpath=dict(fast))}
-
-        assert auditor.audit(at(3), 1.0) == []
-        alerts = auditor.audit(at(4), 2.0)
-        assert codes(alerts) == {"FASTPATH_LAG"}
-        assert alerts[0].severity == WARN
-        # Past 2K the same alert escalates in place — never a second row.
-        alerts = auditor.audit(at(9), 3.0)
-        assert alerts[0].severity == CRITICAL
-        assert len(auditor.log) == 1
-        assert auditor.audit(at(0), 4.0) == []
-        assert len(auditor.critical_alerts()) == 1
 
     def test_outbox_and_payout_stuck_need_consecutive_sweeps(self):
         auditor = InvariantAuditor(expected_total=0, stuck_sweeps=2)

@@ -71,7 +71,6 @@ class TestPersistence:
         latest blob only (each superseded one used to stay, ~1.8 KB a
         payment) and the in-memory transport keeps no delivered frames."""
         network, alice, bob, channel, store = persistent_pair
-        alice._ecall("set_fastpath", True, 64)
         for _ in range(20):  # warm the signing/verification caches
             alice.pay(channel, 1)
         tracemalloc.start()

@@ -229,6 +229,7 @@ class TestCodecFraming:
         (40, ("chain", 3)),                      # StateUpdateAck
         (41, ("chain", "reason")),               # Freeze
         (56, (9, ("txid",))),                    # ChainMine
+        (42, ("chan", 1, 3, 0, 700, 300)),       # ChannelCheckpoint
     ])
     def test_retired_tags_no_longer_decode(self, tag, fields):
         """Frames that decoded from any peer's bytes while nothing in the

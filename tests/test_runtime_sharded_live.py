@@ -4,9 +4,8 @@ A :class:`~repro.runtime.workers.ShardedDaemon` hub with two worker
 processes serves two spoke daemons.  The test drives everything through
 the router's single control port and asserts the ownership rules: each
 peer's channel lands on its consistent-hash owner, channel-scoped verbs
-reach the owning worker, pool-wide verbs fan out, and settlement
-conserves money exactly — including with the session-MAC fast path
-enabled across the pool.
+reach the owning worker, pool-wide verbs fan out, no payment is signed,
+and settlement conserves money exactly.
 """
 
 import asyncio
@@ -130,11 +129,13 @@ class TestShardedDaemon:
                 channel_id=channels[name], txid=deposit["txid"])
             assert associated["my_balance"] == DEPOSIT
 
-        # Pool-wide fast path: broadcast hits every worker.
-        enabled = control.call("fastpath", enabled=1, checkpoint_every=4)
-        assert set(enabled["workers"]) == set(f"hub-w{i}"
-                                              for i in range(WORKERS))
+        # A pool-wide verb: the broadcast hits every worker.
+        batching = control.call("batch-window", window_ms=0)
+        assert set(batching["workers"]) == set(f"hub-w{i}"
+                                               for i in range(WORKERS))
 
+        signs = control.call("metrics")["metrics"]["counters"].get(
+            "crypto.sign", 0)
         for name in SPOKES:
             for _ in range(10):
                 control.call("pay", channel_id=channels[name], amount=100)
@@ -147,14 +148,13 @@ class TestShardedDaemon:
         assert stats["channels"] == len(SPOKES)
 
         metrics = control.call("metrics")["metrics"]["counters"]
-        assert metrics.get("crypto.sign_deferred", 0) == 20
+        assert metrics.get("crypto.sign", 0) == signs  # no Paid is signed
         # Every bare frame counts: the 20 Paid plus, per spoke, the hub's
         # NewChannelAck, ApproveMyDeposit and AssociatedDeposit.
         assert metrics.get("crypto.mac_fastpath", 0) == 20 + 3 * len(SPOKES)
 
         # Settle both channels; each routes to its owner and conserves
-        # money exactly (the pre-settle checkpoint flush covered the
-        # unsigned fast-path tail).
+        # money exactly.
         for name in SPOKES:
             settled = control.call("settle", channel_id=channels[name])
             assert settled["worker"] == ring.owner(name)

@@ -61,14 +61,11 @@ class TestMessageAttacks:
     def test_out_of_order_payment_sequence_rejected(self, open_channel):
         network, alice, bob, channel = open_channel
         state = alice.program.channels[channel]
-        # Craft a payment with a skipped sequence number, properly signed
-        # and sealed (a compromised host reordering enclave output).
+        # Craft a payment with a skipped sequence number, properly sealed
+        # (a compromised host reordering enclave output).
         secure = alice.program.secure_channels[state.remote_key.to_bytes()]
-        signed = SignedMessage.create(
-            Paid(channel_id=channel, amount=1, sequence=5),
-            alice.enclave.identity.private,
-        )
-        envelope = secure.seal_message(signed)
+        envelope = secure.seal_message(
+            Paid(channel_id=channel, amount=1, sequence=5))
         with pytest.raises(PaymentError):
             bob.program.handle_envelope("alice", envelope)
 

@@ -1,9 +1,9 @@
 """The single authenticated send path (DESIGN.md §11).
 
 Alg. 1 and 2 messages travel bare under the attested secure channel;
-the sender is the channel's pinned key.  Identity signatures survive
-only on artefacts (``ChannelCheckpoint`` always, ``Paid`` with the fast
-path off).  Each reject test asserts that neither protocol state nor
+the sender is the channel's pinned key.  No message on that channel
+carries an identity signature — a ``Paid`` included — and a signed one
+is refused.  Each reject test asserts that neither protocol state nor
 the outbox moved.
 
 Against the parent commit (every envelope ECDSA-signed): the tests
@@ -15,7 +15,6 @@ import pytest
 
 from repro import obs
 from repro.core.messages import (
-    ChannelCheckpoint,
     MultihopAbort,
     MultihopLock,
     MultihopPreUpdate,
@@ -24,11 +23,11 @@ from repro.core.messages import (
     SettleRequest,
     SignedMessage,
 )
-from repro.core.multihop import TeechainEnclave
-from repro.core.persistence import PersistentStore
+from repro.core.node import TeechainNetwork
 from repro.core.state import MultihopStage
-from repro.crypto.keys import KeyPair, PublicKey
+from repro.crypto.keys import KeyPair
 from repro.errors import (
+    ChannelStateError,
     MessageAuthenticationError,
     MultihopError,
     PaymentError,
@@ -36,7 +35,6 @@ from repro.errors import (
     SettlementError,
 )
 from repro.network import NetworkAdversary
-from repro.tee import Enclave
 
 from tests.conftest import renew_secure_session
 
@@ -52,7 +50,6 @@ def fingerprint(node):
         {outpoint: (record.status, record.channel_id)
          for outpoint, record in program.deposits.items()},
         dict(program._pay_seq_in), dict(program._pay_seq_out),
-        dict(program._checkpoint_index_in), dict(program._remote_checkpoints),
         {pid: session.stage
          for pid, session in program.multihop_sessions.items()},
         dict(program.multihop_completed), dict(program.multihop_aborted),
@@ -112,6 +109,16 @@ class TestReplayAndSessions:
             assert_rejected(bob, "alice", bytes(flipped),
                             MessageAuthenticationError)
         bob.program.handle_envelope("alice", bytes(envelope))  # intact: ok
+
+    def test_replayed_bare_paid_rejected(self, open_channel):
+        """*Pin.*  The secure channel's freshness counters guard the bare
+        ``Paid``: a captured envelope credits once."""
+        network, alice, bob, channel = open_channel
+        envelope = secure_to(alice, bob).seal_message(
+            Paid(channel_id=channel, amount=100, sequence=1))
+        bob.program.handle_envelope("alice", envelope)
+        assert bob.channel_balance(channel) == (30_100, 49_900)
+        assert_rejected(bob, "alice", envelope, MessageAuthenticationError)
 
 
 class TestSenderIsTheChannelKey:
@@ -183,65 +190,39 @@ class TestSenderIsTheChannelKey:
 
 
 class TestSignedArtefactPolicy:
-    def test_bare_checkpoint_rejected(self, open_channel):
-        """*Pin.*  A checkpoint exists to carry the signature."""
-        network, alice, bob, channel = open_channel
-        bare = ChannelCheckpoint(channel_id=channel, index=1, sequence_out=0,
-                                 sequence_in=0, my_balance=50_000,
-                                 remote_balance=30_000)
-        assert_rejected(bob, "alice",
-                        secure_to(alice, bob).seal_message(bare),
-                        ProtocolError)
+    """Nothing on the secure channel is a signed artefact: a
+    ``SignedMessage`` there has no ``_HANDLERS`` row, whoever signed it
+    and whatever it wraps."""
 
     def test_artefact_signed_by_another_key_rejected(self, open_channel):
-        """*Pin.*  Sealed by alice's enclave, signed by someone else."""
+        """Sealed by alice's enclave, signed by someone else.  The parent
+        refuses it too, one step later: it verified the signature
+        (``MessageAuthenticationError``); here the wrapper is refused
+        unread."""
         network, alice, bob, channel = open_channel
         mallory = KeyPair.from_seed(b"mallory")
-        for body in (Paid(channel_id=channel, amount=100, sequence=1),
-                     ChannelCheckpoint(channel_id=channel, index=1,
-                                       sequence_out=0, sequence_in=0,
-                                       my_balance=50_000,
-                                       remote_balance=30_000)):
-            signed = SignedMessage.create(body, mallory.private)
-            assert_rejected(bob, "alice",
-                            secure_to(alice, bob).seal_message(signed),
-                            MessageAuthenticationError)
-
-    def test_signed_wrapper_around_a_non_artefact_rejected(self, open_channel):
-        """Fails on the parent, which accepts any signed body: only
-        checkpoints and payments are signed artefacts, so a signature
-        around anything else is a frame no honest enclave produces."""
-        network, alice, bob, channel = open_channel
-        signed = SignedMessage.create(SettleRequest(channel_id=channel),
-                                      alice.enclave.identity.private)
+        signed = SignedMessage.create(
+            Paid(channel_id=channel, amount=100, sequence=1), mallory.private)
         assert_rejected(bob, "alice",
                         secure_to(alice, bob).seal_message(signed),
                         ProtocolError)
 
-    def test_remote_checkpoint_stays_verifiable(self, open_channel):
-        """Fails on the parent, which kept the checkpoint body and threw
-        the signature away: after a seal/restore round trip, someone
-        holding only alice's public key verifies what bob stored."""
+    def test_signed_wrapper_around_a_non_artefact_rejected(self, open_channel):
+        """Fails on the parent, which dispatched a ``Paid`` signed by its
+        sender: a signature around any message — a payment or a control
+        message — is a frame no honest enclave produces.  The bare
+        message dispatches."""
         network, alice, bob, channel = open_channel
-        store = PersistentStore(bob.enclave, network.scheduler)
-        store.attach()
-        alice._ecall("set_fastpath", True, 3)
-        for _ in range(3):
-            alice.pay(channel, 1_000)
-        restored = Enclave(TeechainEnclave(), name="bob-restored",
-                           seed=b"enclave:bob")
-        store.restore(restored)
-        evidence = restored.program._remote_checkpoints[channel]
-        alice_key = PublicKey.from_bytes(alice.enclave.public_key.to_bytes())
-        evidence.verify(expected_sender=alice_key)
-        assert (evidence.body.sequence_out, evidence.body.my_balance,
-                evidence.body.remote_balance) == (3, 47_000, 33_000)
-        tampered = SignedMessage(
-            body=ChannelCheckpoint(**{**vars(evidence.body),
-                                      "my_balance": 1}),
-            sender_key=evidence.sender_key, signature=evidence.signature)
-        with pytest.raises(MessageAuthenticationError):
-            tampered.verify(expected_sender=alice_key)
+        secure = secure_to(alice, bob)
+        for body in (Paid(channel_id=channel, amount=100, sequence=1),
+                     SettleRequest(channel_id=channel)):
+            signed = SignedMessage.create(body,
+                                          alice.enclave.identity.private)
+            assert_rejected(bob, "alice", secure.seal_message(signed),
+                            ProtocolError)
+        bob.program.handle_envelope(
+            "alice", secure.seal_message(SettleRequest(channel_id=channel)))
+        assert bob.program.channels[channel].settling_offchain
 
 
 class TestOperationCounts:
@@ -279,15 +260,163 @@ class TestOperationCounts:
             "sign": 4, "verify": 0, "mac_fastpath": 12}
 
     def test_signed_and_fast_path_pay(self, open_channel):
+        """The signed pay and the fast-path pay are now one and the same:
+        a bare ``Paid``, one MAC'd frame, no signature and no verify.
+        Fails on the parent, where a pay signed its ``Paid`` unless the
+        fast path was switched on."""
         network, alice, bob, channel = open_channel
-        with obs.collecting() as (registry, _tracer):
-            alice.pay(channel, 100)
-            counters = registry.snapshot()["counters"]
-        assert self._crypto(counters) == {
-            "sign": 1, "verify": 1, "mac_fastpath": 0}
-        alice._ecall("set_fastpath", True, 64)
+        frames = []
+        network.transport.add_tap(lambda m: frames.append(m) or True)
         with obs.collecting() as (registry, _tracer):
             alice.pay(channel, 100)
             counters = registry.snapshot()["counters"]
         assert self._crypto(counters) == {
             "sign": 0, "verify": 0, "mac_fastpath": 1}
+        assert len(frames) == 1
+
+
+def lose_secure_channel(node, peer):
+    """What a restored enclave holds before its peer re-handshakes:
+    channels and deposits, but no secure channel."""
+    node.program.secure_channels.pop(peer.enclave.public_key.to_bytes())
+
+
+class TestNothingMovesBeforeTheSecureChannel:
+    """Fails on the parent, where ``pay`` and ``associate_deposit``
+    moved funds and only then found no secure channel to send on: the
+    sender was debited, no ``Paid`` left, and every later one was out of
+    sequence at the peer."""
+
+    def test_pay_without_a_secure_channel_moves_nothing(self, open_channel):
+        network, alice, bob, channel = open_channel
+        alice.pay(channel, 10)
+        lose_secure_channel(alice, bob)
+        before = fingerprint(alice)
+        with pytest.raises(ChannelStateError):
+            alice.enclave.ecall("pay", channel, 1_000)
+        assert fingerprint(alice) == before
+        assert alice.program._outbox == []
+        renew_secure_session(alice, bob, b"after restore")
+        alice.pay(channel, 1_000)
+        assert alice.channel_balance(channel) == (48_990, 31_010)
+        assert bob.channel_balance(channel) == (31_010, 48_990)
+        assert bob.program._pay_seq_in[channel] == 2
+
+    def test_associate_without_a_secure_channel_moves_nothing(
+            self, open_channel):
+        network, alice, bob, channel = open_channel
+        record = alice.create_deposit(5_000)
+        alice.approve_deposit(bob, record)
+        lose_secure_channel(alice, bob)
+        before = fingerprint(alice)
+        with pytest.raises(ChannelStateError):
+            alice.enclave.ecall("associate_deposit", channel,
+                                record.outpoint)
+        assert fingerprint(alice) == before
+        assert alice.program.deposits[record.outpoint].is_free
+        renew_secure_session(alice, bob, b"after restore")
+        alice.associate_deposit(channel, record)
+        assert bob.channel_balance(channel) == (30_000, 55_000)
+
+
+# ---------------------------------------------------------------------------
+# Bare payments settle exactly
+# ---------------------------------------------------------------------------
+
+def bare_pays(payments):
+    """Run ``(payer, channel, amount)`` pays; no pay signs or verifies
+    anything, and each is one MAC-only frame."""
+    with obs.collecting() as (registry, _tracer):
+        for payer, channel, amount in payments:
+            payer.pay(channel, amount)
+        counters = registry.snapshot()["counters"]
+    assert counters.get("crypto.sign", 0) == 0
+    assert counters.get("crypto.verify", 0) == 0
+    assert counters["crypto.mac_fastpath"] == len(payments)
+
+
+def both_ways(left, right, channel, rounds=12):
+    """Alternating pays; returns left's net gain."""
+    payments, net = [], 0
+    for index in range(rounds):
+        forward = (left, channel, 300 + 7 * index)
+        back = (right, channel, 100 + 5 * index)
+        payments += [forward, back]
+        net += back[2] - forward[2]
+    bare_pays(payments)
+    return net
+
+
+def whole(network, nodes, expected):
+    """Everything reclaimed on chain: each wallet holds exactly what it
+    started with plus its net, and the chain conserves value."""
+    for node in nodes:
+        node.reclaim_all()
+    for node in nodes:
+        assert network.chain.balance(node.address) == expected[node.name]
+    assert network.chain.utxos.total_value() == network.chain.total_minted()
+
+
+class TestBarePaymentsSettleExactly:
+    """Fails on the parent, where a ``Paid`` with the fast path off was
+    signed and verified: N bare pays in both directions, nothing signed
+    beside them, then each ending pays everyone out to the unit."""
+
+    def test_cooperative_settle(self, open_channel):
+        network, alice, bob, channel = open_channel
+        net = both_ways(alice, bob, channel)
+        assert alice.channel_balance(channel) == (50_000 + net, 30_000 - net)
+        assert bob.channel_balance(channel) == (30_000 - net, 50_000 + net)
+        settlement = alice.settle(channel)
+        assert sorted(output.value for output in settlement.outputs) == \
+            sorted((50_000 + net, 30_000 - net))
+        assert bob.program.channels[channel].terminated
+        network.mine()
+        whole(network, (alice, bob),
+              {"alice": 100_000 + net, "bob": 100_000 - net})
+
+    def test_eject_then_unilateral_settle(self, three_hop_path):
+        """A multi-hop payment stalls mid-stream at bob's lock; bob ejects
+        both channels at the bare-pay balances, and carol — never locked
+        — settles hers unilaterally to the very same transaction."""
+        network, alice, bob, carol, ab, bc = three_hop_path
+        net_ab = both_ways(alice, bob, ab)
+        net_bc = both_ways(bob, carol, bc)
+        NetworkAdversary(network.transport).drop_after("bob", "carol", 0)
+        payment = alice.pay_multihop([alice, bob, carol], 5_000)
+        ejected = {tx.txid: tx for tx in bob.eject(payment)}
+        assert len(ejected) == 2
+        settlement = carol._ecall("unilateral_settlement", bc)
+        assert settlement.txid in ejected
+        assert sorted(o.value for o in settlement.outputs) == \
+            sorted((40_000 + net_bc, -net_bc))
+        network.mine()
+        alice.eject(payment)
+        network.mine()
+        whole(network, (alice, bob, carol),
+              {"alice": 100_000 + net_ab, "bob": 100_000 - net_ab + net_bc,
+               "carol": 100_000 - net_bc})
+
+    def test_committee_deposits_settle_co_signed(self):
+        """The ``committee_inproc`` shape: both ends on a 3-member chain
+        with 2-of-3 deposits; the members co-sign the settlement."""
+        network = TeechainNetwork()
+        alice = network.create_node("alice", funds=100_000)
+        bob = network.create_node("bob", funds=100_000)
+        for node in (alice, bob):
+            node.attach_committee(backups=2, threshold=2)
+        channel = alice.open_channel(bob)
+        for node, peer in ((alice, bob), (bob, alice)):
+            node.approve_and_associate(peer, node.create_deposit(40_000),
+                                       channel)
+        net = both_ways(alice, bob, channel)
+        for node in (alice, bob):
+            for member in node.replication.members:
+                state = member.program.state["channels"][channel]
+                assert (state.my_balance, state.remote_balance) == \
+                    node.channel_balance(channel)
+        settlement = alice.settle(channel)
+        assert len(settlement.inputs) == 2
+        network.mine()
+        whole(network, (alice, bob),
+              {"alice": 100_000 + net, "bob": 100_000 - net})

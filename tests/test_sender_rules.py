@@ -26,7 +26,6 @@ from repro.core.messages import (
     ApproveMyDeposit,
     ApprovedDeposit,
     AssociatedDeposit,
-    ChannelCheckpoint,
     DissociateDeposit,
     DissociateDepositAck,
     MultihopAbort,
@@ -41,7 +40,6 @@ from repro.core.messages import (
     PathDescriptor,
     SettleNotify,
     SettleRequest,
-    SignedMessage,
 )
 from repro.core.multihop import TeechainEnclave, path_neighbour
 from repro.core.node import TeechainNetwork
@@ -134,13 +132,6 @@ def forged_lock(c, sender):
                         post_settlement_txids=("y",))
 
 
-def checkpoint(c, sender):
-    body = ChannelCheckpoint(channel_id=c.ab, index=1, sequence_out=0,
-                             sequence_in=0, my_balance=40_000,
-                             remote_balance=0)
-    return SignedMessage.create(body, sender.enclave.identity.private)
-
-
 S = MultihopStage
 CELLS = {
     NewChannelAck: cell(None, "alice", "carol", lambda c, s: NewChannelAck(
@@ -162,7 +153,6 @@ CELLS = {
                                    outpoint=c.deposit_ab.outpoint)),
     Paid: cell(None, "alice", "carol",
                lambda c, s: Paid(channel_id=c.ab, amount=1, sequence=1)),
-    ChannelCheckpoint: cell(None, "alice", "carol", checkpoint),
     SettleRequest: cell(None, "alice", "carol",
                         lambda c, s: SettleRequest(channel_id=c.ab)),
     SettleNotify: cell(None, "alice", "carol", lambda c, s: SettleNotify(
@@ -266,8 +256,8 @@ class TestEveryRow:
         assert calls == []
 
 
-def test_the_table_has_seventeen_rows_in_three_rules():
-    assert len(TABLE) == 17 and set(TABLE) == set(CELLS)
+def test_the_table_has_sixteen_rows_in_three_rules():
+    assert len(TABLE) == 16 and set(TABLE) == set(CELLS)
     rules = {row.rule for row in TABLE.values()}
     assert rules == {channel_peer, path_neighbour, any_attested}
     for message_type, row in TABLE.items():

@@ -4,8 +4,8 @@ replaced.
 Before the journal, a guarded ecall deep-copied every rollback attribute
 before running and put the copies back when replication failed, and each
 push shipped the whole state.  That snapshot survives here as the test
-oracle.  A corpus of guarded ecalls — open, associate, dissociate, signed
-and fast-path pay, checkpoint, every Alg. 2 stage, eject, settle, release,
+oracle.  A corpus of guarded ecalls — open, associate, dissociate, pay,
+every Alg. 2 stage, eject, settle, release,
 and the hub's requests, batches and three withdraw routes — runs on nodes
 with real committees, and every guarded ecall is first replayed on a fork
 of its program once per push it makes, with that push failing.  Each fork
@@ -55,10 +55,8 @@ PARTNER = KeyPair.from_seed(b"journal-partner")
 _SNAPSHOT_ATTRS = (
     "channels", "deposits", "deposit_keys", "approved_deposits",
     "_pay_seq_out", "_pay_seq_in", "settlements", "pending_candidate_txids",
-    "retired_sessions", "_fastpath_unsigned", "_checkpoint_index_out",
-    "_checkpoint_index_in", "_remote_checkpoints", "settlement_feerate",
-    "payments_sent", "payments_received", "fastpath_enabled",
-    "checkpoint_every", "multihop_sessions",
+    "retired_sessions", "settlement_feerate", "payments_sent",
+    "payments_received", "multihop_sessions",
 )
 
 
@@ -223,7 +221,7 @@ REQUIRED_KINDS = {
     "new_pay_channel", "channel_open", "new_addr", "new_deposit",
     "deposit_approved", "associate", "remote_associate",
     "remote_dissociate", "dissociated", "release_deposit",
-    "pay", "paid", "checkpoint", "checkpoint_in",
+    "pay", "paid",
     "mh_candidates", "mh_lock", "mh_lock_last", "mh_sign", "mh_sign_head",
     "mh_preupdate", "mh_update", "mh_update_last", "mh_postupdate",
     "mh_postupdate_head", "mh_release", "mh_release_last", "mh_terminated",
@@ -243,13 +241,9 @@ def test_rollback_matches_the_oracle_and_members_match_the_primary(audited):
     c.alice.dissociate_deposit(c.ab, extra)
     c.alice.release_deposit(extra)
 
-    # Signed and fast-path pay, a checkpoint.
-    c.alice.pay(c.ab, 700)
-    c.alice._ecall("set_fastpath", True, 3)
-    for _ in range(4):
-        c.alice.pay(c.ab, 50)
-    c.alice._ecall("checkpoint", c.ab)
-    c.alice._ecall("set_fastpath", False)
+    # Bare pays.
+    for amount in (700, 50, 50):
+        c.alice.pay(c.ab, amount)
 
     # Alg. 2 end to end, then one payment stopped at bob and ejected.
     c.alice.pay_multihop([c.alice, c.bob, c.carol], 1_000)
