@@ -22,7 +22,13 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.blockchain.transaction import OutPoint, Transaction
 from repro.core.deposits import DepositRecord, DepositStatus
-from repro.core.journal import ABSENT, DELETED, UndoJournal, unchanged
+from repro.core.journal import (
+    ABSENT,
+    DELETED,
+    UndoJournal,
+    section_container,
+    unchanged,
+)
 from repro.core.messages import (
     ApproveMyDeposit,
     ApprovedDeposit,
@@ -1029,9 +1035,12 @@ def _committee_placeholder_spec(message: AssociatedDeposit):
 class StateDelta(NamedTuple):
     """What changed since the backups' last acknowledged update — the
     undo journal's pending keys, encoded like :func:`replication_state`:
-    state path → {key: value or ``DELETED``}, and scalar path → value."""
+    state path → {key: value or ``DELETED``} for entries shipped whole;
+    state path → {key: {field: value}} for entries the backups hold and
+    update in place (``patches``, builtins only); scalar path → value."""
 
     sections: Dict[Tuple[str, ...], Dict[Any, Any]]
+    patches: Dict[Tuple[str, ...], Dict[Any, Dict[str, Any]]]
     scalars: Dict[Tuple[str, ...], Any]
 
 
@@ -1056,6 +1065,7 @@ _REPLICATED_SECTIONS = {
     "hub.balances": (("hub", "balances"), None, None),
     "hub.nonces": (("hub", "nonces"), None, None),
 }
+_UNREPLICATED = (None, None, None)
 # Scalars whose state path is not their dotted attribute name.
 _SCALAR_PATHS = {
     "settlement_feerate": ("fee_policy", "settlement_feerate"),
@@ -1063,6 +1073,31 @@ _SCALAR_PATHS = {
 # Each multi-hop payment's candidate txids, kept per payment so a delta
 # replaces one payment's; ``valid_txids`` is their union.
 CANDIDATES = ("candidate_txids",)
+
+
+# Entries the backups hold and the program changes in place: a delta
+# ships the fields that differ (replication_delta).  Each names the
+# fields whose change also changes whether the backups hold the entry
+# (_live_channel), so the entry ships whole instead.
+_PATCHED = {
+    ChannelState: frozenset({"terminated"}),
+    DepositRecord: frozenset(),
+}
+# Field values a patch may carry: a patch holds no class reference.
+_PATCH_VALUES = (int, str, bool, float, bytes, type(None))
+
+
+def _field_patch(value: Any, held: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """``value``'s fields that differ from ``held``; None when one of them
+    is not a builtin scalar (ship the entry whole)."""
+    patch = {}
+    for name, field in vars(value).items():
+        was = held.get(name, ABSENT)
+        if field is not was and field != was:
+            if type(field) not in _PATCH_VALUES:
+                return None
+            patch[name] = field
+    return patch
 
 
 def _scalar_path(name: str) -> Tuple[str, ...]:
@@ -1147,36 +1182,47 @@ def replication_state(program: "ChannelProtocol") -> Dict[str, Any]:
 
 def replication_delta(program: "ChannelProtocol") -> Optional[StateDelta]:
     """The journal's pending keys as a :class:`StateDelta`; None when the
-    journal does not know what the backups hold (ship the full state)."""
+    journal does not know what the backups hold (ship the full state).
+
+    An entry the backups hold and the program changed in place
+    (``_PATCHED``) ships as the fields that differ from the backups'
+    copy, or not at all when none does; anything else that changed —
+    a new key, a replaced object, a deep-mutable value — ships whole."""
     pending = program.journal.pending()
     if pending is None:
         return None
     dirty, scalars = pending
     sections: Dict[Tuple[str, ...], Dict[Any, Any]] = {}
+    patches: Dict[Tuple[str, ...], Dict[Any, Dict[str, Any]]] = {}
     payments: Set[str] = set()
     for section, held in dirty.items():
-        container = attrgetter(section)(program)
-        keys = [key for key, value in held.items()
-                if not unchanged(container.get(key, ABSENT), value)]
-        if not keys:
-            continue
-        if section in ("multihop_sessions", "pending_candidate_txids"):
-            payments.update(keys)
-        layout = _REPLICATED_SECTIONS.get(section)
-        if layout is None:
-            continue
-        path, encode, _ = layout
-        changes = sections[path] = {}
-        for key in keys:
-            value = container.get(key, DELETED)
-            if value is not DELETED and encode is not None:
-                value = encode(value)
-            changes[key] = value
+        container = section_container(program, section)
+        path, encode, _ = _REPLICATED_SECTIONS.get(section, _UNREPLICATED)
+        for key, (was, fields) in held.items():
+            value = container.get(key, ABSENT)
+            if unchanged(value, was):
+                continue
+            if section in ("multihop_sessions", "pending_candidate_txids"):
+                payments.add(key)
+            if path is None:
+                continue
+            if value is ABSENT:
+                shipped = DELETED
+            else:
+                shipped = value if encode is None else encode(value)
+            if shipped is was and type(was) in _PATCHED:
+                patch = _field_patch(value, fields)
+                if (patch is not None
+                        and _PATCHED[type(was)].isdisjoint(patch)):
+                    if patch:
+                        patches.setdefault(path, {})[key] = patch
+                    continue
+            sections.setdefault(path, {})[key] = shipped
     if payments:
         sections[CANDIDATES] = {
             payment_id: _candidate_txids(program, payment_id) or DELETED
             for payment_id in payments}
-    return StateDelta(sections, {
+    return StateDelta(sections, patches, {
         _scalar_path(name): attrgetter(name)(program) for name in scalars})
 
 

@@ -19,8 +19,11 @@ lookups); the rule is *record before you change*.
 Every recorded key is also *dirty*: the replication chain ships it with
 the next push (``repro.core.channel_base.replication_delta``), and only a
 push the backups acknowledged clears it.  For each dirty key the journal
-keeps the value the backups last received, so an entry that provably did
-not change — still absent, or the same immutable value — is left out.
+keeps the value the backups last received *and its fields as they
+received them*.  It already has both: the first record of a clean key
+captures what the backups hold, and an acknowledged push re-captures only
+the keys an open level still records.  So the delta can leave out an
+entry that provably did not change and ship only the fields that did.
 Until the first full push, and after any :meth:`UndoJournal.resync`, the
 journal does not know what a backup holds and :meth:`UndoJournal.pending`
 answers ``None``: ship the full state.
@@ -59,7 +62,7 @@ _IMMUTABLE = (int, float, str, bytes, tuple, frozenset, type(None))
 _GETTERS: Dict[str, attrgetter] = {}
 
 
-def _container(program: Any, section: str) -> Any:
+def section_container(program: Any, section: str) -> Any:
     """``program``'s attribute at the dotted path ``section``."""
     getter = _GETTERS.get(section)
     if getter is None:
@@ -67,18 +70,25 @@ def _container(program: Any, section: str) -> Any:
     return getter(program)
 
 
+def _copied(fields: Dict[str, Any]) -> Dict[str, Any]:
+    """``fields`` with its containers copied one level deep."""
+    copy = fields.copy()
+    for name, field in fields.items():
+        if isinstance(field, (set, dict, list)):
+            copy[name] = field.copy()
+    return copy
+
+
 def _capture(value: Any) -> Any:
     """What restoring ``value`` in place needs: its fields (containers
     copied one level deep), a set's members, or nothing for a value the
-    program never mutates (ints, keys, frozen messages)."""
+    program never mutates (ints, keys, frozen messages) or ``ABSENT``."""
+    if value is ABSENT or isinstance(value, _IMMUTABLE):
+        return None
     if isinstance(value, set):
         return set(value)
     fields = getattr(value, "__dict__", None)
-    if fields is None:
-        return None
-    return {name: field.copy() if isinstance(field, (set, dict, list))
-            else field
-            for name, field in fields.items()}
+    return None if fields is None else _copied(fields)
 
 
 def _restore(container: Dict, key: Any, value: Any, captured: Any) -> None:
@@ -89,9 +99,11 @@ def _restore(container: Dict, key: Any, value: Any, captured: Any) -> None:
         value.clear()
         value.update(captured)
     elif captured is not None:
+        # Copies: the capture may also be what the backups hold, and the
+        # restored entry will change again.
         fields = vars(value)
         fields.clear()
-        fields.update(captured)
+        fields.update(_copied(captured))
     container[key] = value
 
 
@@ -124,10 +136,11 @@ class UndoJournal:
         self._levels: List[_Level] = []
         # Open levels; recording is a no-op at 0.
         self.depth = 0
-        # section → key → the value the backups last received (ABSENT:
-        # none), for every key changed since; None while nobody knows
-        # what the backups hold (ship everything).
-        self._dirty: Optional[Dict[str, Dict[Any, Any]]] = None
+        # section → key → (the value the backups last received or
+        # ABSENT, its fields as they received them), for every key
+        # changed since; None while nobody knows what the backups hold
+        # (ship everything).
+        self._dirty: Optional[Dict[str, Dict[Any, tuple]]] = None
         # The scalars as the backups last received them.
         self._shipped_scalars: Tuple = ()
         # Entries recorded over the journal's life (an operation count
@@ -159,15 +172,16 @@ class UndoJournal:
                 rows = records[section] = {}
             elif key in rows:
                 continue
-            value = _container(program, section).get(key, ABSENT)
-            rows[key] = (value, None if value is ABSENT else _capture(value))
+            value = section_container(program, section).get(key, ABSENT)
+            saved = rows[key] = (value, _capture(value))
             self.recorded += 1
             if dirty is not None:
+                # A clean key: the backups hold exactly what was saved.
                 held = dirty.get(section)
                 if held is None:
-                    dirty[section] = {key: value}
+                    dirty[section] = {key: saved}
                 elif key not in held:
-                    held[key] = value
+                    held[key] = saved
 
     def undo(self) -> None:
         """Put the innermost level's entries, scalars and outbox back.
@@ -176,12 +190,12 @@ class UndoJournal:
         level = self._levels[-1]
         program = self._program
         for section, rows in level.records.items():
-            container = _container(program, section)
+            container = section_container(program, section)
             for key, (value, captured) in rows.items():
                 _restore(container, key, value, captured)
         for name, value in zip(program._ROLLBACK_SCALARS, level.scalars):
             owner, _, attr = name.rpartition(".")
-            setattr(_container(program, owner) if owner else program,
+            setattr(section_container(program, owner) if owner else program,
                     attr, value)
         del program._outbox[level.outbox:]
         level.records = {}
@@ -212,12 +226,13 @@ class UndoJournal:
 
     # -- the replication delta --------------------------------------------
 
-    def pending(self) -> Optional[Tuple[Dict[str, Dict[Any, Any]],
+    def pending(self) -> Optional[Tuple[Dict[str, Dict[Any, tuple]],
                                         Tuple[str, ...]]]:
-        """What the next push must ship: section → key → the value the
-        backups hold, for every key changed since the last acknowledged
-        push, and the names of the scalars that differ from theirs.
-        None: ship everything."""
+        """What the next push must ship: section → key → (the value the
+        backups hold or ABSENT, its fields as they hold them — what
+        :func:`_capture` kept), for every key changed since the last
+        acknowledged push, and the names of the scalars that differ from
+        theirs.  None: ship everything."""
         if self._dirty is None:
             return None
         current = self._scalars(self._program)
@@ -230,15 +245,17 @@ class UndoJournal:
     def shipped(self) -> None:
         """A push was acknowledged: the backups hold the current value of
         every key.  Keys an open level recorded stay dirty, since the
-        ecall may change them again after the push."""
+        ecall may change them again after the push; they are captured
+        again, as the backups now hold them."""
         program = self._program
         self._dirty = dirty = {}
         for level in self._levels:
             for section, rows in level.records.items():
-                container = _container(program, section)
+                container = section_container(program, section)
                 into = dirty.setdefault(section, {})
                 for key in rows:
-                    into[key] = container.get(key, ABSENT)
+                    value = container.get(key, ABSENT)
+                    into[key] = (value, _capture(value))
         self._shipped_scalars = self._scalars(self._program)
 
     def resync(self) -> None:

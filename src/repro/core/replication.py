@@ -11,7 +11,8 @@ channels and releasing deposits.
 :class:`CommitteeMemberProgram` is the enclave program run by backups; it
 
 * applies the primary's updates: a full state, or — once it holds one —
-  a delta carrying only the entries changed since the last update;
+  a delta carrying only the entries changed since the last update, and
+  of a channel or deposit it already holds only the fields that changed;
 * refuses non-monotonic state versions (in-chain rollback protection);
 * freezes the whole chain on any state read;
 * holds its *own* deposit keys for m-of-n committee deposits and co-signs
@@ -140,6 +141,15 @@ class CommitteeMemberProgram(EnclaveProgram):
                     target.pop(key, None)
                 else:
                     target[key] = value
+        for path, entries in delta.patches.items():
+            target = reduce(dict.__getitem__, path, state)
+            for key, fields in entries.items():
+                entry = target.get(key)
+                if entry is None:
+                    raise ReplicationError(
+                        f"patch for {key!r}, which this member does not "
+                        "hold")
+                vars(entry).update(fields)
         for (*parents, leaf), value in delta.scalars.items():
             reduce(dict.__getitem__, parents, state)[leaf] = value
         if CANDIDATES in delta.sections:

@@ -34,13 +34,27 @@ optional fields (handshake timestamps, say) without breaking frames from
 peers still on the old shape.  Decoding re-runs each dataclass's
 ``__post_init__`` validation, which is the first line of defence against
 malformed frames.
+
+The kernel: :func:`encode` appends every value to one ``bytearray``
+through a type → writer table, and each registered dataclass writes a
+precomputed ``0x10 || tag || field count`` header.  :func:`decode` reads
+by offset: every reader takes ``(data, pos, depth)`` and returns
+``(value, next pos)``, with short strings, bytes, small ints, ``None``
+and booleans decoded inline in the loop over a container's items.
+
+Error contract: whatever the bytes, decoding returns a value or raises
+:class:`CodecError` — never another exception.  Containers and
+registered values nest at most :data:`MAX_DEPTH` levels deep, on both
+sides: encoding a deeper value fails the same way, so everything
+:func:`encode` emits decodes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import struct
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.obs.context import TraceContext
@@ -48,13 +62,16 @@ from repro.obs.context import TraceContext
 MAGIC = b"TCW"
 VERSION = 2
 SUPPORTED_VERSIONS = (1, 2)
+#: Levels of containers and registered values one frame may nest.  Real
+#: frames stay near a dozen (a sealed multi-hop session's candidate
+#: transactions, down to their witness signatures).
+MAX_DEPTH = 64
 
 # Header flag bits (version >= 2).
 _H_TRACE = 0x01
 
 # Precomputed frame prefix for the untraced common case, so encoding a
-# message with tracing disabled allocates nothing beyond what version 1
-# did (one constant concat, no per-message header objects).
+# message with tracing disabled allocates no header objects.
 _PREFIX_PLAIN = MAGIC + bytes([VERSION, 0])
 _PREFIX_TRACED = MAGIC + bytes([VERSION, _H_TRACE])
 
@@ -71,108 +88,289 @@ _T_LIST = 0x08
 _T_DICT = 0x09
 _T_REG = 0x10
 
+_CONSTANTS = (None, True, False)
+_DOUBLE = struct.Struct(">d")
+
 
 class CodecError(ReproError):
     """Raised for unencodable objects and malformed or truncated frames."""
 
 
+def _too_deep() -> CodecError:
+    return CodecError(f"value nests deeper than {MAX_DEPTH} levels")
+
+
+def _truncated(pos: int, want: int, data: bytes) -> CodecError:
+    return CodecError(f"truncated frame: wanted {want} bytes at offset "
+                      f"{pos}, have {len(data) - pos}")
+
+
+# Writers append one value to ``out``: ``writer(out, value, depth)``.
+# Readers start after the value's type byte (a registered type's: after
+# its tag): ``reader(data, pos, depth) -> (value, next pos)``.
+_WriteFn = Callable[[bytearray, Any, int], None]
+_ReadFn = Callable[[bytes, int, int], Tuple[Any, int]]
+
+_WRITERS: Dict[type, _WriteFn] = {}
+_READERS: Dict[int, _ReadFn] = {}
+_BY_TAG: Dict[int, type] = {}
+
+
 # ---------------------------------------------------------------------------
-# Varints
+# Encoding
 # ---------------------------------------------------------------------------
+
+def _write_uvarint(out: bytearray, value: int) -> None:
+    while value > 0x7F:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+
 
 def _uvarint(value: int) -> bytes:
-    if value < 0:
-        raise CodecError(f"uvarint cannot encode negative value {value}")
     out = bytearray()
+    _write_uvarint(out, value)
+    return bytes(out)
+
+
+def _write_value(out: bytearray, value: Any, depth: int) -> None:
+    writer = _WRITERS.get(type(value))
+    if writer is None:
+        raise CodecError(f"no wire encoding for {type(value).__name__}")
+    writer(out, value, depth)
+
+
+def _write_items(out: bytearray, items, depth: int) -> None:
+    writers = _WRITERS
+    for item in items:
+        writer = writers.get(type(item))
+        if writer is None:
+            raise CodecError(f"no wire encoding for {type(item).__name__}")
+        writer(out, item, depth)
+
+
+def _write_none(out: bytearray, value: None, depth: int) -> None:
+    out.append(_T_NONE)
+
+
+def _write_bool(out: bytearray, value: bool, depth: int) -> None:
+    out.append(_T_TRUE if value else _T_FALSE)
+
+
+def _write_int(out: bytearray, value: int, depth: int) -> None:
+    out.append(_T_INT)
+    _write_uvarint(out, value << 1 if value >= 0 else ~(value << 1))
+
+
+def _write_float(out: bytearray, value: float, depth: int) -> None:
+    out.append(_T_FLOAT)
+    out += _DOUBLE.pack(value)
+
+
+def _write_str(out: bytearray, value: str, depth: int) -> None:
+    raw = value.encode()
+    out.append(_T_STR)
+    _write_uvarint(out, len(raw))
+    out += raw
+
+
+def _write_bytes(out: bytearray, value: bytes, depth: int) -> None:
+    out.append(_T_BYTES)
+    _write_uvarint(out, len(value))
+    out += value
+
+
+def _sequence_writer(prefix: bytes) -> _WriteFn:
+    """Writes ``prefix || count || items`` (a tuple, list, set…)."""
+    def write(out: bytearray, value, depth: int) -> None:
+        if depth >= MAX_DEPTH:
+            raise _too_deep()
+        out += prefix
+        _write_uvarint(out, len(value))
+        _write_items(out, value, depth + 1)
+    return write
+
+
+def _write_dict(out: bytearray, value: dict, depth: int) -> None:
+    if depth >= MAX_DEPTH:
+        raise _too_deep()
+    out.append(_T_DICT)
+    _write_uvarint(out, len(value))
+    depth += 1
+    for key, item in value.items():
+        _write_value(out, key, depth)
+        _write_value(out, item, depth)
+
+
+_WRITERS.update({
+    type(None): _write_none,
+    bool: _write_bool,
+    int: _write_int,
+    float: _write_float,
+    str: _write_str,
+    bytes: _write_bytes,
+    bytearray: _write_bytes,
+    tuple: _sequence_writer(bytes([_T_TUPLE])),
+    list: _sequence_writer(bytes([_T_LIST])),
+    dict: _write_dict,
+})
+
+
+# ---------------------------------------------------------------------------
+# Decoding
+# ---------------------------------------------------------------------------
+
+def _read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
+    value = data[pos]
+    if value < 0x80:
+        return value, pos + 1
+    value &= 0x7F
+    shift = 7
     while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+        pos += 1
+        byte = data[pos]
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return value, pos + 1
+        shift += 7
+        if shift > 1024:  # 1024 bits: far beyond any legitimate field
+            raise CodecError("runaway varint")
 
 
-def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> (value.bit_length() + 1)) if value < 0 else value << 1
+def _read_value(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    return _KINDS[data[pos]](data, pos + 1, depth)
 
 
-def _unzigzag(value: int) -> int:
-    return (value >> 1) ^ -(value & 1)
+def _read_items(data: bytes, pos: int, count: int,
+                depth: int) -> Tuple[List[Any], int]:
+    """``count`` values from ``pos``; the common small ones inline."""
+    items: List[Any] = []
+    append = items.append
+    kinds = _KINDS
+    size = len(data)
+    for _ in range(count):
+        kind = data[pos]
+        if kind == _T_STR or kind == _T_BYTES:
+            length = data[pos + 1]
+            if length < 0x80:
+                start = pos + 2
+                pos = start + length
+                if pos > size:
+                    raise _truncated(start, length, data)
+                chunk = data[start:pos]
+                append(chunk.decode() if kind == _T_STR else chunk)
+                continue
+        elif kind == _T_INT:
+            raw = data[pos + 1]
+            pos += 2
+            if raw >= 0x80:
+                raw, pos = _read_uvarint(data, pos - 1)
+            append((raw >> 1) ^ -(raw & 1))
+            continue
+        elif kind < _T_INT:
+            append(_CONSTANTS[kind])
+            pos += 1
+            continue
+        value, pos = kinds[kind](data, pos + 1, depth)
+        append(value)
+    return items, pos
 
 
-class _Reader:
-    """Bounds-checked cursor over an immutable buffer."""
+def _constant(value: Any) -> _ReadFn:
+    def read(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+        return value, pos
+    return read
 
-    __slots__ = ("data", "pos")
 
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
+def _read_int(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    raw, pos = _read_uvarint(data, pos)
+    return (raw >> 1) ^ -(raw & 1), pos
 
-    def take(self, count: int) -> bytes:
-        end = self.pos + count
-        if end > len(self.data):
-            raise CodecError(
-                f"truncated frame: wanted {count} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}"
-            )
-        chunk = self.data[self.pos:end]
-        self.pos = end
-        return chunk
 
-    def byte(self) -> int:
-        return self.take(1)[0]
+def _read_float(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    if pos + 8 > len(data):
+        raise _truncated(pos, 8, data)
+    return _DOUBLE.unpack_from(data, pos)[0], pos + 8
 
-    def uvarint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            byte = self.byte()
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 1024:  # 1024 bits: far beyond any legitimate field
-                raise CodecError("runaway varint")
 
-    def done(self) -> bool:
-        return self.pos >= len(self.data)
+def _read_chunk(data: bytes, pos: int) -> Tuple[bytes, int]:
+    length, pos = _read_uvarint(data, pos)
+    end = pos + length
+    if end > len(data):
+        raise _truncated(pos, length, data)
+    return data[pos:end], end
+
+
+def _read_str(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    chunk, pos = _read_chunk(data, pos)
+    return chunk.decode(), pos
+
+
+def _read_bytes(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    return _read_chunk(data, pos)
+
+
+def _read_list(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    if depth >= MAX_DEPTH:
+        raise _too_deep()
+    count, pos = _read_uvarint(data, pos)
+    return _read_items(data, pos, count, depth + 1)
+
+
+def _read_tuple(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    items, pos = _read_list(data, pos, depth)
+    return tuple(items), pos
+
+
+def _read_dict(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    if depth >= MAX_DEPTH:
+        raise _too_deep()
+    count, pos = _read_uvarint(data, pos)
+    items, pos = _read_items(data, pos, 2 * count, depth + 1)
+    pairs = iter(items)
+    try:
+        return dict(zip(pairs, pairs)), pos
+    except TypeError as exc:
+        raise CodecError(f"unhashable dict key: {exc}") from exc
+
+
+def _read_registered(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    tag, pos = _read_uvarint(data, pos)
+    reader = _READERS.get(tag)
+    if reader is None:
+        raise CodecError(f"unknown wire tag {tag}")
+    return reader(data, pos, depth)
+
+
+def _read_unknown(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+    raise CodecError(f"unknown value type byte 0x{data[pos - 1]:02x}")
+
+
+_KNOWN_KINDS = {
+    _T_NONE: _constant(None), _T_TRUE: _constant(True),
+    _T_FALSE: _constant(False),
+    _T_INT: _read_int, _T_FLOAT: _read_float, _T_STR: _read_str,
+    _T_BYTES: _read_bytes, _T_TUPLE: _read_tuple, _T_LIST: _read_list,
+    _T_DICT: _read_dict, _T_REG: _read_registered,
+}
+# Type byte → reader (a list: the byte indexes it directly).
+_KINDS: List[_ReadFn] = [_KNOWN_KINDS.get(kind, _read_unknown)
+                         for kind in range(256)]
 
 
 # ---------------------------------------------------------------------------
 # Type registry
 # ---------------------------------------------------------------------------
 
-_Pack = Callable[[Any], bytes]
-_Unpack = Callable[[_Reader], Any]
-
-
-class _Entry:
-    __slots__ = ("tag", "cls", "pack", "unpack")
-
-    def __init__(self, tag: int, cls: type, pack: _Pack, unpack: _Unpack) -> None:
-        self.tag = tag
-        self.cls = cls
-        self.pack = pack
-        self.unpack = unpack
-
-
-_BY_TAG: Dict[int, _Entry] = {}
-_BY_TYPE: Dict[type, _Entry] = {}
-
-
-def register(tag: int, cls: type, pack: _Pack, unpack: _Unpack) -> None:
-    """Register a custom encoder/decoder pair under a stable wire tag."""
+def _register(tag: int, cls: type, writer: _WriteFn, reader: _ReadFn) -> None:
     if tag in _BY_TAG:
         raise CodecError(f"wire tag {tag} already taken by "
-                         f"{_BY_TAG[tag].cls.__name__}")
-    if cls in _BY_TYPE:
+                         f"{_BY_TAG[tag].__name__}")
+    if cls in _WRITERS:
         raise CodecError(f"{cls.__name__} already registered")
-    entry = _Entry(tag, cls, pack, unpack)
-    _BY_TAG[tag] = entry
-    _BY_TYPE[cls] = entry
+    _BY_TAG[tag] = cls
+    _WRITERS[cls] = writer
+    _READERS[tag] = reader
 
 
 def register_dataclass(tag: int, cls: type) -> None:
@@ -186,129 +384,68 @@ def register_dataclass(tag: int, cls: type) -> None:
     defaults: a schema that grows a new defaulted field whose name sorts
     last keeps decoding frames emitted by the previous schema.
     """
-    field_names = tuple(sorted(
-        field.name for field in dataclasses.fields(cls)
-    ))
+    fields = dataclasses.fields(cls)
+    if not all(field.init and not getattr(field, "kw_only", False)
+               for field in fields):
+        raise CodecError(f"{cls.__name__}: every field must be a "
+                         "positional constructor argument")
+    declared = [field.name for field in fields]
+    names = tuple(sorted(declared))
     defaulted = {
-        field.name for field in dataclasses.fields(cls)
+        field.name for field in fields
         if field.default is not dataclasses.MISSING
         or field.default_factory is not dataclasses.MISSING
     }
-    minimum = len(field_names)
-    while minimum > 0 and field_names[minimum - 1] in defaulted:
+    minimum = len(names)
+    while minimum > 0 and names[minimum - 1] in defaulted:
         minimum -= 1
+    width = len(names)
+    header = bytes([_T_REG]) + _uvarint(tag) + _uvarint(width)
+    if width == 1:
+        getter = attrgetter(names[0])
 
-    def pack(obj: Any) -> bytes:
-        parts = [_uvarint(len(field_names))]
-        for name in field_names:
-            parts.append(_encode_value(getattr(obj, name)))
-        return b"".join(parts)
+        def values(obj: Any) -> Tuple[Any]:
+            return (getter(obj),)
+    else:
+        values = attrgetter(*names)
+    # Sorted-order values → constructor (declaration) order.
+    order = [names.index(name) for name in declared]
+    arrange = None if order == sorted(order) else itemgetter(*order)
 
-    def unpack(reader: _Reader) -> Any:
-        count = reader.uvarint()
-        if count > len(field_names) or count < minimum:
+    def write(out: bytearray, obj: Any, depth: int) -> None:
+        if depth >= MAX_DEPTH:
+            raise _too_deep()
+        out += header
+        _write_items(out, values(obj), depth + 1)
+
+    def read(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+        if depth >= MAX_DEPTH:
+            raise _too_deep()
+        count, pos = _read_uvarint(data, pos)
+        if count > width or count < minimum:
             raise CodecError(
                 f"{cls.__name__}: frame has {count} fields, "
-                f"schema has {len(field_names)} "
-                f"({minimum} required)"
+                f"schema has {width} ({minimum} required)"
             )
-        kwargs = {name: _decode_value(reader)
-                  for name in field_names[:count]}
+        items, pos = _read_items(data, pos, count, depth + 1)
         try:
-            return cls(**kwargs)
+            if count < width:
+                return cls(**dict(zip(names, items))), pos
+            return cls(*(items if arrange is None else arrange(items))), pos
         except (TypeError, ValueError, ReproError) as exc:
             raise CodecError(f"cannot rebuild {cls.__name__}: {exc}") from exc
 
-    register(tag, cls, pack, unpack)
+    _register(tag, cls, write, read)
 
 
 def registered_types() -> Tuple[type, ...]:
     """All wire-registered classes (test surface)."""
-    return tuple(entry.cls for entry in _BY_TAG.values())
-
-
-# ---------------------------------------------------------------------------
-# Value encoding
-# ---------------------------------------------------------------------------
-
-def _encode_value(value: Any) -> bytes:
-    # Exact type checks for bool/int: bool is an int subclass and must win.
-    if value is None:
-        return bytes([_T_NONE])
-    value_type = type(value)
-    if value_type is bool:
-        return bytes([_T_TRUE if value else _T_FALSE])
-    if value_type is int:
-        return bytes([_T_INT]) + _uvarint(_zigzag(value))
-    if value_type is float:
-        return bytes([_T_FLOAT]) + struct.pack(">d", value)
-    if value_type is str:
-        raw = value.encode("utf-8")
-        return bytes([_T_STR]) + _uvarint(len(raw)) + raw
-    if value_type in (bytes, bytearray):
-        return bytes([_T_BYTES]) + _uvarint(len(value)) + bytes(value)
-    if value_type is tuple:
-        return (bytes([_T_TUPLE]) + _uvarint(len(value))
-                + b"".join(_encode_value(item) for item in value))
-    if value_type is list:
-        return (bytes([_T_LIST]) + _uvarint(len(value))
-                + b"".join(_encode_value(item) for item in value))
-    if value_type is dict:
-        parts = [bytes([_T_DICT]), _uvarint(len(value))]
-        for key, item in value.items():
-            parts.append(_encode_value(key))
-            parts.append(_encode_value(item))
-        return b"".join(parts)
-    entry = _BY_TYPE.get(value_type)
-    if entry is not None:
-        return bytes([_T_REG]) + _uvarint(entry.tag) + entry.pack(value)
-    raise CodecError(f"no wire encoding for {value_type.__name__}")
-
-
-def _decode_value(reader: _Reader) -> Any:
-    kind = reader.byte()
-    if kind == _T_NONE:
-        return None
-    if kind == _T_TRUE:
-        return True
-    if kind == _T_FALSE:
-        return False
-    if kind == _T_INT:
-        return _unzigzag(reader.uvarint())
-    if kind == _T_FLOAT:
-        return struct.unpack(">d", reader.take(8))[0]
-    if kind == _T_STR:
-        return reader.take(reader.uvarint()).decode("utf-8")
-    if kind == _T_BYTES:
-        return reader.take(reader.uvarint())
-    if kind == _T_TUPLE:
-        return tuple(_decode_value(reader) for _ in range(reader.uvarint()))
-    if kind == _T_LIST:
-        return [_decode_value(reader) for _ in range(reader.uvarint())]
-    if kind == _T_DICT:
-        count = reader.uvarint()
-        result = {}
-        for _ in range(count):
-            key = _decode_value(reader)
-            result[key] = _decode_value(reader)
-        return result
-    if kind == _T_REG:
-        tag = reader.uvarint()
-        entry = _BY_TAG.get(tag)
-        if entry is None:
-            raise CodecError(f"unknown wire tag {tag}")
-        return entry.unpack(reader)
-    raise CodecError(f"unknown value type byte 0x{kind:02x}")
+    return tuple(_BY_TAG.values())
 
 
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
-
-def _encode_str_raw(value: str) -> bytes:
-    raw = value.encode("utf-8")
-    return _uvarint(len(raw)) + raw
-
 
 def encode(obj: Any, trace: Optional[TraceContext] = None) -> bytes:
     """Encode ``obj`` to a self-describing, versioned byte string.
@@ -318,12 +455,15 @@ def encode(obj: Any, trace: Optional[TraceContext] = None) -> bytes:
     prefix is a precomputed constant — no per-message header allocation.
     """
     if trace is None:
-        return _PREFIX_PLAIN + _encode_value(obj)
-    return (_PREFIX_TRACED
-            + _encode_str_raw(trace.trace_id)
-            + _encode_str_raw(trace.span_id)
-            + _encode_str_raw(trace.parent_id)
-            + _encode_value(obj))
+        out = bytearray(_PREFIX_PLAIN)
+    else:
+        out = bytearray(_PREFIX_TRACED)
+        for text in (trace.trace_id, trace.span_id, trace.parent_id):
+            raw = text.encode()
+            _write_uvarint(out, len(raw))
+            out += raw
+    _write_value(out, obj, 0)
+    return bytes(out)
 
 
 def decode(data: bytes) -> Any:
@@ -340,37 +480,48 @@ def decode_with_trace(data: bytes) -> Tuple[Any, Optional[TraceContext]]:
 
     Accepts every version in :data:`SUPPORTED_VERSIONS`: version-1 frames
     (no header byte) produced by older peers decode with a ``None``
-    context.
+    context.  Any failure is a :class:`CodecError` (module doc).
     """
+    if type(data) is not bytes:
+        data = bytes(data)
     if len(data) < 4 or data[:3] != MAGIC:
         raise CodecError("bad magic: not a repro wire frame")
     version = data[3]
     if version not in SUPPORTED_VERSIONS:
         raise CodecError(f"unsupported wire version {version}")
-    reader = _Reader(data)
-    reader.pos = 4
-    trace: Optional[TraceContext] = None
-    if version >= 2:
-        flags = reader.byte()
-        if flags & ~_H_TRACE:
-            raise CodecError(f"unknown header flags 0x{flags:02x}")
-        if flags & _H_TRACE:
-            trace_id = reader.take(reader.uvarint()).decode("utf-8")
-            span_id = reader.take(reader.uvarint()).decode("utf-8")
-            parent_id = reader.take(reader.uvarint()).decode("utf-8")
-            trace = TraceContext.from_fields(trace_id, span_id, parent_id)
-    value = _decode_value(reader)
-    if not reader.done():
+    try:
+        pos = 4
+        trace: Optional[TraceContext] = None
+        if version >= 2:
+            flags = data[4]
+            pos = 5
+            if flags & ~_H_TRACE:
+                raise CodecError(f"unknown header flags 0x{flags:02x}")
+            if flags & _H_TRACE:
+                fields = []
+                for _ in range(3):
+                    chunk, pos = _read_chunk(data, pos)
+                    fields.append(chunk.decode())
+                trace = TraceContext.from_fields(*fields)
+        value, pos = _KINDS[data[pos]](data, pos + 1, 0)
+    except CodecError:
+        raise
+    except IndexError:
         raise CodecError(
-            f"{len(reader.data) - reader.pos} trailing bytes after value"
-        )
+            f"truncated frame: {len(data)} bytes end inside a value"
+        ) from None
+    except Exception as exc:  # noqa: BLE001 — the error contract
+        raise CodecError(
+            f"malformed frame: {type(exc).__name__}: {exc}") from exc
+    if pos != len(data):
+        raise CodecError(f"{len(data) - pos} trailing bytes after value")
     return value, trace
 
 
 def encodable(obj: Any) -> bool:
     """Whether ``obj`` has a lossless wire encoding."""
     try:
-        _encode_value(obj)
+        _write_value(bytearray(), obj, 0)
         return True
     except CodecError:
         return False
@@ -414,26 +565,27 @@ def _register_schema() -> None:
     from repro.errors import InvalidKey, InvalidSignature
     from repro.tee.attestation import Quote
 
-    def pack_public_key(key: PublicKey) -> bytes:
-        return key.to_bytes()
+    def fixed_width(tag: int, cls: type, width: int, error: type) -> None:
+        """A value that is its ``to_bytes()``: ``width`` raw bytes."""
+        header = bytes([_T_REG]) + _uvarint(tag)
 
-    def unpack_public_key(reader: _Reader) -> PublicKey:
-        try:
-            return PublicKey.from_bytes(reader.take(33))
-        except InvalidKey as exc:
-            raise CodecError(str(exc)) from exc
+        def write(out: bytearray, value: Any, depth: int) -> None:
+            out += header
+            out += value.to_bytes()
 
-    def pack_signature(signature: Signature) -> bytes:
-        return signature.to_bytes()
+        def read(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+            end = pos + width
+            if end > len(data):
+                raise _truncated(pos, width, data)
+            try:
+                return cls.from_bytes(data[pos:end]), end
+            except error as exc:
+                raise CodecError(str(exc)) from exc
 
-    def unpack_signature(reader: _Reader) -> Signature:
-        try:
-            return Signature.from_bytes(reader.take(64))
-        except InvalidSignature as exc:
-            raise CodecError(str(exc)) from exc
+        _register(tag, cls, write, read)
 
-    register(1, PublicKey, pack_public_key, unpack_public_key)
-    register(2, Signature, pack_signature, unpack_signature)
+    fixed_width(1, PublicKey, 33, InvalidKey)
+    fixed_width(2, Signature, 64, InvalidSignature)
     register_dataclass(3, OutPoint)
     register_dataclass(4, MultisigSpec)
     register_dataclass(5, LockingScript)
@@ -482,30 +634,46 @@ def _register_schema() -> None:
     from repro.core.state import ChannelState, MultihopStage
     from repro.tee.sealing import SealedBlob
 
-    def pack_items(items) -> bytes:
-        return _uvarint(len(items)) + b"".join(map(_encode_value, items))
-
-    def read_items(reader: _Reader) -> list:
-        return [_decode_value(reader) for _ in range(reader.uvarint())]
-
-    def pack_member(member) -> bytes:
-        return _encode_value(member.value)
-
-    def rebuild(kind: type, read: _Unpack) -> _Unpack:
-        def unpack(reader: _Reader) -> Any:
+    def collection(tag: int, kind: type) -> None:
+        """A set or frozenset: ``count || items``, like a list."""
+        def read(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+            items, pos = _read_list(data, pos, depth)
             try:
-                return kind(read(reader))
-            except (TypeError, ValueError) as exc:  # unhashable, no member
-                raise CodecError(f"cannot rebuild {kind.__name__}: {exc}") \
-                    from exc
-        return unpack
+                return kind(items), pos
+            except TypeError as exc:  # an unhashable member
+                raise CodecError(
+                    f"cannot rebuild {kind.__name__}: {exc}") from exc
 
-    register(70, set, pack_items, rebuild(set, read_items))
-    register(71, frozenset, pack_items, rebuild(frozenset, read_items))
-    register(72, MultihopStage, pack_member,
-             rebuild(MultihopStage, _decode_value))
-    register(73, DepositStatus, pack_member,
-             rebuild(DepositStatus, _decode_value))
+        _register(tag, kind,
+                  _sequence_writer(bytes([_T_REG]) + _uvarint(tag)), read)
+
+    def enumeration(tag: int, kind: type) -> None:
+        """An enum member: its ``value``."""
+        header = bytes([_T_REG]) + _uvarint(tag)
+        members = {member.value: member for member in kind}
+
+        def write(out: bytearray, member: Any, depth: int) -> None:
+            if depth >= MAX_DEPTH:
+                raise _too_deep()
+            out += header
+            _write_value(out, member.value, depth + 1)
+
+        def read(data: bytes, pos: int, depth: int) -> Tuple[Any, int]:
+            if depth >= MAX_DEPTH:
+                raise _too_deep()
+            value, pos = _read_value(data, pos, depth + 1)
+            try:
+                return members[value], pos
+            except (KeyError, TypeError):
+                raise CodecError(f"cannot rebuild {kind.__name__}: "
+                                 f"{value!r} is no member") from None
+
+        _register(tag, kind, write, read)
+
+    collection(70, set)
+    collection(71, frozenset)
+    enumeration(72, MultihopStage)
+    enumeration(73, DepositStatus)
     register_dataclass(74, ChannelState)
     register_dataclass(75, DepositRecord)
     register_dataclass(76, MultihopSession)

@@ -7,7 +7,10 @@ arbitrary field values), then asserts ``decode(encode(m)) == m`` across
 the lot — including signatures surviving the trip verbatim.
 """
 
+import asyncio
 import dataclasses
+import json
+import pathlib
 import typing
 
 import pytest
@@ -196,6 +199,11 @@ def test_signed_message_round_trips_and_verifies(body, signer):
     decoded.verify(expected_sender=signer.public)  # raises on failure
 
 
+def value_bytes(value):
+    """``value``'s encoding without the frame prefix."""
+    return codec.encode(value)[len(codec.MAGIC) + 2:]
+
+
 class TestCodecFraming:
     def test_bad_magic_rejected(self):
         with pytest.raises(codec.CodecError, match="magic"):
@@ -237,17 +245,17 @@ class TestCodecFraming:
         retired: a reused one would give old frames a new meaning."""
         frame = (codec.MAGIC + bytes([codec.VERSION, 0x00, 0x10])
                  + codec._uvarint(tag) + codec._uvarint(len(fields))
-                 + b"".join(codec._encode_value(value) for value in fields))
+                 + b"".join(value_bytes(value) for value in fields))
         with pytest.raises(codec.CodecError, match="unknown wire tag"):
             codec.decode(frame)
 
     @pytest.mark.parametrize("tag, body", [
         # A set holding a list, a frozenset holding a dict: unhashable.
-        (70, codec._uvarint(1) + codec._encode_value([1])),
-        (71, codec._uvarint(1) + codec._encode_value({"k": 1})),
+        (70, codec._uvarint(1) + value_bytes([1])),
+        (71, codec._uvarint(1) + value_bytes({"k": 1})),
         # No such MultihopStage, no such DepositStatus.
-        (72, codec._encode_value("no-such-stage")),
-        (73, codec._encode_value(7)),
+        (72, value_bytes("no-such-stage")),
+        (73, value_bytes(7)),
     ])
     def test_storage_tags_refuse_what_they_cannot_rebuild(self, tag, body):
         frame = (codec.MAGIC + bytes([codec.VERSION, 0x00, 0x10])
@@ -394,3 +402,147 @@ class TestTraceHeader:
         assert constructed == []
         TraceContext.root()
         assert constructed == [1]
+
+
+# ---------------------------------------------------------------------------
+# The wire contract, frozen: frames the previous decoder wrote
+# ---------------------------------------------------------------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+# Hex frames encoded by the codec before its offset decoder: at least one
+# for every registered tag, drawn from the strategies above (sets hold at
+# most one member, so the frames do not depend on the hash seed), plus a
+# nested container value, a version-1 frame and a traced frame.
+CORPUS = json.loads((GOLDEN / "frames.json").read_text())
+
+
+def reencoded(entry):
+    frame = bytes.fromhex(entry["hex"])
+    value, trace = codec.decode_with_trace(frame)
+    if entry["type"] == "version-1":
+        return frame, codec.MAGIC + bytes([1]) + value_bytes(value)
+    return frame, codec.encode(value, trace=trace)
+
+
+class TestGoldenCorpus:
+    def test_every_registered_type_has_a_golden_frame(self):
+        decoded = {type(codec.decode(bytes.fromhex(entry["hex"])))
+                   for entry in CORPUS}
+        assert set(codec.registered_types()) - {_GrownSchema} <= decoded
+
+    @pytest.mark.parametrize("entry", CORPUS, ids=lambda entry: (
+        f"{entry['tag']}-{entry['type']}-{entry['hex'][-8:]}"))
+    def test_decodes_and_reencodes_byte_identically(self, entry):
+        frame, again = reencoded(entry)
+        assert again == frame
+        if entry["tag"] is not None and entry["type"] != "traced":
+            assert frame[5:7] == bytes([0x10, entry["tag"]])
+
+    def test_the_traced_and_version_1_frames_keep_their_headers(self):
+        kinds = {entry["type"]: entry for entry in CORPUS}
+        _, trace = codec.decode_with_trace(
+            bytes.fromhex(kinds["traced"]["hex"]))
+        assert trace is not None and trace.trace_id == "a1" * 8
+        frame = bytes.fromhex(kinds["version-1"]["hex"])
+        assert frame[3] == 1
+        assert codec.decode(frame) == codec.decode(
+            bytes.fromhex(kinds["dict"]["hex"]))
+
+
+# ---------------------------------------------------------------------------
+# Hostile bytes: every failure is a CodecError
+# ---------------------------------------------------------------------------
+
+PLAIN = codec.MAGIC + bytes([codec.VERSION, 0x00])
+HOSTILE = {
+    # 5,000 nested one-element tuples around a None: 10 KB.
+    "deep": PLAIN + b"\x07\x01" * 5_000 + b"\x00",
+    "bad-utf8": PLAIN + b"\x05\x02\xff\xfe",
+    "list-key": PLAIN + b"\x09\x01" + b"\x08\x00" + b"\x00",
+}
+
+
+def nested(depth, leaf=None):
+    """``leaf`` inside ``depth`` one-element tuples."""
+    for _ in range(depth):
+        leaf = (leaf,)
+    return leaf
+
+
+class TestHostileFrames:
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_raises_codec_error(self, name):
+        with pytest.raises(codec.CodecError):
+            codec.decode(HOSTILE[name])
+
+    def test_nesting_is_bounded_on_both_sides(self):
+        deepest = nested(codec.MAX_DEPTH)
+        assert codec.decode(codec.encode(deepest)) == deepest
+        with pytest.raises(codec.CodecError, match="deeper"):
+            codec.encode(nested(codec.MAX_DEPTH + 1))
+        frame = PLAIN + b"\x07\x01" * (codec.MAX_DEPTH + 1) + b"\x00"
+        with pytest.raises(codec.CodecError, match="deeper"):
+            codec.decode(frame)
+
+    def test_registered_values_count_towards_the_bound(self):
+        inner = m.Paid(channel_id="c", amount=1, sequence=1)
+        assert codec.decode(codec.encode(nested(codec.MAX_DEPTH - 1, inner)))
+        with pytest.raises(codec.CodecError, match="deeper"):
+            codec.encode(nested(codec.MAX_DEPTH, inner))
+
+    @settings(max_examples=200, deadline=None)
+    @given(frame=st.binary(max_size=64))
+    def test_random_bytes_after_the_prefix(self, frame):
+        try:
+            codec.decode(PLAIN + frame)
+        except codec.CodecError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_truncation_of_a_real_frame(self, data):
+        entry = data.draw(st.sampled_from(CORPUS))
+        frame = bytes.fromhex(entry["hex"])
+        cut = data.draw(st.integers(0, len(frame) - 1))
+        with pytest.raises(codec.CodecError):
+            codec.decode(frame[:cut])
+
+    def test_account_pay_answers_bad_request(self):
+        from repro import obs
+        from repro.runtime.daemon import NodeDaemon
+        from repro.runtime.registry import code_for_exception
+
+        with obs.collecting():  # NodeDaemon installs its own registry
+            daemon = NodeDaemon("hub", allocations={"hub": 500_000})
+            for name, frame in sorted(HOSTILE.items()):
+                with pytest.raises(Exception) as excinfo:
+                    asyncio.run(daemon._cmd_account_pay(request=frame.hex()))
+                assert code_for_exception(excinfo.value) == "bad_request", \
+                    name
+
+
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                     st.text(max_size=8), st.binary(max_size=8),
+                     st.floats(allow_nan=False))
+_WRAP = {
+    "tuple": lambda inner: (inner,),
+    "list": lambda inner: [inner, 0],
+    "dict": lambda inner: {"k": inner},
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(leaf=_scalars,
+       wrappers=st.lists(st.sampled_from(sorted(_WRAP)),
+                         max_size=codec.MAX_DEPTH),
+       siblings=st.recursive(_scalars, lambda inner: st.one_of(
+           st.lists(inner, max_size=3), st.tuples(inner, inner),
+           st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+           max_leaves=8))
+def test_nested_containers_round_trip_up_to_the_depth_bound(
+        leaf, wrappers, siblings):
+    value = leaf
+    for wrapper in wrappers:
+        value = _WRAP[wrapper](value)
+    value = [value, siblings] if len(wrappers) < codec.MAX_DEPTH else value
+    assert codec.decode(codec.encode(value)) == value

@@ -12,6 +12,7 @@ used before the wire codec.
 """
 
 import os
+import pathlib
 import pickle
 import shutil
 import stat
@@ -25,7 +26,7 @@ from repro.core.messages import SignedMessage
 from repro.crypto import KeyPair
 from repro.errors import SealingError
 from repro.hub.messages import AccountDeposit, AccountPay
-from repro.runtime import recovery
+from repro.runtime import codec, recovery
 from repro.runtime.daemon import NodeDaemon
 
 CLIENT = KeyPair.from_seed(b"recovery-client")
@@ -212,3 +213,22 @@ def test_sealing_ecalls_leave_the_host_file_alone(funded, monkeypatch):
         pay(daemon, nonce)
     assert daemon.pstore.seals_written == seals + 10
     assert writes == []
+
+
+def test_a_state_dir_sealed_by_the_previous_codec_restores(tmp_path):
+    """``tests/golden/state`` was written by a hub daemon on the codec
+    before its offset decoder: a 50,000 deposit, two accounts funded with
+    10,000 each, then one account pay of 1,234.  It must boot to exactly
+    that state, and its blob must re-encode byte-identically."""
+    shutil.copytree(pathlib.Path(__file__).parent / "golden" / "state",
+                    tmp_path / "golden")
+    sealed = tmp_path / "golden" / "hub" / "sealed.bin"
+    frame = sealed.read_bytes()
+    assert codec.encode(codec.decode(frame)) == frame
+    with obs.collecting():
+        hub = state(boot(tmp_path / "golden"))["hub"]
+    owner = {KeyPair.from_seed(seed).public.to_bytes(): amount
+             for seed, amount in ((b"golden-client", 8_766),
+                                  (b"golden-partner", 11_234))}
+    assert hub["balances"] == owner
+    assert hub["deposited_total"] == 20_000 and hub["pays"] == 1

@@ -6,13 +6,21 @@ plain unit tests.
 """
 
 import asyncio
+import logging
 
 import pytest
 
 from repro.errors import NetworkError, SimulationError
-from repro.runtime.messages import Echo
+from repro.runtime import codec
+from repro.runtime.messages import Echo, Envelope
 from repro.runtime.transport import AsyncTcpNetwork
 from repro.runtime.wallclock import WallClockScheduler
+
+# Frames no peer's codec emits: 5,000 nested one-element tuples (deeper
+# than the codec's bound) and a string that is not UTF-8.
+_PLAIN = codec.MAGIC + bytes([codec.VERSION, 0x00])
+DEEP = _PLAIN + b"\x07\x01" * 5_000 + b"\x00"
+BAD_UTF8 = _PLAIN + b"\x05\x02\xff\xfe"
 
 
 class TestWallClockScheduler:
@@ -230,6 +238,58 @@ class TestAsyncTcpNetwork:
             await b.stop()
 
         asyncio.run(scenario())
+
+    def test_a_hostile_nested_frame_is_warned_and_the_link_stays(
+            self, caplog):
+        async def scenario():
+            a, b = self._pair()
+            await a.start()
+            await b.start()
+            received = asyncio.Queue()
+            b.register("b", received.put_nowait)
+            a.add_peer("b", b.host, b.port)
+            await a.wait_connected("b", 5.0)
+            a.send_control("b", Envelope("a", "b", DEEP, encoded=True))
+            a.send("a", "b", b"after")
+            message = await asyncio.wait_for(received.get(), 5.0)
+            assert message.payload == b"after"
+            assert a.stats()["peers"]["b"]["connected"]
+            await a.stop()
+            await b.stop()
+
+        with caplog.at_level(logging.WARNING):
+            asyncio.run(scenario())
+        assert "bad nested frame" in caplog.text
+        assert not [record for record in caplog.records
+                    if record.levelno >= logging.ERROR]
+
+    def test_a_hostile_frame_drops_only_its_own_connection(self, caplog):
+        async def scenario():
+            a, b = self._pair()
+            await b.start()
+            for frame in (DEEP, BAD_UTF8):
+                reader, writer = await asyncio.open_connection(b.host,
+                                                               b.port)
+                writer.write(len(frame).to_bytes(4, "big") + frame)
+                await writer.drain()
+                assert await asyncio.wait_for(reader.read(), 5.0) == b""
+                writer.close()
+            # A well-behaved peer is still served.
+            await a.start()
+            received = asyncio.Queue()
+            b.register("b", received.put_nowait)
+            a.add_peer("b", b.host, b.port)
+            a.send("a", "b", b"fine")
+            message = await asyncio.wait_for(received.get(), 5.0)
+            assert message.payload == b"fine"
+            await a.stop()
+            await b.stop()
+
+        with caplog.at_level(logging.WARNING):
+            asyncio.run(scenario())
+        assert caplog.text.count("dropping connection") == 2
+        assert not [record for record in caplog.records
+                    if record.levelno >= logging.ERROR]
 
 
 @pytest.mark.live

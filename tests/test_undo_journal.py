@@ -18,7 +18,9 @@ back fails here.
 
 The flat-cost test counts operations, not time: a replicated ``pay``
 journals the same entries and ships the same bytes whether the node has
-one channel or a thousand, and never deep-copies anything.
+one channel or a thousand, and never deep-copies anything.  The
+field-level tests check what a push carries: the changed fields of a
+channel the members hold, and whole objects where a patch cannot say it.
 """
 
 import copy
@@ -34,7 +36,8 @@ from repro.core.channel_base import (
     replication_state,
 )
 from repro.core.messages import PathDescriptor, SignedMessage
-from repro.core.multihop import TeechainEnclave
+from repro.core.journal import DELETED
+from repro.core.multihop import MultihopSession, TeechainEnclave
 from repro.core.node import TeechainNetwork
 from repro.core.persistence import restore_program_state
 from repro.core.replication import ReplicationChain
@@ -366,17 +369,20 @@ def chain():
 
 
 def next_delta(c):
-    """The blob alice's next push would ship (a delta)."""
+    """The blob alice's next push would ship: a delta that patches one
+    field of the channel the member holds."""
     from repro.core.channel_base import replication_delta
 
     program = c.alice.program
     program.journal.begin()
-    program._channel(c.channel)
+    program._channel(c.channel).remote_balance += 1
     program.payments_sent += 1
     delta = replication_delta(program)
     program.journal.undo()
     program.journal.end()
-    assert delta is not None
+    assert delta.sections == {}
+    assert delta.patches == {("channels",): {c.channel: {
+        "remote_balance": program.channels[c.channel].remote_balance + 1}}}
     return pickle.dumps(delta)
 
 
@@ -449,3 +455,143 @@ def test_after_a_failed_push_the_next_one_is_full_and_realigns_members():
     assert registry.snapshot()["counters"]["replication.full_pushes"] == 1
     expected = canon(replication_state(alice.program))
     assert canon(first.state) == canon(second.state) == expected
+
+
+# ---------------------------------------------------------------------------
+# Field-level deltas: what the members hold is patched, not replaced
+# ---------------------------------------------------------------------------
+
+def pushed_deltas(monkeypatch, action):
+    """The updates ``action`` pushes, unpickled."""
+    blobs = []
+    push_members = ReplicationChain._push_members
+
+    def measured(self, blob):
+        blobs.append(blob)
+        return push_members(self, blob)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ReplicationChain, "_push_members", measured)
+        action()
+    return blobs, [pickle.loads(blob) for blob in blobs]
+
+
+def objects_in(value):
+    """Every non-builtin object ``value`` holds, however deep."""
+    if isinstance(value, dict):
+        return [found for pair in value.items() for item in pair
+                for found in objects_in(item)]
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return [found for item in value for found in objects_in(item)]
+    if isinstance(value, (int, float, str, bytes, type(None))):
+        return []
+    return [value]
+
+
+@pytest.fixture
+def committee_pair():
+    network = TeechainNetwork()
+    alice = network.create_node("alice", funds=100_000)
+    bob = network.create_node("bob", funds=100_000)
+    for node in (alice, bob):
+        node.attach_committee(backups=2, threshold=2)
+    channel = alice.open_channel(bob)
+    alice.approve_and_associate(bob, alice.create_deposit(50_000), channel)
+    alice.pay(channel, 1)
+    return SimpleNamespace(alice=alice, bob=bob, channel=channel)
+
+
+def assert_members_match(node):
+    expected = canon(replication_state(node.program))
+    for member in node.replication.members:
+        assert canon(member.program.state) == expected
+
+
+def test_a_committee_pay_pushes_patches_of_builtins(committee_pair, monkeypatch):
+    c = committee_pair
+    blobs, deltas = pushed_deltas(monkeypatch, lambda: c.alice.pay(c.channel, 7))
+    assert len(blobs) == 2  # payer and payee
+    for blob, delta in zip(blobs, deltas):
+        assert len(blob) <= 256
+        assert not objects_in(delta.sections)
+        assert not objects_in(delta.patches)
+        assert set(delta.patches[("channels",)][c.channel]) == {
+            "my_balance", "remote_balance"}
+    assert_members_match(c.alice)
+    assert_members_match(c.bob)
+
+
+def test_an_entry_replaced_under_its_key_ships_whole_and_converges(
+        committee_pair, monkeypatch):
+    from dataclasses import replace
+
+    c = committee_pair
+    program = c.alice.program
+    channel = program.channels[c.channel]
+
+    def swap():
+        program.journal.begin()
+        program._touch_channel(c.channel)
+        program.channels[c.channel] = replace(
+            channel, my_balance=channel.my_balance - 5,
+            remote_balance=channel.remote_balance + 5)
+        c.alice.replication.push()
+        program.journal.end()
+
+    _, (delta,) = pushed_deltas(monkeypatch, swap)
+    assert delta.sections[("channels",)][c.channel] is not None
+    assert ("channels",) not in delta.patches
+    assert_members_match(c.alice)
+    # The new object is what the members hold now: patched from here on.
+    _, deltas = pushed_deltas(monkeypatch, lambda: c.alice.pay(c.channel, 3))
+    assert c.channel in deltas[0].patches[("channels",)]
+    assert_members_match(c.alice)
+
+
+def test_a_multihop_session_ships_whole(monkeypatch):
+    c = committee_path()
+    _, deltas = pushed_deltas(monkeypatch, lambda: c.alice.pay_multihop(
+        [c.alice, c.bob, c.carol], 1_000))
+    sessions = [session for delta in deltas
+                for session in delta.sections.get(
+                    ("multihop_sessions",), {}).values()
+                if session is not DELETED]
+    assert sessions and all(isinstance(session, MultihopSession)
+                            for session in sessions)
+    assert not any(("multihop_sessions",) in delta.patches
+                   for delta in deltas)
+    for node in (c.alice, c.bob, c.carol):
+        assert_members_match(node)
+
+
+def test_after_a_failed_push_a_full_push_then_patches_again(
+        committee_pair, monkeypatch):
+    c = committee_pair
+    second = c.alice.replication.members[1].program
+    apply = second.state_update
+
+    def lost(*args):
+        second.state_update = apply
+        raise ReplicationError("update lost on the way to the tail")
+
+    second.state_update = lost
+    with pytest.raises(ReplicationError):
+        c.alice.pay(c.channel, 5)
+    _, (full, _) = pushed_deltas(monkeypatch, lambda: c.alice.pay(c.channel, 5))
+    assert isinstance(full, dict)  # the full state, to realign members
+    _, (delta, _) = pushed_deltas(monkeypatch, lambda: c.alice.pay(c.channel, 5))
+    assert c.channel in delta.patches[("channels",)]
+    assert_members_match(c.alice)
+
+
+def test_a_patch_for_an_entry_the_member_lacks_is_refused(committee_pair):
+    from repro.core.channel_base import StateDelta
+
+    c = committee_pair
+    member = c.alice.replication.members[0]
+    version = member.program.version
+    stray = StateDelta({}, {("channels",): {"no-such": {"my_balance": 1}}},
+                       {})
+    with pytest.raises(ReplicationError, match="does not hold"):
+        member.ecall("state_update", c.alice.replication.chain_id,
+                     version + 1, pickle.dumps(stray))
