@@ -1,10 +1,11 @@
 """Chaos under observation: load + link faults + the fleet audit plane.
 
-A live hub-and-spoke fleet (1 hub, 4 spokes) runs its full
-bidirectional closed loop while two other things happen *at the same
-time*: a :class:`~repro.faults.live.LiveFaultInjector` severs transport
-links on a schedule (each sever is a real TCP cut; the dial loop redials
-with backoff), and a :class:`~repro.obs.fleet.FleetMonitorThread` sweeps
+A live hub-and-spoke fleet (1 hub, 3 spokes) runs the bidirectional
+closed loop of ``tests/test_runtime_load_live.py`` while two other
+things happen *at the same time*: a
+:class:`~repro.faults.live.LiveFaultInjector` severs transport links on
+a schedule (each sever is a real TCP cut; the dial loop redials with
+backoff), and a :class:`~repro.obs.fleet.FleetMonitorThread` sweeps
 every daemon's ``audit-snapshot`` on a 200 ms interval, feeding the
 :class:`~repro.obs.audit.InvariantAuditor`.
 
@@ -25,7 +26,6 @@ written standalone as ``BENCH_live_chaos_monitor_alerts.json`` for the
 CI artifact.
 """
 
-import asyncio
 import json
 import os
 import threading
@@ -35,20 +35,22 @@ import pytest
 
 from repro.faults.live import LiveFaultInjector
 from repro.faults.schedule import FaultSchedule
-from repro.load import LoadTarget, run_closed_loop, transport_drops
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, nearest_rank
 from repro.obs.fleet import FleetMonitorThread
 from repro.runtime.launch import HOST, launch_network
 
 from conftest import BENCH_DIR, report
 from repro.bench.harness import ExperimentResult
+from tests.test_runtime_load_live import (
+    GENESIS,
+    SPOKES,
+    await_convergence,
+    drive_channels,
+    fund_spokes,
+    transport_drops,
+)
 
-SPOKES = 3
-GENESIS = 200_000
-DEPOSIT = 40_000
-PAYMENTS = 80            # per direction per channel
-CONCURRENCY = 2          # users per stream
-HUB_TO_SPOKE, SPOKE_TO_HUB = 2, 1   # asymmetric → on-chain settlement
+SECONDS = 2.0            # closed-loop window; covers every fault below
 SWEEP_INTERVAL = 0.2
 
 # Severs spread across the load window, on both hub- and spoke-side
@@ -63,78 +65,34 @@ CHAOS = (FaultSchedule(seed=9)
          .heal("hub", "spoke0", at=1.3))
 
 
-def _poll(predicate, timeout=30.0, interval=0.05, what="condition"):
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        if time.monotonic() > deadline:
-            pytest.fail(f"timed out waiting for {what}")
-        time.sleep(interval)
-
-
 @pytest.mark.live
 def test_live_chaos_monitor():
     names = ["hub"] + [f"spoke{i}" for i in range(SPOKES)]
     handles, _ = launch_network({name: GENESIS for name in names})
     hub = handles["hub"].control
-    spokes = {name: handles[name].control for name in names[1:]}
     monitored = None
     try:
-        channels = {}
-        for name, spoke in spokes.items():
-            cid = hub.call("open-channel", peer=name)["channel_id"]
-            channels[name] = cid
-            deposit = hub.call("deposit", value=DEPOSIT)
-            hub.call("approve-associate", peer=name, channel_id=cid,
-                     txid=deposit["txid"])
-            deposit = spoke.call("deposit", value=DEPOSIT)
-            spoke.call("approve-associate", peer="hub", channel_id=cid,
-                       txid=deposit["txid"])
-
-        targets = []
-        for name, cid in channels.items():
-            targets.append(LoadTarget(
-                HOST, handles["hub"].control_port, cid,
-                amount=HUB_TO_SPOKE, label=f"hub->{name}"))
-            targets.append(LoadTarget(
-                HOST, handles[name].control_port, cid,
-                amount=SPOKE_TO_HUB, label=f"{name}->hub"))
+        channels = fund_spokes(handles)
 
         # Monitor attaches once the fleet is funded and quiescent, with
         # the funded supply as the conservation baseline, and stays up
         # through load, faults, convergence and settlement.
+        registry = MetricsRegistry()
         monitored = FleetMonitorThread(
             {name: (HOST, handles[name].control_port) for name in names},
-            interval=SWEEP_INTERVAL,
-            expected_total=len(names) * GENESIS).start()
+            interval=SWEEP_INTERVAL, expected_total=len(names) * GENESIS,
+            metrics=registry).start()
 
         injector = LiveFaultInjector(handles, CHAOS)
         chaos_thread = threading.Thread(
             target=injector.apply, name="chaos", daemon=True)
 
-        registry = MetricsRegistry()
         chaos_thread.start()
-        load = asyncio.run(run_closed_loop(
-            targets, PAYMENTS, concurrency=CONCURRENCY, registry=registry))
+        paid, net, latencies = drive_channels(handles, channels, SECONDS)
         chaos_thread.join(timeout=30)
         assert not chaos_thread.is_alive()
-        assert load.errors == 0
-        assert load.completed == 2 * SPOKES * PAYMENTS
-
-        drops = asyncio.run(transport_drops(
-            [(HOST, handle.control_port) for handle in handles.values()]))
-
-        net = PAYMENTS * (HUB_TO_SPOKE - SPOKE_TO_HUB)
-
-        def converged(client, cid, mine, theirs):
-            snapshot = client.call("channel", channel_id=cid)
-            return (snapshot["my_balance"] == mine
-                    and snapshot["remote_balance"] == theirs)
-
-        for name, cid in channels.items():
-            _poll(lambda: converged(hub, cid, DEPOSIT - net, DEPOSIT + net)
-                  and converged(spokes[name], cid,
-                                DEPOSIT + net, DEPOSIT - net),
-                  what=f"channel {cid} to converge")
+        drops = transport_drops(handles)
+        await_convergence(handles, channels, net)
 
         for cid in channels.values():
             hub.call("settle", channel_id=cid)
@@ -159,7 +117,10 @@ def test_live_chaos_monitor():
     results = [
         ExperimentResult("live chaos+monitor", f"{SPOKES} spokes, "
                          f"{len(CHAOS.faults)} faults", "throughput",
-                         load.throughput_tx_s, None, "tx/s"),
+                         sum(paid.values()) / SECONDS, None, "tx/s"),
+        *(ExperimentResult("live chaos+monitor", "pay latency", f"p{q:g}",
+                           1e3 * nearest_rank(latencies, q / 100), None,
+                           "ms") for q in (50, 95)),
         ExperimentResult("live chaos+monitor", "audit plane", "sweeps",
                          monitor.sweeps, None, "sweeps"),
         ExperimentResult("live chaos+monitor", "audit plane",
@@ -175,7 +136,9 @@ def test_live_chaos_monitor():
         sidecar="live_chaos_monitor",
         metrics=registry,
         extra={
-            "load": load.to_dict(),
+            "load": {"seconds": SECONDS, "completed": sum(paid.values()),
+                     "lanes": {f"{name}:{side}": count
+                               for (name, side), count in paid.items()}},
             "transport_drops": drops,
             "balances": balances,
             "faults": [list(entry) for entry in injector.injected],
@@ -211,7 +174,7 @@ def test_live_chaos_monitor():
     assert drops["protocol"] == 0
 
     # Exact conservation after settling every channel.
-    assert balances["hub"] == GENESIS - SPOKES * net
+    assert balances["hub"] == GENESIS - sum(net.values())
     for name in names[1:]:
-        assert balances[name] == GENESIS + net
+        assert balances[name] == GENESIS + net[name]
     assert sum(balances.values()) == len(names) * GENESIS

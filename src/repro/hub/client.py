@@ -7,8 +7,9 @@ verification happens inside the hub's enclave, so the client needs to
 trust neither the transport nor the hub's host.
 
 :class:`HubClient` mirrors :class:`~repro.runtime.control.ControlClient`
-(blocking sockets, context manager); asyncio callers like the
-``repro.load`` generators sign with :class:`_RequestSigner` directly.
+(blocking sockets, context manager); drivers that own many accounts
+on a few connections sign with :class:`_RequestSigner` or
+:func:`sign_request` directly.
 
 Nonces are tracked client-side: on first use the client asks the hub
 for the last accepted nonce (a signed, read-only query), then counts

@@ -60,7 +60,6 @@ from repro.obs.metrics import (
     exponential_buckets,
     linear_buckets,
     nearest_rank,
-    summarize_samples,
 )
 from repro.obs.trace import DEFAULT_CAPACITY, NO_TRACE, NullTracer, Tracer
 
@@ -79,7 +78,6 @@ __all__ = [
     "linear_buckets",
     "exponential_buckets",
     "nearest_rank",
-    "summarize_samples",
     "get_metrics",
     "set_metrics",
     "get_tracer",

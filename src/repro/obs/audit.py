@@ -113,8 +113,7 @@ class InvariantAuditor:
     allocations of the polled daemons).  When omitted, the first
     sweep's observed total becomes the baseline — correct as long as
     the monitor attaches while the fleet is quiescent or only after
-    setup, which is how ``repro.load --monitor`` and the benchmarks
-    use it.
+    setup, which is how the chaos benchmark uses it.
     """
 
     def __init__(

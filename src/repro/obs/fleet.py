@@ -13,8 +13,8 @@ failure, not a phantom CRITICAL deficit) and gets a fresh connection
 attempt next sweep.
 
 The monitor runs happily *concurrently with traffic and faults* — that
-is the point: ``repro.load --monitor`` attaches one to the fleet it is
-loading, and ``bench_live_chaos_monitor.py`` attaches one while a
+is the point: ``bench_live_chaos_monitor.py`` attaches one to a fleet
+under closed-loop load while a
 :class:`~repro.faults.live.LiveFaultInjector` severs and heals links.
 
 Intended use::
@@ -92,27 +92,29 @@ class FleetMonitor:
     # Polling
     # ------------------------------------------------------------------
 
+    async def _call(self, name: str, cmd: str) -> Dict[str, Any]:
+        """One command over ``name``'s cached connection, dialled on first
+        use and again once a failed call has closed it (daemons restart,
+        routers respawn)."""
+        client = self._clients.get(name)
+        if client is None or client.closed:
+            host, port = self.targets[name]
+            client = await AsyncControlClient.connect(
+                host, port, timeout=self.timeout)
+            self._clients[name] = client
+        return await client.call(cmd)
+
     async def _poll(self, name: str) -> Tuple[str, Optional[Dict[str, Any]],
                                               Optional[Dict[str, Any]],
                                               Optional[Dict[str, Any]]]:
-        """One daemon's scrape; any failure drops the cached connection
-        so the next sweep redials (daemons restart, routers respawn)."""
-        client = self._clients.get(name)
+        """One daemon's scrape; all three replies or none."""
         try:
-            if client is None:
-                host, port = self.targets[name]
-                client = await AsyncControlClient.connect(
-                    host, port, timeout=self.timeout)
-                self._clients[name] = client
-            snapshot = await client.call("audit-snapshot")
-            delta = await client.call("metrics_stream")
-            health = await client.call("health")
-            return name, snapshot, delta, health
-        except (ControlError, OSError, asyncio.TimeoutError):
-            stale = self._clients.pop(name, None)
-            if stale is not None:
-                await stale.close()
+            snapshot = await self._call(name, "audit-snapshot")
+            delta = await self._call(name, "metrics_stream")
+            health = await self._call(name, "health")
+        except (ControlError, OSError):
             return name, None, None, None
+        return name, snapshot, delta, health
 
     async def sweep(self) -> Dict[str, Any]:
         """Poll every daemon once, record points, run the auditor."""
@@ -244,21 +246,11 @@ class FleetMonitor:
 
         node_snapshots: Dict[str, Dict[str, Any]] = {}
         for name in self.targets:
-            response = None
-            client = self._clients.get(name)
             try:
-                if client is None:
-                    host, port = self.targets[name]
-                    client = await AsyncControlClient.connect(
-                        host, port, timeout=self.timeout)
-                    self._clients[name] = client
-                response = await client.call("metrics")
-            except (ControlError, OSError, asyncio.TimeoutError):
-                stale = self._clients.pop(name, None)
-                if stale is not None:
-                    await stale.close()
-            if response is not None:
-                node_snapshots[name] = response.get("metrics", {})
+                response = await self._call(name, "metrics")
+            except (ControlError, OSError):
+                continue
+            node_snapshots[name] = response.get("metrics", {})
         return fleet_prometheus_text(node_snapshots, prefix=prefix)
 
     def to_sidecar(self) -> Dict[str, Any]:
@@ -276,12 +268,11 @@ class FleetMonitor:
 class FleetMonitorThread:
     """A :class:`FleetMonitor` on its own thread and event loop.
 
-    Drivers like ``repro.load smoke`` and the chaos benchmark mix
-    blocking :class:`~repro.runtime.control.ControlClient` calls with
-    separate ``asyncio.run`` segments — there is no single long-lived
-    loop to mount the monitor on.  This wrapper gives the monitor a
-    dedicated loop so it sweeps continuously while the driver does
-    whatever it wants on the main thread.
+    Drivers like the chaos benchmark make blocking
+    :class:`~repro.runtime.control.ControlClient` calls from threads —
+    there is no long-lived event loop to mount the monitor on.  This
+    wrapper gives the monitor a dedicated loop so it sweeps continuously
+    while the driver does whatever it wants on the main thread.
 
     After :meth:`stop` (one final sweep taken) the underlying monitor is
     available for assertions and the sidecar::

@@ -31,7 +31,6 @@ __all__ = [
     "linear_buckets",
     "exponential_buckets",
     "nearest_rank",
-    "summarize_samples",
 ]
 
 # Latency-flavoured default buckets, in seconds: 100 µs … 10 s.  Callers
@@ -72,9 +71,8 @@ def nearest_rank(samples: Sequence[float], q: float) -> float:
     (1-based), with ``q = 0`` defined as the minimum.  Unlike the naive
     ``ordered[int(n * q)]`` this is exact at both ends — ``q = 1`` is the
     maximum, never an ``IndexError`` — and returns the *lower* median for
-    even n rather than the upper.  Shared by the daemon's latency probes
-    and the ``repro.load`` reports so every p50/p95 in a sidecar means
-    the same thing.
+    even n rather than the upper.  The chaos benchmark reports its
+    payment latency percentiles with it.
 
     ``samples`` need not be pre-sorted; a sorted copy is taken.
     """
@@ -87,24 +85,6 @@ def nearest_rank(samples: Sequence[float], q: float) -> float:
         return ordered[0]
     rank = math.ceil(q * len(ordered))
     return ordered[rank - 1]
-
-
-def summarize_samples(samples: Sequence[float],
-                      quantiles: Sequence[float] = (0.5, 0.95),
-                      ) -> Dict[str, float]:
-    """The standard latency summary block every probe/report emits:
-    count, mean, min, max, plus ``p<q>`` keys from :func:`nearest_rank`."""
-    if not samples:
-        return {"count": 0}
-    summary: Dict[str, float] = {
-        "count": len(samples),
-        "mean": sum(samples) / len(samples),
-        "min": min(samples),
-        "max": max(samples),
-    }
-    for q in quantiles:
-        summary[f"p{round(q * 100):d}"] = nearest_rank(samples, q)
-    return summary
 
 
 class Counter:

@@ -3,16 +3,19 @@
 :class:`ControlClient` is synchronous — used by the CLI, the live
 tests, and the loopback benchmark, all of which run *outside* the
 daemon's event loop, so a plain blocking socket is the right tool.
-:class:`AsyncControlClient` is its asyncio twin for drivers that hold
-many control connections open concurrently (the ``repro.load``
-generators).  Both speak one request object per line out, one response
+:class:`AsyncControlClient` is its asyncio twin for code that already
+runs on an event loop (the sharded router's worker links, the fleet
+monitor).  Both speak one request object per line out, one response
 object per line back, strictly in order.
 
 Failures are structured: the daemon answers ``{"ok": false, "code": ...,
 "error": ...}`` and :class:`ControlError` carries the stable ``code``
 (``bad_request``, ``no_such_channel``, ``enclave_crashed``, …) so
 callers branch on codes, not prose.  Timeouts are explicit deadline
-errors that say what was being waited for, never silent hangs.
+errors that say what was being waited for, never silent hangs.  The
+deadline is the client's, fixed at construction: every keyword of
+``call`` is a verb parameter (``connect``, ``echo``, ``approve-associate``
+and ``pay-multihop`` take a ``timeout`` of their own).
 """
 
 from __future__ import annotations
@@ -63,23 +66,16 @@ class ControlClient:
         self._socket = socket.create_connection((host, port), timeout=timeout)
         self._reader = self._socket.makefile("rb")
 
-    def call(self, cmd: str, timeout: Optional[float] = None,
-             **kwargs: Any) -> Dict[str, Any]:
-        """Send one command and wait (bounded) for its response.
-
-        ``timeout`` overrides the client default for this call only —
-        a ``settle`` needs more room than a ``ping``.
-        """
+    def call(self, cmd: str, **kwargs: Any) -> Dict[str, Any]:
+        """Send one command and wait (bounded) for its response."""
         request = {"cmd": cmd, **kwargs}
-        deadline = self.timeout if timeout is None else timeout
-        self._socket.settimeout(deadline)
         try:
             self._socket.sendall(json.dumps(request).encode() + b"\n")
             line = self._reader.readline()
         except socket.timeout:
             raise ControlError(
                 f"{cmd!r} to {self.host}:{self.port} got no response "
-                f"within {deadline:.1f}s", code="timeout") from None
+                f"within {self.timeout:.1f}s", code="timeout") from None
         except OSError as exc:
             raise ControlError(
                 f"transport failure for {cmd!r} to "
@@ -119,8 +115,7 @@ class AsyncControlClient:
     One coroutine per connection: the daemon serves each control
     connection serially (it awaits a command before reading the next
     line), so a driver that wants N concurrent commands in flight opens
-    N clients — which is exactly how ``repro.load`` models N closed-loop
-    users.  Create with :meth:`connect`.
+    N clients.  Create with :meth:`connect`.
     """
 
     def __init__(self, host: str, port: int,
@@ -147,24 +142,44 @@ class AsyncControlClient:
                 code="timeout") from None
         return cls(host, port, reader, writer, timeout=timeout)
 
-    async def call(self, cmd: str, timeout: Optional[float] = None,
-                   **kwargs: Any) -> Dict[str, Any]:
+    @property
+    def closed(self) -> bool:
+        return self._writer.is_closing()
+
+    async def call(self, cmd: str, **kwargs: Any) -> Dict[str, Any]:
+        """Send one command and wait (bounded) for its response.
+
+        A call that ends without its reply — timeout, cancellation, a
+        transport failure — closes the client: the reply may still be on
+        its way, and the next call would read it as its own.  Later calls
+        raise ``connection_closed``; the owner redials.
+        """
+        if self.closed:
+            raise ControlError(
+                f"connection to {self.host}:{self.port} is closed; "
+                f"{cmd!r} not sent", code="connection_closed")
         request = {"cmd": cmd, **kwargs}
-        deadline = self.timeout if timeout is None else timeout
         try:
             self._writer.write(json.dumps(request).encode() + b"\n")
-            await asyncio.wait_for(self._writer.drain(), deadline)
-            line = await asyncio.wait_for(self._reader.readline(), deadline)
+            await asyncio.wait_for(self._writer.drain(), self.timeout)
+            line = await asyncio.wait_for(self._reader.readline(),
+                                          self.timeout)
         except asyncio.TimeoutError:
+            self._writer.close()
             raise ControlError(
                 f"{cmd!r} to {self.host}:{self.port} got no response "
-                f"within {deadline:.1f}s", code="timeout") from None
+                f"within {self.timeout:.1f}s", code="timeout") from None
         except OSError as exc:
+            self._writer.close()
             raise ControlError(
                 f"transport failure for {cmd!r} to "
                 f"{self.host}:{self.port}: {exc}",
                 code="connection_closed") from exc
+        except asyncio.CancelledError:
+            self._writer.close()
+            raise
         if not line:
+            self._writer.close()
             raise ControlError(
                 f"daemon at {self.host}:{self.port} hung up "
                 f"while {cmd!r} was in flight", code="connection_closed")

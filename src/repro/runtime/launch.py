@@ -42,7 +42,13 @@ def spawn_daemon(
     state_dir: Optional[str] = None,
     extra_args: Sequence[str] = (),
 ) -> subprocess.Popen:
-    """Start ``python -m repro.runtime serve`` as a subprocess."""
+    """Start ``python -m repro.runtime serve`` as a subprocess.
+
+    Nobody reads the ready line, so stdout goes to ``/dev/null``; stderr
+    is inherited, so a daemon (or a sharded router's worker) logs where
+    its parent does.  A pipe nobody drains would wedge the daemon on its
+    first ~64 KiB of log output.
+    """
     command: List[str] = [
         sys.executable, "-m", "repro.runtime", "serve",
         "--name", name, "--host", host,
@@ -55,10 +61,7 @@ def spawn_daemon(
     command += list(extra_args)
     env = dict(os.environ)
     env["PYTHONPATH"] = _src_root() + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.Popen(
-        command, env=env,
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-    )
+    return subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
 
 
 class DaemonHandle:

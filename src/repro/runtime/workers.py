@@ -62,10 +62,11 @@ logger = logging.getLogger(__name__)
 class WorkerHandle:
     """One worker process plus its async control client."""
 
-    def __init__(self, name: str, process: subprocess.Popen,
+    def __init__(self, name: str, process: subprocess.Popen, host: str,
                  port: int, control_port: int) -> None:
         self.name = name
         self.process = process
+        self.host = host
         self.port = port
         self.control_port = control_port
         self.client: Optional[AsyncControlClient] = None
@@ -75,8 +76,12 @@ class WorkerHandle:
         self.lock = asyncio.Lock()
 
     async def call(self, cmd: str, **kwargs: Any) -> Dict[str, Any]:
-        assert self.client is not None
+        """Forward one command; a link a failed call closed is redialled
+        first, so one lost reply costs one command, not the link."""
         async with self.lock:
+            if self.client is None or self.client.closed:
+                self.client = await AsyncControlClient.connect(
+                    self.host, self.control_port)
             return await self.client.call(cmd, **kwargs)
 
 
@@ -140,8 +145,8 @@ class ShardedDaemon:
                     host=self.host, state_dir=self.state_dir,
                     extra_args=("--trace",) if self.trace else (),
                 )
-                handle = WorkerHandle(worker_name, process, port,
-                                      control_port)
+                handle = WorkerHandle(worker_name, process, self.host,
+                                      port, control_port)
                 self.workers[worker_name] = handle
                 # Blocking readiness probe, then the long-lived async
                 # client the router actually routes over.

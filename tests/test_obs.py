@@ -275,8 +275,8 @@ class TestHarnessSidecar:
 
 
 class TestQuantileHelper:
-    """Nearest-rank quantiles: the shared helper behind the daemon's
-    latency probes and the repro.load reports."""
+    """Nearest-rank quantiles: the helper behind the chaos benchmark's
+    latency percentiles."""
 
     def test_quantile_is_order_statistic_exact(self):
         from repro.obs import nearest_rank
@@ -313,21 +313,3 @@ class TestQuantileHelper:
             nearest_rank([1.0], 1.5)
         with pytest.raises(ValueError):
             nearest_rank([1.0], -0.1)
-
-    def test_summarize_samples(self):
-        from repro.obs import summarize_samples
-        summary = summarize_samples([4.0, 2.0, 1.0, 3.0])
-        assert summary["count"] == 4
-        assert summary["mean"] == pytest.approx(2.5)
-        assert summary["min"] == 1.0
-        assert summary["max"] == 4.0
-        assert summary["p50"] == 2.0
-        assert summary["p95"] == 4.0
-
-    def test_summarize_samples_custom_quantiles(self):
-        from repro.obs import summarize_samples
-        summary = summarize_samples(list(range(1, 101)),
-                                    quantiles=(0.25, 0.99))
-        assert summary["p25"] == 25
-        assert summary["p99"] == 99
-        assert "p50" not in summary

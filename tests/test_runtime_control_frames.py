@@ -16,8 +16,9 @@ import asyncio
 import pytest
 
 from repro import obs
-from repro.runtime.daemon import NodeDaemon
+from repro.runtime.daemon import COMMANDS, NodeDaemon
 from repro.runtime.messages import Echo, OpenChannel, OpenChannelOk
+from repro.runtime.registry import code_for_exception
 
 
 @pytest.fixture
@@ -92,3 +93,11 @@ def test_open_channel_ok_only_from_the_peer_that_was_asked(bob_with_peers):
     assert bob.node.channels == {}
     bob._on_control(confirmation, "alice")
     assert asked.is_set()
+
+
+def test_pay_on_an_unknown_channel_answers_channel_state(bob_with_peers):
+    bob = bob_with_peers[0]
+    request = {"cmd": "pay", "channel_id": "no-such-channel", "amount": 1}
+    with pytest.raises(Exception) as excinfo:
+        asyncio.run(COMMANDS.dispatch(bob, request))
+    assert code_for_exception(excinfo.value) == "channel_state"

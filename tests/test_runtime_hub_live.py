@@ -1,11 +1,12 @@
 """Live account hub end-to-end: one enclave, a thousand signed clients.
 
 The acceptance shape for ``repro.hub``: a hub daemon holding two real
-channels serves ≥1,000 simulated accounts driven through ``repro.load``
-— zero protocol drops, every accepted pay reflected exactly in the
-enclave ledger, forged and replayed requests rejected with stable
-codes, and the conservation invariant holding before *and* after the
-hub withdraws over a channel, pays out on-chain, and settles.
+channels serves ≥1,000 simulated accounts driven by the repo
+benchmark's closed loop (``perf.harness.drive``) — zero protocol drops,
+every accepted pay reflected exactly in the enclave ledger, forged and
+replayed requests rejected with stable codes, and the conservation
+invariant holding before *and* after the hub withdraws over a channel,
+pays out on-chain, and settles.
 
 A second test runs the account surface against a
 :class:`~repro.runtime.workers.ShardedDaemon`: accounts shard by
@@ -14,26 +15,26 @@ order, cross-shard pays are refused with ``cross_shard``, and
 ``account-stats`` aggregates one conserved, solvent answer.
 """
 
-import asyncio
+import itertools
 
 import pytest
 
+from perf.harness import drive
 from repro.crypto.keys import KeyPair
-from repro.hub.client import HubClient, sign_request
+from repro.hub.client import HubClient, _RequestSigner, sign_request
 from repro.hub.messages import AccountPay, AccountWithdraw
-from repro.load import AccountFleet, run_closed_loop, transport_drops
-from repro.obs import MetricsRegistry
 from repro.runtime.control import ControlClient, ControlError
 from repro.runtime.launch import HOST, launch_network
 from repro.workloads.assignment import HashRing
 
+from tests.test_runtime_load_live import transport_drops
 from tests.test_runtime_sharded_live import RouterThread
 
 GENESIS = 400_000
 DEPOSIT = 60_000
 ACCOUNTS = 1_000
-STREAMS = 4
-PAYMENTS = 250          # per stream
+STREAMS = 4             # connections
+SECONDS = 2.0           # closed-loop window
 HUB_FEE = 1
 PAY_AMOUNT = 2
 
@@ -45,6 +46,55 @@ def _poll(predicate, timeout=60.0, interval=0.05, what="condition"):
         if time.monotonic() > deadline:
             pytest.fail(f"timed out waiting for {what}")
         time.sleep(interval)
+
+
+def _signers(count, prefix):
+    """``count`` fresh accounts with seed-derived keys, nonces at 0."""
+    signers = [_RequestSigner(seed=f"{prefix}:{index}".encode())
+               for index in range(count)]
+    for signer in signers:
+        signer.sync_nonce(0)
+    return signers
+
+
+def _open(control, signers, amount, batch):
+    """One signed opening deposit per account, ``batch`` per request."""
+    results = []
+    for start in range(0, len(signers), batch):
+        response = control.call("account-pay-many", requests=[
+            signer.deposit_request(amount)
+            for signer in signers[start:start + batch]])
+        assert response["rejected"] == 0
+        results.extend(response["results"])
+    return results
+
+
+def _drive_pays(port, signers, partner, amount, streams, seconds):
+    """Signed ``account-pay`` from each account to ``partner[account]``,
+    closed loop on ``streams`` connections for ``seconds``.  Connection
+    ``k`` owns every ``streams``-th account, so an account's nonces go
+    out in order.  Returns how many pays the hub accepted."""
+    clients = [ControlClient(HOST, port) for _ in range(streams)]
+
+    def payer(client, owned):
+        cycle = itertools.cycle(owned)
+
+        def step():
+            index = next(cycle)
+            client.call("account-pay", request=signers[index].pay_request(
+                signers[partner[index]].account, amount))
+        return step
+
+    try:
+        tallies = drive([payer(client, range(lane, len(signers), streams))
+                         for lane, client in enumerate(clients)], seconds)
+    finally:
+        for client in clients:
+            client.close()
+    assert [(t.failed, t.aborted) for t in tallies] == \
+        [(0, None)] * streams
+    assert all(tally.latencies for tally in tallies)
+    return sum(len(tally.latencies) for tally in tallies)
 
 
 @pytest.mark.live(timeout=420)
@@ -69,34 +119,27 @@ def test_live_hub_thousand_accounts():
         per_account = backing // ACCOUNTS
         hub.call("hub-fee", fee_per_pay=HUB_FEE)
 
-        fleet = AccountFleet(ACCOUNTS, seed_prefix="live-hub")
-        for batch in fleet.open_batches(per_account, batch_size=500):
-            response = hub.call("account-pay-many", requests=batch)
-            assert response["rejected"] == 0
-
-        load = asyncio.run(run_closed_loop(
-            fleet.pay_targets(HOST, handles["hub"].control_port,
-                              PAY_AMOUNT, streams=STREAMS),
-            PAYMENTS, concurrency=4, registry=MetricsRegistry()))
-        assert load.errors == 0, load.rejected
-        assert load.completed == STREAMS * PAYMENTS
+        signers = _signers(ACCOUNTS, "live-hub")
+        _open(hub, signers, per_account, batch=500)
+        partner = [(index + 1) % ACCOUNTS for index in range(ACCOUNTS)]
+        completed = _drive_pays(handles["hub"].control_port, signers,
+                                partner, PAY_AMOUNT, STREAMS, SECONDS)
 
         # Forged and replayed requests die inside the enclave.
         attacker = KeyPair.from_seed(b"live-attacker")
         forged = sign_request(
-            AccountPay(fleet.signers[0].account, fleet.signers[1].account,
-                       1, 10**6),
+            AccountPay(signers[0].account, signers[1].account, 1, 10**6),
             attacker.private)
         with pytest.raises(ControlError) as excinfo:
             hub.call("account-pay", request=forged)
         assert excinfo.value.code == "authentication_failed"
-        replay = fleet.pay_request(0, PAY_AMOUNT)
+        replay = signers[0].pay_request(signers[1].account, PAY_AMOUNT)
         hub.call("account-pay", request=replay)
         with pytest.raises(ControlError) as excinfo:
             hub.call("account-pay", request=replay)
         assert excinfo.value.code == "stale_nonce"
 
-        expected_pays = STREAMS * PAYMENTS + 1  # + the replay's original
+        expected_pays = completed + 1  # + the replay's original
         stats = hub.call("account-stats")["hub"]
         assert stats["accounts"] == ACCOUNTS
         assert stats["pays"] == expected_pays
@@ -109,19 +152,19 @@ def test_live_hub_thousand_accounts():
         # *before* the enclave debits: stable code, nonce unconsumed,
         # no burned balance awaiting a payout that can never happen.
         over = sign_request(
-            AccountWithdraw(fleet.signers[1].account, 10**9, 10**6,
+            AccountWithdraw(signers[1].account, 10**9, 10**6,
                             "chain", "nowhere"),
-            fleet.signers[1].keypair.private)
+            signers[1].keypair.private)
         with pytest.raises(ControlError) as excinfo:
             hub.call("account-withdraw", request=over)
         assert excinfo.value.code == "insufficient_funds"
 
         # A thin HubClient resyncs its nonce from the hub and spends —
-        # it shares a keypair with fleet signer 0 but none of its local
+        # it shares a keypair with signer 0 but none of its local
         # nonce state, so a successful withdrawal below proves the
         # query-then-count resynchronisation protocol.
         client0 = HubClient(HOST, handles["hub"].control_port,
-                            keypair=fleet.signers[0].keypair)
+                            keypair=signers[0].keypair)
         balance0 = client0.balance()
 
         # One withdrawal per external route, both exactly accounted.
@@ -153,8 +196,7 @@ def test_live_hub_thousand_accounts():
         assert stats["conserved"] and stats["solvent"]
         client0.close()
 
-        drops = asyncio.run(transport_drops(
-            [(HOST, handle.control_port) for handle in handles.values()]))
+        drops = transport_drops(handles)
         counters = hub.call("metrics")["metrics"]["counters"]
 
         # Alice's channel is unbalanced by the withdrawal, so it settles
@@ -212,38 +254,31 @@ def test_sharded_hub_accounts():
             control.call("deposit", value=SHARD_DEPOSIT, peer=peer)
 
         control.call("hub-fee", fee_per_pay=0)
-        fleet = AccountFleet(SHARD_ACCOUNTS, seed_prefix="live-shard",
-                             worker_names=worker_names)
+        signers = _signers(SHARD_ACCOUNTS, "live-shard")
         per_account = SHARD_DEPOSIT * WORKERS // (2 * SHARD_ACCOUNTS)
-        opened = []
-        for batch in fleet.open_batches(per_account, batch_size=64):
-            response = control.call("account-pay-many", requests=batch)
-            assert response["rejected"] == 0
-            opened.extend(response["results"])
-        assert len(opened) == SHARD_ACCOUNTS
+        assert len(_open(control, signers, per_account, batch=64)) == \
+            SHARD_ACCOUNTS
 
         # Every account landed on its ring owner.
-        for signer in fleet.signers:
+        shards = {}
+        for index, signer in enumerate(signers):
             result = control.call(
                 "account-query", request=signer.query_request())
-            assert result["worker"] == ring.owner(
-                f"account:{signer.account_hex}")
+            owner = ring.owner(f"account:{signer.account_hex}")
+            assert result["worker"] == owner
+            shards.setdefault(owner, []).append(index)
 
-        # Ring-aware pairing never crosses shards, so a fleet-driven
-        # load runs clean through the router.
-        load = asyncio.run(run_closed_loop(
-            fleet.pay_targets(HOST, router.router.control_port, 1,
-                              streams=2),
-            50, concurrency=2, registry=MetricsRegistry()))
-        assert load.errors == 0, load.rejected
-        assert load.completed == 100
+        # Pairing within each shard never crosses shards, so the load
+        # runs clean through the router.
+        partner = {}
+        for group in shards.values():
+            for position, index in enumerate(group):
+                partner[index] = group[(position + 1) % len(group)]
+        completed = _drive_pays(router.router.control_port, signers,
+                                partner, 1, streams=2, seconds=1.0)
 
         # An explicit cross-shard pay is refused with the stable code.
-        by_owner = {}
-        for signer in fleet.signers:
-            owner = ring.owner(f"account:{signer.account_hex}")
-            by_owner.setdefault(owner, signer)
-        payer, payee = (by_owner[name] for name in worker_names)
+        payer, payee = (signers[shards[name][0]] for name in worker_names)
         cross = sign_request(
             AccountPay(payer.account, payee.account, 1, 10**6),
             payer.keypair.private)
@@ -265,7 +300,7 @@ def test_sharded_hub_accounts():
         assert set(stats["workers"]) == set(worker_names)
         merged = stats["hub"]
         assert merged["accounts"] == SHARD_ACCOUNTS
-        assert merged["pays"] == 100
+        assert merged["pays"] == completed
         assert merged["deposited_total"] == SHARD_ACCOUNTS * per_account
         assert merged["conserved"] and merged["solvent"]
     finally:

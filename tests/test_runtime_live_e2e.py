@@ -9,13 +9,15 @@ crosses the sockets; nothing pickled, nothing shared in memory.
 """
 
 import os
+import socket
 import subprocess
 import sys
 import time
 
 import pytest
 
-from repro.runtime.launch import launch_network
+from repro.runtime.control import ControlClient
+from repro.runtime.launch import HOST, launch_network
 
 GENESIS = 200_000
 DEPOSIT = 60_000
@@ -171,3 +173,22 @@ def test_serve_pins_malloc_thresholds_so_reads_take_no_page_faults():
     assert faults("pinned") < 50
     if faults("dynamic") < 1000:
         pytest.skip("this C library does not mmap asyncio's read buffer")
+
+
+@pytest.mark.live
+def test_a_daemon_outlives_its_own_log_output():
+    """A thousand bad frames, one WARNING line each (~90 KB): a daemon
+    whose stderr is a pipe nobody drains blocks in write() after 64 KiB
+    and stops answering its control port."""
+    handles, ports = launch_network({"alice": GENESIS})
+    try:
+        bad_magic = (8).to_bytes(4, "big") + b"NOTAWIRE"
+        for _ in range(1000):
+            with socket.create_connection((HOST, ports["alice"][0]),
+                                          timeout=5) as link:
+                link.sendall(bad_magic)
+                assert link.recv(1) == b""  # warned, then hung up
+        with ControlClient(HOST, ports["alice"][1], timeout=5) as control:
+            assert control.call("ping")["name"] == "alice"
+    finally:
+        handles["alice"].shutdown()

@@ -13,7 +13,8 @@ import threading
 
 import pytest
 
-from repro.runtime.control import ControlClient, wait_for_control
+from repro.runtime.control import ControlClient, ControlError, \
+    wait_for_control
 from repro.runtime.launch import HOST, free_port, spawn_daemon
 from repro.runtime.workers import ShardedDaemon
 from repro.workloads.assignment import HashRing
@@ -177,3 +178,15 @@ class TestShardedDaemon:
         with pytest.raises(Exception) as excinfo:
             control.call("deposit", value=1_000)
         assert "owning worker" in str(excinfo.value)
+
+    def test_a_timeout_field_reaches_the_verb_not_the_worker_link(
+            self, sharded_hub):
+        # Forwarded as the link's deadline, it timed the call out and
+        # left the reply in the stream: every later routed command got
+        # the previous command's answer.
+        control, _spokes = sharded_hub
+        with pytest.raises(ControlError) as excinfo:
+            control.call("health", timeout=1e-9)
+        assert excinfo.value.code == "bad_request"  # health takes none
+        assert "onchain" in control.call("balance")
+        assert "payments" in control.call("stats")

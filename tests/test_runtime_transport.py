@@ -1,20 +1,24 @@
-"""Runtime transport: the wall-clock scheduler shim and AsyncTcpNetwork.
+"""Runtime transport: the wall-clock scheduler shim, AsyncTcpNetwork and
+the async control client's link discipline.
 
 Socket tests are ``live``-marked (deselect with ``-m "not live"`` where
-loopback networking is unavailable); the wall-clock scheduler tests are
-plain unit tests.
+loopback networking is unavailable); the wall-clock scheduler tests and
+the control client's toy line server are plain unit tests.
 """
 
 import asyncio
+import json
 import logging
 
 import pytest
 
 from repro.errors import NetworkError, SimulationError
 from repro.runtime import codec
+from repro.runtime.control import AsyncControlClient, ControlError
 from repro.runtime.messages import Echo, Envelope
 from repro.runtime.transport import AsyncTcpNetwork
 from repro.runtime.wallclock import WallClockScheduler
+from repro.runtime.workers import WorkerHandle
 
 # Frames no peer's codec emits: 5,000 nested one-element tuples (deeper
 # than the codec's bound) and a string that is not UTF-8.
@@ -73,6 +77,46 @@ class TestWallClockScheduler:
         scheduler.run()
         scheduler.run_until_idle()
         assert scheduler.step() is False
+
+
+def test_a_late_reply_is_never_read_as_the_next_answer():
+    """A call that ends without its reply closes the client; the
+    router's worker link redials on its next call."""
+    async def serve(reader, writer):
+        while True:
+            line = await reader.readline()
+            if not line:
+                break
+            served.append(json.loads(line)["cmd"])
+            if len(served) == 1:
+                await asyncio.sleep(0.3)  # past the client's deadline
+            writer.write(json.dumps({"ok": True, "cmd": served[-1]})
+                         .encode() + b"\n")
+            await writer.drain()
+        writer.close()
+
+    async def scenario():
+        server = await asyncio.start_server(serve, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        client = await AsyncControlClient.connect("127.0.0.1", port,
+                                                  timeout=0.1)
+        with pytest.raises(ControlError) as late:
+            await client.call("health")
+        await asyncio.sleep(0.4)  # the late reply is in the stream now
+        with pytest.raises(ControlError) as after:
+            await client.call("balance")
+        worker = WorkerHandle("w0", None, "127.0.0.1", 0, port)
+        worker.client = client
+        redialled = await worker.call("balance")
+        await worker.client.close()
+        server.close()
+        await server.wait_closed()
+        return late.value.code, after.value.code, redialled
+
+    served = []
+    assert asyncio.run(scenario()) == (
+        "timeout", "connection_closed", {"cmd": "balance"})
+    assert served == ["health", "balance"]
 
 
 @pytest.mark.live

@@ -2,9 +2,9 @@
 """Which functions under ``src/repro`` does anything but a test reach?
 
 Runs every suite the repository has (tier-1 with its live tests, the
-repo benchmark's tests and ``--quick`` pass, the DES benchmarks, the
-examples and the two load smokes) with a call-edge profiler installed in
-*every* interpreter they start, then prints, per module:
+repo benchmark's tests and ``--quick`` pass, the benchmarks and the
+examples) with a call-edge profiler installed in *every* interpreter
+they start, then prints, per module:
 
 * ``never``: functions no suite ran at all;
 * ``tests-only``: functions that ran, but only on call paths that start
@@ -100,7 +100,7 @@ sys.setprofile(_profile)
 '''
 
 
-def suites(scratch):
+def suites():
     py = sys.executable
     pytest = [py, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
     yield "tier-1", pytest + ["tests"]
@@ -110,9 +110,6 @@ def suites(scratch):
     yield "benchmarks", pytest + ["benchmarks", "--benchmark-disable"]
     for example in sorted((REPO / "examples").glob("*.py")):
         yield f"examples/{example.name}", [py, str(example)]
-    load = [py, "-m", "repro.load", "smoke", "--sidecar-dir", scratch]
-    yield "load smoke", load + ["--payments", "150", "--monitor"]
-    yield "load smoke account", load + ["--mode", "account"]
 
 
 def collect(out, scratch):
@@ -123,7 +120,7 @@ def collect(out, scratch):
         PROFILER % {"repo": str(REPO) + os.sep, "out": str(out)})
     (usersite / "original-user-site.pth").write_text(site.getusersitepackages() + "\n")
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONUSERBASE=str(scratch))
-    for name, command in suites(str(scratch)):
+    for name, command in suites():
         started = time.monotonic()
         status = subprocess.run(command, cwd=REPO, env=env, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL).returncode
