@@ -18,7 +18,7 @@ upward — so a restarted client resynchronises instead of replaying.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey
 from repro.hub.messages import (
@@ -30,6 +30,7 @@ from repro.hub.messages import (
 from repro.core.messages import SignedMessage
 from repro.runtime import codec
 from repro.runtime.control import ControlClient
+from repro.runtime.registry import CommandError
 
 RecipientRef = Union[PublicKey, "HubClient", str]
 
@@ -40,15 +41,31 @@ def sign_request(body: Any, private: PrivateKey) -> str:
     return codec.encode(SignedMessage.create(body, private)).hex()
 
 
-def decode_request(request_hex: str) -> SignedMessage:
+ACCOUNT_REQUESTS = (AccountDeposit, AccountPay, AccountWithdraw, AccountQuery)
+
+
+def decode_request(request_hex: str, expected: Union[type, Tuple[type, ...]]
+                   = ACCOUNT_REQUESTS) -> SignedMessage:
     """Decode a hex control-plane request back into its signed message.
 
-    Raises :class:`~repro.runtime.codec.CodecError` (or ``ValueError``
-    for non-hex input) — daemon callers map both to ``bad_request``."""
-    signed = codec.decode(bytes.fromhex(request_hex))
+    The one decoder both daemons use, the router included: anything but
+    the hex of a ``SignedMessage`` over an ``expected`` body (by default
+    any of :data:`ACCOUNT_REQUESTS`) raises a ``bad_request``
+    :class:`CommandError`.  The signature and nonce are left to the
+    enclave."""
+    try:
+        signed = codec.decode(bytes.fromhex(request_hex))
+    except (TypeError, ValueError, codec.CodecError) as exc:
+        raise CommandError(f"undecodable account request: {exc}",
+                           code="bad_request") from None
     if not isinstance(signed, SignedMessage):
-        raise codec.CodecError(
-            f"expected a SignedMessage, got {type(signed).__name__}")
+        raise CommandError(
+            f"expected a SignedMessage, got {type(signed).__name__}",
+            code="bad_request")
+    if not isinstance(signed.body, expected):
+        wanted = getattr(expected, "__name__", "account request")
+        raise CommandError(f"expected a signed {wanted}, got "
+                           f"{type(signed.body).__name__}", code="bad_request")
     return signed
 
 

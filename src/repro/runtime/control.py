@@ -1,11 +1,13 @@
-"""Clients for the daemon's line-JSON control API.
+"""The daemon's line-JSON control API: its clients and its one server.
 
-:class:`ControlClient` is synchronous — used by the CLI, the live
-tests, and the loopback benchmark, all of which run *outside* the
-daemon's event loop, so a plain blocking socket is the right tool.
-:class:`AsyncControlClient` is its asyncio twin for code that already
-runs on an event loop (the sharded router's worker links, the fleet
-monitor).  Both speak one request object per line out, one response
+:class:`ControlServer` is the listener both daemons serve — a
+:class:`~repro.runtime.daemon.NodeDaemon` and the sharded router in
+front of a worker pool.  :class:`ControlClient` is synchronous — used
+by the CLI, the live tests, and the loopback benchmark, all of which run
+*outside* the daemon's event loop, so a plain blocking socket is the
+right tool.  :class:`AsyncControlClient` is its asyncio twin for code
+that already runs on an event loop (the sharded router's worker links,
+the fleet monitor).  Both speak one request object per line out, one response
 object per line back, strictly in order.
 
 Failures are structured: the daemon answers ``{"ok": false, "code": ...,
@@ -25,9 +27,10 @@ import json
 import random
 import socket
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Awaitable, Callable, Dict, Optional, Set
 
 from repro.errors import ReproError
+from repro.runtime.registry import CommandError, code_for_exception
 
 # Per-line buffer cap for the control plane's asyncio streams.  The
 # asyncio default (64 KiB) is too small for batched hub verbs: one
@@ -38,17 +41,93 @@ from repro.errors import ReproError
 CONTROL_LINE_LIMIT = 1 << 20
 
 
-class ControlError(ReproError):
+class ControlError(CommandError):
     """A control command failed; ``code`` is the stable error code.
 
-    Nothing replays a command after ``timeout`` or ``connection_closed``:
-    the daemon may already have applied it, and a replayed ``pay`` is a
-    double-pay.
+    A :class:`CommandError` as the client sees it, so a router relaying a
+    worker's failure answers with the worker's code.  Nothing replays a
+    command after ``timeout`` or ``connection_closed``: the daemon may
+    already have applied it, and a replayed ``pay`` is a double-pay.
     """
 
-    def __init__(self, message: str, code: str = "error") -> None:
-        super().__init__(message)
-        self.code = code
+
+class ControlServer:
+    """Line-JSON control listener: one request object per line in, one
+    response per line out, strictly in order per connection.
+
+    ``handle`` maps a request to a result; any exception it raises is
+    answered ``{"ok": false, "code": ..., "error": ...}`` with the code
+    from :func:`code_for_exception` and counted in ``control.errors``
+    when ``metrics`` is given.  :meth:`stop` closes the open connections
+    too, so a client blocked on a reply sees EOF at once.
+    """
+
+    def __init__(self, handle: Callable[[Dict[str, Any]],
+                                        Awaitable[Dict[str, Any]]],
+                 metrics: Any = None) -> None:
+        self.handle = handle
+        self.metrics = metrics
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Set[asyncio.StreamWriter] = set()
+
+    async def start(self, host: str, port: int) -> int:
+        """Bind and listen; returns the bound port."""
+        self._server = await asyncio.start_server(
+            self._serve, host, port, limit=CONTROL_LINE_LIMIT)
+        return self._server.sockets[0].getsockname()[1]
+
+    async def stop(self) -> None:
+        if self._server is None:
+            return
+        self._server.close()
+        for writer in list(self._connections):
+            writer.close()
+        await self._server.wait_closed()
+        self._server = None
+
+    async def _serve(self, reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
+        self._connections.add(writer)
+        try:
+            while True:
+                line = await reader.readline()
+                if not line:
+                    break
+                try:
+                    try:
+                        request = json.loads(line)
+                    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                        raise CommandError(
+                            f"request is not valid JSON: {exc}",
+                            code="bad_request") from None
+                    if not isinstance(request, dict):
+                        raise CommandError("request must be a JSON object",
+                                           code="bad_request")
+                    response = {"ok": True, **await self.handle(request)}
+                except Exception as exc:  # noqa: BLE001 — report, don't die
+                    code = code_for_exception(exc)
+                    # A worker's relayed error text already names its type.
+                    error = str(exc) if isinstance(exc, ControlError) \
+                        else f"{type(exc).__name__}: {exc}"
+                    response = {"ok": False, "code": code, "error": error}
+                    if self.metrics is not None and self.metrics.enabled:
+                        self.metrics.inc("control.errors")
+                        self.metrics.inc(f"control.errors[{code}]")
+                writer.write(json.dumps(response).encode() + b"\n")
+                await writer.drain()
+        except asyncio.CancelledError:
+            return  # loop teardown at shutdown; exit without the log noise
+        except (ConnectionResetError, asyncio.IncompleteReadError):
+            pass
+        finally:
+            self._connections.discard(writer)
+            try:
+                writer.close()
+            except RuntimeError:
+                # The event loop is already closed — nothing to flush; the
+                # socket dies with the process.  Raising here would only
+                # surface as an unraisable warning from the GC finalizer.
+                pass
 
 
 class ControlClient:

@@ -50,6 +50,7 @@ the same salt and keeps the existing channel and counters.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import logging
 import os
@@ -68,6 +69,7 @@ from repro.crypto.hashing import sha256
 from repro.crypto.keys import KeyPair, PublicKey
 from repro.errors import BlockchainError, ReproError, RoutingError
 from repro.hub import messages as hub_messages
+from repro.hub.client import decode_request
 from repro.network.secure_channel import channel_from_quote
 from repro.obs import (
     NO_TRACE,
@@ -89,15 +91,9 @@ from repro.runtime.messages import (
     OpenChannel,
     OpenChannelOk,
 )
-from repro.runtime import codec
-from repro.runtime.control import CONTROL_LINE_LIMIT
+from repro.runtime.control import ControlServer
 from repro.runtime.recovery import DaemonStateStore, chain_snapshot, replay_chain
-from repro.runtime.registry import (
-    CommandError,
-    CommandRegistry,
-    Param,
-    code_for_exception,
-)
+from repro.runtime.registry import CommandError, CommandRegistry, Param
 from repro.routing import (
     ChannelAnnounce,
     ChannelUpdate,
@@ -182,7 +178,8 @@ class NodeDaemon:
 
         self.control_host = host
         self.control_port = control_port
-        self._control_server: Optional[asyncio.AbstractServer] = None
+        self.control = ControlServer(
+            functools.partial(COMMANDS.dispatch, self), self.metrics)
 
         # Fresh per boot: mixed into secure-channel key derivation so
         # peers can tell a restart (new keys needed) from a reconnect.
@@ -207,11 +204,9 @@ class NodeDaemon:
         self._pending_opens: Dict[str, Tuple[str, asyncio.Event]] = {}
         self._echo_futures: Dict[int, Tuple[str, asyncio.Future]] = {}
         self._echo_seq = 0
-        self._opening = 0
         self._applying_remote = False
         self._deposits: Dict[str, DepositRecord] = {}
         self._shutdown = asyncio.Event()
-        self._pump_task: Optional[asyncio.Task] = None
 
         # §7.2 client-side batching, configured by the ``batch-window``
         # control verb.  The batcher is created on first enable and kept
@@ -307,14 +302,8 @@ class NodeDaemon:
     async def start(self) -> Tuple[int, int]:
         """Bind both listeners; returns (peer port, control port)."""
         _, port = await self.net.start()
-        self._control_server = await asyncio.start_server(
-            self._serve_control, self.control_host, self.control_port,
-            limit=CONTROL_LINE_LIMIT,
-        )
-        self.control_port = self._control_server.sockets[0].getsockname()[1]
-        self._pump_task = asyncio.get_event_loop().create_task(
-            self._pump_loop(), name=f"pump:{self.name}"
-        )
+        self.control_port = await self.control.start(self.control_host,
+                                                     self.control_port)
         logger.info("%s: peers on %s:%d, control on %s:%d",
                     self.name, self.net.host, port,
                     self.control_host, self.control_port)
@@ -325,20 +314,8 @@ class NodeDaemon:
         await self.stop()
 
     async def stop(self) -> None:
-        if self._pump_task is not None:
-            self._pump_task.cancel()
         await self.net.stop()
-        if self._control_server is not None:
-            self._control_server.close()
-            await self._control_server.wait_closed()
-
-    async def _pump_loop(self) -> None:
-        # Safety net for timer-driven enclave output; held open while a
-        # channel open is in flight (see module docstring).
-        while True:
-            await asyncio.sleep(0.025)
-            if self._opening == 0:
-                self.node._pump()
+        await self.control.stop()
 
     async def _wait_for(self, predicate: Callable[[], bool],
                         timeout: float = 10.0, what: str = "condition") -> None:
@@ -694,11 +671,8 @@ class NodeDaemon:
                 self.network.tracker.record_payment(self.name, peer, amount)
         finally:
             # Drain even when the ecall raised: the outbox may hold
-            # unrelated timer-driven frames that must not be stranded.
-            for outbound in self.node.enclave.take_outbox():
-                await self.net.send_wait(self.node.name,
-                                         outbound.destination,
-                                         outbound.payload)
+            # frames an earlier ecall queued, which must not be stranded.
+            await self._drain_outbox()
 
     def _flush_batches(self) -> int:
         """Flush pending payment batches (if batching is active)."""
@@ -753,7 +727,6 @@ class NodeDaemon:
         cid = channel_id or self.network.next_channel_id(self.name, peer)
         event = asyncio.Event()
         self._pending_opens[cid] = (peer, event)
-        self._opening += 1
         try:
             # Direct ecall, NOT node._ecall: the ack must stay in the
             # outbox until the responder's ack arrives (module docstring).
@@ -767,7 +740,6 @@ class NodeDaemon:
             )
             await asyncio.wait_for(event.wait(), timeout)
         finally:
-            self._opening -= 1
             self._pending_opens.pop(cid, None)
         self.node.channels[cid] = peer
         self._save_host_meta()
@@ -779,8 +751,14 @@ class NodeDaemon:
     @COMMANDS.command(
         "deposit",
         Param("value", int, doc="satoshi value to deposit"),
+        Param("peer", required=False,
+              doc="the peer it will back; places it on a sharded daemon"),
+        Param("channel_id", required=False,
+              doc="the channel it will back; places it on a sharded "
+                  "daemon"),
         doc="Create and confirm an on-chain deposit.")
-    async def deposit(self, value: int) -> Dict[str, Any]:
+    async def deposit(self, value: int, peer: Optional[str] = None,
+                      channel_id: Optional[str] = None) -> Dict[str, Any]:
         record = self.node.create_deposit(value, confirm=True)
         self._deposits[record.outpoint.txid] = record
         self._save_host_meta()
@@ -849,7 +827,7 @@ class NodeDaemon:
     @COMMANDS.command(
         "batch-window",
         Param("window_ms", int, doc="batching window in ms; 0 disables"),
-        doc="Configure §7.2 client-side payment batching.")
+        doc="Configure §7.2 client-side payment batching.", pool=True)
     async def _cmd_batch_window(self, window_ms: int) -> Dict[str, Any]:
         if window_ms < 0:
             raise CommandError(f"window_ms must be >= 0, got {window_ms}",
@@ -875,7 +853,8 @@ class NodeDaemon:
         "fastpath",
         Param("enabled", int, doc="must be 1: every Paid travels bare"),
         Param("checkpoint_every", int, required=False, doc="ignored"),
-        doc="Retired: accepted and ignored (payments carry no signature).")
+        doc="Retired: accepted and ignored (payments carry no signature).",
+        pool=True)
     async def _cmd_fastpath(self, enabled: int,
                             checkpoint_every: Optional[int] = None
                             ) -> Dict[str, Any]:
@@ -892,31 +871,6 @@ class NodeDaemon:
     # bytes into the enclave — forgery/replay/balance checks all happen
     # inside hub_handle_request, so none of these verbs are trusted.
     # ------------------------------------------------------------------
-
-    def _decode_account_request(self, request: Any,
-                                expected: Optional[type] = None):
-        """Hex → SignedMessage, with ``bad_request`` on malformed input.
-
-        Type/signature/nonce verification is the enclave's job; this
-        only rejects bytes that cannot possibly be a request."""
-        from repro.core.messages import SignedMessage
-
-        if not isinstance(request, str):
-            raise CommandError("request must be a hex string",
-                               code="bad_request")
-        try:
-            signed = codec.decode(bytes.fromhex(request))
-        except (ValueError, codec.CodecError) as exc:
-            raise CommandError(f"undecodable account request: {exc}",
-                               code="bad_request") from None
-        if not isinstance(signed, SignedMessage):
-            raise CommandError("account requests must be SignedMessages",
-                               code="bad_request")
-        if expected is not None and not isinstance(signed.body, expected):
-            raise CommandError(
-                f"expected a signed {expected.__name__}, got "
-                f"{type(signed.body).__name__}", code="bad_request")
-        return signed
 
     def _chain_payout(self, address: str, amount: int) -> str:
         """Execute an enclave-authorised on-chain withdrawal from the hub
@@ -967,9 +921,8 @@ class NodeDaemon:
             "request; the credit must fit the hub's channel/deposit "
             "backing.")
     async def _cmd_account_open(self, request: str) -> Dict[str, Any]:
-        signed = self._decode_account_request(
-            request, hub_messages.AccountDeposit)
-        return self.node.enclave.ecall("hub_handle_request", signed)
+        return self.node.enclave.ecall("hub_handle_request", decode_request(
+            request, hub_messages.AccountDeposit))
 
     @COMMANDS.command(
         "account-pay",
@@ -977,9 +930,8 @@ class NodeDaemon:
         doc="Move value between two client accounts inside the hub "
             "ledger (minus the hub fee).")
     async def _cmd_account_pay(self, request: str) -> Dict[str, Any]:
-        signed = self._decode_account_request(request,
-                                              hub_messages.AccountPay)
-        return self.node.enclave.ecall("hub_handle_request", signed)
+        return self.node.enclave.ecall("hub_handle_request", decode_request(
+            request, hub_messages.AccountPay))
 
     @COMMANDS.command(
         "account-withdraw",
@@ -988,8 +940,7 @@ class NodeDaemon:
             "(one bare Paid), or on-chain via the hub "
             "wallet.")
     async def _cmd_account_withdraw(self, request: str) -> Dict[str, Any]:
-        signed = self._decode_account_request(
-            request, hub_messages.AccountWithdraw)
+        signed = decode_request(request, hub_messages.AccountWithdraw)
         body = signed.body
         if body.route == "chain" and body.amount > 0:
             # Fail the cheap case before the enclave debits: solvency
@@ -1015,9 +966,8 @@ class NodeDaemon:
         doc="Read an account's balance and last accepted nonce "
             "(signed: balances are private to the keyholder).")
     async def _cmd_account_query(self, request: str) -> Dict[str, Any]:
-        signed = self._decode_account_request(request,
-                                              hub_messages.AccountQuery)
-        return self.node.enclave.ecall("hub_handle_request", signed)
+        return self.node.enclave.ecall("hub_handle_request", decode_request(
+            request, hub_messages.AccountQuery))
 
     @COMMANDS.command(
         "account-pay-many",
@@ -1029,8 +979,19 @@ class NodeDaemon:
         if not isinstance(requests, list) or not requests:
             raise CommandError("requests must be a non-empty list",
                                code="bad_request")
-        signeds = [self._decode_account_request(item) for item in requests]
-        results = self.node.enclave.ecall("hub_handle_batch", signeds)
+        # An undecodable item is rejected in place, like one the enclave
+        # refuses; the rest of the batch stands.
+        results: List[Any] = []
+        for item in requests:
+            try:
+                results.append(decode_request(item))
+            except CommandError as exc:
+                results.append({"ok": False, "code": exc.code,
+                                "error": str(exc)})
+        applied = iter(self.node.enclave.ecall("hub_handle_batch", [
+            item for item in results if isinstance(item, SignedMessage)]))
+        results = [next(applied) if isinstance(item, SignedMessage)
+                   else item for item in results]
         await self._drain_outbox()
         for item in results:
             if item.get("ok") and item.get("route") == "chain":
@@ -1049,7 +1010,7 @@ class NodeDaemon:
     @COMMANDS.command(
         "account-stats",
         doc="Hub ledger summary: accounts, balances, fee bucket, backing, "
-            "conservation and solvency checks.")
+            "conservation and solvency checks.", pool=True)
     async def _cmd_account_stats(self) -> Dict[str, Any]:
         return {"name": self.name,
                 "hub": self.node.enclave.ecall("hub_stats")}
@@ -1058,7 +1019,7 @@ class NodeDaemon:
         "hub-fee",
         Param("fee_per_pay", int, doc="fee collected per account pay"),
         doc="Set the hub's per-payment fee (accumulates in the fee "
-            "bucket).")
+            "bucket).", pool=True)
     async def _cmd_hub_fee(self, fee_per_pay: int) -> Dict[str, Any]:
         return self.node.enclave.ecall("hub_set_fee", fee_per_pay)
 
@@ -1165,7 +1126,8 @@ class NodeDaemon:
 
     @COMMANDS.command(
         "eject-all",
-        doc="Eject every in-flight multi-hop payment (crash recovery).")
+        doc="Eject every in-flight multi-hop payment (crash recovery).",
+        pool=True)
     async def _cmd_eject_all(self) -> Dict[str, Any]:
         ejected = self.node.eject_all()
         if any(ejected.values()):
@@ -1175,13 +1137,15 @@ class NodeDaemon:
 
     @COMMANDS.command(
         "reclaim",
-        doc="Settle all channels and reclaim every deposit on-chain.")
+        doc="Settle all channels and reclaim every deposit on-chain.",
+        pool=True)
     async def _cmd_reclaim(self) -> Dict[str, Any]:
         reclaimed = self.node.reclaim_all()
         return {"reclaimed": reclaimed,
                 "onchain": self.node.onchain_balance()}
 
-    @COMMANDS.command("mine", doc="Mine the mempool into a block.")
+    @COMMANDS.command("mine", pool=True,
+                      doc="Mine the mempool into a block.")
     async def _cmd_mine(self) -> Dict[str, Any]:
         chain = self.network.chain
         self.network.mine()
@@ -1193,7 +1157,7 @@ class NodeDaemon:
         "chain-sync",
         doc="Offer our chain tip to every connected peer (anti-entropy "
             "after a partition heals: forked peers request our history "
-            "backwards until fork choice converges).")
+            "backwards until fork choice converges).", pool=True)
     async def _cmd_chain_sync(self) -> Dict[str, Any]:
         peers = list(self.net.peer_names())
         for peer in peers:
@@ -1210,7 +1174,7 @@ class NodeDaemon:
         doc="Set the settlement feerate (value per vsize byte; sealed "
             "enclave state — both channel endpoints must agree or their "
             "settlement txids diverge) and optionally the local block "
-            "size limit that makes the fee market bind.")
+            "size limit that makes the fee market bind.", pool=True)
     async def _cmd_fee_policy(self, feerate: float,
                               limit: Optional[int] = None) -> Dict[str, Any]:
         result = self.node.enclave.ecall("set_fee_policy", feerate)
@@ -1223,7 +1187,8 @@ class NodeDaemon:
                 "feerate_estimate": self.network.chain.feerate_estimate(
                     self.network.chain.block_limit or 10)}
 
-    @COMMANDS.command("balance", doc="On-chain balance of this node.")
+    @COMMANDS.command("balance", pool=True,
+                      doc="On-chain balance of this node.")
     async def _cmd_balance(self) -> Dict[str, Any]:
         return {"name": self.name,
                 "onchain": self.node.onchain_balance()}
@@ -1245,7 +1210,8 @@ class NodeDaemon:
                                 for o in snapshot["remote_deposits"]],
         }
 
-    @COMMANDS.command("stats", doc="Transport, chain, and uptime stats.")
+    @COMMANDS.command("stats", pool=True,
+                      doc="Transport, chain, and uptime stats.")
     async def _cmd_stats(self) -> Dict[str, Any]:
         batcher = self.batcher
         return {
@@ -1276,27 +1242,29 @@ class NodeDaemon:
             "restored": self.restored,
         }
 
-    @COMMANDS.command("metrics", doc="Snapshot of the obs metrics registry.")
+    @COMMANDS.command("metrics", pool=True,
+                      doc="Snapshot of the obs metrics registry.")
     async def _cmd_metrics(self) -> Dict[str, Any]:
         return {"metrics": self.metrics.snapshot()}
 
     @COMMANDS.command(
         "trace_dump",
         doc="This daemon's span ring plus the clock metadata trace "
-            "merging needs (local/wall clocks, handshake skew offsets).")
+            "merging needs (local/wall clocks, handshake skew offsets).",
+        pool=True)
     async def _cmd_trace_dump(self) -> Dict[str, Any]:
         return self.collector.trace_dump(peer_offsets=self.net.peer_offsets)
 
     @COMMANDS.command(
         "metrics_stream",
         doc="Metrics delta since the previous call (rates without "
-            "per-client server state; drives the 'top' view).")
+            "per-client server state; drives the 'top' view).", pool=True)
     async def _cmd_metrics_stream(self) -> Dict[str, Any]:
         return self.collector.metrics_delta()
 
     @COMMANDS.command(
         "metrics_prom",
-        doc="Metrics in Prometheus text exposition format.")
+        doc="Metrics in Prometheus text exposition format.", pool=True)
     async def _cmd_metrics_prom(self) -> Dict[str, Any]:
         return {"text": prometheus_text(self.metrics.snapshot())}
 
@@ -1305,7 +1273,7 @@ class NodeDaemon:
         doc="Atomic audit digest for the fleet auditor: channel "
             "balances, free deposits, hub ledger verdicts, on-chain "
             "balance, and transport pressure, read in one event-loop "
-            "slice so it never races a fund movement.")
+            "slice so it never races a fund movement.", pool=True)
     async def _cmd_audit_snapshot(self) -> Dict[str, Any]:
         # No await between the ecall and the host-side reads: command
         # handlers run to completion inside one event-loop slice, so a
@@ -1338,7 +1306,7 @@ class NodeDaemon:
     @COMMANDS.command(
         "health",
         doc="Cheap liveness summary: uptime, trace ring pressure, "
-            "peer/channel counts.")
+            "peer/channel counts.", pool=True)
     async def _cmd_health(self) -> Dict[str, Any]:
         return self.collector.health(
             peers=len(self._peer_keys),
@@ -1351,7 +1319,7 @@ class NodeDaemon:
         "fault",
         Param("action", doc="crash | sever | blackhole | heal"),
         Param("peer", required=False, doc="peer link for sever/blackhole/heal"),
-        doc="Inject a fault into this daemon (testing only).")
+        doc="Inject a fault into this daemon (testing only).", pool=True)
     async def _cmd_fault(self, action: str,
                          peer: Optional[str] = None) -> Dict[str, Any]:
         if action == "crash":
@@ -1380,45 +1348,6 @@ class NodeDaemon:
     async def _cmd_shutdown(self) -> Dict[str, Any]:
         self._shutdown.set()
         return {"stopping": True}
-
-    # ------------------------------------------------------------------
-    # Control server (line JSON)
-    # ------------------------------------------------------------------
-
-    async def _serve_control(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                try:
-                    try:
-                        request = json.loads(line)
-                    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                        raise CommandError(
-                            f"request is not valid JSON: {exc}",
-                            code="bad_request") from None
-                    if not isinstance(request, dict):
-                        raise CommandError("request must be a JSON object",
-                                           code="bad_request")
-                    result = await COMMANDS.dispatch(self, request)
-                    response = {"ok": True, **result}
-                except Exception as exc:  # noqa: BLE001 — report, don't die
-                    code = code_for_exception(exc)
-                    response = {"ok": False, "code": code,
-                                "error": f"{type(exc).__name__}: {exc}"}
-                    if self.metrics.enabled:
-                        self.metrics.inc("control.errors")
-                        self.metrics.inc(f"control.errors[{code}]")
-                writer.write(json.dumps(response).encode() + b"\n")
-                await writer.drain()
-        except asyncio.CancelledError:
-            return  # loop teardown at shutdown; exit without the log noise
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
 
 
 async def serve(name: str, host: str, port: int, control_port: int,

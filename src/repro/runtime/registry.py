@@ -69,12 +69,17 @@ class Param:
 @dataclass(frozen=True)
 class CommandSpec:
     """A registered command: metadata plus the handler's attribute name
-    (bound at dispatch time, so one registry serves every instance)."""
+    (bound at dispatch time, so one registry serves every instance).
+
+    ``pool`` marks a verb that means the same on every worker of a
+    sharded daemon, so a router runs it on all of them when no routing
+    parameter names one (``repro.runtime.workers``)."""
 
     name: str
     params: Tuple[Param, ...]
     doc: str
     attribute: str
+    pool: bool = False
 
     def signature(self) -> str:
         parts = []
@@ -104,7 +109,8 @@ class CommandRegistry:
     def __init__(self) -> None:
         self._commands: Dict[str, CommandSpec] = {}
 
-    def command(self, name: str, *params: Param, doc: str = "") -> Callable:
+    def command(self, name: str, *params: Param, doc: str = "",
+                pool: bool = False) -> Callable:
         """Decorator registering an async method as a control command."""
         def register(method: Callable) -> Callable:
             if name in self._commands:
@@ -112,12 +118,15 @@ class CommandRegistry:
             self._commands[name] = CommandSpec(
                 name=name, params=tuple(params),
                 doc=doc or (method.__doc__ or "").strip().split("\n")[0],
-                attribute=method.__name__,
+                attribute=method.__name__, pool=pool,
             )
             return method
         return register
 
-    def spec(self, name: str) -> CommandSpec:
+    def spec(self, name: Any) -> CommandSpec:
+        if not isinstance(name, str):
+            raise CommandError("request must carry a string 'cmd' field",
+                               code="bad_request")
         spec = self._commands.get(name)
         if spec is None:
             known = ", ".join(sorted(self._commands))
@@ -154,11 +163,7 @@ class CommandRegistry:
     async def dispatch(self, instance: Any,
                        request: Dict[str, Any]) -> Dict[str, Any]:
         """Validate and run one request against ``instance``."""
-        name = request.get("cmd")
-        if not isinstance(name, str):
-            raise CommandError("request must carry a string 'cmd' field",
-                               code="bad_request")
-        spec, kwargs = self.validate(name, request)
+        spec, kwargs = self.validate(request.get("cmd"), request)
         handler = getattr(instance, spec.attribute)
         result = handler(**kwargs)
         if asyncio.iscoroutine(result):
@@ -183,6 +188,9 @@ class CommandRegistry:
 
     def __iter__(self):
         return iter(self._commands.values())
+
+    def __contains__(self, name: Any) -> bool:
+        return isinstance(name, str) and name in self._commands
 
 
 # Exception → stable error code, most-specific class first.  Subclass

@@ -474,14 +474,14 @@ class TestShardRouting:
         body = AccountWithdraw(payer.public, 5, 1, "account",
                                payee.public.to_bytes().hex())
         with pytest.raises(CommandError) as excinfo:
-            router._route_account_request("account-withdraw", body)
+            router._route_account_request(body)
         assert excinfo.value.code == "cross_shard"
 
     def test_same_shard_account_withdraw_routes_to_owner(self, router):
         payer, _ = self._accounts_on_distinct_shards(router)
         body = AccountWithdraw(payer.public, 5, 1, "account",
                                payer.public.to_bytes().hex())
-        worker = router._route_account_request("account-withdraw", body)
+        worker = router._route_account_request(body)
         assert worker.name == router.ring.owner(
             "account:" + payer.public.to_bytes().hex())
 
@@ -490,6 +490,6 @@ class TestShardRouting:
         their destinations are channel ids / addresses, not accounts."""
         payer, _ = self._accounts_on_distinct_shards(router)
         body = AccountWithdraw(payer.public, 5, 1, "channel", "chan-1")
-        worker = router._route_account_request("account-withdraw", body)
+        worker = router._route_account_request(body)
         assert worker.name == router.ring.owner(
             "account:" + payer.public.to_bytes().hex())

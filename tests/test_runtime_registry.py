@@ -9,10 +9,13 @@ daemon actually accepts.
 
 import asyncio
 import inspect
+import pathlib
+import re
 
 import pytest
 
 from repro import errors
+from repro.runtime.control import ControlServer
 from repro.runtime.daemon import COMMANDS, NodeDaemon
 from repro.runtime.registry import (
     CommandError,
@@ -20,6 +23,7 @@ from repro.runtime.registry import (
     Param,
     code_for_exception,
 )
+from repro.runtime.workers import ROUTER
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +144,7 @@ class TestDaemonCommands:
     def test_no_dispatch_chain_left(self):
         # The api_redesign contract: dispatch is the registry, full stop.
         assert not hasattr(NodeDaemon, "_dispatch_command")
-        source = inspect.getsource(NodeDaemon._serve_control)
+        source = inspect.getsource(ControlServer._serve)
         assert "elif" not in source
 
     def test_registry_params_match_handler_signatures(self):
@@ -154,3 +158,15 @@ class TestDaemonCommands:
                 f"{spec.name}: declares {declared - accepted} "
                 f"not accepted by {spec.attribute}"
             )
+
+    def test_readme_verb_table_names_every_verb(self):
+        """README's verb table lists every daemon verb and every verb of
+        the sharded router."""
+        readme = (pathlib.Path(__file__).parents[1]
+                  / "README.md").read_text(encoding="utf-8")
+        table = readme[readme.index("| `TeechainNode` (DES)"):]
+        table = table[:table.index("\n\n")]
+        named = set(re.findall(r"`([a-z][a-z_-]*)[ `]", table))
+        verbs = {spec.name for spec in COMMANDS} | {
+            spec.name for spec in ROUTER}
+        assert verbs - named == set()

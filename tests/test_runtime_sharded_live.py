@@ -190,3 +190,17 @@ class TestShardedDaemon:
         assert excinfo.value.code == "bad_request"  # health takes none
         assert "onchain" in control.call("balance")
         assert "payments" in control.call("stats")
+
+    def test_pool_verbs_reach_every_worker(self, sharded_hub):
+        # Declared pool=True, so the router sends them to every worker:
+        # both ends of a channel must share one settlement feerate.
+        control, _spokes = sharded_hub
+        workers = {f"hub-w{i}" for i in range(WORKERS)}
+        policy = control.call("fee-policy", feerate=2.0)["workers"]
+        assert set(policy) == workers
+        assert {answer["feerate"] for answer in policy.values()} == {2.0}
+        assert set(control.call("chain-sync")["workers"]) == workers
+        # Without peer= a fault is pool-wide; a crash takes down every
+        # worker's enclave, so this runs last on the module's pool.
+        assert set(control.call("fault", action="crash")["workers"]) \
+            == workers
