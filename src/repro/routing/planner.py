@@ -2,9 +2,10 @@
 
 Everything that picks a payment path — live daemons resolving
 ``pay-multihop dest=``, DES multihop and ``bench/netsim.py`` — goes
-through :class:`RoutePlanner`.  networkx is confined to this module (it backs
-the k-shortest simple-path enumeration); nothing outside
-``repro.routing`` may import it.
+through :class:`RoutePlanner`.  networkx is confined to this module and
+imported only inside :meth:`RoutePlanner.iter_routes`, the k-shortest
+simple-path enumeration it backs, so a daemon, which routes with
+:meth:`RoutePlanner.find_route`'s own Dijkstra, never loads it.
 
 Two cost models ship built in, plus a pluggable callable:
 
@@ -32,8 +33,6 @@ import heapq
 import math
 from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
                     Sequence, Tuple)
-
-import networkx
 
 from repro.errors import ReproError, RoutingError
 from repro.network.topology import Overlay
@@ -267,6 +266,8 @@ class RoutePlanner:
 
         Raises :class:`RoutingError` (on first iteration) when no usable
         path exists."""
+        import networkx
+
         self._refresh()
         effective = self._effective_amount(amount)
         graph = networkx.DiGraph()

@@ -1,10 +1,13 @@
 """Helpers for spawning daemon processes (tests, benchmarks, examples).
 
-The live e2e test, the loopback benchmark, and the two-process example
-all need the same dance: pick free ports, start ``python -m
-repro.runtime serve`` subprocesses with a shared ``--fund`` allocation,
-and wait for their control APIs to answer.  Centralised here so the
-dance exists once.
+The live e2e test, the loopback benchmark, the two-process example and
+the sharded router's worker pool all need the same dance: pick free
+ports, start ``python -m repro.runtime serve`` subprocesses with a shared
+``--fund`` allocation, and wait for their control APIs to answer.
+:func:`boot` is that dance, once.  It spawns every process before it
+waits for the first, so a set of daemons is ready when its slowest one
+is, not after the sum of their boot times; a boot that fails kills and
+reaps every process it spawned.
 """
 
 from __future__ import annotations
@@ -64,6 +67,42 @@ def spawn_daemon(
     return subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
 
 
+def boot(
+    ports: Dict[str, Tuple[int, int]],
+    allocations: Dict[str, int],
+    host: str = HOST,
+    state_dir: Optional[str] = None,
+    trace: bool = False,
+    timeout: float = 20.0,
+) -> Dict[str, Tuple[subprocess.Popen, ControlClient]]:
+    """Spawn one daemon per name in ``ports`` (name → (peer port, control
+    port)), then wait for each control port to answer ``ping``.
+
+    Returns name → (process, control client).  Any failure, a daemon that
+    never answers included, kills and reaps every process spawned so far
+    and re-raises.
+    """
+    processes: Dict[str, subprocess.Popen] = {}
+    clients: Dict[str, ControlClient] = {}
+    try:
+        for name, (port, control_port) in ports.items():
+            processes[name] = spawn_daemon(
+                name, port, control_port, allocations, host=host,
+                state_dir=state_dir,
+                extra_args=("--trace",) if trace else ())
+        for name, (_, control_port) in ports.items():
+            clients[name] = wait_for_control(host, control_port,
+                                             timeout=timeout)
+    except BaseException:
+        for client in clients.values():
+            client.close()
+        for process in processes.values():
+            process.kill()
+            process.wait()
+        raise
+    return {name: (processes[name], clients[name]) for name in ports}
+
+
 class DaemonHandle:
     """A spawned daemon plus its control client."""
 
@@ -99,12 +138,11 @@ class DaemonHandle:
         with a ``state_dir`` the daemon restores its sealed state."""
         if self.process.poll() is None:
             raise RuntimeError(f"daemon {self.name} is still running")
-        process = spawn_daemon(self.name, self.port, self.control_port,
-                               self.allocations, state_dir=self.state_dir)
+        process, client = boot(
+            {self.name: (self.port, self.control_port)}, self.allocations,
+            state_dir=self.state_dir, timeout=startup_timeout)[self.name]
         return DaemonHandle(
-            self.name, process, self.port, self.control_port,
-            wait_for_control(HOST, self.control_port,
-                             timeout=startup_timeout),
+            self.name, process, self.port, self.control_port, client,
             allocations=self.allocations, state_dir=self.state_dir,
         )
 
@@ -125,19 +163,13 @@ def launch_network(
     """
     names = list(names if names is not None else sorted(allocations))
     ports = {name: (free_port(), free_port()) for name in names}
-    handles: Dict[str, DaemonHandle] = {}
+    handles = {
+        name: DaemonHandle(name, process, *ports[name], client,
+                           allocations=allocations, state_dir=state_dir)
+        for name, (process, client) in boot(
+            ports, allocations, state_dir=state_dir, trace=trace,
+            timeout=startup_timeout).items()}
     try:
-        for name in names:
-            port, control_port = ports[name]
-            process = spawn_daemon(name, port, control_port, allocations,
-                                   state_dir=state_dir,
-                                   extra_args=("--trace",) if trace else ())
-            handles[name] = DaemonHandle(
-                name, process, port, control_port,
-                wait_for_control(HOST, control_port,
-                                 timeout=startup_timeout),
-                allocations=allocations, state_dir=state_dir,
-            )
         seen = set()
         for name in names:
             for peer in names:

@@ -47,9 +47,9 @@ from repro.errors import ReproError
 from repro.hub.client import decode_request
 from repro.hub.messages import AccountPay, AccountWithdraw
 from repro.runtime.control import AsyncControlClient, ControlError, \
-    ControlServer, wait_for_control
+    ControlServer
 from repro.runtime.daemon import COMMANDS
-from repro.runtime.launch import free_port, spawn_daemon
+from repro.runtime.launch import boot, free_port
 from repro.runtime.registry import CommandError, CommandRegistry, \
     CommandSpec
 from repro.workloads.assignment import HashRing
@@ -142,40 +142,42 @@ class ShardedDaemon:
     # ------------------------------------------------------------------
 
     async def start(self) -> int:
-        """Spawn the pool and bind the control listener; returns the
-        control port."""
+        """Boot the pool and bind the control listener; returns the
+        control port.
+
+        Every worker is spawned before the first readiness probe, so the
+        router is ready after its slowest worker, not after their sum.  A
+        worker that never answers fails the start with every worker
+        killed (:func:`~repro.runtime.launch.boot`)."""
+        ports = {name: (free_port(), free_port())
+                 for name in self.worker_names}
+        # Blocking: nothing else runs on this loop before the control
+        # listener is bound below.
+        booted = boot(ports, self.allocations, host=self.host,
+                      state_dir=self.state_dir, trace=self.trace)
+        for name, (process, probe) in booted.items():
+            # The router routes over an async client, which
+            # WorkerHandle.call dials on first use.
+            probe.close()
+            self.workers[name] = WorkerHandle(name, process, self.host,
+                                              *ports[name])
         try:
-            for worker_name in self.worker_names:
-                port, control_port = free_port(), free_port()
-                process = spawn_daemon(
-                    worker_name, port, control_port, self.allocations,
-                    host=self.host, state_dir=self.state_dir,
-                    extra_args=("--trace",) if self.trace else (),
-                )
-                handle = WorkerHandle(worker_name, process, self.host,
-                                      port, control_port)
-                self.workers[worker_name] = handle
-                # Blocking readiness probe, then the long-lived async
-                # client the router actually routes over.
-                wait_for_control(self.host, control_port).close()
-                handle.client = await AsyncControlClient.connect(
-                    self.host, control_port)
+            self.control_port = await self.control.start(self.host,
+                                                         self.control_port)
         except Exception:
             await self.stop()
             raise
-        self.control_port = await self.control.start(self.host,
-                                                     self.control_port)
         logger.info("%s: routing %d workers, control on %s:%d", self.name,
                     len(self.workers), self.host, self.control_port)
         return self.control_port
 
     async def stop(self) -> None:
         for handle in self.workers.values():
+            try:
+                await handle.call("shutdown")
+            except (ControlError, OSError):
+                pass
             if handle.client is not None:
-                try:
-                    await handle.call("shutdown")
-                except (ControlError, OSError):
-                    pass
                 await handle.client.close()
             try:
                 handle.process.wait(timeout=10)

@@ -19,11 +19,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
-
-import numpy
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
+
+if TYPE_CHECKING:
+    import numpy
 
 # USD 100 at the paper's late-2018 Bitcoin prices (~USD 4,000/BTC)
 # ≈ 0.025 BTC = 2.5 million satoshi.
@@ -61,6 +62,8 @@ class _AddressUniverse:
                  zipf_exponent: float = 0.75) -> None:
         if count < 2:
             raise WorkloadError(f"need at least 2 addresses, got {count}")
+        import numpy
+
         self.addresses = [f"addr{i:08d}" for i in range(count)]
         ranks = numpy.arange(1, count + 1, dtype=float)
         weights = ranks ** (-zipf_exponent)
@@ -84,7 +87,13 @@ def generate_raw_transactions(
 ) -> Iterator[RawTransaction]:
     """The synthetic raw history: log-normal values with a heavy tail
     (``high_value_fraction`` of transactions exceed the threshold), a
-    ``multisig_fraction`` of multisig transactions, and 1–3 inputs/outputs."""
+    ``multisig_fraction`` of multisig transactions, and 1–3 inputs/outputs.
+
+    numpy (and scipy) are imported here, not at module level, so importing
+    :mod:`repro.workloads` for :class:`~repro.workloads.assignment.HashRing`
+    costs a daemon nothing."""
+    import numpy
+
     rng = numpy.random.Generator(numpy.random.PCG64(seed))
     universe = _AddressUniverse(address_count, rng)
     # Log-normal tuned so roughly high_value_fraction of mass sits above

@@ -15,8 +15,8 @@ import threading
 
 import pytest
 
-from repro.runtime.control import ControlClient, wait_for_control
-from repro.runtime.launch import HOST, free_port, launch_network, spawn_daemon
+from repro.runtime.control import ControlClient
+from repro.runtime.launch import HOST, boot, free_port, launch_network
 from repro.runtime.workers import ShardedDaemon
 
 GENESIS = 200_000
@@ -130,14 +130,10 @@ def test_audit_snapshot_aggregate_across_sharded_workers():
     router = None
     payer = None
     try:
-        spokes = {}
-        for name in SPOKES:
-            port, control_port = free_port(), free_port()
-            processes.append(spawn_daemon(name, port, control_port,
-                                          ALLOCATIONS))
-            spokes[name] = (port, control_port)
-        for name, (port, control_port) in spokes.items():
-            clients.append(wait_for_control(HOST, control_port))
+        spokes = {name: (free_port(), free_port()) for name in SPOKES}
+        for process, client in boot(spokes, ALLOCATIONS).values():
+            processes.append(process)
+            clients.append(client)
         router = RouterThread()
         control = ControlClient(HOST, router.router.control_port,
                                 timeout=120)

@@ -13,9 +13,8 @@ import threading
 
 import pytest
 
-from repro.runtime.control import ControlClient, ControlError, \
-    wait_for_control
-from repro.runtime.launch import HOST, free_port, spawn_daemon
+from repro.runtime.control import ControlClient, ControlError
+from repro.runtime.launch import HOST, boot, free_port
 from repro.runtime.workers import ShardedDaemon
 from repro.workloads.assignment import HashRing
 
@@ -66,18 +65,14 @@ class RouterThread:
 
 @pytest.fixture(scope="module")
 def sharded_hub():
-    spokes = {}
+    spokes = {name: (free_port(), free_port()) for name in SPOKES}
     processes = []
     clients = []
     router = None
     try:
-        for name in SPOKES:
-            port, control_port = free_port(), free_port()
-            processes.append(spawn_daemon(name, port, control_port,
-                                          ALLOCATIONS))
-            spokes[name] = (port, control_port)
-        for name, (port, control_port) in spokes.items():
-            clients.append(wait_for_control(HOST, control_port))
+        for process, client in boot(spokes, ALLOCATIONS).values():
+            processes.append(process)
+            clients.append(client)
         router = RouterThread()
         control = ControlClient(HOST, router.router.control_port,
                                 timeout=120)
