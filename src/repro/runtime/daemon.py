@@ -50,7 +50,6 @@ the same salt and keeps the existing channel and counters.
 from __future__ import annotations
 
 import asyncio
-import functools
 import json
 import logging
 import os
@@ -179,7 +178,8 @@ class NodeDaemon:
         self.control_host = host
         self.control_port = control_port
         self.control = ControlServer(
-            functools.partial(COMMANDS.dispatch, self), self.metrics)
+            lambda request, _line: COMMANDS.dispatch(self, request),
+            self.metrics)
 
         # Fresh per boot: mixed into secure-channel key derivation so
         # peers can tell a restart (new keys needed) from a reconnect.

@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.runtime.control import ControlClient, wait_for_control
+from repro.runtime.control import ControlClient, ControlError, \
+    wait_for_control
 
 HOST = "127.0.0.1"
 
@@ -80,10 +81,20 @@ def boot(
 
     Returns name → (process, control client).  Any failure, a daemon that
     never answers included, kills and reaps every process spawned so far
-    and re-raises.
+    and re-raises.  A daemon that exits before it answers fails the boot
+    at the next poll, naming its exit status, instead of at the timeout.
     """
     processes: Dict[str, subprocess.Popen] = {}
     clients: Dict[str, ControlClient] = {}
+
+    def watch() -> None:
+        for name, process in processes.items():
+            status = process.poll()
+            if status is not None:
+                raise ControlError(
+                    f"daemon {name} exited with status {status} before "
+                    "its control port answered", code="daemon_exited")
+
     try:
         for name, (port, control_port) in ports.items():
             processes[name] = spawn_daemon(
@@ -92,7 +103,7 @@ def boot(
                 extra_args=("--trace",) if trace else ())
         for name, (_, control_port) in ports.items():
             clients[name] = wait_for_control(host, control_port,
-                                             timeout=timeout)
+                                             timeout=timeout, watch=watch)
     except BaseException:
         for client in clients.values():
             client.close()

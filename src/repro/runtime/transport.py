@@ -8,7 +8,8 @@ here.
 
 Wire format: each frame is a 4-byte big-endian length followed by one
 codec-encoded object (whose version-2 header optionally carries a trace
-context, so causal traces survive the hop between daemons).  Three kinds of objects cross a peer connection —
+context, so causal traces survive the hop between daemons).  Three
+kinds of objects cross a peer connection —
 the :class:`~repro.runtime.messages.Hello`/``HelloAck`` handshake,
 :class:`~repro.runtime.messages.Envelope` (protocol traffic, routed to
 the registered endpoint handler), and anything else (control-plane
@@ -16,9 +17,13 @@ gossip, handed to the host's control handler).
 
 Connections are per-direction: each side dials its own outbound link
 (with exponential backoff, so daemons can start in any order) and serves
-inbound frames on its listener.  A single queue carries both protocol
-and control frames, so cross-plane ordering (e.g. "enclave ack before
-OpenChannelOk") is preserved per peer.
+inbound frames on its listener.  Both ends are asyncio protocols, made
+through the :mod:`repro.runtime.net` seam.  Inbound frames are
+parsed and handled in the read callback.  An outbound frame is written
+straight to the socket while its link is connected, idle and unpaused,
+with no task hop; otherwise it waits in the link's queue, which carries
+protocol and control frames alike, so cross-plane ordering (e.g. "enclave
+ack before OpenChannelOk") is preserved per peer.
 
 Flow control is credit/watermark based.  The fire-and-forget ``send`` /
 ``send_control`` keep the drop-newest-on-full policy (the live analogue
@@ -31,9 +36,9 @@ lost.  The backpressured surface is:
   queue space instead of dropping;
 * :meth:`AsyncTcpNetwork.wait_writable` — credit gate: resolves while
   the peer's queue is below its high watermark; once the queue fills
-  past it, senders park until the drain loop pulls it back under the
-  low watermark (hysteresis, so a saturated queue drains in bulk
-  instead of thrashing one frame at a time);
+  past it, senders park until the link writes it back down to the low
+  watermark (hysteresis, so a saturated queue drains in bulk instead of
+  thrashing one frame at a time);
 * :meth:`AsyncTcpNetwork.flush` — barrier that resolves once every
   queued outbound frame has been written to the socket.
 """
@@ -45,7 +50,7 @@ import logging
 import random
 import time
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import NetworkError
 from repro.network.transport import BaseNetwork, Message
@@ -54,6 +59,7 @@ from repro.obs.context import TraceContext
 from repro.obs.merge import estimate_offset
 from repro.runtime import codec
 from repro.runtime.messages import Envelope, Hello, HelloAck
+from repro.runtime.net import dial, listen
 
 logger = logging.getLogger(__name__)
 
@@ -68,16 +74,102 @@ def _frame(obj: Any, trace: Optional[TraceContext] = None) -> bytes:
     return len(body).to_bytes(_LEN, "big") + body
 
 
-async def _read_frame(reader: asyncio.StreamReader) -> bytes:
-    header = await reader.readexactly(_LEN)
-    length = int.from_bytes(header, "big")
-    if length > MAX_FRAME:
-        raise NetworkError(f"peer announced {length}-byte frame; refusing")
-    return await reader.readexactly(length)
+class _PeerConnection(asyncio.Protocol):
+    """One peer TCP connection, either end: length-prefixed frames in,
+    parsed and handled in the read callback.  On a connection a
+    :class:`_PeerLink` dialled (``link``), the first frame is the
+    handshake's HelloAck.  A length past :data:`MAX_FRAME`, or a frame the
+    codec refuses, drops the connection."""
+
+    def __init__(self, network: "AsyncTcpNetwork",
+                 link: Optional["_PeerLink"] = None) -> None:
+        self.network = network
+        self.link = link
+        self.transport: Any = None
+        self.peer_name = link.name if link is not None else None
+        self.paused = self.acked = False
+        self.hello_sent = 0.0  # our Hello's timestamp, for the skew estimate
+        self.lost = asyncio.get_running_loop().create_future()
+        self._buffer = b""
+
+    def connection_made(self, transport: Any) -> None:
+        self.transport = transport
+        self.network._connections.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.network._connections.discard(self)
+        if not self.lost.done():
+            self.lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        if self.link is not None and self.link._connection is self:
+            self.link._pump()
+
+    def data_received(self, data: bytes) -> None:
+        buffer = self._buffer + data if self._buffer else data
+        start, size = 0, len(buffer)
+        try:
+            while size - start >= _LEN:
+                length = int.from_bytes(buffer[start:start + _LEN], "big")
+                if length > MAX_FRAME:
+                    raise NetworkError(
+                        f"peer announced {length}-byte frame; refusing")
+                if start + _LEN + length > size:
+                    break
+                start += _LEN + length
+                self._frame_received(buffer[start - length:start])
+        except (NetworkError, codec.CodecError) as exc:
+            logger.warning("%s: dropping connection from %s: %s",
+                           self.network.name, self.peer_name, exc)
+            self._buffer = b""
+            self.transport.close()
+            return
+        self._buffer = buffer[start:]
+
+    def _frame_received(self, body: bytes) -> None:
+        network = self.network
+        obj, context = codec.decode_with_trace(body)
+        if self.link is not None and not self.acked:
+            if not isinstance(obj, HelloAck):
+                raise NetworkError(
+                    f"expected HelloAck, got {type(obj).__name__}")
+            self.acked = True
+            self.link._acked(self, obj, network.clock())
+            return
+        network.frames_received += 1
+        network.bytes_received += len(body) + _LEN
+        if isinstance(obj, Hello):
+            t_received = network.clock()
+            self.peer_name = obj.name
+            if network.hello_handler is not None:
+                ack = network.hello_handler(obj)
+                if ack is not None:
+                    if obj.t_sent:  # peer wants a skew estimate
+                        ack = replace(ack, t_echo=obj.t_sent,
+                                      t_received=t_received,
+                                      t_sent=network.clock())
+                    self.transport.write(_frame(ack))
+        elif isinstance(obj, Envelope):
+            network._dispatch(obj, len(body) + _LEN, context)
+        elif network.control_handler is not None:
+            network.control_handler(obj, self.peer_name)
+        else:
+            logger.warning("%s: unhandled control frame %s",
+                           network.name, type(obj).__name__)
+        network.pulse_progress()
 
 
 class _PeerLink:
-    """One outbound connection: dial with backoff, handshake, drain queue."""
+    """One outbound connection: dial with backoff, handshake, then send.
+
+    A frame is written straight to the socket while the link is
+    connected, idle (nothing queued before it) and unpaused; otherwise it
+    waits in the queue, which is written out in order as soon as the
+    link is up and unpaused again.  No task runs per frame."""
 
     def __init__(self, network: "AsyncTcpNetwork", name: str,
                  host: str, port: int) -> None:
@@ -91,12 +183,12 @@ class _PeerLink:
         self.drops_by_plane: Dict[str, int] = {"protocol": 0, "control": 0}
         self.backpressure_waits = 0
         # Credit gate with hysteresis: cleared when the queue crosses the
-        # high watermark, set again once the drain loop pulls it back to
+        # high watermark, set again once the queue is written back down to
         # the low watermark.  wait_writable() parks on this event.
         self.writable = asyncio.Event()
         self.writable.set()
         # Barrier for flush(): set whenever the queue is empty and no
-        # popped frame is awaiting its socket write.
+        # frame is awaiting its socket write.
         self.drained = asyncio.Event()
         self.drained.set()
         self.reconnects = 0
@@ -106,11 +198,28 @@ class _PeerLink:
         self.blackholed = False
         self.blackhole_drops = 0
         self.task: Optional[asyncio.Task] = None
+        self.backoff = network.backoff_base  # reset by start() and _up()
+        # The handshaken connection, while the link is up.
+        self._connection: Optional[_PeerConnection] = None
+        # A frame whose write failed: the first write to a socket whose
+        # peer died since the last frame fails only *after* the frame left
+        # the queue.  Kept across redials and sent first, since dropping
+        # it silently loses exactly one frame per peer crash
+        # (at-least-once beats at-most-once here — receivers already
+        # tolerate duplicates: gossip is idempotent on txid and enclave
+        # envelopes carry replay counters).
+        self._unsent: Optional[bytes] = None
 
     def start(self) -> None:
+        self.backoff = self.network.backoff_base
         self.task = asyncio.get_event_loop().create_task(
             self._run(), name=f"link:{self.network.name}->{self.name}"
         )
+
+    def _open(self) -> bool:
+        connection = self._connection
+        return (connection is not None and not connection.paused
+                and not connection.transport.is_closing())
 
     def _after_put(self) -> None:
         self.drained.clear()
@@ -118,6 +227,9 @@ class _PeerLink:
             self.writable.clear()
 
     def enqueue(self, frame: bytes, plane: str = "protocol") -> bool:
+        if self._open() and self.queue.empty():
+            self._write(frame)
+            return True
         try:
             self.queue.put_nowait(frame)
             self._after_put()
@@ -139,6 +251,9 @@ class _PeerLink:
         bulk before new senders proceed; the awaitable ``put`` behind it
         is the hard guarantee that even a burst of concurrently released
         senders cannot overflow the queue."""
+        if self._open() and self.queue.empty():
+            self._write(frame)
+            return
         if not self.writable.is_set():
             self.backpressure_waits += 1
             if self.network._metrics.enabled:
@@ -148,97 +263,100 @@ class _PeerLink:
             await self.writable.wait()
         await self.queue.put(frame)
         self._after_put()
+        self._pump()
+
+    def _write(self, frame: bytes) -> None:
+        if self.blackholed:
+            self.blackhole_drops += 1
+            if self.network._metrics.enabled:
+                self.network._metrics.inc("runtime.blackhole_drops")
+            return
+        transport = self._connection.transport
+        transport.write(frame)
+        if transport.is_closing():  # the write failed: the link is down
+            self._unsent = frame
+            self.drained.clear()
+
+    def _pump(self) -> None:
+        """Write the waiting frames, in order, while the link is open."""
+        if self._unsent is not None and self._open():
+            frame, self._unsent = self._unsent, None
+            self._write(frame)
+        while (self._unsent is None and not self.queue.empty()
+               and self._open()):
+            frame = self.queue.get_nowait()
+            self._after_pop()
+            self._write(frame)
+        if self._unsent is None and self.queue.empty():
+            self.drained.set()
 
     async def _run(self) -> None:
-        backoff = self.network.backoff_base
-        # A frame popped from the queue but whose write raised.  Kept
-        # across redials and re-sent first: the first write to a socket
-        # whose peer died since the last frame fails only *after* the pop,
-        # and dropping it there silently loses exactly one frame per peer
-        # crash (at-least-once beats at-most-once here — receivers already
-        # tolerate duplicates: gossip is idempotent on txid and enclave
-        # envelopes carry replay counters).
-        pending: Optional[bytes] = None
         while True:
-            writer = None
+            connection: Optional[_PeerConnection] = None
             try:
-                reader, writer = await asyncio.open_connection(
-                    self.host, self.port
-                )
-                await self._handshake(reader, writer)
-                backoff = self.network.backoff_base
-                self.connected.set()
-                while True:
-                    if pending is None:
-                        pending = await self.queue.get()
-                        self._after_pop()
-                    if self.blackholed:
-                        self.blackhole_drops += 1
-                        if self.network._metrics.enabled:
-                            self.network._metrics.inc(
-                                "runtime.blackhole_drops")
-                        pending = None
-                        self._mark_drained()
-                        continue
-                    writer.write(pending)
-                    await writer.drain()
-                    pending = None
-                    self._mark_drained()
+                _, connection = await dial(
+                    self.host, self.port,
+                    lambda: _PeerConnection(self.network, self))
+                hello = self.network.hello_factory()
+                if hello is None:  # no attestation (bare transport tests)
+                    self._up(connection)
+                else:
+                    # Stamp at the last possible moment so queueing delay
+                    # inside the factory does not bias the skew estimate.
+                    connection.hello_sent = self.network.clock()
+                    connection.transport.write(_frame(
+                        replace(hello, t_sent=connection.hello_sent)))
+                await connection.lost
+                raise ConnectionResetError("peer closed the link")
             except asyncio.CancelledError:
                 break
-            except (OSError, asyncio.IncompleteReadError,
-                    NetworkError, codec.CodecError) as exc:
-                self.connected.clear()
+            except (OSError, NetworkError, codec.CodecError) as exc:
+                self._down(connection)
                 self.reconnects += 1
                 if self.network._metrics.enabled:
                     self.network._metrics.inc("runtime.reconnects")
                 logger.debug("%s->%s: link down (%s); retry in %.2fs",
-                             self.network.name, self.name, exc, backoff)
+                             self.network.name, self.name, exc, self.backoff)
                 # Jitter desynchronises redial stampedes when several
                 # links lost the same peer at the same moment.
-                await asyncio.sleep(backoff * (1.0 + random.random() * 0.5))
-                backoff = min(backoff * 2, self.network.backoff_cap)
+                await asyncio.sleep(
+                    self.backoff * (1.0 + random.random() * 0.5))
+                self.backoff = min(self.backoff * 2, self.network.backoff_cap)
             finally:
-                if writer is not None:
-                    writer.close()
-        self.connected.clear()
+                if connection is not None:
+                    connection.transport.close()
+        self._down(connection)
 
-    async def _handshake(self, reader: asyncio.StreamReader,
-                         writer: asyncio.StreamWriter) -> None:
-        hello = self.network.hello_factory()
-        if hello is None:
-            return  # host runs without attestation (bare transport tests)
-        # Stamp at the last possible moment so queueing delay inside the
-        # factory does not bias the skew estimate.
-        hello = replace(hello, t_sent=self.network.clock())
-        writer.write(_frame(hello))
-        await writer.drain()
-        ack = codec.decode(await _read_frame(reader))
-        t_ack_received = self.network.clock()
-        if not isinstance(ack, HelloAck):
-            raise NetworkError(
-                f"expected HelloAck, got {type(ack).__name__}"
-            )
+    def _acked(self, connection: _PeerConnection, ack: HelloAck,
+               t_ack_received: float) -> None:
         if ack.t_received:  # a pre-timestamp peer leaves these zeroed
             self.network.peer_offsets[ack.name] = estimate_offset(
-                hello.t_sent, ack.t_echo, ack.t_received,
+                connection.hello_sent, ack.t_echo, ack.t_received,
                 ack.t_sent, t_ack_received,
             )
         handler = self.network.hello_ack_handler
         if handler is not None:
             handler(ack)
             self.network.pulse_progress()
+        self._up(connection)
+
+    def _up(self, connection: _PeerConnection) -> None:
+        self.backoff = self.network.backoff_base
+        self._connection = connection
+        self.connected.set()
+        self._pump()
+
+    def _down(self, connection: Optional[_PeerConnection]) -> None:
+        if self._connection is connection:
+            self._connection = None
+            self.connected.clear()
 
     def _after_pop(self) -> None:
-        # Hysteresis: credit returns only once the drain loop has pulled
-        # the queue down to the low watermark, not one slot below high.
+        # Hysteresis: credit returns only once the queue has been written
+        # down to the low watermark, not one slot below high.
         if (not self.writable.is_set()
                 and self.queue.qsize() <= self.network.low_watermark):
             self.writable.set()
-
-    def _mark_drained(self) -> None:
-        if self.queue.empty():
-            self.drained.set()
 
     async def flush(self, timeout: float = 30.0) -> None:
         """Barrier: every frame queued before this call has been written
@@ -256,14 +374,14 @@ class _PeerLink:
         """Cut the TCP connection now.  The dial loop restarts from
         scratch, so the link heals itself after the backoff — a sever
         models a transient network cut, not a removed peer."""
-        self.connected.clear()
+        self._down(self._connection)
         # A sever is a link-down-then-redial event like any other; count
         # it, or transient cuts are invisible to stats and the auditor.
         self.reconnects += 1
         if self.network._metrics.enabled:
             self.network._metrics.inc("runtime.reconnects")
         if self.task is not None:
-            self.task.cancel()
+            self.task.cancel()  # its finally closes the socket
         self.start()
 
     def stop(self) -> None:
@@ -297,8 +415,8 @@ class AsyncTcpNetwork(BaseNetwork):
         self.port = port
         self.max_queue = max_queue
         # Credit watermarks: senders lose credit when a link's queue
-        # reaches ``high`` and regain it once the drain loop has pulled
-        # it back to ``low``.  The gap between ``high`` and ``max_queue``
+        # reaches ``high`` and regain it once the link has written it
+        # back down to ``low``.  The gap between ``high`` and ``max_queue``
         # is headroom for fire-and-forget frames issued while credit
         # holders are mid-burst, so the waiting path never causes the
         # dropping path to trigger.
@@ -338,6 +456,7 @@ class AsyncTcpNetwork(BaseNetwork):
         self._progress_waiters: List["asyncio.Future[None]"] = []
         self._links: Dict[str, _PeerLink] = {}
         self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: Set[_PeerConnection] = set()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -345,9 +464,8 @@ class AsyncTcpNetwork(BaseNetwork):
 
     async def start(self) -> Tuple[str, int]:
         """Bind the listener; returns the bound (host, port)."""
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
-        )
+        self._server = await listen(self.host, self.port,
+                                    lambda: _PeerConnection(self))
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
         return self.host, self.port
 
@@ -356,6 +474,8 @@ class AsyncTcpNetwork(BaseNetwork):
             link.stop()
         if self._server is not None:
             self._server.close()
+            for connection in list(self._connections):
+                connection.transport.close()
             await self._server.wait_closed()
             self._server = None
 
@@ -519,45 +639,6 @@ class AsyncTcpNetwork(BaseNetwork):
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
-
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        peer_name: Optional[str] = None
-        try:
-            while True:
-                body = await _read_frame(reader)
-                self.frames_received += 1
-                self.bytes_received += len(body) + _LEN
-                obj, context = codec.decode_with_trace(body)
-                if isinstance(obj, Hello):
-                    t_received = self.clock()
-                    peer_name = obj.name
-                    if self.hello_handler is not None:
-                        ack = self.hello_handler(obj)
-                        if ack is not None:
-                            if obj.t_sent:  # peer wants a skew estimate
-                                ack = replace(ack, t_echo=obj.t_sent,
-                                              t_received=t_received,
-                                              t_sent=self.clock())
-                            writer.write(_frame(ack))
-                            await writer.drain()
-                elif isinstance(obj, Envelope):
-                    self._dispatch(obj, len(body) + _LEN, context)
-                elif self.control_handler is not None:
-                    self.control_handler(obj, peer_name)
-                else:
-                    logger.warning("%s: unhandled control frame %s",
-                                   self.name, type(obj).__name__)
-                self.pulse_progress()
-        except asyncio.CancelledError:
-            return  # loop teardown at shutdown; exit without the log noise
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            pass  # peer closed; its link will redial if it has more to say
-        except (NetworkError, codec.CodecError) as exc:
-            logger.warning("%s: dropping connection from %s: %s",
-                           self.name, peer_name, exc)
-        finally:
-            writer.close()
 
     def next_progress(self) -> "asyncio.Future[None]":
         """A future resolved once the next inbound frame has been handled:

@@ -38,6 +38,7 @@ every daemon of the network.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import logging
 import subprocess
@@ -47,7 +48,7 @@ from repro.errors import ReproError
 from repro.hub.client import decode_request
 from repro.hub.messages import AccountPay, AccountWithdraw
 from repro.runtime.control import AsyncControlClient, ControlError, \
-    ControlServer
+    ControlServer, Reply
 from repro.runtime.daemon import COMMANDS
 from repro.runtime.launch import boot, free_port
 from repro.runtime.registry import CommandError, CommandRegistry, \
@@ -58,6 +59,9 @@ logger = logging.getLogger(__name__)
 
 #: The router's own verbs; every other verb is a COMMANDS verb, forwarded.
 ROUTER = CommandRegistry()
+
+#: How every ``ok`` reply line of a ControlServer starts.
+_OK = b'{"ok": true'
 
 
 def sum_numbers(dicts: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -80,7 +84,7 @@ def merge_hubs(hubs: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 class WorkerHandle:
-    """One worker process plus its async control client."""
+    """One worker process plus its pipelined control link."""
 
     def __init__(self, name: str, process: subprocess.Popen, host: str,
                  port: int, control_port: int) -> None:
@@ -90,19 +94,55 @@ class WorkerHandle:
         self.port = port
         self.control_port = control_port
         self.client: Optional[AsyncControlClient] = None
-        # The daemon serves each control connection serially, so calls
-        # over one client must not interleave; the lock keeps concurrent
-        # router connections from corrupting the request/response pairing.
-        self.lock = asyncio.Lock()
+        self._dialling: Optional["asyncio.Future[None]"] = None
+        self._tag = b', "worker": ' + json.dumps(name).encode()
+
+    async def _link(self) -> AsyncControlClient:
+        """The open link.  One a failed call closed is redialled, once
+        however many calls wait, so a lost reply costs the calls then in
+        flight, not the link."""
+        if self.client is None or self.client.closed:
+            if self._dialling is None:
+                self._dialling = asyncio.ensure_future(self._dial())
+            await asyncio.shield(self._dialling)
+        return self.client
+
+    async def _dial(self) -> None:
+        try:
+            self.client = await AsyncControlClient.connect(
+                self.host, self.control_port)
+        finally:
+            self._dialling = None
 
     async def call(self, cmd: str, **kwargs: Any) -> Dict[str, Any]:
-        """Forward one command; a link a failed call closed is redialled
-        first, so one lost reply costs one command, not the link."""
-        async with self.lock:
-            if self.client is None or self.client.closed:
-                self.client = await AsyncControlClient.connect(
-                    self.host, self.control_port)
-            return await self.client.call(cmd, **kwargs)
+        """Send one command and return the worker's answer."""
+        return await (await self._link()).call(cmd, **kwargs)
+
+    def forward(self, line: bytes, cmd: str) -> Awaitable[bytes]:
+        """Send a client's request line as it is; the answer is the
+        worker's reply line, ``"worker"`` spliced into an ``ok`` one, an
+        error passed through with the worker's code."""
+        client = self.client
+        if client is None or client.closed:
+            return asyncio.ensure_future(self._dial_and_forward(line, cmd))
+        reply = Reply()
+        client.send(line, cmd).add_done_callback(
+            functools.partial(self._splice, reply))
+        return reply
+
+    async def _dial_and_forward(self, line: bytes, cmd: str) -> bytes:
+        await self._link()
+        return await self.forward(line, cmd)
+
+    def _splice(self, reply: Reply, answer: Reply) -> None:
+        try:
+            line = answer.result()
+        except ControlError as exc:
+            reply.settle(exc)
+            return
+        if line.startswith(_OK):
+            line = _OK + self._tag + line[len(_OK):]
+        reply.settle(line + b"\n")
 
 
 class ShardedDaemon:
@@ -195,18 +235,23 @@ class ShardedDaemon:
     # Routing: one rule per declaration, one forwarder per rule
     # ------------------------------------------------------------------
 
-    async def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
+    def handle(self, request: Dict[str, Any],
+               line: bytes = b"") -> Awaitable[Any]:
         """Answer a router verb, or validate a daemon verb and forward it.
 
         What is forwarded is what the client sent, not the coerced
         arguments: those name every omitted optional parameter as
-        ``None``, which a worker would refuse."""
+        ``None``, which a worker would refuse.  A verb placed on one
+        worker is forwarded as the request ``line`` itself (the control
+        server passes it; it is encoded when only the dict is given) and
+        answered with the worker's reply line, through no Task."""
         name = request.get("cmd")
         if name in ROUTER:
-            return await ROUTER.dispatch(self, request)
+            return ROUTER.dispatch(self, request)
         spec, _ = COMMANDS.validate(name, request)
         _, forward = self._rules[name]
-        return await forward(spec, request)
+        return forward(spec, request,
+                       line or json.dumps(request).encode() + b"\n")
 
     def _rule(self, spec: CommandSpec) -> Tuple[str, Callable[..., Any]]:
         """How the router places ``spec``, read off its declaration: the
@@ -281,15 +326,21 @@ class ShardedDaemon:
                     code="cross_shard")
         return worker
 
-    async def _to_owner(self, spec: CommandSpec,
-                        request: Dict[str, Any]) -> Dict[str, Any]:
+    def _to_owner(self, spec: CommandSpec, request: Dict[str, Any],
+                  line: bytes) -> Awaitable[Any]:
         owner = self._owner(request)
         if owner is None:
             if spec.pool:
-                return await self._to_every_worker(spec, request)
+                return self._to_every_worker(spec, request, line)
             raise CommandError(
                 f"{spec.name!r} on a sharded daemon needs peer= or "
                 "channel_id= to pick the owning worker", code="bad_request")
+        if spec.name in ("connect", "open-channel"):
+            return self._call_owner(owner, spec, request)
+        return owner.forward(line, spec.name)
+
+    async def _call_owner(self, owner: WorkerHandle, spec: CommandSpec,
+                          request: Dict[str, Any]) -> Dict[str, Any]:
         response = await owner.call(**request)
         # Ownership is recorded where it is made.
         if spec.name == "connect":
@@ -299,7 +350,8 @@ class ShardedDaemon:
         return {**response, "worker": owner.name}
 
     async def _split_by_account(self, spec: CommandSpec,
-                                request: Dict[str, Any]) -> Dict[str, Any]:
+                                request: Dict[str, Any],
+                                _line: bytes) -> Dict[str, Any]:
         """Split a batch per owning worker, fan out, merge in order; an
         item that cannot be placed is rejected in place."""
         items = request["requests"]
@@ -329,15 +381,16 @@ class ShardedDaemon:
                 "rejected": len(merged) - accepted}
 
     async def _to_every_worker(self, spec: CommandSpec,
-                               request: Dict[str, Any]) -> Dict[str, Any]:
+                               request: Dict[str, Any],
+                               _line: bytes) -> Dict[str, Any]:
         responses = await self._gather({
             name: worker.call(**request)
             for name, worker in self.workers.items()})
         merge = self.MERGES.get(spec.name)
         return merge(self, responses) if merge else {"workers": responses}
 
-    async def _refuse(self, spec: CommandSpec,
-                      request: Dict[str, Any]) -> Dict[str, Any]:
+    def _refuse(self, spec: CommandSpec, request: Dict[str, Any],
+                _line: bytes) -> Dict[str, Any]:
         raise CommandError(
             f"{spec.name!r} does not run on a sharded daemon: a route "
             f"starts at one named node and this pool has "

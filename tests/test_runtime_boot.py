@@ -53,7 +53,7 @@ class Stubs:
         self.processes.append(process)
         return process
 
-    def probe(self, host, port, timeout=15.0):
+    def probe(self, host, port, timeout=15.0, watch=None):
         self.events.append(("wait", port))
         if self.answering == 0:
             self.failed_at = time.monotonic()
@@ -147,3 +147,33 @@ def test_router_start_fails_at_once_when_a_worker_never_answers(stubs):
     assert stub.alive() == []
     assert len(stub.processes) == 3
     assert router.workers == {}
+
+
+@pytest.mark.live
+def test_boot_fails_at_once_when_a_daemon_exits(monkeypatch):
+    """A daemon that dies before it answers ends the boot at the next
+    poll, with its exit status, and takes the other daemons with it."""
+    spawned = []
+
+    def spawn(name, port, control_port, allocations, **kwargs):
+        code = "import sys; sys.exit(3)" if name == "dies" \
+            else "import time; time.sleep(100)"
+        spawned.append(subprocess.Popen([sys.executable, "-c", code]))
+        return spawned[-1]
+
+    monkeypatch.setattr(launch, "spawn_daemon", spawn)
+    ports = {name: (launch.free_port(), launch.free_port())
+             for name in ("sleeps", "dies")}
+    started = time.monotonic()
+    try:
+        with pytest.raises(ControlError) as excinfo:
+            launch.boot(ports, {}, timeout=4.0)
+        elapsed = time.monotonic() - started
+    finally:
+        for process in spawned:
+            process.kill()
+            process.wait()
+    assert elapsed < 1.0
+    assert "dies" in str(excinfo.value) and "3" in str(excinfo.value)
+    assert excinfo.value.code == "daemon_exited"
+    assert [process.returncode for process in spawned] == [-9, 3]

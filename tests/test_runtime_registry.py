@@ -15,7 +15,7 @@ import re
 import pytest
 
 from repro import errors
-from repro.runtime.control import ControlServer
+from repro.runtime.control import _ControlConnection
 from repro.runtime.daemon import COMMANDS, NodeDaemon
 from repro.runtime.registry import (
     CommandError,
@@ -144,7 +144,7 @@ class TestDaemonCommands:
     def test_no_dispatch_chain_left(self):
         # The api_redesign contract: dispatch is the registry, full stop.
         assert not hasattr(NodeDaemon, "_dispatch_command")
-        source = inspect.getsource(ControlServer._serve)
+        source = inspect.getsource(_ControlConnection._serve)
         assert "elif" not in source
 
     def test_registry_params_match_handler_signatures(self):

@@ -9,6 +9,7 @@ say which.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -55,6 +56,12 @@ class StubWorker:
         if cmd == "account-pay-many":
             return {"results": [{"ok": True} for _ in kwargs["requests"]]}
         return dict(ANSWER)
+
+    async def forward(self, line, cmd):
+        kwargs = json.loads(line)
+        del kwargs["cmd"]
+        self.sent.append((self.name, cmd, kwargs))
+        return json.dumps({"ok": True, **ANSWER}).encode() + b"\n"
 
 
 @pytest.fixture
