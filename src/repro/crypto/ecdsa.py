@@ -10,23 +10,18 @@ native dependencies.  Features:
 * Jacobian-coordinate point arithmetic; every modular inverse is
   ``pow(x, -1, m)`` (extended Euclid, ~7x cheaper than the Fermat form).
 
-There are exactly two scalar-multiplication paths:
-
-* **Fixed base** (``k*G``: signing, key derivation).  A doubling-free
-  fixed-window table of ``d * 16^w * G`` stored *affine* (normalised with
-  one shared inversion, Montgomery's trick), so a multiply is at most 64
-  mixed (Z=1) additions and no doublings.
-* **Variable base** (``u1*G + u2*Q``: verification; ``k*Q``: ECDH).  One
-  joint Strauss–Shamir ladder.  The secp256k1 endomorphism
-  ``lambda*(x, y) = (beta*x, y)`` (GLV) splits every scalar into two
-  ~128-bit halves; each half is cut into 33-bit chunks, one per *base*
-  ``2^(33j) * Q`` of the point's table, and each chunk is recoded in
-  width-w NAF over the affine odd multiples of its base — so the ladder
-  runs ~34 doublings instead of 256 and every addition in it is mixed.
-  Tables hold the plain multiples only; the ``lambda`` images cost one
-  field multiply per queued addition.  Verification never leaves Jacobian
-  coordinates: it checks ``r * Z^2 == X (mod p)`` instead of inverting
-  ``Z``.
+There is exactly one scalar-multiplication path: ``u1*G + u2*Q``
+(verification), ``k*G`` (signing, key derivation) and ``k*Q`` (ECDH) are
+all one joint Strauss–Shamir ladder, with no stream for a zero scalar.
+The secp256k1 endomorphism ``lambda*(x, y) = (beta*x, y)`` (GLV) splits
+every scalar into two ~128-bit halves; each half is cut into 33-bit
+chunks, one per *base* ``2^(33j) * Q`` of the point's table, and each
+chunk is recoded in width-w NAF over the affine odd multiples of its
+base — so the ladder runs ~34 doublings instead of 256 and every addition
+in it is mixed.  Tables hold the plain multiples only; the ``lambda``
+images cost one field multiply per queued addition.  Verification never
+leaves Jacobian coordinates: it checks ``r * Z^2 == X (mod p)`` instead
+of inverting ``Z``.
 
 Tables of ``Q`` outlive the call in a bounded LRU keyed by the (public)
 point, and are *promoted on reuse*: a key's first use builds the one-base
@@ -39,7 +34,7 @@ cost what they always did; building the big table on every miss would
 make each of those ~50 % dearer.  ``G`` has the same four-base shape from
 the same builder, built once per process.
 
-Tables are built lazily on first use (~13 ms and ~250 kB for the two of
+Tables are built lazily on first use (~4 ms and ~50 kB for the table of
 ``G``); nothing is computed at import.  The LRU holds at most 2048 keys,
 ~13 MB if every one is promoted.
 
@@ -201,48 +196,7 @@ def _evaluate(schedule: Schedule) -> JacobianPoint:
     return (x, y, z)
 
 
-# -- fixed base: doubling-free windowed table of G ------------------------
-#
-# One k*G per signature and per derived key.  With G fixed we precompute
-# d * 16^w * G for every 4-bit window w and digit d, so a multiply is at
-# most 64 mixed additions and no doublings.  The table is built lazily on
-# first use (~1k group operations and one inversion: ~10 ms, ~200 kB) and
-# never exposed.
-
-_WINDOW_BITS = 4
-_WINDOW_COUNT = 64   # ceil(256 / _WINDOW_BITS)
-_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
-
-
-@lru_cache(maxsize=None)
-def _generator_windows() -> List[List[FinitePoint]]:
-    """``rows[w][d - 1] == d * 2^(_WINDOW_BITS * w) * G``, affine."""
-    multiples: List[JacobianPoint] = []
-    base: JacobianPoint = (GX, GY, 1)
-    for _ in range(_WINDOW_COUNT):
-        entry = base
-        for _ in range(_WINDOW_MASK):
-            multiples.append(entry)
-            entry = _jacobian_add(entry, base)
-        base = entry  # 2^_WINDOW_BITS * previous base
-    affine = _batch_normalise(multiples)
-    return [affine[start:start + _WINDOW_MASK]
-            for start in range(0, len(affine), _WINDOW_MASK)]
-
-
-def _jacobian_multiply_g(scalar: int) -> JacobianPoint:
-    """``scalar * G`` via the fixed-window table (no doublings)."""
-    scalar %= N
-    points = []
-    for row in _generator_windows():
-        digit = scalar & _WINDOW_MASK
-        if digit:
-            points.append(row[digit - 1])
-        scalar >>= _WINDOW_BITS
-    return _evaluate([points])
-
-
-# -- variable base: joint GLV / wNAF ladder --------------------------------
+# -- the joint GLV / wNAF ladder -------------------------------------------
 #
 # secp256k1 has an efficiently computable endomorphism: with BETA a
 # primitive cube root of unity mod P and LAMBDA the matching one mod N,
@@ -463,7 +417,7 @@ def _jacobian_multiply_sum(g_scalar: int, q_scalar: int,
 def point_multiply(scalar: int, point: AffinePoint = (GX, GY)) -> AffinePoint:
     """Scalar multiplication ``scalar * point`` (defaults to the generator)."""
     if point == (GX, GY):
-        return _from_jacobian(_jacobian_multiply_g(scalar))
+        return _from_jacobian(_jacobian_multiply_sum(scalar, 0, None))
     return _from_jacobian(_jacobian_multiply_sum(0, scalar, point))
 
 

@@ -11,15 +11,23 @@ message streams mutually inconsistent.
 
 After establishment a :class:`SecureChannel` provides:
 
-* confidentiality + integrity (encrypt-then-MAC, per-direction nonces);
-* freshness: strictly-increasing send counters; any replayed or reordered
-  ciphertext is rejected with
+* confidentiality + integrity (encrypt-then-MAC) under a key set per
+  direction: each is derived from the shared channel keys and the
+  *sending* enclave's identity key (BOLT #8's ``sk``/``rk`` split), so
+  the two directions never share a keystream and a frame reflected back
+  to its sealer fails the MAC;
+* freshness: the MAC-covered nonce carries a strictly-increasing send
+  counter; any replayed or reordered frame is rejected with
   :class:`~repro.errors.MessageAuthenticationError`.
+
+The sealed plaintext is the body's wire-codec frame and nothing else: the
+keys say who sealed it, the nonce says in what order, and its 4-byte
+prefix says whether it is a message or a blob.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple
 
 from repro.crypto.authenticated import (
@@ -27,7 +35,6 @@ from repro.crypto.authenticated import (
     decrypt,
     derive_channel_keys,
     encrypt,
-    nonce_from_counter,
 )
 from repro.crypto.keys import PublicKey
 from repro.errors import (
@@ -37,6 +44,10 @@ from repro.errors import (
 )
 from repro.tee.attestation import AttestationService, Quote, verify_quote
 from repro.tee.enclave import Enclave
+
+# Nonce prefixes: the high bit separates blobs from the message stream.
+_MESSAGE = b"\x00\x00\x00\x00"
+_BLOB = b"\x80\x00\x00\x00"
 
 # Sealed plaintexts are wire-codec frames and nothing else: a payload with
 # no wire encoding raises CodecError at the sender, and a MAC-valid
@@ -57,6 +68,13 @@ def _deserialise(data: bytes) -> Any:
             f"sealed plaintext is not a wire frame: {exc}") from exc
 
 
+def _direction_keys(keys: SecureChannelKeys,
+                    sender: PublicKey) -> SecureChannelKeys:
+    """The key set for the frames ``sender`` seals on this channel."""
+    return SecureChannelKeys.from_shared_secret(
+        keys.encrypt_key + keys.mac_key, sender.to_bytes())
+
+
 @dataclass
 class SecureChannel:
     """One endpoint's view of an established secure channel."""
@@ -70,20 +88,20 @@ class SecureChannel:
     _send_counter: int = 0
     _recv_counter: int = 0
     _blob_counter: int = 0
+    send_keys: SecureChannelKeys = field(init=False, repr=False)
+    receive_keys: SecureChannelKeys = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.send_keys = _direction_keys(self.keys, self.local_key)
+        self.receive_keys = _direction_keys(self.keys, self.remote_key)
 
     def seal_message(self, payload: Any) -> bytes:
-        """Encrypt + authenticate a payload with a fresh nonce.
-
-        The sender's identity key is baked into the plaintext so the
-        receiver can reject ciphertexts replayed from a different channel
-        even if keys collided (they cannot, but defence in depth is free).
-        """
+        """Encrypt + authenticate ``payload`` as this direction's next
+        frame; the counter rides in the nonce."""
         self._send_counter += 1
-        plaintext = _serialise(
-            (self.local_key.to_bytes(), self._send_counter, payload)
-        )
-        return encrypt(self.keys, nonce_from_counter(self._send_counter),
-                       plaintext)
+        return encrypt(self.send_keys,
+                       _MESSAGE + self._send_counter.to_bytes(8, "big"),
+                       _serialise(payload))
 
     def seal_blob(self, payload: Any) -> bytes:
         """Encrypt a payload *embedded inside* a protocol message (e.g. a
@@ -94,25 +112,26 @@ class SecureChannel:
         the stream counter here would falsely flag the blob as a replay of
         the message that carries it."""
         self._blob_counter += 1
-        plaintext = _serialise((self.local_key.to_bytes(), payload))
-        # High bit of the nonce prefix separates the blob namespace from
-        # the message-stream namespace.
-        nonce = b"\x80\x00\x00\x00" + self._blob_counter.to_bytes(8, "big")
-        return encrypt(self.keys, nonce, plaintext)
+        return encrypt(self.send_keys,
+                       _BLOB + self._blob_counter.to_bytes(8, "big"),
+                       _serialise(payload))
+
+    def _open(self, sealed: bytes, prefix: bytes) -> bytes:
+        """The plaintext of ``sealed``, once its nonce is in ``prefix``'s
+        namespace and the peer's MAC verifies."""
+        if sealed[:4] != prefix:
+            raise MessageAuthenticationError(
+                f"nonce prefix {sealed[:4].hex()}, "
+                f"expected {prefix.hex()}")
+        try:
+            return decrypt(self.receive_keys, sealed)
+        except DecryptionError as exc:
+            raise MessageAuthenticationError(str(exc)) from exc
 
     def open_blob(self, blob: bytes) -> Any:
         """Decrypt an embedded payload; verifies integrity and sender
         binding but (deliberately) not stream ordering."""
-        try:
-            plaintext = decrypt(self.keys, blob)
-        except DecryptionError as exc:
-            raise MessageAuthenticationError(str(exc)) from exc
-        sender_key_bytes, payload = _deserialise(plaintext)
-        if sender_key_bytes != self.remote_key.to_bytes():
-            raise MessageAuthenticationError(
-                "blob sealed by an unexpected sender key"
-            )
-        return payload
+        return _deserialise(self._open(blob, _BLOB))
 
     def open_message(self, envelope: bytes) -> Any:
         """Decrypt, authenticate, and freshness-check an incoming message.
@@ -120,20 +139,14 @@ class SecureChannel:
         Raises :class:`MessageAuthenticationError` on tampering, replay,
         or reordering (counters must strictly increase).
         """
-        try:
-            plaintext = decrypt(self.keys, envelope)
-        except DecryptionError as exc:
-            raise MessageAuthenticationError(str(exc)) from exc
-        sender_key_bytes, counter, payload = _deserialise(plaintext)
-        if sender_key_bytes != self.remote_key.to_bytes():
-            raise MessageAuthenticationError(
-                "message sealed by an unexpected sender key"
-            )
+        plaintext = self._open(envelope, _MESSAGE)
+        counter = int.from_bytes(envelope[4:12], "big")
         if counter <= self._recv_counter:
             raise MessageAuthenticationError(
                 f"replayed or reordered message: counter {counter} "
                 f"≤ last seen {self._recv_counter}"
             )
+        payload = _deserialise(plaintext)
         self._recv_counter = counter
         return payload
 

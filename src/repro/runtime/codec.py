@@ -518,15 +518,6 @@ def decode_with_trace(data: bytes) -> Tuple[Any, Optional[TraceContext]]:
     return value, trace
 
 
-def encodable(obj: Any) -> bool:
-    """Whether ``obj`` has a lossless wire encoding."""
-    try:
-        _write_value(bytearray(), obj, 0)
-        return True
-    except CodecError:
-        return False
-
-
 def encoded_size(obj: Any) -> Optional[int]:
     """Wire size of ``obj`` in bytes, or ``None`` if not encodable.
 

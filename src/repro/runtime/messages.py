@@ -3,9 +3,10 @@
 These ride the same codec as the protocol messages but never enter an
 enclave: they are host-to-host traffic — peer handshakes, channel-open
 coordination, and simulated-blockchain gossip between daemon processes.
-Protocol payloads (sealed envelopes) stay opaque bytes inside
-:class:`Envelope`; the runtime cannot read them even though it carries
-them, mirroring the paper's untrusted-host model.
+Protocol payloads need no class here: a sealed frame crosses the peer
+link as a bare codec ``bytes`` value, attributed to the connection's
+:class:`Hello`-named peer.  The runtime cannot read it even though it
+carries it, mirroring the paper's untrusted-host model.
 """
 
 from __future__ import annotations
@@ -68,21 +69,6 @@ class HelloAck:
     t_sent: float = 0.0
     # Responder's routing-gossip public key (see Hello.topo_key).
     topo_key: bytes = b""
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """A sealed protocol message in transit between two endpoints.
-
-    ``payload`` is normally the secure-channel ciphertext, carried opaque;
-    ``encoded`` marks the rare non-bytes payload shipped as a nested codec
-    frame instead.  The runtime routes on the cleartext sender/destination
-    names exactly as ``BaseNetwork`` does in-process."""
-
-    sender: str
-    destination: str
-    payload: bytes
-    encoded: bool = False
 
 
 @dataclass(frozen=True)
@@ -150,7 +136,6 @@ class Echo:
 
 codec.register_dataclass(50, Hello)
 codec.register_dataclass(51, HelloAck)
-codec.register_dataclass(52, Envelope)
 codec.register_dataclass(53, OpenChannel)
 codec.register_dataclass(54, OpenChannelOk)
 codec.register_dataclass(55, ChainTx)

@@ -11,9 +11,11 @@ codec-encoded object (whose version-2 header optionally carries a trace
 context, so causal traces survive the hop between daemons).  Three
 kinds of objects cross a peer connection —
 the :class:`~repro.runtime.messages.Hello`/``HelloAck`` handshake,
-:class:`~repro.runtime.messages.Envelope` (protocol traffic, routed to
-the registered endpoint handler), and anything else (control-plane
-gossip, handed to the host's control handler).
+bare ``bytes`` (a sealed protocol frame, attributed to the peer the
+connection's Hello named and delivered to this host's own endpoint), and
+anything else (control-plane gossip, handed to the host's control
+handler).  Every link opens with the handshake; a transport with no
+attesting host behind it still names itself in a bare one.
 
 Connections are per-direction: each side dials its own outbound link
 (with exponential backoff, so daemons can start in any order) and serves
@@ -58,7 +60,7 @@ from repro.obs import get_tracer
 from repro.obs.context import TraceContext
 from repro.obs.merge import estimate_offset
 from repro.runtime import codec
-from repro.runtime.messages import Envelope, Hello, HelloAck
+from repro.runtime.messages import Hello, HelloAck
 from repro.runtime.net import dial, listen
 
 logger = logging.getLogger(__name__)
@@ -78,8 +80,9 @@ class _PeerConnection(asyncio.Protocol):
     """One peer TCP connection, either end: length-prefixed frames in,
     parsed and handled in the read callback.  On a connection a
     :class:`_PeerLink` dialled (``link``), the first frame is the
-    handshake's HelloAck.  A length past :data:`MAX_FRAME`, or a frame the
-    codec refuses, drops the connection."""
+    handshake's HelloAck.  A length past :data:`MAX_FRAME`, a frame the
+    codec refuses, or a sealed frame before the peer's Hello drops the
+    connection."""
 
     def __init__(self, network: "AsyncTcpNetwork",
                  link: Optional["_PeerLink"] = None) -> None:
@@ -142,19 +145,18 @@ class _PeerConnection(asyncio.Protocol):
             return
         network.frames_received += 1
         network.bytes_received += len(body) + _LEN
-        if isinstance(obj, Hello):
+        if isinstance(obj, bytes):
+            if self.peer_name is None:
+                raise NetworkError("sealed frame before the peer's Hello")
+            network._dispatch(self.peer_name, obj, len(body) + _LEN, context)
+        elif isinstance(obj, Hello):
             t_received = network.clock()
             self.peer_name = obj.name
-            if network.hello_handler is not None:
-                ack = network.hello_handler(obj)
-                if ack is not None:
-                    if obj.t_sent:  # peer wants a skew estimate
-                        ack = replace(ack, t_echo=obj.t_sent,
-                                      t_received=t_received,
-                                      t_sent=network.clock())
-                    self.transport.write(_frame(ack))
-        elif isinstance(obj, Envelope):
-            network._dispatch(obj, len(body) + _LEN, context)
+            ack = network.hello_handler(obj)
+            if obj.t_sent:  # peer wants a skew estimate
+                ack = replace(ack, t_echo=obj.t_sent, t_received=t_received,
+                              t_sent=network.clock())
+            self.transport.write(_frame(ack))
         elif network.control_handler is not None:
             network.control_handler(obj, self.peer_name)
         else:
@@ -298,14 +300,11 @@ class _PeerLink:
                     self.host, self.port,
                     lambda: _PeerConnection(self.network, self))
                 hello = self.network.hello_factory()
-                if hello is None:  # no attestation (bare transport tests)
-                    self._up(connection)
-                else:
-                    # Stamp at the last possible moment so queueing delay
-                    # inside the factory does not bias the skew estimate.
-                    connection.hello_sent = self.network.clock()
-                    connection.transport.write(_frame(
-                        replace(hello, t_sent=connection.hello_sent)))
+                # Stamp at the last possible moment so queueing delay
+                # inside the factory does not bias the skew estimate.
+                connection.hello_sent = self.network.clock()
+                connection.transport.write(_frame(
+                    replace(hello, t_sent=connection.hello_sent)))
                 await connection.lost
                 raise ConnectionResetError("peer closed the link")
             except asyncio.CancelledError:
@@ -392,9 +391,10 @@ class _PeerLink:
 class AsyncTcpNetwork(BaseNetwork):
     """Asyncio TCP transport with the ``BaseNetwork`` interface.
 
-    ``name`` identifies this host in handshakes; endpoints registered on
-    this network (normally just the local node) receive frames addressed
-    to them, everything else is routed to the outbound link matching the
+    ``name`` identifies this host in handshakes and names its own
+    endpoint (the local node), which receives every sealed frame that
+    arrives; a send to a locally registered endpoint is delivered without
+    a socket, everything else is routed to the outbound link matching the
     destination name.
     """
 
@@ -446,9 +446,12 @@ class AsyncTcpNetwork(BaseNetwork):
         # (peer clock − our clock).  Consumed by ``repro.obs.merge`` to
         # align per-daemon trace dumps on one causal timeline.
         self.peer_offsets: Dict[str, float] = {}
-        # Host hooks: the daemon wires these before start().
-        self.hello_factory: Callable[[], Optional[Hello]] = lambda: None
-        self.hello_handler: Optional[Callable[[Hello], Optional[HelloAck]]] = None
+        # Host hooks: the daemon wires these before start().  Without an
+        # attesting host the handshake only names the two ends.
+        self.hello_factory: Callable[[], Hello] = lambda: Hello(
+            self.name, self.host, self.port, "", None)
+        self.hello_handler: Callable[[Hello], HelloAck] = (
+            lambda hello: HelloAck(self.name, "", None))
         self.hello_ack_handler: Optional[Callable[[HelloAck], None]] = None
         self.control_handler: Optional[Callable[[Any, Optional[str]], None]] = None
         # Futures resolved once the next inbound frame has been handled
@@ -534,19 +537,16 @@ class AsyncTcpNetwork(BaseNetwork):
 
     def _protocol_frame(self, sender: str, destination: str, payload: Any,
                         size: Optional[int]) -> Tuple[Message, bytes]:
-        if isinstance(payload, (bytes, bytearray)):
-            envelope = Envelope(sender, destination, bytes(payload))
-        elif codec.encodable(payload):
-            # Non-bytes protocol payloads ride as a nested codec frame.
-            envelope = Envelope(sender, destination, codec.encode(payload),
-                                encoded=True)
-        else:
+        """The sealed ``payload`` as a bare ``bytes`` frame: the receiver
+        attributes it to this host's Hello name, so ``sender`` must be
+        the endpoint registered under :attr:`name`."""
+        if not isinstance(payload, (bytes, bytearray)):
             raise NetworkError(
                 f"payload of type {type(payload).__name__} has no wire "
                 "encoding; cannot send over TCP"
             )
         context = get_tracer().context
-        frame = _frame(envelope, trace=context)
+        frame = _frame(bytes(payload), trace=context)
         message = Message(sender, destination, payload,
                           size if size is not None else len(frame),
                           context)
@@ -658,28 +658,18 @@ class AsyncTcpNetwork(BaseNetwork):
                 if not waiter.done():  # a timed-out waiter was cancelled
                     waiter.set_result(None)
 
-    def _dispatch(self, envelope: Envelope, wire_size: int,
+    def _dispatch(self, sender: str, payload: bytes, wire_size: int,
                   context: Optional[TraceContext] = None) -> None:
-        handler = self._handlers.get(envelope.destination)
+        handler = self._handlers.get(self.name)
         if handler is None:
-            logger.warning("%s: frame for unknown endpoint %r",
-                           self.name, envelope.destination)
+            logger.warning("%s: no local endpoint for a frame from %r",
+                           self.name, sender)
             return
-        payload: Any = envelope.payload
-        if envelope.encoded:
-            try:
-                payload = codec.decode(payload)
-            except codec.CodecError as exc:
-                logger.warning("%s: bad nested frame from %r: %s",
-                               self.name, envelope.sender, exc)
-                return
-        message = Message(envelope.sender, envelope.destination,
-                          payload, wire_size, context)
+        message = Message(sender, self.name, payload, wire_size, context)
         try:
             handler(message)
         except Exception:  # noqa: BLE001 — a handler bug must not kill I/O
-            logger.exception("%s: handler for %r failed",
-                             self.name, envelope.destination)
+            logger.exception("%s: handler for %r failed", self.name, sender)
 
     # ------------------------------------------------------------------
     # Introspection

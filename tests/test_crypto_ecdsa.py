@@ -344,28 +344,17 @@ secrets = scalars.map(lambda value: value % (N - 1) + 1)
 
 
 class TestFixedBaseMultiply:
-    """``k * G`` through the affine fixed-window table."""
+    """``k * G`` through the ladder, on the table of G verify uses."""
 
     @pytest.mark.parametrize("scalar", EDGE_SCALARS + [
         15, 16, 17, 0xDEADBEEF, (1 << 255) + 12345, (1 << 256) - 1])
     def test_edge_scalars(self, scalar):
-        assert ecdsa._from_jacobian(ecdsa._jacobian_multiply_g(scalar)) \
-            == naive_multiply(scalar)
         assert ecdsa.point_multiply(scalar) == naive_multiply(scalar)
 
     @settings(max_examples=15, deadline=None)
     @given(scalars)
     def test_property_matches_oracle(self, scalar):
-        assert ecdsa._from_jacobian(ecdsa._jacobian_multiply_g(scalar)) \
-            == naive_multiply(scalar)
-
-    def test_table_is_affine_multiples_of_g(self):
-        rows = ecdsa._generator_windows()
-        assert len(rows) * ecdsa._WINDOW_BITS >= 256
-        for window in (0, 1, len(rows) - 1):
-            for digit in (1, 2, ecdsa._WINDOW_MASK):
-                assert rows[window][digit - 1] == naive_multiply(
-                    digit << (ecdsa._WINDOW_BITS * window))
+        assert ecdsa.point_multiply(scalar) == naive_multiply(scalar)
 
 
 class TestGlvSplit:
@@ -1029,20 +1018,18 @@ class TestKernelBudgets:
         assert slow / fast >= 2.5, f"verify only {slow / fast:.2f}x naive"
 
     def test_process_first_use_budget(self, monkeypatch):
-        # Both lazy tables of G, rebuilt from scratch: the fixed-base
-        # windows (~975 group operations) and the multi-base wNAF table
-        # (3 * 33 doublings + 4 * 64 odd multiples) — ~14 ms once per
-        # process, and well under 1 MB.
+        # The one lazy table of G, rebuilt from scratch: the multi-base
+        # wNAF table (3 * 33 doublings + 4 * 64 odd multiples; 366 group
+        # operations in all, measured) — ~4 ms once per process, and well
+        # under 1 MB.
         counts = count_group_operations(monkeypatch)
-        ecdsa._generator_windows.cache_clear()
         ecdsa._generator_table.cache_clear()
         monkeypatch.setattr(ecdsa, "_Q_TABLES", ecdsa._TableCache(4))
-        public = ecdsa.derive_public_key(KEY)              # fixed-base table
+        public = ecdsa.derive_public_key(KEY)              # the table of G
         signature = ecdsa.sign(KEY, DIGEST)
-        assert ecdsa.verify(public, DIGEST, signature)     # + wNAF table of G
-        assert counts["generic"] <= 1400
-        assert (deep_size(ecdsa._generator_windows())
-                + deep_size(ecdsa._generator_table())) < 1 << 20
+        assert ecdsa.verify(public, DIGEST, signature)
+        assert counts["generic"] <= 366
+        assert deep_size(ecdsa._generator_table()) < 1 << 20
 
     # What one verify cost before tables outlived the call, in group
     # operations (ladder positions + additions + the per-call table):
@@ -1089,7 +1076,6 @@ class TestKernelBudgets:
         assert promoted == again                           # nothing warms up
         assert max(promoted) <= 1.15 * min(promoted), (
             min(promoted), max(promoted))
-        assert ecdsa._generator_windows.cache_info().misses == 1
         assert ecdsa._generator_table.cache_info().misses == 1
 
     def test_a_population_larger_than_the_cache_costs_what_it_used_to(
@@ -1113,7 +1099,6 @@ class TestKernelBudgets:
 
     def test_nothing_is_built_at_import(self):
         code = ("from repro.crypto import ecdsa, keys\n"
-                "assert ecdsa._generator_windows.cache_info().currsize == 0\n"
                 "assert ecdsa._generator_table.cache_info().currsize == 0\n"
                 "assert len(ecdsa._Q_TABLES) == 0\n"
                 "assert keys._decompress.cache_info().currsize == 0\n")

@@ -148,8 +148,9 @@ class TestAuthenticatedEncryption:
         assert decrypt(keys, encrypt(keys, nonce_from_counter(2), b"")) == b""
 
     # Envelopes produced by the byte-at-a-time XOR this module shipped
-    # with: (nonce counter, plaintext, nonce || ciphertext || tag).  Sealed
-    # state and recorded frames from older builds must keep opening.
+    # with: (nonce counter, plaintext, nonce || ciphertext || tag).  They
+    # pin the construction, not any stored data: channel keys live for one
+    # session and nothing persisted is sealed with ``encrypt``.
     VECTOR_KEYS = SecureChannelKeys(sha256(b"vector-enc"), sha256(b"vector-mac"))
     VECTORS = [
         (7, bytes(range(33)),

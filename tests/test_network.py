@@ -4,6 +4,7 @@ message adversary."""
 import pytest
 
 from repro.crypto import KeyPair
+from repro.crypto.authenticated import encrypt
 from repro.errors import (
     AttestationError,
     MessageAuthenticationError,
@@ -18,6 +19,7 @@ from repro.network import (
     establish_secure_channel,
     fig3_topology,
     hub_and_spoke_overlay,
+    secure_channel,
 )
 from repro.simulation import Scheduler
 from repro.tee import AttestationService, Enclave, EnclaveProgram
@@ -361,7 +363,7 @@ class TestSecureChannel:
         ``pickle.loads`` — code execution for whoever holds the channel
         keys (a compromised peer enclave)."""
         import pickle
-        from repro.crypto.authenticated import encrypt, nonce_from_counter
+        from repro.crypto.authenticated import nonce_from_counter
         service, a, b = self._pair()
         chan_a, chan_b = establish_secure_channel(a, b, service)
         fired = []
@@ -371,13 +373,69 @@ class TestSecureChannel:
                 return (fired.append, ("executed",))
 
         sender = chan_a.local_key.to_bytes()
-        for plaintext, opener in (
-                (pickle.dumps((sender, 1, Payload())), chan_b.open_message),
-                (pickle.dumps((sender, Payload())), chan_b.open_blob)):
-            sealed = encrypt(chan_a.keys, nonce_from_counter(1), plaintext)
-            with pytest.raises(MessageAuthenticationError):
+        blob_nonce = b"\x80\x00\x00\x00" + (1).to_bytes(8, "big")
+        for plaintext, nonce, opener in (
+                (pickle.dumps((sender, 1, Payload())), nonce_from_counter(1),
+                 chan_b.open_message),
+                (pickle.dumps((sender, Payload())), blob_nonce,
+                 chan_b.open_blob)):
+            sealed = encrypt(chan_a.send_keys, nonce, plaintext)
+            with pytest.raises(MessageAuthenticationError,
+                               match="not a wire frame"):
                 opener(sealed)
         assert fired == []
+        assert chan_b._recv_counter == 0
+
+    @staticmethod
+    def _xor(left, right):
+        return bytes(x ^ y for x, y in zip(left, right))
+
+    def test_the_two_directions_never_share_a_keystream(self, monkeypatch):
+        """Fails while both ends sealed under one key set: alice's k-th
+        and bob's k-th frame shared a nonce *and* a keystream, so the XOR
+        of the ciphertexts was the XOR of the plaintexts."""
+        service, a, b = self._pair()
+        chan_a, chan_b = establish_secure_channel(a, b, service)
+        sealed = []
+
+        def recording(keys, nonce, plaintext):
+            envelope = encrypt(keys, nonce, plaintext)
+            sealed.append((plaintext, envelope))
+            return envelope
+
+        monkeypatch.setattr(secure_channel, "encrypt", recording)
+        for seal in ("seal_message", "seal_blob"):
+            sealed.clear()
+            getattr(chan_a, seal)("pay alice->bob 7")
+            getattr(chan_b, seal)("pay bob->alice 9")
+            (ours, from_a), (theirs, from_b) = sealed
+            assert from_a[:12] == from_b[:12]  # the same nonce
+            assert (self._xor(from_a[12:-32], from_b[12:-32])
+                    != self._xor(ours, theirs))
+
+    def test_a_reflected_frame_is_refused(self):
+        service, a, b = self._pair()
+        chan_a, _ = establish_secure_channel(a, b, service)
+        with pytest.raises(MessageAuthenticationError):
+            chan_a.open_message(chan_a.seal_message("to bob"))
+        with pytest.raises(MessageAuthenticationError):
+            chan_a.open_blob(chan_a.seal_blob("to bob"))
+
+    def test_blob_and_message_confusion_is_an_authentication_error(self):
+        """Fails while the openers unpacked the plaintext tuple first: a
+        blob opened as a message (and vice versa) raised ValueError,
+        which TeechainNode._handle_delivery does not catch."""
+        service, a, b = self._pair()
+        chan_a, chan_b = establish_secure_channel(a, b, service)
+        with pytest.raises(MessageAuthenticationError, match="prefix"):
+            chan_b.open_message(chan_a.seal_blob("deposit key"))
+        with pytest.raises(MessageAuthenticationError, match="prefix"):
+            chan_b.open_blob(chan_a.seal_message("a message"))
+        forged = bytearray(chan_a.seal_message("x"))
+        forged[1] = 1  # neither namespace
+        for opener in (chan_b.open_message, chan_b.open_blob):
+            with pytest.raises(MessageAuthenticationError, match="prefix"):
+                opener(bytes(forged))
         assert chan_b._recv_counter == 0
 
     def test_wrong_program_fails_attestation(self):

@@ -238,6 +238,7 @@ class TestCodecFraming:
         (41, ("chain", "reason")),               # Freeze
         (56, (9, ("txid",))),                    # ChainMine
         (42, ("chan", 1, 3, 0, 700, 300)),       # ChannelCheckpoint
+        (52, ("b", False, b"sealed", "a")),      # Envelope
     ])
     def test_retired_tags_no_longer_decode(self, tag, fields):
         """Frames that decoded from any peer's bytes while nothing in the
@@ -268,8 +269,7 @@ class TestCodecFraming:
             codec.encode(object())
 
     def test_encodable_and_size_helpers(self):
-        assert codec.encodable({"a": (1, 2.5, None, True)})
-        assert not codec.encodable(object())
+        assert codec.encoded_size({"a": (1, 2.5, None, True)}) is not None
         assert codec.encoded_size(object()) is None
         assert codec.encoded_size(b"x" * 100) == len(codec.encode(b"x" * 100))
 

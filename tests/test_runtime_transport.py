@@ -15,8 +15,8 @@ import pytest
 from repro.errors import NetworkError, SimulationError
 from repro.runtime import codec
 from repro.runtime.control import AsyncControlClient, ControlError
-from repro.runtime.messages import Echo, Envelope
-from repro.runtime.transport import AsyncTcpNetwork
+from repro.runtime.messages import Echo
+from repro.runtime.transport import AsyncTcpNetwork, _frame
 from repro.runtime.wallclock import WallClockScheduler
 from repro.runtime.workers import WorkerHandle
 
@@ -143,23 +143,7 @@ class TestAsyncTcpNetwork:
             assert message.payload == b"sealed-bytes"
             assert message.size > len(b"sealed-bytes")  # framing overhead
             assert a.messages_sent == 1
-            assert b.frames_received == 1
-            await a.stop()
-            await b.stop()
-
-        asyncio.run(scenario())
-
-    def test_non_bytes_payload_rides_nested_frame(self):
-        async def scenario():
-            a, b = self._pair()
-            await a.start()
-            await b.start()
-            received = asyncio.Queue()
-            b.register("b", received.put_nowait)
-            a.add_peer("b", b.host, b.port)
-            a.send("a", "b", {"amount": 7, "ids": (1, 2)})
-            message = await asyncio.wait_for(received.get(), 5.0)
-            assert message.payload == {"amount": 7, "ids": (1, 2)}
+            assert b.frames_received == 2  # a's Hello, then the frame
             await a.stop()
             await b.stop()
 
@@ -283,30 +267,6 @@ class TestAsyncTcpNetwork:
 
         asyncio.run(scenario())
 
-    def test_a_hostile_nested_frame_is_warned_and_the_link_stays(
-            self, caplog):
-        async def scenario():
-            a, b = self._pair()
-            await a.start()
-            await b.start()
-            received = asyncio.Queue()
-            b.register("b", received.put_nowait)
-            a.add_peer("b", b.host, b.port)
-            await a.wait_connected("b", 5.0)
-            a.send_control("b", Envelope("a", "b", DEEP, encoded=True))
-            a.send("a", "b", b"after")
-            message = await asyncio.wait_for(received.get(), 5.0)
-            assert message.payload == b"after"
-            assert a.stats()["peers"]["b"]["connected"]
-            await a.stop()
-            await b.stop()
-
-        with caplog.at_level(logging.WARNING):
-            asyncio.run(scenario())
-        assert "bad nested frame" in caplog.text
-        assert not [record for record in caplog.records
-                    if record.levelno >= logging.ERROR]
-
     def test_a_hostile_frame_drops_only_its_own_connection(self, caplog):
         async def scenario():
             a, b = self._pair()
@@ -334,6 +294,32 @@ class TestAsyncTcpNetwork:
         assert caplog.text.count("dropping connection") == 2
         assert not [record for record in caplog.records
                     if record.levelno >= logging.ERROR]
+
+    def test_a_sealed_frame_before_the_hello_drops_the_connection(
+            self, caplog):
+        async def scenario():
+            a, b = self._pair()
+            await b.start()
+            received = asyncio.Queue()
+            b.register("b", received.put_nowait)
+            reader, writer = await asyncio.open_connection(b.host, b.port)
+            writer.write(_frame(b"sealed"))
+            await writer.drain()
+            assert await asyncio.wait_for(reader.read(), 5.0) == b""
+            writer.close()
+            # The same bytes after a Hello are delivered, from its name.
+            await a.start()
+            a.add_peer("b", b.host, b.port)
+            a.send("a", "b", b"sealed")
+            message = await asyncio.wait_for(received.get(), 5.0)
+            assert (message.sender, message.payload) == ("a", b"sealed")
+            assert received.empty()
+            await a.stop()
+            await b.stop()
+
+        with caplog.at_level(logging.WARNING):
+            asyncio.run(scenario())
+        assert "sealed frame before the peer's Hello" in caplog.text
 
 
 @pytest.mark.live
