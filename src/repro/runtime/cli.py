@@ -27,13 +27,14 @@ import asyncio
 import ctypes
 import json
 import logging
+import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.runtime.control import ControlClient, ControlError
-from repro.runtime.daemon import COMMANDS, serve
+from repro.runtime.daemon import COMMANDS, NodeDaemon
 
 
 def _parse_fund(values: List[str]) -> Dict[str, int]:
@@ -166,28 +167,40 @@ def _pin_malloc_thresholds() -> None:
     mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
 
 
+async def _serve(daemon: Any) -> None:
+    """Start ``daemon``, write one ready line naming its bound ports
+    (``port`` is null for a sharded router), point stdout at
+    ``/dev/null`` so that a launcher which read the line and closed the
+    pipe can never block a later write, and run until ``shutdown``."""
+    port, control_port = await daemon.start()
+    print(json.dumps({"name": daemon.name, "port": port,
+                      "control_port": control_port}), flush=True)
+    with open(os.devnull, "wb") as devnull:
+        os.dup2(devnull.fileno(), sys.stdout.fileno())
+    await daemon.run_until_shutdown()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     arguments = build_parser().parse_args(argv)
     if arguments.command == "serve":
         logging.basicConfig(level=arguments.log_level.upper())
         _pin_malloc_thresholds()
         allocations = _parse_fund(arguments.fund)
+        if arguments.workers > 0:
+            from repro.runtime.workers import ShardedDaemon
+            daemon = ShardedDaemon(
+                arguments.name, host=arguments.host,
+                control_port=arguments.control_port, allocations=allocations,
+                workers=arguments.workers, state_dir=arguments.state_dir,
+                trace=bool(arguments.trace))
+        else:
+            daemon = NodeDaemon(
+                arguments.name, host=arguments.host, port=arguments.port,
+                control_port=arguments.control_port, allocations=allocations,
+                state_dir=arguments.state_dir,
+                trace=True if arguments.trace else None)
         try:
-            if arguments.workers > 0:
-                from repro.runtime.workers import serve_sharded
-                asyncio.run(serve_sharded(
-                    arguments.name, arguments.host, arguments.control_port,
-                    allocations, workers=arguments.workers,
-                    state_dir=arguments.state_dir,
-                    trace=bool(arguments.trace),
-                ))
-            else:
-                asyncio.run(serve(
-                    arguments.name, arguments.host, arguments.port,
-                    arguments.control_port, allocations,
-                    state_dir=arguments.state_dir,
-                    trace=True if arguments.trace else None,
-                ))
+            asyncio.run(_serve(daemon))
         except KeyboardInterrupt:
             pass
         return 0

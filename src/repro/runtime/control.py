@@ -460,23 +460,20 @@ class AsyncControlClient(asyncio.Protocol):
             await self._lost
 
 
-def wait_for_control(host: str, port: int, timeout: float = 15.0,
-                     interval: float = 0.05,
-                     watch: Optional[Callable[[], None]] = None
-                     ) -> ControlClient:
+def wait_for_control(host: str, port: int,
+                     timeout: float = 15.0) -> ControlClient:
     """Poll until a daemon's control port accepts a ``ping``.
 
-    Daemons started as subprocesses need a beat to bind their listeners;
-    this is the launcher's readiness check.  A poll attempt that fails
-    mid-ping closes its socket before retrying — a slow-starting daemon
-    must not leak one file descriptor per tick — and the poll interval
-    backs off (with jitter) so many concurrent launches don't hammer
-    the loopback in lockstep.  ``watch`` runs after each failed poll and
-    ends the wait by raising (a launcher's check that its child lives).
+    For a launcher that cannot read the daemon's ready line
+    (:func:`~repro.runtime.launch.boot` reads it and needs no poll).  A
+    poll attempt that fails mid-ping closes its socket before retrying —
+    a slow-starting daemon must not leak one file descriptor per tick —
+    and the poll interval backs off (with jitter) so many concurrent
+    launches don't hammer the loopback in lockstep.
     """
     deadline = time.monotonic() + timeout
     last_error: Optional[Exception] = None
-    sleep = interval
+    sleep = 0.05
     while time.monotonic() < deadline:
         client: Optional[ControlClient] = None
         try:
@@ -487,8 +484,6 @@ def wait_for_control(host: str, port: int, timeout: float = 15.0,
             if client is not None:
                 client.close()
             last_error = exc
-        if watch is not None:
-            watch()
         time.sleep(sleep * (1.0 + random.random() * 0.25))
         sleep = min(sleep * 1.5, 1.0)
     raise ControlError(

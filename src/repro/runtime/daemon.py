@@ -50,7 +50,6 @@ the same salt and keeps the existing channel and counters.
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import os
 import time
@@ -66,7 +65,8 @@ from repro.core.node import TeechainNetwork, TeechainNode
 from repro.core.persistence import PersistentStore
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import KeyPair, PublicKey
-from repro.errors import BlockchainError, ReproError, RoutingError
+from repro.errors import AttestationError, BlockchainError, NetworkError, \
+    ReproError, RoutingError
 from repro.hub import messages as hub_messages
 from repro.hub.client import decode_request
 from repro.network.secure_channel import channel_from_quote
@@ -102,6 +102,7 @@ from repro.routing import (
 )
 from repro.runtime.transport import AsyncTcpNetwork
 from repro.runtime.wallclock import WallClockScheduler
+from repro.tee.attestation import Quote
 from repro.tee.compromise import crash_enclave
 
 logger = logging.getLogger(__name__)
@@ -361,16 +362,22 @@ class NodeDaemon:
 
     def _install_peer(self, name: str, settlement_address: str, quote,
                       session: bytes = b"", topo_key: bytes = b"") -> None:
+        # A NetworkError: the transport warns and drops the connection.
+        if not isinstance(quote, Quote):
+            raise NetworkError(f"{name}'s handshake carries no quote")
         salt = self._combined_session(session)
         key_bytes = quote.enclave_key.to_bytes()
         existing = self.node.program.secure_channels.get(key_bytes)
         if existing is None or existing.session != salt:
-            channel = channel_from_quote(
-                self.node.enclave, quote,
-                self.network.attestation.root_key,
-                service=self.network.attestation,
-                session=salt,
-            )
+            try:
+                channel = channel_from_quote(
+                    self.node.enclave, quote,
+                    self.network.attestation.root_key,
+                    service=self.network.attestation,
+                    session=salt,
+                )
+            except AttestationError as exc:
+                raise NetworkError(f"{name}'s quote: {exc}") from exc
             # First contact installs; a *different* salt means one of us
             # rebooted (its replay counters died with enclave memory), so
             # renew the keys — the enclave retires the old salt to block
@@ -1349,20 +1356,3 @@ class NodeDaemon:
         self._shutdown.set()
         return {"stopping": True}
 
-
-async def serve(name: str, host: str, port: int, control_port: int,
-                allocations: Dict[str, int],
-                state_dir: Optional[str] = None,
-                announce: bool = True,
-                trace: Optional[bool] = None) -> None:
-    """Run a daemon until its control API receives ``shutdown``."""
-    daemon = NodeDaemon(name, host=host, port=port,
-                        control_port=control_port, allocations=allocations,
-                        state_dir=state_dir, trace=trace)
-    peer_port, ctrl_port = await daemon.start()
-    if announce:
-        # Machine-readable startup line so launchers can scrape the ports.
-        print(json.dumps({"name": name, "host": host, "port": peer_port,
-                          "control_port": ctrl_port,
-                          "restored": daemon.restored}), flush=True)
-    await daemon.run_until_shutdown()

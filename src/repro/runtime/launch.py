@@ -1,32 +1,35 @@
-"""Helpers for spawning daemon processes (tests, benchmarks, examples).
+"""Spawning daemon processes (tests, benchmarks, examples, the sharded
+router's worker pool).
 
-The live e2e test, the loopback benchmark, the two-process example and
-the sharded router's worker pool all need the same dance: pick free
-ports, start ``python -m repro.runtime serve`` subprocesses with a shared
-``--fund`` allocation, and wait for their control APIs to answer.
-:func:`boot` is that dance, once.  It spawns every process before it
-waits for the first, so a set of daemons is ready when its slowest one
-is, not after the sum of their boot times; a boot that fails kills and
-reaps every process it spawned.
+``python -m repro.runtime serve`` binds its ports, writes one ready line
+naming them to stdout, then points stdout at ``/dev/null``.  :func:`boot`
+spawns every process of a set on ports 0 (or on ports to reuse), then
+reads every ready line against one deadline: a set of daemons is ready
+when its slowest one says so, and no port is picked before its bind.  A
+boot that fails kills and reaps every process it spawned.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import selectors
 import socket
 import subprocess
 import sys
+import time
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.runtime.control import ControlClient, ControlError, \
-    wait_for_control
+from repro.runtime.control import ControlClient, ControlError
 
 HOST = "127.0.0.1"
 
 
 def free_port() -> int:
-    """An OS-assigned free TCP port (raceable, but fine on loopback)."""
+    """An OS-assigned TCP port nobody listens on yet; another process may
+    take it before the caller binds it, so :func:`boot` does not use it."""
     with socket.socket() as probe:
         probe.bind((HOST, 0))
         return probe.getsockname()[1]
@@ -48,10 +51,10 @@ def spawn_daemon(
 ) -> subprocess.Popen:
     """Start ``python -m repro.runtime serve`` as a subprocess.
 
-    Nobody reads the ready line, so stdout goes to ``/dev/null``; stderr
-    is inherited, so a daemon (or a sharded router's worker) logs where
-    its parent does.  A pipe nobody drains would wedge the daemon on its
-    first ~64 KiB of log output.
+    stdout is a pipe for the ready line :func:`boot` reads (the daemon
+    then points stdout at ``/dev/null``, so a closed pipe cannot wedge
+    it); stderr is inherited, so a daemon (or a sharded router's worker)
+    logs where its parent does.
     """
     command: List[str] = [
         sys.executable, "-m", "repro.runtime", "serve",
@@ -65,7 +68,36 @@ def spawn_daemon(
     command += list(extra_args)
     env = dict(os.environ)
     env["PYTHONPATH"] = _src_root() + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.Popen(command, env=env, stdout=subprocess.DEVNULL)
+    return subprocess.Popen(command, env=env, stdout=subprocess.PIPE)
+
+
+def _read_ready_lines(processes: Dict[str, subprocess.Popen],
+                      timeout: float) -> Dict[str, bytes]:
+    """name → the first line its process writes to stdout."""
+    deadline = time.monotonic() + timeout
+    lines = dict.fromkeys(processes, b"")
+    with selectors.DefaultSelector() as selector:
+        for name, process in processes.items():
+            selector.register(process.stdout, selectors.EVENT_READ, name)
+        while selector.get_map():
+            events = selector.select(deadline - time.monotonic())
+            if not events and time.monotonic() >= deadline:
+                silent = [key.data for key in selector.get_map().values()]
+                raise ControlError(
+                    f"no ready line from {', '.join(sorted(silent))} after "
+                    f"{timeout}s", code="timeout")
+            for key, _ in events:
+                chunk = os.read(key.fd, 4096)
+                if not chunk:
+                    status = processes[key.data].wait(
+                        max(deadline - time.monotonic(), 0))
+                    raise ControlError(
+                        f"daemon {key.data} exited with status {status} "
+                        "before its ready line", code="daemon_exited")
+                lines[key.data] += chunk
+                if b"\n" in chunk:
+                    selector.unregister(key.fileobj)
+    return {name: line.partition(b"\n")[0] for name, line in lines.items()}
 
 
 def boot(
@@ -75,60 +107,53 @@ def boot(
     state_dir: Optional[str] = None,
     trace: bool = False,
     timeout: float = 20.0,
-) -> Dict[str, Tuple[subprocess.Popen, ControlClient]]:
+) -> Dict[str, DaemonHandle]:
     """Spawn one daemon per name in ``ports`` (name → (peer port, control
-    port)), then wait for each control port to answer ``ping``.
+    port), 0 for one the daemon's OS assigns), read every ready line, and
+    return name → :class:`DaemonHandle` on the ports the daemons bound.
 
-    Returns name → (process, control client).  Any failure, a daemon that
-    never answers included, kills and reaps every process spawned so far
-    and re-raises.  A daemon that exits before it answers fails the boot
-    at the next poll, naming its exit status, instead of at the timeout.
+    Any failure, a daemon that exits before its line (``daemon_exited``,
+    with its status) or stays silent past ``timeout`` included, kills and
+    reaps every process spawned so far and re-raises.
     """
     processes: Dict[str, subprocess.Popen] = {}
-    clients: Dict[str, ControlClient] = {}
-
-    def watch() -> None:
-        for name, process in processes.items():
-            status = process.poll()
-            if status is not None:
-                raise ControlError(
-                    f"daemon {name} exited with status {status} before "
-                    "its control port answered", code="daemon_exited")
-
+    handles: Dict[str, DaemonHandle] = {}
     try:
         for name, (port, control_port) in ports.items():
             processes[name] = spawn_daemon(
                 name, port, control_port, allocations, host=host,
                 state_dir=state_dir,
                 extra_args=("--trace",) if trace else ())
-        for name, (_, control_port) in ports.items():
-            clients[name] = wait_for_control(host, control_port,
-                                             timeout=timeout, watch=watch)
+        for name, line in _read_ready_lines(processes, timeout).items():
+            ready = json.loads(line)
+            handles[name] = DaemonHandle(
+                name, processes[name], ready["port"], ready["control_port"],
+                ControlClient(host, ready["control_port"], timeout=timeout),
+                allocations=allocations, state_dir=state_dir)
     except BaseException:
-        for client in clients.values():
-            client.close()
+        for handle in handles.values():
+            handle.control.close()
         for process in processes.values():
             process.kill()
             process.wait()
         raise
-    return {name: (processes[name], clients[name]) for name in ports}
+    finally:
+        for process in processes.values():
+            process.stdout.close()
+    return handles
 
 
+@dataclass(eq=False)
 class DaemonHandle:
     """A spawned daemon plus its control client."""
 
-    def __init__(self, name: str, process: subprocess.Popen,
-                 port: int, control_port: int,
-                 client: ControlClient,
-                 allocations: Optional[Dict[str, int]] = None,
-                 state_dir: Optional[str] = None) -> None:
-        self.name = name
-        self.process = process
-        self.port = port
-        self.control_port = control_port
-        self.control = client
-        self.allocations = dict(allocations or {})
-        self.state_dir = state_dir
+    name: str
+    process: subprocess.Popen
+    port: int
+    control_port: int
+    control: ControlClient
+    allocations: Dict[str, int] = field(default_factory=dict)
+    state_dir: Optional[str] = None
 
     def shutdown(self, timeout: float = 10.0) -> None:
         try:
@@ -149,13 +174,9 @@ class DaemonHandle:
         with a ``state_dir`` the daemon restores its sealed state."""
         if self.process.poll() is None:
             raise RuntimeError(f"daemon {self.name} is still running")
-        process, client = boot(
+        return boot(
             {self.name: (self.port, self.control_port)}, self.allocations,
             state_dir=self.state_dir, timeout=startup_timeout)[self.name]
-        return DaemonHandle(
-            self.name, process, self.port, self.control_port, client,
-            allocations=self.allocations, state_dir=self.state_dir,
-        )
 
 
 def launch_network(
@@ -173,13 +194,10 @@ def launch_network(
     be killed and respawned (see :meth:`DaemonHandle.respawn`).
     """
     names = list(names if names is not None else sorted(allocations))
-    ports = {name: (free_port(), free_port()) for name in names}
-    handles = {
-        name: DaemonHandle(name, process, *ports[name], client,
-                           allocations=allocations, state_dir=state_dir)
-        for name, (process, client) in boot(
-            ports, allocations, state_dir=state_dir, trace=trace,
-            timeout=startup_timeout).items()}
+    handles = boot(dict.fromkeys(names, (0, 0)), allocations,
+                   state_dir=state_dir, trace=trace, timeout=startup_timeout)
+    ports = {name: (handle.port, handle.control_port)
+             for name, handle in handles.items()}
     try:
         seen = set()
         for name in names:

@@ -50,7 +50,7 @@ from repro.hub.messages import AccountPay, AccountWithdraw
 from repro.runtime.control import AsyncControlClient, ControlError, \
     ControlServer, Reply
 from repro.runtime.daemon import COMMANDS
-from repro.runtime.launch import boot, free_port
+from repro.runtime.launch import boot
 from repro.runtime.registry import CommandError, CommandRegistry, \
     CommandSpec
 from repro.workloads.assignment import HashRing
@@ -181,26 +181,25 @@ class ShardedDaemon:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    async def start(self) -> int:
-        """Boot the pool and bind the control listener; returns the
-        control port.
+    async def start(self) -> Tuple[None, int]:
+        """Boot the pool and bind the control listener; returns (None,
+        control port): a router has no peer port.
 
-        Every worker is spawned before the first readiness probe, so the
-        router is ready after its slowest worker, not after their sum.  A
-        worker that never answers fails the start with every worker
-        killed (:func:`~repro.runtime.launch.boot`)."""
-        ports = {name: (free_port(), free_port())
-                 for name in self.worker_names}
+        :func:`~repro.runtime.launch.boot` spawns every worker before it
+        reads their ready lines, so the router is ready after its slowest
+        worker, and a worker that exits or stays silent fails the start
+        with every worker killed."""
         # Blocking: nothing else runs on this loop before the control
         # listener is bound below.
-        booted = boot(ports, self.allocations, host=self.host,
+        booted = boot(dict.fromkeys(self.worker_names, (0, 0)),
+                      self.allocations, host=self.host,
                       state_dir=self.state_dir, trace=self.trace)
-        for name, (process, probe) in booted.items():
+        for name, worker in booted.items():
             # The router routes over an async client, which
             # WorkerHandle.call dials on first use.
-            probe.close()
-            self.workers[name] = WorkerHandle(name, process, self.host,
-                                              *ports[name])
+            worker.control.close()
+            self.workers[name] = WorkerHandle(name, worker.process, self.host,
+                                              worker.port, worker.control_port)
         try:
             self.control_port = await self.control.start(self.host,
                                                          self.control_port)
@@ -209,7 +208,7 @@ class ShardedDaemon:
             raise
         logger.info("%s: routing %d workers, control on %s:%d", self.name,
                     len(self.workers), self.host, self.control_port)
-        return self.control_port
+        return None, self.control_port
 
     async def stop(self) -> None:
         for handle in self.workers.values():
@@ -513,19 +512,3 @@ class ShardedDaemon:
         self._shutdown.set()
         return {"stopping": True, "workers": len(self.workers)}
 
-
-async def serve_sharded(name: str, host: str, control_port: int,
-                        allocations: Dict[str, int], workers: int,
-                        state_dir: Optional[str] = None,
-                        announce: bool = True,
-                        trace: bool = False) -> None:
-    """Run a sharded daemon until its control API receives ``shutdown``."""
-    router = ShardedDaemon(name, host=host, control_port=control_port,
-                           allocations=allocations, workers=workers,
-                           state_dir=state_dir, trace=trace)
-    ctrl_port = await router.start()
-    if announce:
-        print(json.dumps({"name": name, "host": host,
-                          "control_port": ctrl_port,
-                          **router.worker_table()}), flush=True)
-    await router.run_until_shutdown()

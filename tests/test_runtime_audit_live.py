@@ -16,7 +16,7 @@ import threading
 import pytest
 
 from repro.runtime.control import ControlClient
-from repro.runtime.launch import HOST, boot, free_port, launch_network
+from repro.runtime.launch import HOST, boot, launch_network
 from repro.runtime.workers import ShardedDaemon
 
 GENESIS = 200_000
@@ -130,10 +130,12 @@ def test_audit_snapshot_aggregate_across_sharded_workers():
     router = None
     payer = None
     try:
-        spokes = {name: (free_port(), free_port()) for name in SPOKES}
-        for process, client in boot(spokes, ALLOCATIONS).values():
-            processes.append(process)
-            clients.append(client)
+        spokes = {}
+        for name, spoke in boot(dict.fromkeys(SPOKES, (0, 0)),
+                                ALLOCATIONS).items():
+            processes.append(spoke.process)
+            clients.append(spoke.control)
+            spokes[name] = (spoke.port, spoke.control_port)
         router = RouterThread()
         control = ControlClient(HOST, router.router.control_port,
                                 timeout=120)

@@ -2,14 +2,18 @@
 
 A daemon or router imports neither numpy, scipy nor networkx (only
 workload generation and k-shortest retries use them).  ``launch.boot``
-spawns every process before its first readiness wait, and a boot that
-fails kills every process it spawned.  The boot tests need no sockets:
-``spawn_daemon`` is a stub that starts a sleeping Python process and the
-readiness probe is a stub that answers or fails on cue.
+spawns every process before it reads the first ready line, learns each
+daemon's ports from its line, and a boot that fails kills and reaps
+every process it spawned.  The boot tests run stub processes in place of
+daemons: one that binds a port, writes its ready line and answers every
+control line ``ok``; one that exits with status 3 first; one that never
+writes.  The live test at the end boots real daemons.
 """
 
 import asyncio
+import functools
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -17,73 +21,83 @@ from pathlib import Path
 
 import pytest
 
-from repro.runtime import launch
+from repro.runtime import launch, workers
 from repro.runtime.control import ControlError
 from repro.runtime.workers import ShardedDaemon
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-SLEEPER = [sys.executable, "-c", "import time; time.sleep(100)"]
 
-
-class FakeClient:
-    def __init__(self, events):
-        self.events = events
-
-    def call(self, cmd, **kwargs):
-        self.events.append(("call", cmd))
-        return {}
-
-    def close(self):
-        pass
+# A daemon in miniature: binds its ports, says so, then answers every
+# control line ok, logging the verb to argv[1], until ``shutdown``.
+SERVES = """
+import json, socket, sys
+peer, control = socket.socket(), socket.socket()
+peer.bind(("127.0.0.1", 0))
+control.bind(("127.0.0.1", 0))
+control.listen()
+print(json.dumps({"port": peer.getsockname()[1],
+                  "control_port": control.getsockname()[1]}), flush=True)
+while True:
+    connection, _ = control.accept()
+    for line in connection.makefile("rb"):
+        cmd = json.loads(line)["cmd"]
+        with open(sys.argv[1], "a") as log:
+            log.write(cmd + "\\n")
+        connection.sendall(b'{"ok": true}\\n')
+        if cmd == "shutdown":
+            sys.exit(0)
+"""
+EXITS = "import sys; sys.exit(3)"
+SILENT = "import time; time.sleep(100)"
 
 
 class Stubs:
-    """A spawn that starts a sleeper and a probe that answers ``answering``
-    times, then fails; both record the order they ran in."""
+    """A ``spawn_daemon`` that starts the stub named for each daemon."""
 
-    def __init__(self, answering):
-        self.answering = answering
-        self.events = []
-        self.processes = []
-        self.failed_at = None
+    def __init__(self, log, codes):
+        self.log = log
+        self.log.touch()
+        self.codes = codes
+        self.processes = {}
 
     def spawn(self, name, port, control_port, allocations, **kwargs):
-        self.events.append(("spawn", name))
-        process = subprocess.Popen(SLEEPER)
-        self.processes.append(process)
-        return process
+        code = self.codes.get(name, SERVES)
+        self.processes[name] = subprocess.Popen(
+            [sys.executable, "-S", "-c", code, str(self.log)],
+            stdout=subprocess.PIPE)
+        return self.processes[name]
 
-    def probe(self, host, port, timeout=15.0, watch=None):
-        self.events.append(("wait", port))
-        if self.answering == 0:
-            self.failed_at = time.monotonic()
-            raise ControlError(f"no daemon on {host}:{port}", code="timeout")
-        self.answering -= 1
-        return FakeClient(self.events)
+    def verbs(self):
+        return self.log.read_text().split()
 
-    def kinds(self):
-        return [kind for kind, _ in self.events if kind != "call"]
-
-    def alive(self):
-        return [process for process in self.processes
-                if process.poll() is None]
+    def reaped(self):
+        return all(process.returncode is not None
+                   for process in self.processes.values())
 
 
 @pytest.fixture
-def stubs(monkeypatch):
+def stubs(monkeypatch, tmp_path):
     made = []
 
-    def install(answering):
-        made.append(Stubs(answering))
+    def install(**codes):
+        made.append(Stubs(tmp_path / f"verbs{len(made)}", codes))
         monkeypatch.setattr(launch, "spawn_daemon", made[-1].spawn)
-        monkeypatch.setattr(launch, "wait_for_control", made[-1].probe)
         return made[-1]
 
     yield install
     for one in made:
-        for process in one.processes:
+        for process in one.processes.values():
             process.kill()
             process.wait()
+
+
+def fails(call, code):
+    """Run ``call``; return how long it took to raise ``code``."""
+    started = time.monotonic()
+    with pytest.raises(ControlError) as excinfo:
+        call()
+    assert excinfo.value.code == code, excinfo.value
+    return time.monotonic() - started, str(excinfo.value)
 
 
 def test_daemon_and_router_import_no_numeric_or_graph_library():
@@ -104,76 +118,127 @@ def test_workloads_package_still_exports_its_generators():
 
 
 def test_launch_network_spawns_every_daemon_before_the_first_wait(stubs):
-    stub = stubs(answering=3)
-    handles, _ = launch.launch_network({"a": 1, "b": 1, "c": 1})
-    assert stub.kinds() == ["spawn"] * 3 + ["wait"] * 3
+    """The first daemon dies before its line; a launcher that read it
+    before spawning the next would never have spawned the others.  The
+    ports come from the lines, and the mesh is connected over them."""
+    stub = stubs(a=EXITS)
+    fails(lambda: launch.launch_network({"a": 1, "b": 1, "c": 1}),
+          "daemon_exited")
+    assert sorted(stub.processes) == ["a", "b", "c"]
+
+    stub = stubs()
+    handles, ports = launch.launch_network({"a": 1, "b": 1, "c": 1})
     assert sorted(handles) == ["a", "b", "c"]
-    assert stub.events.count(("call", "connect")) == 3
+    for name, handle in handles.items():
+        assert ports[name] == (handle.port, handle.control_port)
+        assert 0 not in ports[name]
+        handle.shutdown()
+    assert stub.verbs().count("connect") == 3
+    assert stub.verbs().count("shutdown") == 3
+
+
+def test_boot_fails_at_once_when_a_daemon_exits(stubs):
+    """A daemon that exits before its line ends the boot at once, with
+    its exit status, and takes the other daemons with it."""
+    stub = stubs(dies=EXITS)
+    elapsed, message = fails(
+        lambda: launch.boot(dict.fromkeys(("sleeps", "dies", "serves"),
+                                          (0, 0)), {}, timeout=5.0),
+        "daemon_exited")
+    assert elapsed < 0.2
+    assert "dies" in message and "3" in message
+    assert {name: process.returncode
+            for name, process in stub.processes.items()} == {
+        "sleeps": -signal.SIGKILL, "dies": 3, "serves": -signal.SIGKILL}
 
 
 def test_launch_network_kills_every_daemon_when_one_never_answers(stubs):
-    stub = stubs(answering=1)
-    with pytest.raises(ControlError):
-        launch.launch_network({"a": 1, "b": 1, "c": 1})
-    assert stub.alive() == []
-    assert len(stub.processes) == 3
+    stub = stubs(b=SILENT)
+    elapsed, message = fails(
+        lambda: launch.launch_network({"a": 1, "b": 1, "c": 1},
+                                      startup_timeout=0.5), "timeout")
+    assert 0.5 <= elapsed < 2.0
+    assert "from b " in message
+    assert len(stub.processes) == 3 and stub.reaped()
 
 
 def test_respawn_kills_a_daemon_that_never_answers(stubs):
-    stub = stubs(answering=0)
+    stub = stubs(a=SILENT)
     dead = subprocess.Popen([sys.executable, "-c", "pass"])
     dead.wait()
-    handle = launch.DaemonHandle("a", dead, 1, 2, FakeClient([]))
-    with pytest.raises(ControlError):
-        handle.respawn()
-    assert len(stub.processes) == 1
-    assert stub.alive() == []
+    handle = launch.DaemonHandle("a", dead, 1, 2, None)
+    fails(lambda: handle.respawn(startup_timeout=0.3), "timeout")
+    assert len(stub.processes) == 1 and stub.reaped()
 
 
 def test_router_spawns_every_worker_before_the_first_wait(stubs):
-    stub = stubs(answering=2)
+    """As for a network, with the workers' ports taken from their lines;
+    the router's stop shuts every worker down."""
+    stub = stubs(**{"hub-w0": EXITS})
     router = ShardedDaemon("hub", workers=3)
     with pytest.raises(ControlError):
         asyncio.run(router.start())
-    assert stub.kinds() == ["spawn"] * 3 + ["wait"] * 3
+    assert sorted(stub.processes) == ["hub-w0", "hub-w1", "hub-w2"]
+
+    stub = stubs()
+    router = ShardedDaemon("hub", workers=3)
+
+    async def start_then_stop():
+        port, control_port = await router.start()
+        table = router.worker_table()["workers"]
+        await router.stop()
+        return port, control_port, table
+
+    port, control_port, table = asyncio.run(start_then_stop())
+    assert port is None and control_port > 0
+    assert [row["name"] for row in table] == ["hub-w0", "hub-w1", "hub-w2"]
+    assert all(row["port"] and row["control_port"] for row in table)
+    assert stub.verbs() == ["shutdown"] * 3
+    assert stub.reaped()
 
 
 def test_router_start_fails_at_once_when_a_worker_never_answers(stubs):
-    stub = stubs(answering=0)
+    stub = stubs(**{"hub-w1": EXITS})
     router = ShardedDaemon("hub", workers=3)
-    with pytest.raises(ControlError):
-        asyncio.run(router.start())
-    assert time.monotonic() - stub.failed_at < 1.0
-    assert stub.alive() == []
-    assert len(stub.processes) == 3
+    elapsed, message = fails(lambda: asyncio.run(router.start()),
+                             "daemon_exited")
+    assert elapsed < 0.2
+    assert "hub-w1" in message and "3" in message
+    assert len(stub.processes) == 3 and stub.reaped()
+    assert router.workers == {}
+
+
+def test_router_start_fails_at_the_deadline_when_a_worker_is_silent(
+        stubs, monkeypatch):
+    stub = stubs(**{"hub-w2": SILENT})
+    monkeypatch.setattr(workers, "boot",
+                        functools.partial(launch.boot, timeout=0.5))
+    router = ShardedDaemon("hub", workers=3)
+    elapsed, message = fails(lambda: asyncio.run(router.start()), "timeout")
+    assert 0.5 <= elapsed < 2.0
+    assert "hub-w2" in message
+    assert len(stub.processes) == 3 and stub.reaped()
     assert router.workers == {}
 
 
 @pytest.mark.live
-def test_boot_fails_at_once_when_a_daemon_exits(monkeypatch):
-    """A daemon that dies before it answers ends the boot at the next
-    poll, with its exit status, and takes the other daemons with it."""
-    spawned = []
-
-    def spawn(name, port, control_port, allocations, **kwargs):
-        code = "import sys; sys.exit(3)" if name == "dies" \
-            else "import time; time.sleep(100)"
-        spawned.append(subprocess.Popen([sys.executable, "-c", code]))
-        return spawned[-1]
-
-    monkeypatch.setattr(launch, "spawn_daemon", spawn)
-    ports = {name: (launch.free_port(), launch.free_port())
-             for name in ("sleeps", "dies")}
-    started = time.monotonic()
+def test_a_network_boots_on_the_ports_its_daemons_bound():
+    """Six distinct bound ports, stdout on /dev/null once the line is
+    read, and a SIGKILLed daemon comes back on its old ports."""
+    handles, ports = launch.launch_network({"a": 1, "b": 1, "c": 1})
     try:
-        with pytest.raises(ControlError) as excinfo:
-            launch.boot(ports, {}, timeout=4.0)
-        elapsed = time.monotonic() - started
+        bound = [port for pair in ports.values() for port in pair]
+        assert len(set(bound)) == 6 and 0 not in bound
+        for handle in handles.values():
+            assert os.readlink(f"/proc/{handle.process.pid}/fd/1") \
+                == os.devnull
+        victim = handles["b"]
+        victim.process.kill()
+        victim.process.wait()
+        victim.control.close()
+        handles["b"] = victim.respawn()
+        assert (handles["b"].port, handles["b"].control_port) == ports["b"]
+        assert handles["b"].control.call("ping")["name"] == "b"
     finally:
-        for process in spawned:
-            process.kill()
-            process.wait()
-    assert elapsed < 1.0
-    assert "dies" in str(excinfo.value) and "3" in str(excinfo.value)
-    assert excinfo.value.code == "daemon_exited"
-    assert [process.returncode for process in spawned] == [-9, 3]
+        for handle in handles.values():
+            handle.shutdown()

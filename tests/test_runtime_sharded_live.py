@@ -14,7 +14,7 @@ import threading
 import pytest
 
 from repro.runtime.control import ControlClient, ControlError
-from repro.runtime.launch import HOST, boot, free_port
+from repro.runtime.launch import HOST, boot
 from repro.runtime.workers import ShardedDaemon
 from repro.workloads.assignment import HashRing
 
@@ -65,14 +65,16 @@ class RouterThread:
 
 @pytest.fixture(scope="module")
 def sharded_hub():
-    spokes = {name: (free_port(), free_port()) for name in SPOKES}
+    spokes = {}
     processes = []
     clients = []
     router = None
     try:
-        for process, client in boot(spokes, ALLOCATIONS).values():
-            processes.append(process)
-            clients.append(client)
+        for name, spoke in boot(dict.fromkeys(SPOKES, (0, 0)),
+                                ALLOCATIONS).items():
+            processes.append(spoke.process)
+            clients.append(spoke.control)
+            spokes[name] = (spoke.port, spoke.control_port)
         router = RouterThread()
         control = ControlClient(HOST, router.router.control_port,
                                 timeout=120)
