@@ -56,7 +56,7 @@ def main() -> None:
     # Alice observes bob's settlement of their shared channel on the
     # blockchain and presents it to her TEE as a PoPT.
     popt = settlements[0]
-    alice_settlements = alice.eject_with_popt(payment, popt)
+    alice_settlements = alice.eject(payment, popt)
     network.mine()
     print(f"alice settled consistently (pre-payment) with "
           f"{len(alice_settlements)} transaction(s)")

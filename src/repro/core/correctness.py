@@ -84,6 +84,7 @@ class BalanceTracker:
                 f"balance correctness violated for {user}: ledger holds "
                 f"{ledger_balance}, perceived balance is {perceived} "
                 f"(initial {self._initial.get(user, 0)}, received "
-                f"{self.received(user)}, paid {self.paid(user)}, "
+                f"{self._received.get(user, 0)}, paid "
+                f"{self._paid.get(user, 0)}, "
                 f"in-flight {self.inflight(user)})"
             )

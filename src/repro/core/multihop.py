@@ -13,7 +13,7 @@ with every individual channel settlement, the protocol can transition all
 channels from pre- to post-payment atomically with respect to the
 blockchain: at any instant, the set of transactions the chain could accept
 settles every channel consistently (§5.1's case analysis, reproduced in
-:meth:`MultihopMixin.eject` and :meth:`MultihopMixin.eject_with_popt`).
+:meth:`MultihopMixin._ejection`).
 
 Premature termination:
 
@@ -24,6 +24,9 @@ Premature termination:
   their settlement reached the blockchain.  Presenting that transaction
   (the proof of premature termination) authorises this TEE to settle its
   own channels in the *same* state.
+* **eject_all** — crash recovery (§6.2): every in-flight payment, each
+  with a PoPT where the host found one of its candidates on chain.  Every
+  driver runs it through :meth:`repro.core.node.TeechainNode.eject_all`.
 """
 
 from __future__ import annotations
@@ -744,30 +747,49 @@ class MultihopMixin:
     # Premature termination (Alg. 2 lines 60–72, §5.1 case analysis)
     # ------------------------------------------------------------------
 
-    def eject(self, payment_id: str) -> List[Transaction]:
-        """``eject`` (line 60): abandon the payment unilaterally.
-
-        Returns the transactions the participant should broadcast:
-
-        * stage **lock**/**sign** — the local channels' *pre-payment*
-          settlements (balances are still pre-payment);
-        * stage **preUpdate**/**update** — **τ** (line 65), settling the
-          whole path at post-payment;
-        * stage **postUpdate**/**release** — the local channels'
-          *post-payment* settlements.
+    def eject(self, payment_id: str,
+              popt: Optional[Transaction] = None) -> List[Transaction]:
+        """``eject`` (line 60): abandon the payment unilaterally, or
+        ``eject(popt)`` (line 66) when ``popt`` — another participant's
+        settlement, observed on the blockchain — proves at which state
+        the payment ended.  Returns the transactions to broadcast; see
+        :meth:`_ejection`.
 
         The transactions are decided and signed *before* the session is
         terminated: an eject that cannot produce them (no τ, committee
         quorum down) raises with nothing changed and can be retried.
         """
         session = self._session(payment_id)
-        transactions = self._ejection(session)
-        self._terminate_session(session)  # line 62
+        transactions = self._ejection(session, popt.txid if popt else None)
+        self._terminate_session(session)  # lines 62, 68
         return transactions
 
-    def _ejection(self, session: MultihopSession) -> List[Transaction]:
-        """What ``eject`` releases at the session's stage, signed.
-        Changes nothing."""
+    def _ejection(self, session: MultihopSession,
+                  popt_txid: Optional[str]) -> List[Transaction]:
+        """What an eject releases, signed.  Changes nothing.
+
+        With a PoPT, the txid is checked against the candidate txids
+        recorded during the lock phase: a pre-payment candidate releases
+        the local channels' pre-payment settlements (lines 69–70), a
+        post-payment one their post-payment settlements (lines 71–72).
+        Without one, the session's stage (line 61) decides:
+
+        * **lock**/**sign** — the pre-payment settlements;
+        * **preUpdate**/**update** — **τ**, settling the whole path at
+          post-payment;
+        * **postUpdate**/**release** — the post-payment settlements.
+        """
+        if popt_txid in session.pre_txids:
+            return self._sign_candidates(
+                session.local_pre_settlements)  # lines 69–70
+        if popt_txid in session.post_txids:
+            return self._sign_candidates(
+                session.local_post_settlements)  # lines 71–72
+        if popt_txid is not None:
+            raise SettlementError(
+                "presented transaction is not a settlement of any channel "
+                "in this multi-hop payment"
+            )
         stage = session.stage  # line 61
         if stage in (MultihopStage.LOCK, MultihopStage.SIGN):
             return self._sign_candidates(
@@ -823,49 +845,41 @@ class MultihopMixin:
             self._replicated("locks_released:" + ",".join(sorted(released)))
         return released
 
-    def eject_all(self) -> Dict[str, List[Transaction]]:
-        """Eject every in-flight multi-hop payment (crash recovery).
-
-        A participant restored from sealed state (§6.2) may hold sessions
-        whose peers have long moved on; completing them is impossible, so
-        recovery terminates each one unilaterally at its recorded stage.
-        Dangling lock-phase channel locks (see
-        :meth:`release_dangling_locks`) are lifted first.  Returns
-        ``payment_id → settlements to broadcast``; already terminated
-        sessions are skipped.  Every session is signed before any is
-        terminated, so a failure loses no transaction already produced."""
-        self.release_dangling_locks()
-        sessions = [
+    def _in_flight(self) -> List[MultihopSession]:
+        return [
             session for _, session in sorted(self.multihop_sessions.items())
             if session.stage not in (MultihopStage.TERMINATED,
                                      MultihopStage.IDLE)
         ]
-        ejected = {session.path.payment_id: self._ejection(session)
-                   for session in sessions}
+
+    def valid_settlement_txids(self) -> List[str]:
+        """Every candidate settlement txid of the in-flight payments: what
+        the host looks for on chain before :meth:`eject_all`."""
+        return sorted({txid for session in self._in_flight()
+                       for txid in session.pre_txids + session.post_txids})
+
+    def eject_all(
+        self, confirmed: Sequence[str] = ()
+    ) -> Dict[str, List[Transaction]]:
+        """Eject every in-flight multi-hop payment (crash recovery, §6.2)
+        and return ``payment_id → settlements to broadcast``.  A session
+        one of whose candidates is in ``confirmed`` (txids the host found
+        on chain, out of :meth:`valid_settlement_txids`) ejects with it as
+        its PoPT (line 66), any other at its recorded stage.  Dangling
+        locks are lifted first (:meth:`release_dangling_locks`), and every
+        session is signed before any is terminated."""
+        self.release_dangling_locks()
+        confirmed = set(confirmed)
+        sessions = self._in_flight()
+        ejected = {
+            session.path.payment_id: self._ejection(session, next(
+                (txid for txid in session.pre_txids + session.post_txids
+                 if txid in confirmed), None))
+            for session in sessions
+        }
         for session in sessions:
             self._terminate_session(session)
         return ejected
-
-    def eject_with_popt(self, payment_id: str,
-                        popt: Transaction) -> List[Transaction]:
-        """``eject(popt)`` (line 66): another participant terminated and
-        ``popt`` — their settlement, observed on the blockchain — proves
-        at which state.  The TEE verifies the transaction against the
-        candidate-settlement txids recorded during the lock phase and
-        releases this node's settlements in the matching state."""
-        session = self._session(payment_id)
-        if popt.txid in session.pre_txids:
-            candidates = session.local_pre_settlements  # lines 69–70
-        elif popt.txid in session.post_txids:
-            candidates = session.local_post_settlements  # lines 71–72
-        else:
-            raise SettlementError(
-                "presented transaction is not a settlement of any channel "
-                "in this multi-hop payment"
-            )
-        transactions = self._sign_candidates(candidates)
-        self._terminate_session(session)  # line 68
-        return transactions
 
     def _terminate_session(self, session: MultihopSession) -> None:
         self._touch_payment(session.path.payment_id)
@@ -923,7 +937,8 @@ class TeechainEnclave(HubAccountsMixin, MultihopMixin, ChannelProtocol):
     PROGRAM_VERSION = 1
 
     FREEZE_ALLOWED = ChannelProtocol.FREEZE_ALLOWED + (
-        "eject", "eject_with_popt", "eject_all", "release_dangling_locks",
+        "eject", "eject_all", "release_dangling_locks",
+        "valid_settlement_txids",
     )
 
     READ_ONLY_ECALLS = ChannelProtocol.READ_ONLY_ECALLS | frozenset({

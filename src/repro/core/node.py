@@ -588,28 +588,27 @@ class TeechainNode:
             self.client.broadcast(transaction)
         return transaction
 
-    def eject(self, payment_id: str) -> List[Transaction]:
-        """Prematurely terminate a multi-hop payment; broadcast the
-        resulting transactions (Alg. 2 ``eject``)."""
-        transactions = self._ecall("eject", payment_id)
-        for transaction in transactions:
-            self.client.broadcast(transaction)
-        return transactions
-
-    def eject_with_popt(self, payment_id: str,
-                        popt: Transaction) -> List[Transaction]:
-        """Terminate consistently with another participant's observed
-        settlement (Alg. 2 ``eject(popt)``)."""
-        transactions = self._ecall("eject_with_popt", payment_id, popt)
+    def eject(self, payment_id: str,
+              popt: Optional[Transaction] = None) -> List[Transaction]:
+        """Prematurely terminate a multi-hop payment — consistently with
+        ``popt``, another participant's settlement observed on chain, when
+        given — and broadcast the resulting transactions (Alg. 2
+        ``eject``)."""
+        transactions = self._ecall("eject", payment_id, popt)
         for transaction in transactions:
             self.client.broadcast(transaction)
         return transactions
 
     def eject_all(self) -> Dict[str, List[Transaction]]:
         """Eject every in-flight multi-hop payment and broadcast the
-        resulting settlements — the recovery sweep a participant runs
-        after restoring from sealed state (§6.2)."""
-        ejected = self._ecall("eject_all")
+        resulting settlements — the one recovery sweep a participant runs
+        after restoring from sealed state (§6.2).  A payment whose
+        candidate settlement is already confirmed (looked up in the
+        chain's txid index) ejects consistently with it (``eject(popt)``)."""
+        chain = self.network.chain
+        confirmed = [txid for txid in self._ecall("valid_settlement_txids")
+                     if chain.contains(txid)]
+        ejected = self._ecall("eject_all", confirmed)
         for transactions in ejected.values():
             for transaction in transactions:
                 self.client.broadcast(transaction)

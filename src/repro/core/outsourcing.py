@@ -41,7 +41,7 @@ class OutsourcingGateway(TeechainEnclave):
         "new_pay_channel", "new_deposit_address", "register_deposit",
         "release_deposit", "approve_my_deposit", "associate_deposit",
         "dissociate_deposit", "pay", "pay_multihop", "settle",
-        "unilateral_settlement", "eject", "eject_with_popt",
+        "unilateral_settlement", "eject",
         "list_channels", "channel_snapshot",
     })
 

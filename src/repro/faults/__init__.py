@@ -21,7 +21,6 @@ from repro.faults.matrix import (
     ROLES,
     STAGES,
     CellResult,
-    recovery_sweep,
     run_committee_member_loss,
     run_committee_primary_loss,
     run_crash_cell,
@@ -49,7 +48,6 @@ __all__ = [
     "FaultSchedule",
     "FaultSpec",
     "LiveFaultInjector",
-    "recovery_sweep",
     "run_all_chain_cells",
     "run_committee_member_loss",
     "run_committee_primary_loss",

@@ -17,12 +17,13 @@ the balance invariants:
 * **balance security** — Definition A.1's inequality for every node,
   via the tracker's ``assert_balance_correctness``.
 
-The recovery sweep is Alg. 2 lines 60–72 faithfully: before ejecting a
-session, each participant scans the blockchain for a settlement another
-participant already landed (its txid was announced during the lock
-phase) and, if found, ejects *consistently with it* via
-``eject_with_popt`` — that is what keeps a stale restored enclave from
-racing a τ-holder into an inconsistent split.
+The recovery sweep is the product's own, :meth:`TeechainNode.eject_all`
+(Alg. 2 lines 60–72): before ejecting a session, the participant looks up
+the session's candidate settlements (their txids were announced during
+the lock phase) on the blockchain and, if another participant already
+landed one, ejects *consistently with it* (``eject(popt)``) — that is
+what keeps a stale restored enclave from racing a τ-holder into an
+inconsistent split.
 
 The committee cells exercise §6.1/§7 instead of sealing: losing a
 backup freezes the chain (in-flight payment rolls back, settlement still
@@ -33,13 +34,11 @@ replicated state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from repro.blockchain.transaction import Transaction
-from repro.core.node import TeechainNetwork, TeechainNode
+from repro.core.node import TeechainNetwork
 from repro.core.persistence import PersistentStore
-from repro.core.state import MultihopStage
-from repro.errors import ReplicationError, ReproError
+from repro.errors import ReplicationError
 from repro.faults.des import DesFaultInjector
 from repro.faults.schedule import FaultSchedule
 from repro.obs import get_metrics
@@ -101,45 +100,6 @@ class CellResult:
             "transfer": self.transfer, "balances": dict(self.balances),
             "violations": list(self.violations), "ok": self.ok,
         }
-
-
-def _find_onchain_settlement(node: TeechainNode,
-                             session) -> Optional[Transaction]:
-    """A settlement of this payment that some participant already landed.
-
-    The candidate txids were announced host-side during the lock phase,
-    so scanning for them needs no enclave secrets; the *classification*
-    (pre vs post) stays inside the TEE via ``eject_with_popt``."""
-    known = set(session.pre_txids) | set(session.post_txids)
-    chain = node.network.chain
-    for block in chain.blocks:
-        for transaction in block.transactions:
-            if transaction.txid in known:
-                return transaction
-    return None
-
-
-def recovery_sweep(node: TeechainNode) -> Dict[str, List[Transaction]]:
-    """Terminate every in-flight multi-hop session on ``node``, each one
-    consistent with the blockchain (Alg. 2 lines 60–72).
-
-    Plain ``eject`` settles at the session's own recorded stage; if a
-    peer already landed a settlement, this node must instead terminate
-    at *that* state (``eject(popt)``) or its broadcast would race the
-    confirmed outcome and lose."""
-    ejected: Dict[str, List[Transaction]] = {}
-    program = node.program
-    node._ecall("release_dangling_locks")
-    for payment_id in sorted(program.multihop_sessions):
-        session = program.multihop_sessions[payment_id]
-        if session.stage in (MultihopStage.TERMINATED, MultihopStage.IDLE):
-            continue
-        popt = _find_onchain_settlement(node, session)
-        if popt is not None:
-            ejected[payment_id] = node.eject_with_popt(payment_id, popt)
-        else:
-            ejected[payment_id] = node.eject(payment_id)
-    return ejected
 
 
 def _three_hop(funds: int, deposit: int):
@@ -204,7 +164,7 @@ def run_crash_cell(role: str, stage: str, *, funds: int = 100_000,
     order = [node for node in (alice, bob, carol) if node is not victim]
     order.append(victim)
     for node in order:
-        recovery_sweep(node)
+        node.eject_all()
         network.mine()
 
     # Reclaim everything and check the paper's balance inequality.

@@ -129,7 +129,7 @@ def boot(
             handles[name] = DaemonHandle(
                 name, processes[name], ready["port"], ready["control_port"],
                 ControlClient(host, ready["control_port"], timeout=timeout),
-                allocations=allocations, state_dir=state_dir)
+                allocations=allocations, state_dir=state_dir, trace=trace)
     except BaseException:
         for handle in handles.values():
             handle.control.close()
@@ -154,6 +154,7 @@ class DaemonHandle:
     control: ControlClient
     allocations: Dict[str, int] = field(default_factory=dict)
     state_dir: Optional[str] = None
+    trace: bool = False
 
     def shutdown(self, timeout: float = 10.0) -> None:
         try:
@@ -169,14 +170,16 @@ class DaemonHandle:
             self.control.close()
 
     def respawn(self, startup_timeout: float = 20.0) -> "DaemonHandle":
-        """Start a fresh process on the same ports and state directory
-        (requires the old process to be dead).  Returns a new handle —
-        with a ``state_dir`` the daemon restores its sealed state."""
+        """Start a fresh process on the same ports, state directory and
+        tracing (requires the old process to be dead).  Returns a new
+        handle — with a ``state_dir`` the daemon restores its sealed
+        state."""
         if self.process.poll() is None:
             raise RuntimeError(f"daemon {self.name} is still running")
         return boot(
             {self.name: (self.port, self.control_port)}, self.allocations,
-            state_dir=self.state_dir, timeout=startup_timeout)[self.name]
+            state_dir=self.state_dir, trace=self.trace,
+            timeout=startup_timeout)[self.name]
 
 
 def launch_network(

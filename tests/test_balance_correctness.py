@@ -15,9 +15,21 @@ and asserts the paper's two central invariants after every run:
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.blockchain.chain import Blockchain
+from repro.core.correctness import BalanceTracker
 from repro.core.node import TeechainNetwork
 from repro.core.state import MultihopStage
 from repro.errors import ProtocolError, ReproError
+
+
+def test_a_violation_is_an_assertion_naming_received_and_paid():
+    """A violation must surface as ``AssertionError``: the fault matrix
+    records exactly that exception, and any other one escapes it."""
+    tracker = BalanceTracker(Blockchain())
+    tracker.register("alice", 100)
+    tracker.assert_balance_correctness("alice", 100)
+    with pytest.raises(AssertionError, match=r"received 0, paid 0"):
+        tracker.assert_balance_correctness("alice", 50)
 
 
 class Operations:

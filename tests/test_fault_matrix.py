@@ -1,10 +1,12 @@
 """The full crash fault matrix (chaos tier).
 
 Every (role × stage) cell of Algorithm 2's case analysis, plus the
-committee-loss cells — slow enough to earn the ``chaos`` marker, which
-CI runs in a separate non-blocking job.  A failed cell prints its
-violation list, which names the invariant that broke and the balances
-that broke it.
+committee-loss cells.  Each participant recovers through
+``TeechainNode.eject_all``, the product's one recovery sweep.  The
+``chaos`` marker groups the file with the other fault sweeps, but none
+of it is live, so tier-1's ``-m "not live"`` runs and gates it too.  A
+failed cell prints its violation list, which names the invariant that
+broke and the balances that broke it.
 """
 
 import json

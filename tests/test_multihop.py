@@ -13,7 +13,6 @@ from repro.errors import (
     SettlementError,
     ThresholdError,
 )
-from repro.faults.matrix import recovery_sweep
 from repro.network import NetworkAdversary
 from repro.tee import crash_enclave
 from repro.tee.enclave import EnclaveStatus
@@ -233,7 +232,7 @@ class TestPoPT:
             tx for tx in transactions
             if set(tx.spent_outpoints()) == bc_deposits
         )
-        carol_transactions = carol.eject_with_popt(payment, bc_settlement)
+        carol_transactions = carol.eject(payment, bc_settlement)
         assert carol_transactions[0].txid == bc_settlement.txid
         network.mine()
         alice.eject(payment)
@@ -250,7 +249,7 @@ class TestPoPT:
         # carol completed update; her post settlement is a valid PoPT.
         session_c = carol.program.multihop_sessions[payment]
         post_bc = session_c.local_post_settlements[bc]
-        transactions = alice.eject_with_popt(payment, post_bc)
+        transactions = alice.eject(payment, post_bc)
         assert len(transactions) == 1
         # alice settles post-payment: her output is 35,000.
         payout = {output.script.destination(): output.value
@@ -267,7 +266,7 @@ class TestPoPT:
             [(entry.outpoint, entry.value)], carol.wallet.private,
             [(alice.address, entry.value)])
         with pytest.raises(SettlementError):
-            alice.eject_with_popt(payment, unrelated)
+            alice.eject(payment, unrelated)
 
     def test_conflicting_settlements_cannot_both_confirm(self, three_hop_path):
         """The blockchain-level invariant PoPTs rely on: pre- and
@@ -392,7 +391,7 @@ class TestEjectEverywhere:
         network.mine()
         # Everyone else terminates consistently with what confirmed.
         for node in nodes:
-            recovery_sweep(node)
+            node.eject_all()
             network.mine()
         assert_everyone_whole(network, nodes)
         paid = stages[position] not in (L, S)
@@ -403,7 +402,7 @@ class TestEjectEverywhere:
         pytest.param(("bob", "alice", 0), False, id="pre"),
         pytest.param(("bob", "carol", 2), True, id="post"),
     ])
-    def test_eject_with_popt(self, three_hop_path, link, paid):
+    def test_eject_given_popt(self, three_hop_path, link, paid):
         """Alice settles a–b; carol, shown that transaction, settles b–c
         in the same state though her own stage (sign / update) would
         have released something else."""
@@ -414,10 +413,10 @@ class TestEjectEverywhere:
         (popt,) = eject_checked(network, alice, payment, "eject", payment)
         network.mine()
         (settlement,) = eject_checked(network, carol, payment,
-                                      "eject_with_popt", payment, popt)
+                                      "eject", payment, popt)
         assert settlement.txid != popt.txid
         network.mine()
-        recovery_sweep(bob)
+        bob.eject_all()
         network.mine()
         assert_everyone_whole(network, nodes)
         assert network.chain.balance(carol.address) == \
@@ -466,7 +465,7 @@ class TestEjectEverywhere:
         crash_enclave(alice.replication.members[0])
         assert len(eject(alice)) == 1
         network.mine()
-        recovery_sweep(carol)
+        carol.eject_all()
         network.mine()
         assert_everyone_whole(network, nodes)
 

@@ -59,8 +59,10 @@ class Stubs:
         self.log.touch()
         self.codes = codes
         self.processes = {}
+        self.extra_args = []
 
     def spawn(self, name, port, control_port, allocations, **kwargs):
+        self.extra_args.append((name, tuple(kwargs.get("extra_args", ()))))
         code = self.codes.get(name, SERVES)
         self.processes[name] = subprocess.Popen(
             [sys.executable, "-S", "-c", code, str(self.log)],
@@ -169,6 +171,21 @@ def test_respawn_kills_a_daemon_that_never_answers(stubs):
     handle = launch.DaemonHandle("a", dead, 1, 2, None)
     fails(lambda: handle.respawn(startup_timeout=0.3), "timeout")
     assert len(stub.processes) == 1 and stub.reaped()
+
+
+def test_respawn_keeps_tracing_on(stubs):
+    """A daemon launched with tracing comes back traced after a kill."""
+    stub = stubs()
+    handles, _ = launch.launch_network({"a": 1, "b": 1}, trace=True)
+    victim = handles["b"]
+    victim.process.kill()
+    victim.process.wait()
+    victim.control.close()
+    handles["b"] = victim.respawn()
+    for handle in handles.values():
+        handle.shutdown()
+    assert stub.extra_args == [("a", ("--trace",)), ("b", ("--trace",)),
+                               ("b", ("--trace",))]
 
 
 def test_router_spawns_every_worker_before_the_first_wait(stubs):
