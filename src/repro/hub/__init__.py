@@ -12,8 +12,8 @@ or silently skim them (DESIGN.md §12).
 
 Layering: ``messages`` is pure dataclasses (imported by the wire codec
 at registration time), ``ledger`` is the in-enclave state machine mixed
-into :class:`~repro.core.multihop.TeechainEnclave`, and ``client`` is
-the host-side signing client that talks to the daemon's control plane.
+into :class:`~repro.core.multihop.TeechainEnclave`, and ``client``
+signs a request for the daemon's control plane and decodes it there.
 """
 
 from repro.hub.ledger import AccountLedger, HubAccountsMixin

@@ -40,9 +40,7 @@ from repro.obs.export import (
     chrome_trace,
     dump_json,
     export_json,
-    fleet_prometheus_text,
     load_json,
-    prometheus_text,
 )
 
 # NOTE: FleetMonitor lives in repro.obs.fleet and is imported from there
@@ -94,8 +92,6 @@ __all__ = [
     "dump_json",
     "export_json",
     "load_json",
-    "prometheus_text",
-    "fleet_prometheus_text",
     "Alert",
     "InvariantAuditor",
     "ALERT_CODES",

@@ -1,18 +1,18 @@
 """``python -m repro.obs`` — fleet observability from the terminal.
 
-``fleet`` is the live view over :class:`repro.obs.fleet.FleetMonitor`:
-one row per daemon with the derived rates (payments/s, drops/s,
-backpressure/s), the fleet conservation line, and every active alert —
-the same rendering approach as ``python -m repro.runtime top``, plus
-the audit plane.  ``--once --json`` emits a single machine-readable
-sweep for scripts; ``--prom`` emits the merged fleet Prometheus
-exposition instead.
+``fleet`` is the operator's live view over
+:class:`repro.obs.fleet.FleetMonitor`: one row per daemon with its
+status, derived rates (payments/s, drops/s, backpressure/s), channel
+and peer counts and chain height, then the fleet conservation line and
+every active alert.  ``--once --json`` emits a single machine-readable
+sweep for scripts (each point also carries ``uptime`` and the trace
+ring's ``trace_events``/``trace_dropped``); a sweep that raised a
+CRITICAL alert exits 1.
 
 Examples::
 
     python -m repro.obs fleet alice=127.0.0.1:7101 bob=127.0.0.1:7102
     python -m repro.obs fleet 127.0.0.1:7101 --once --json
-    python -m repro.obs fleet hub=127.0.0.1:7101 --prom
 """
 
 from __future__ import annotations
@@ -45,9 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="one sweep, then exit (implies iterations=1)")
     fleet.add_argument("--json", action="store_true",
                        help="emit JSON instead of the table view")
-    fleet.add_argument("--prom", action="store_true",
-                       help="emit the merged fleet Prometheus exposition "
-                            "and exit")
     fleet.add_argument("--expected-total", type=int, default=None,
                        help="funded supply to audit conservation "
                             "against (default: first sweep's observed "
@@ -58,18 +55,22 @@ def build_parser() -> argparse.ArgumentParser:
 def _render(monitor: FleetMonitor, sweep: Dict[str, Any], out) -> None:
     header = (f"{'NODE':<14} {'STATUS':<7} {'TX/S':>8} {'RX/S':>8} "
               f"{'DROP/S':>7} {'BP/S':>6} {'RECONN':>6} {'QUEUED':>6} "
-              f"{'ONCHAIN':>9} {'CHANS':>5}")
+              f"{'ONCHAIN':>9} {'CHANS':>5} {'PEERS':>5} {'HEIGHT':>6}")
     print(header, file=out)
     for name in sorted(monitor.targets):
         point = sweep["daemons"].get(name)
         if not point or not point.get("ok"):
             print(f"{name:<14} {'DOWN':<7}", file=out)
             continue
+        # A router's merged health carries no peers or height: "-".
+        peers, height = ("-" if point.get(key) is None else point[key]
+                         for key in ("peers", "chain_height"))
         print(f"{name:<14} {point.get('status', '?'):<7} "
               f"{point['tx_s']:>8.1f} {point['rx_s']:>8.1f} "
               f"{point['drops_s']:>7.1f} {point['backpressure_s']:>6.1f} "
               f"{point['reconnects']:>6} {point['queued']:>6} "
-              f"{point['onchain']:>9} {point['channels']:>5}", file=out)
+              f"{point['onchain']:>9} {point['channels']:>5} "
+              f"{peers:>5} {height:>6}", file=out)
     observed = sweep.get("observed_total")
     expected = sweep.get("expected_total")
     verdict = "OK" if observed == expected else (
@@ -94,9 +95,6 @@ async def run_fleet(arguments: argparse.Namespace, out=None) -> int:
         interval=arguments.interval,
         expected_total=arguments.expected_total)
     try:
-        if arguments.prom:
-            print(await monitor.prometheus(), end="", file=out)
-            return 0
         iterations = 1 if arguments.once else arguments.iterations
         tick = 0
         while True:

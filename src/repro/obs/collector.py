@@ -9,9 +9,10 @@ commands:
   :mod:`repro.obs.merge` needs to place this node's events on a shared
   timeline.
 * :meth:`metrics_delta` — counters and histograms *since the previous
-  call*, so a poller (``repro.runtime top``, a scrape loop) sees rates
-  without the daemon keeping per-client state: the collector keeps one
-  cursor, which is enough for the single-operator control plane.
+  call*, so a poller (``python -m repro.obs fleet``) sees rates without
+  the daemon keeping per-client state: the collector keeps one cursor,
+  which is enough for the single-operator control plane (two pollers at
+  once would each see only part of the deltas).
 * :meth:`health` — a cheap liveness summary (uptime, ring pressure,
   peer count) suitable for tight polling.
 

@@ -1,4 +1,4 @@
-"""Exporters: JSON sidecars, Chrome/Perfetto traces, Prometheus text.
+"""Exporters: JSON sidecars and Chrome/Perfetto traces.
 
 Convention (see ROADMAP.md): a benchmark that prints a paper-vs-measured
 table also writes ``BENCH_<name>.json`` beside itself with the measured
@@ -6,20 +6,14 @@ rows under ``"results"`` and the full metrics snapshot under
 ``"metrics"`` (plus ``"trace"`` when tracing was on).  Downstream perf
 PRs diff those sidecars instead of re-parsing printed tables.
 
-Two further formats target external tooling:
-
-* :func:`chrome_trace` renders trace events as the Chrome trace-event
-  JSON that Perfetto / ``chrome://tracing`` load directly — duration
-  events (``ph: "X"``) per span, one named process row per node.
-* :func:`prometheus_text` renders a metrics snapshot in the Prometheus
-  text exposition format, so a scrape of a daemon's telemetry plane
-  drops into any existing dashboard.
+:func:`chrome_trace` renders trace events as the Chrome trace-event
+JSON that Perfetto / ``chrome://tracing`` load directly — duration
+events (``ph: "X"``) per span, one named process row per node.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
@@ -30,9 +24,7 @@ __all__ = [
     "chrome_trace",
     "dump_json",
     "export_json",
-    "fleet_prometheus_text",
     "load_json",
-    "prometheus_text",
 ]
 
 
@@ -136,138 +128,3 @@ def chrome_trace(events: Iterable[Dict[str, Any]],
             record["s"] = "t"
         trace_events.append(record)
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
-
-
-# ---------------------------------------------------------------------------
-# Prometheus text exposition
-# ---------------------------------------------------------------------------
-
-_INVALID_METRIC_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
-# DOTALL + \Z: a label value may contain newlines (escaped on output),
-# and $ would also match just before a trailing one.
-_NAME_WITH_LABEL = re.compile(r"^(?P<base>[^\[]+)\[(?P<label>.*)\]\Z",
-                              re.DOTALL)
-
-
-def _prom_name(name: str) -> str:
-    """A repro metric name as a valid Prometheus metric name."""
-    return _INVALID_METRIC_CHARS.sub("_", name)
-
-
-def _escape_label(value: str) -> str:
-    """Escape a label value per the 0.0.4 exposition rules: backslash,
-    double quote, and line feed."""
-    return (value.replace("\\", "\\\\")
-                 .replace('"', '\\"')
-                 .replace("\n", "\\n"))
-
-
-def _prom_split(name: str) -> "tuple[str, str]":
-    """Split ``base[label]`` names into ``(metric, label-clause)`` —
-    the bracket convention used across the codebase maps onto one
-    ``key=`` label."""
-    match = _NAME_WITH_LABEL.match(name)
-    if not match:
-        return _prom_name(name), ""
-    return (_prom_name(match.group("base")),
-            f'{{key="{_escape_label(match.group("label"))}"}}')
-
-
-def prometheus_text(snapshot: Dict[str, Dict[str, Any]],
-                    prefix: str = "repro_",
-                    extra_labels: str = "") -> str:
-    """Render a :meth:`MetricsRegistry.snapshot` in the Prometheus text
-    exposition format (version 0.0.4).
-
-    The format requires every sample of a metric family in one
-    contiguous group under a single ``# TYPE`` line, but snapshot dicts
-    interleave families (``pay[a]``, ``other``, ``pay[b]`` are three
-    keys, two families) — so samples are bucketed per family first and
-    families emitted whole.  ``extra_labels`` (e.g. ``node="alice"``,
-    already escaped) is prepended to every sample's label set; the
-    fleet aggregator uses it to merge per-daemon snapshots into one
-    exposition without family-name collisions.
-    """
-    # family name → {"kind", "lines"}; insertion-ordered so output is
-    # deterministic for a given snapshot.
-    families: Dict[str, Dict[str, Any]] = {}
-
-    def resolve(metric: str, kind: str) -> str:
-        """Claim ``metric`` for ``kind``; on a cross-kind name clash
-        (a gauge and a histogram sharing a base name) suffix the later
-        family rather than emit two ``# TYPE`` lines for one name."""
-        entry = families.get(metric)
-        if entry is None:
-            families[metric] = {"kind": kind, "lines": []}
-            return metric
-        if entry["kind"] != kind:
-            return resolve(f"{metric}_{kind}", kind)
-        return metric
-
-    def merge_labels(labels: str) -> str:
-        if not extra_labels:
-            return labels
-        if not labels:
-            return f"{{{extra_labels}}}"
-        return f"{{{extra_labels},{labels[1:-1]}}}"
-
-    for name, value in snapshot.get("counters", {}).items():
-        metric, labels = _prom_split(name)
-        metric = resolve(f"{prefix}{metric}_total", "counter")
-        families[metric]["lines"].append(
-            f"{metric}{merge_labels(labels)} {value}")
-    for name, gauge in snapshot.get("gauges", {}).items():
-        metric, labels = _prom_split(name)
-        metric = resolve(f"{prefix}{metric}", "gauge")
-        families[metric]["lines"].append(
-            f"{metric}{merge_labels(labels)} {gauge['value']}")
-    for name, histogram in snapshot.get("histograms", {}).items():
-        metric, labels = _prom_split(name)
-        metric = resolve(f"{prefix}{metric}", "histogram")
-        labels = merge_labels(labels)
-        key = labels[1:-1] + "," if labels else ""
-        samples = families[metric]["lines"]
-        cumulative = 0
-        for bound, count in zip(histogram["bounds"], histogram["counts"]):
-            cumulative += count
-            samples.append(
-                f'{metric}_bucket{{{key}le="{bound}"}} {cumulative}')
-        cumulative += histogram["counts"][len(histogram["bounds"])]
-        samples.append(f'{metric}_bucket{{{key}le="+Inf"}} {cumulative}')
-        samples.append(f"{metric}_sum{labels} {histogram['sum']}")
-        samples.append(f"{metric}_count{labels} {histogram['count']}")
-
-    lines: List[str] = []
-    for metric, entry in families.items():
-        lines.append(f"# TYPE {metric} {entry['kind']}")
-        lines.extend(entry["lines"])
-    return "\n".join(lines) + "\n"
-
-
-def fleet_prometheus_text(node_snapshots: Dict[str, Dict[str, Any]],
-                          prefix: str = "repro_") -> str:
-    """Merge per-daemon metric snapshots into one 0.0.4 exposition.
-
-    Every sample gains a ``node="<name>"`` label; samples from all
-    nodes are regrouped so each family still appears exactly once with
-    a single ``# TYPE`` line — concatenating per-node expositions would
-    repeat every family header, which the format forbids."""
-    families: Dict[str, Dict[str, Any]] = {}
-    for node, snapshot in node_snapshots.items():
-        text = prometheus_text(
-            snapshot, prefix=prefix,
-            extra_labels=f'node="{_escape_label(node)}"')
-        family = None
-        for line in text.splitlines():
-            if line.startswith("# TYPE "):
-                _, _, metric, kind = line.split(" ")
-                family = families.setdefault(
-                    metric, {"kind": kind, "lines": []})
-                continue
-            if family is not None and line:
-                family["lines"].append(line)
-    lines: List[str] = []
-    for metric, entry in sorted(families.items()):
-        lines.append(f"# TYPE {metric} {entry['kind']}")
-        lines.extend(entry["lines"])
-    return "\n".join(lines) + "\n"

@@ -5,12 +5,14 @@ judge is :class:`~repro.obs.audit.InvariantAuditor`).  Each sweep it
 polls every daemon over one :class:`~repro.runtime.control.AsyncControlClient`
 per target — ``audit-snapshot`` (the atomic fund digest),
 ``metrics_stream`` (counter deltas since the previous sweep, so rates
-come free), and ``health`` — and appends a point to a per-daemon ring
-buffer with derived rates: payments/s, drops/s, backpressure waits/s,
-reconnects.  A daemon that stops answering keeps its last-known
-snapshot in the conservation sum (so a crash reads as a WARN scrape
-failure, not a phantom CRITICAL deficit) and gets a fresh connection
-attempt next sweep.
+come free), and ``health`` (uptime, peers, chain height, trace ring
+pressure) — and appends a point to a per-daemon ring buffer with
+derived rates: payments/s, drops/s, backpressure waits/s, reconnects.
+``metrics_stream`` keeps one cursor per daemon, so one monitor per
+fleet sees every delta; a second poller would split them.  A daemon
+that stops answering keeps its last-known snapshot in the conservation
+sum (so a crash reads as a WARN scrape failure, not a phantom CRITICAL
+deficit) and gets a fresh connection attempt next sweep.
 
 The monitor runs happily *concurrently with traffic and faults* — that
 is the point: ``bench_live_chaos_monitor.py`` attaches one to a fleet
@@ -41,6 +43,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runtime.control import AsyncControlClient, ControlError
 
 __all__ = ["FleetMonitor", "FleetMonitorThread", "parse_targets"]
+
+#: What each point keeps from a daemon's ``health`` answer.
+HEALTH_FIELDS = ("status", "uptime", "peers", "chain_height",
+                 "trace_events", "trace_dropped")
 
 
 def parse_targets(specs: List[str]) -> Dict[str, Tuple[str, int]]:
@@ -188,7 +194,9 @@ class FleetMonitor:
             # the sidecar keeps for trend tooling.
             point["counters"] = delta["counters"]
         if health is not None:
-            point["status"] = health.get("status")
+            # A router's merged health carries only status: the fields
+            # a single daemon adds read None there.
+            point.update({key: health.get(key) for key in HEALTH_FIELDS})
         self._series[name].append(point)
 
     # ------------------------------------------------------------------
@@ -237,21 +245,6 @@ class FleetMonitor:
     def latest(self) -> Dict[str, Dict[str, Any]]:
         return {name: buffer[-1]
                 for name, buffer in self._series.items() if buffer}
-
-    async def prometheus(self, prefix: str = "repro_") -> str:
-        """One 0.0.4 exposition for the whole fleet: every daemon's
-        registry merged, samples labelled ``node=...``, one ``# TYPE``
-        per family."""
-        from repro.obs.export import fleet_prometheus_text
-
-        node_snapshots: Dict[str, Dict[str, Any]] = {}
-        for name in self.targets:
-            try:
-                response = await self._call(name, "metrics")
-            except (ControlError, OSError):
-                continue
-            node_snapshots[name] = response.get("metrics", {})
-        return fleet_prometheus_text(node_snapshots, prefix=prefix)
 
     def to_sidecar(self) -> Dict[str, Any]:
         """The benchmark artifact: per-daemon rate series + audit log."""

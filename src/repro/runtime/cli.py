@@ -17,7 +17,8 @@ Then drive them over the control API::
         channel_id=chan-alice-bob-1 amount=100
 
 ``call`` arguments are ``key=value`` pairs; values that parse as
-integers are sent as integers, everything else as strings.
+integers are sent as integers, everything else as strings.  The live
+view over a running fleet is ``python -m repro.obs fleet``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import json
 import logging
 import os
 import sys
-import time
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
@@ -87,15 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "spans are served via 'trace_dump'")
     serve_cmd.add_argument("--log-level", default="WARNING")
 
-    top_cmd = commands.add_parser(
-        "top", help="live telemetry view over one or more daemons")
-    top_cmd.add_argument("targets", nargs="+", metavar="host:port",
-                         help="control addresses to poll")
-    top_cmd.add_argument("--interval", type=float, default=1.0,
-                         help="seconds between polls")
-    top_cmd.add_argument("--iterations", type=int, default=0,
-                         help="number of polls (0 = until interrupted)")
-
     call_cmd = commands.add_parser(
         "call", help="send one control command",
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -107,48 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     call_cmd.add_argument("cmd", help="command name (e.g. open-channel)")
     call_cmd.add_argument("args", nargs="*", metavar="key=value")
     return parser
-
-
-def run_top(targets: List[str], interval: float, iterations: int,
-            out=None) -> int:
-    """Poll ``health`` + ``metrics_stream`` on every target and render a
-    one-line-per-daemon table each tick — the live analogue of watching
-    the DES metrics snapshot."""
-    out = out if out is not None else sys.stdout
-    clients: List[ControlClient] = []
-    try:
-        for target in targets:
-            host, _, port = target.rpartition(":")
-            clients.append(ControlClient(host or "127.0.0.1", int(port)))
-        header = (f"{'NODE':<12} {'STATUS':<7} {'UP(S)':>8} {'PEERS':>5} "
-                  f"{'CHANS':>5} {'HEIGHT':>6} {'SPANS':>7} {'DROP':>5}  "
-                  "BUSIEST COUNTERS (delta)")
-        tick = 0
-        while True:
-            print(header, file=out)
-            for client in clients:
-                health = client.call("health")
-                delta = client.call("metrics_stream")
-                busiest = sorted(delta["counters"].items(),
-                                 key=lambda item: -item[1])[:3]
-                summary = "  ".join(f"{name}={value:g}"
-                                    for name, value in busiest) or "-"
-                print(f"{health['node']:<12} {health['status']:<7} "
-                      f"{health['uptime']:>8.1f} {health.get('peers', 0):>5} "
-                      f"{health.get('channels', 0):>5} "
-                      f"{health.get('chain_height', 0):>6} "
-                      f"{health['trace_events']:>7} "
-                      f"{health['trace_dropped']:>5}  {summary}", file=out)
-            out.flush()
-            tick += 1
-            if iterations and tick >= iterations:
-                return 0
-            time.sleep(interval)
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        for client in clients:
-            client.close()
 
 
 def _pin_malloc_thresholds() -> None:
@@ -204,9 +153,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         except KeyboardInterrupt:
             pass
         return 0
-    if arguments.command == "top":
-        return run_top(arguments.targets, arguments.interval,
-                       arguments.iterations)
     if arguments.command == "call":
         host, _, port = arguments.target.rpartition(":")
         with ControlClient(host or "127.0.0.1", int(port)) as client:

@@ -75,7 +75,6 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     op_span,
-    prometheus_text,
     set_metrics,
     set_tracer,
 )
@@ -1265,15 +1264,10 @@ class NodeDaemon:
     @COMMANDS.command(
         "metrics_stream",
         doc="Metrics delta since the previous call (rates without "
-            "per-client server state; drives the 'top' view).", pool=True)
+            "per-client server state; one cursor per daemon, read by "
+            "'python -m repro.obs fleet').", pool=True)
     async def _cmd_metrics_stream(self) -> Dict[str, Any]:
         return self.collector.metrics_delta()
-
-    @COMMANDS.command(
-        "metrics_prom",
-        doc="Metrics in Prometheus text exposition format.", pool=True)
-    async def _cmd_metrics_prom(self) -> Dict[str, Any]:
-        return {"text": prometheus_text(self.metrics.snapshot())}
 
     @COMMANDS.command(
         "audit-snapshot",

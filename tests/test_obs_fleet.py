@@ -1,25 +1,18 @@
-"""Fleet audit plane: auditor invariants, exposition format, collector.
+"""Fleet audit plane: auditor invariants and the telemetry collector.
 
-Three suites, none touching sockets:
+Two suites, none touching sockets:
 
 * :class:`TestInvariantAuditor` drives :class:`repro.obs.audit.
   InvariantAuditor` with synthetic ``audit-snapshot`` dicts — the same
   shapes the daemon emits — and checks the alert lifecycle: severity,
   persistence thresholds, clears, last-good caching.
-* :class:`TestPrometheusExposition` validates the text exposition
-  against the 0.0.4 format rules with an in-test parser: one ``# TYPE``
-  per family, every sample contiguous under its family header, label
-  values escaped.
 * :class:`TestTelemetryCollector` pins the ``metrics_delta`` cursor
   contract under overlapping pollers and the ``health`` field contract.
 """
 
-import re
-
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.audit import CRITICAL, WARN, InvariantAuditor
 from repro.obs.collector import TelemetryCollector
-from repro.obs.export import fleet_prometheus_text, prometheus_text
 
 # ---------------------------------------------------------------------------
 # Synthetic audit-snapshot builders
@@ -234,132 +227,6 @@ class TestInvariantAuditor:
 
 
 # ---------------------------------------------------------------------------
-# Prometheus exposition (text format 0.0.4)
-# ---------------------------------------------------------------------------
-
-_SAMPLE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>.*)\})? (?P<value>\S+)$")
-_LABEL = re.compile(r'(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)='
-                    r'"(?P<value>(?:[^"\\]|\\.)*)"')
-
-
-def parse_exposition(text):
-    """Minimal 0.0.4 parser that *enforces* the format rules: a unique
-    ``# TYPE`` per family, every sample contiguous under its family's
-    header (histogram ``_bucket``/``_sum``/``_count`` included), label
-    values well-escaped.  Returns ``(families, samples)`` where samples
-    are ``(family, name, labels-dict, value)``."""
-    families = {}
-    samples = []
-    current = None
-    for line in text.splitlines():
-        if not line:
-            continue
-        if line.startswith("# TYPE "):
-            _, _, name, kind = line.split(" ")
-            assert name not in families, f"duplicate # TYPE for {name}"
-            families[name] = kind
-            current = name
-            continue
-        assert not line.startswith("#"), line
-        match = _SAMPLE.match(line)
-        assert match, f"unparseable sample line: {line!r}"
-        name = match.group("name")
-        assert current is not None, f"sample {name} before any # TYPE"
-        base = name
-        if families[current] == "histogram":
-            for suffix in ("_bucket", "_sum", "_count"):
-                if name == current + suffix:
-                    base = current
-        assert base == current, (
-            f"sample {name} not contiguous with its family "
-            f"(current block: {current})")
-        labels = {}
-        raw = match.group("labels")
-        if raw:
-            spans = list(_LABEL.finditer(raw))
-            joined = ",".join(span.group(0) for span in spans)
-            assert joined == raw, f"malformed label set: {raw!r}"
-            for span in spans:
-                value = (span.group("value")
-                         .replace("\\n", "\n")
-                         .replace('\\"', '"')
-                         .replace("\\\\", "\\"))
-                labels[span.group("key")] = value
-        value = match.group("value")
-        samples.append((base, name, labels,
-                        float(value) if value != "+Inf" else value))
-    return families, samples
-
-
-class TestPrometheusExposition:
-    def test_interleaved_bracket_families_are_regrouped(self):
-        registry = MetricsRegistry()
-        # Snapshot key order interleaves the pay family with another —
-        # the exposition must still emit each family contiguously.
-        registry.inc("pay[alice]")
-        registry.inc("other")
-        registry.inc("pay[bob]", 2)
-        families, samples = parse_exposition(
-            prometheus_text(registry.snapshot()))
-        assert families == {"repro_pay_total": "counter",
-                            "repro_other_total": "counter"}
-        pay = {labels["key"]: value for family, _, labels, value in samples
-               if family == "repro_pay_total"}
-        assert pay == {"alice": 1.0, "bob": 2.0}
-
-    def test_label_values_are_escaped(self):
-        registry = MetricsRegistry()
-        weird = 'a\\b"c\nd'
-        registry.inc(f"drops[{weird}]")
-        text = prometheus_text(registry.snapshot())
-        families, samples = parse_exposition(text)
-        # The value round-trips exactly through escape + parse.
-        assert samples[0][2]["key"] == weird
-
-    def test_histogram_block_is_contiguous_and_cumulative(self):
-        registry = MetricsRegistry()
-        registry.observe("latency", 0.002)
-        registry.observe("latency", 0.004)
-        registry.inc("pays")
-        families, samples = parse_exposition(
-            prometheus_text(registry.snapshot()))
-        assert families["repro_latency"] == "histogram"
-        buckets = [value for family, name, _, value in samples
-                   if name == "repro_latency_bucket"]
-        assert buckets == sorted(buckets)  # cumulative, never decreasing
-        count = next(value for _, name, _, value in samples
-                     if name == "repro_latency_count")
-        assert count == 2.0
-
-    def test_cross_kind_name_clash_never_duplicates_type(self):
-        registry = MetricsRegistry()
-        registry.set_gauge("queue", 3)
-        registry.observe("queue", 1.0)
-        families, _ = parse_exposition(prometheus_text(registry.snapshot()))
-        assert families["repro_queue"] == "gauge"
-        assert families["repro_queue_histogram"] == "histogram"
-
-    def test_fleet_merge_one_type_per_family_with_node_labels(self):
-        alice, bob = MetricsRegistry(), MetricsRegistry()
-        alice.inc("pays", 3)
-        alice.set_gauge("height", 7)
-        bob.inc("pays", 5)
-        bob.inc("drops[proto]")
-        text = fleet_prometheus_text({"alice": alice.snapshot(),
-                                      "bob": bob.snapshot()})
-        families, samples = parse_exposition(text)
-        assert families["repro_pays_total"] == "counter"
-        pays = {labels["node"]: value for family, _, labels, value in samples
-                if family == "repro_pays_total"}
-        assert pays == {"alice": 3.0, "bob": 5.0}
-        dropped = next(labels for family, _, labels, _ in samples
-                       if family == "repro_drops_total")
-        assert dropped == {"node": "bob", "key": "proto"}
-
-
-# ---------------------------------------------------------------------------
 # TelemetryCollector: delta cursor + health contract
 # ---------------------------------------------------------------------------
 
@@ -383,7 +250,7 @@ class TestTelemetryCollector:
         seqs = []
         for round_number in range(1, 6):
             registry.inc("pays", round_number)
-            for _poller in ("top", "fleet"):
+            for _poller in ("fleet", "script"):
                 delta = collector.metrics_delta()
                 seqs.append(delta["seq"])
                 for name, value in delta["counters"].items():

@@ -3,8 +3,8 @@
 Covers the pieces the live e2e (test_runtime_trace_live.py) exercises
 end-to-end, but in isolation and with synthetic clocks: the causal
 context/tracer semantics, the per-daemon :class:`TelemetryCollector`,
-NTP-style skew estimation and the multi-node merge, the Perfetto and
-Prometheus exporters, the checked-in trace schema, and the
+NTP-style skew estimation and the multi-node merge, the Perfetto
+exporter, the checked-in trace schema, and the
 ``python -m repro.obs.merge`` CLI.  Also the DES-mode analogue of the
 live acceptance test: one multihop payment through the simulator emits
 all six pipeline stage spans per hop under a single trace id.
@@ -29,7 +29,6 @@ from repro.obs import (
     linear_buckets,
     load_json,
     op_span,
-    prometheus_text,
 )
 from repro.obs.collector import TelemetryCollector
 from repro.obs.merge import (
@@ -371,33 +370,6 @@ class TestChromeTrace:
             {"t": 2.0, "event": "c", "node": "bob"},
         ])
         assert validate_perfetto(payload, schema) == []
-
-
-class TestPrometheusText:
-    def test_counters_gauges_and_labels(self):
-        registry = MetricsRegistry()
-        registry.inc("messages_sent", 4)
-        registry.inc("multihop.stage[lock]", 2)
-        registry.set_gauge("queue_depth", 3.5)
-        text = prometheus_text(registry.snapshot())
-        assert "# TYPE repro_messages_sent_total counter" in text
-        assert "repro_messages_sent_total 4" in text
-        # bracket-label names become one key= label; dots sanitised.
-        assert 'repro_multihop_stage_total{key="lock"} 2' in text
-        assert "# TYPE repro_queue_depth gauge" in text
-        assert "repro_queue_depth 3.5" in text
-        assert text.endswith("\n")
-
-    def test_histogram_is_cumulative_with_inf_bucket(self):
-        registry = MetricsRegistry()
-        for value in (0.5, 1.5, 9.0):
-            registry.observe("lat[hop]", value, buckets=(1.0, 2.0))
-        text = prometheus_text(registry.snapshot())
-        assert 'repro_lat_bucket{key="hop",le="1.0"} 1' in text
-        assert 'repro_lat_bucket{key="hop",le="2.0"} 2' in text
-        assert 'repro_lat_bucket{key="hop",le="+Inf"} 3' in text
-        assert 'repro_lat_sum{key="hop"} 11.0' in text
-        assert 'repro_lat_count{key="hop"} 3' in text
 
 
 # ---------------------------------------------------------------------------

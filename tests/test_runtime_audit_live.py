@@ -8,13 +8,22 @@ thread snapshots as fast as it can, and *every* snapshot must show the
 channel total and the fleet sum intact.  The same is then demanded of a
 :class:`~repro.runtime.workers.ShardedDaemon` aggregate, where the
 merged snapshot spans worker processes.
+
+The operator's view of the same plane, ``python -m repro.obs fleet``,
+is driven once end to end against two daemons as a subprocess.
 """
 
 import asyncio
+import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+from repro.obs.fleet import HEALTH_FIELDS
 from repro.runtime.control import ControlClient
 from repro.runtime.launch import HOST, boot, launch_network
 from repro.runtime.workers import ShardedDaemon
@@ -80,6 +89,55 @@ def test_audit_snapshot_atomic_under_concurrent_pays():
     finally:
         if payer is not None:
             payer.close()
+        for handle in handles.values():
+            handle.shutdown()
+
+
+def _fleet(handles, *options):
+    """One ``python -m repro.obs fleet --once --json`` sweep over
+    ``handles``: the exit status and the printed sweep."""
+    targets = [f"{name}={HOST}:{handle.control_port}"
+               for name, handle in sorted(handles.items())]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.obs", "fleet", *targets,
+         "--once", "--json", *options],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert done.stdout, done.stderr
+    return done.returncode, json.loads(done.stdout)["sweep"]
+
+
+@pytest.mark.live
+def test_obs_fleet_audits_a_live_pair_from_the_command_line():
+    handles, _ = launch_network({"alice": GENESIS, "bob": GENESIS})
+    try:
+        alice = handles["alice"].control
+        cid = alice.call("open-channel", peer="bob")["channel_id"]
+        deposit = alice.call("deposit", value=DEPOSIT)
+        alice.call("approve-associate", peer="bob", channel_id=cid,
+                   txid=deposit["txid"])
+        alice.call("pay", channel_id=cid, amount=100)
+
+        status, sweep = _fleet(handles)
+        assert status == 0, sweep["alerts"]
+        assert sweep["observed_total"] == sweep["expected_total"] \
+            == 2 * GENESIS
+        for name, point in sweep["daemons"].items():
+            assert point["ok"] and point["status"] == "ok", name
+            # Every health field the operator view keeps, per daemon.
+            assert set(HEALTH_FIELDS) <= set(point), name
+            assert point["peers"] == 1, name
+            assert point["chain_height"] >= 1, name
+        assert sweep["daemons"]["alice"]["channels"] == 1
+
+        # A supply the fleet does not hold is a CRITICAL: exit 1.
+        status, sweep = _fleet(handles, "--expected-total",
+                               str(2 * GENESIS - 1))
+        assert status == 1
+        assert "CONSERVATION_SURPLUS" in {
+            alert["code"] for alert in sweep["alerts"]}
+    finally:
         for handle in handles.values():
             handle.shutdown()
 

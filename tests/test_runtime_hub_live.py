@@ -13,6 +13,10 @@ A second test runs the account surface against a
 consistent hash across workers, batches split per owner and merge in
 order, cross-shard pays are refused with ``cross_shard``, and
 ``account-stats`` aggregates one conserved, solvent answer.
+
+A client is what the README says it is: a keypair that signs requests
+(``sign_request``) and counts its own nonces, over any
+:class:`~repro.runtime.control.ControlClient`.
 """
 
 import itertools
@@ -21,8 +25,13 @@ import pytest
 
 from perf.harness import drive
 from repro.crypto.keys import KeyPair
-from repro.hub.client import HubClient, _RequestSigner, sign_request
-from repro.hub.messages import AccountPay, AccountWithdraw
+from repro.hub.client import sign_request
+from repro.hub.messages import (
+    AccountDeposit,
+    AccountPay,
+    AccountQuery,
+    AccountWithdraw,
+)
 from repro.runtime.control import ControlClient, ControlError
 from repro.runtime.launch import HOST, launch_network
 from repro.workloads.assignment import HashRing
@@ -48,28 +57,39 @@ def _poll(predicate, timeout=60.0, interval=0.05, what="condition"):
         time.sleep(interval)
 
 
+def _request(keypair, body_type, *fields):
+    """``body_type(keypair's account, *fields)``, signed by ``keypair``."""
+    return sign_request(body_type(keypair.public, *fields), keypair.private)
+
+
+def _query(control, keypair):
+    """The hub's signed, read-only view of one account: balance, nonce."""
+    return control.call("account-query",
+                        request=_request(keypair, AccountQuery))
+
+
 def _signers(count, prefix):
-    """``count`` fresh accounts with seed-derived keys, nonces at 0."""
-    signers = [_RequestSigner(seed=f"{prefix}:{index}".encode())
-               for index in range(count)]
-    for signer in signers:
-        signer.sync_nonce(0)
-    return signers
+    """``count`` fresh accounts with seed-derived keys."""
+    return [KeyPair.from_seed(f"{prefix}:{index}".encode())
+            for index in range(count)]
 
 
-def _open(control, signers, amount, batch):
+def _open(control, signers, nonces, amount, batch):
     """One signed opening deposit per account, ``batch`` per request."""
     results = []
     for start in range(0, len(signers), batch):
-        response = control.call("account-pay-many", requests=[
-            signer.deposit_request(amount)
-            for signer in signers[start:start + batch]])
+        requests = []
+        for index in range(start, min(start + batch, len(signers))):
+            nonces[index] += 1
+            requests.append(_request(signers[index], AccountDeposit,
+                                     amount, nonces[index]))
+        response = control.call("account-pay-many", requests=requests)
         assert response["rejected"] == 0
         results.extend(response["results"])
     return results
 
 
-def _drive_pays(port, signers, partner, amount, streams, seconds):
+def _drive_pays(port, signers, nonces, partner, amount, streams, seconds):
     """Signed ``account-pay`` from each account to ``partner[account]``,
     closed loop on ``streams`` connections for ``seconds``.  Connection
     ``k`` owns every ``streams``-th account, so an account's nonces go
@@ -81,8 +101,10 @@ def _drive_pays(port, signers, partner, amount, streams, seconds):
 
         def step():
             index = next(cycle)
-            client.call("account-pay", request=signers[index].pay_request(
-                signers[partner[index]].account, amount))
+            nonces[index] += 1
+            client.call("account-pay", request=_request(
+                signers[index], AccountPay, signers[partner[index]].public,
+                amount, nonces[index]))
         return step
 
     try:
@@ -120,20 +142,24 @@ def test_live_hub_thousand_accounts():
         hub.call("hub-fee", fee_per_pay=HUB_FEE)
 
         signers = _signers(ACCOUNTS, "live-hub")
-        _open(hub, signers, per_account, batch=500)
+        nonces = [0] * ACCOUNTS
+        _open(hub, signers, nonces, per_account, batch=500)
         partner = [(index + 1) % ACCOUNTS for index in range(ACCOUNTS)]
         completed = _drive_pays(handles["hub"].control_port, signers,
-                                partner, PAY_AMOUNT, STREAMS, SECONDS)
+                                nonces, partner, PAY_AMOUNT, STREAMS,
+                                SECONDS)
 
         # Forged and replayed requests die inside the enclave.
         attacker = KeyPair.from_seed(b"live-attacker")
         forged = sign_request(
-            AccountPay(signers[0].account, signers[1].account, 1, 10**6),
+            AccountPay(signers[0].public, signers[1].public, 1, 10**6),
             attacker.private)
         with pytest.raises(ControlError) as excinfo:
             hub.call("account-pay", request=forged)
         assert excinfo.value.code == "authentication_failed"
-        replay = signers[0].pay_request(signers[1].account, PAY_AMOUNT)
+        nonces[0] += 1
+        replay = _request(signers[0], AccountPay, signers[1].public,
+                          PAY_AMOUNT, nonces[0])
         hub.call("account-pay", request=replay)
         with pytest.raises(ControlError) as excinfo:
             hub.call("account-pay", request=replay)
@@ -151,45 +177,56 @@ def test_live_hub_thousand_accounts():
         # A chain withdrawal the hub wallet cannot cover is refused
         # *before* the enclave debits: stable code, nonce unconsumed,
         # no burned balance awaiting a payout that can never happen.
-        over = sign_request(
-            AccountWithdraw(signers[1].account, 10**9, 10**6,
-                            "chain", "nowhere"),
-            signers[1].keypair.private)
+        over = _request(signers[1], AccountWithdraw, 10**9, 10**6,
+                        "chain", "nowhere")
         with pytest.raises(ControlError) as excinfo:
             hub.call("account-withdraw", request=over)
         assert excinfo.value.code == "insufficient_funds"
 
-        # A thin HubClient resyncs its nonce from the hub and spends —
-        # it shares a keypair with signer 0 but none of its local
-        # nonce state, so a successful withdrawal below proves the
-        # query-then-count resynchronisation protocol.
-        client0 = HubClient(HOST, handles["hub"].control_port,
-                            keypair=signers[0].keypair)
-        balance0 = client0.balance()
+        # A signer that holds no local nonce learns it from a signed
+        # account-query and counts on from there.  It shares a keypair
+        # with signer 0 but none of the driver's nonce state, so a
+        # successful withdrawal below proves the query-then-count
+        # resynchronisation protocol.
+        owner = signers[0]
+        client0 = ControlClient(HOST, handles["hub"].control_port)
+        state = _query(client0, owner)
+        balance0, nonce = state["balance"], state["nonce"]
+        assert nonce == nonces[0]
 
         # One withdrawal per external route, both exactly accounted.
         w_channel = 20
         w_chain = 10
         assert balance0 >= w_channel + w_chain
-        client0.withdraw(w_channel, route="channel",
-                         destination=channels["alice"])
-        chain_result = client0.withdraw(
-            w_chain, route="chain", destination="live-payout-address")
+        client0.call("account-withdraw", request=_request(
+            owner, AccountWithdraw, w_channel, nonce + 1, "channel",
+            channels["alice"]))
+        chain_result = client0.call("account-withdraw", request=_request(
+            owner, AccountWithdraw, w_chain, nonce + 2, "chain",
+            "live-payout-address"))
         assert chain_result["txid"]
         _poll(lambda: alice.call(
                   "channel",
                   channel_id=channels["alice"])["my_balance"] == w_channel,
               what="channel withdrawal to reach alice")
-        assert client0.balance() == balance0 - w_channel - w_chain
+        assert _query(client0, owner)["balance"] == \
+            balance0 - w_channel - w_chain
 
-        # A newcomer opens its account and is paid, the README's client
-        # flow; the hub keeps its fee out of what the recipient gets.
-        with HubClient(HOST, handles["hub"].control_port,
-                       seed=b"live-newcomer") as newcomer:
-            assert newcomer.open(0)["balance"] == 0
-            client0.pay(newcomer, 5)
-            assert newcomer.balance() == 5 - HUB_FEE
-        assert client0.balance() == balance0 - w_channel - w_chain - 5
+        # A newcomer opens its account at 0 and is paid, the README's
+        # client flow; the hub keeps its fee out of what the recipient
+        # gets.
+        newcomer = KeyPair.from_seed(b"live-newcomer")
+        with ControlClient(HOST, handles["hub"].control_port) as control:
+            fresh = _query(control, newcomer)
+            assert not fresh["exists"]
+            opened = control.call("account-open", request=_request(
+                newcomer, AccountDeposit, 0, fresh["nonce"] + 1))
+            assert opened["balance"] == 0
+            client0.call("account-pay", request=_request(
+                owner, AccountPay, newcomer.public, 5, nonce + 3))
+            assert _query(control, newcomer)["balance"] == 5 - HUB_FEE
+        assert _query(client0, owner)["balance"] == \
+            balance0 - w_channel - w_chain - 5
 
         stats = hub.call("account-stats")["hub"]
         assert stats["withdrawn_total"] == w_channel + w_chain
@@ -255,16 +292,16 @@ def test_sharded_hub_accounts():
 
         control.call("hub-fee", fee_per_pay=0)
         signers = _signers(SHARD_ACCOUNTS, "live-shard")
+        nonces = [0] * SHARD_ACCOUNTS
         per_account = SHARD_DEPOSIT * WORKERS // (2 * SHARD_ACCOUNTS)
-        assert len(_open(control, signers, per_account, batch=64)) == \
-            SHARD_ACCOUNTS
+        assert len(_open(control, signers, nonces, per_account,
+                         batch=64)) == SHARD_ACCOUNTS
 
         # Every account landed on its ring owner.
         shards = {}
         for index, signer in enumerate(signers):
-            result = control.call(
-                "account-query", request=signer.query_request())
-            owner = ring.owner(f"account:{signer.account_hex}")
+            result = _query(control, signer)
+            owner = ring.owner(f"account:{signer.public.to_bytes().hex()}")
             assert result["worker"] == owner
             shards.setdefault(owner, []).append(index)
 
@@ -275,23 +312,19 @@ def test_sharded_hub_accounts():
             for position, index in enumerate(group):
                 partner[index] = group[(position + 1) % len(group)]
         completed = _drive_pays(router.router.control_port, signers,
-                                partner, 1, streams=2, seconds=1.0)
+                                nonces, partner, 1, streams=2, seconds=1.0)
 
         # An explicit cross-shard pay is refused with the stable code.
         payer, payee = (signers[shards[name][0]] for name in worker_names)
-        cross = sign_request(
-            AccountPay(payer.account, payee.account, 1, 10**6),
-            payer.keypair.private)
+        cross = _request(payer, AccountPay, payee.public, 1, 10**6)
         with pytest.raises(ControlError) as excinfo:
             control.call("account-pay", request=cross)
         assert excinfo.value.code == "cross_shard"
 
         # The account-route withdraw is the same internal move and gets
         # the same refusal (not a misleading no_such_account).
-        cross_withdraw = sign_request(
-            AccountWithdraw(payer.account, 1, 10**6, "account",
-                            payee.account_hex),
-            payer.keypair.private)
+        cross_withdraw = _request(payer, AccountWithdraw, 1, 10**6,
+                                  "account", payee.public.to_bytes().hex())
         with pytest.raises(ControlError) as excinfo:
             control.call("account-withdraw", request=cross_withdraw)
         assert excinfo.value.code == "cross_shard"

@@ -32,7 +32,7 @@ POOL_VERBS = {
     "batch-window", "fastpath", "mine", "eject-all", "reclaim", "hub-fee",
     "fee-policy", "chain-sync", "fault", "stats", "metrics", "balance",
     "health", "account-stats", "audit-snapshot", "metrics_stream",
-    "metrics_prom", "trace_dump",
+    "trace_dump",
 }
 REFUSED = {"route", "pay-multihop"}
 

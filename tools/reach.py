@@ -14,7 +14,9 @@ they start, then prints, per module:
 
 A function in either list that ``tools/reach_allow.txt`` does not name
 (one ``path:qualname  reason`` per line) is an error: exit status 1.
-An allow-listed function that is reached is not an error.
+So is an entry that names no function under ``src/repro``: a deletion
+takes its entry with it.  An allow-listed function that is reached is
+not an error.
 
     python3 tools/reach.py [--report FILE] [--edges DIR]
 
@@ -206,14 +208,15 @@ def main():
     for kind, (number, length) in sorted(counts.items()):
         lines.append(f"{kind}: {number} functions, {length} lines")
     known = {f"{path}:{qualname}" for (path, _, _), (qualname, _) in defs.items()}
-    lines += [f"allow-listed, but no such function: {key}"
-              for key in sorted(allowed - known)]
+    stale = sorted(allowed - known)
+    lines += [f"allow-listed, but no such function: {key}" for key in stale]
     lines.append(f"not in {ALLOW.name}: {len(missing)}")
+    lines.append(f"in {ALLOW.name}, but not in src: {len(stale)}")
     report = "\n".join(lines)
     print(report)
     if args.report:
         pathlib.Path(args.report).write_text(report + "\n")
-    return 1 if missing else 0
+    return 1 if missing or stale else 0
 
 
 if __name__ == "__main__":
