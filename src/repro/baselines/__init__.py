@@ -2,8 +2,9 @@
 
 * :mod:`~repro.baselines.lightning` — the Lightning Network: an executable
   channel model (commitment transactions, revocation, the synchronous
-  justice window that Teechain eliminates) plus the timing/cost constants
-  the paper measured for LND.
+  justice window that Teechain eliminates) plus the latency, throughput
+  and on-chain cost constants the paper measured for LND.  The LN lines
+  of Fig. 4 and §7.3 come from :mod:`repro.bench.timing`.
 * :mod:`~repro.baselines.dmc` — Duplex Micropayment Channels cost model.
 * :mod:`~repro.baselines.sfmc` — Scalable Funding of Micropayment
   Channels cost model.
@@ -12,17 +13,12 @@
 
 from repro.baselines.costmodel import CostRow, table4_rows, teechain_costs
 from repro.baselines.dmc import dmc_costs
-from repro.baselines.lightning import (
-    LightningChannel,
-    LightningTiming,
-    lightning_costs,
-)
+from repro.baselines.lightning import LightningChannel, lightning_costs
 from repro.baselines.sfmc import sfmc_costs
 
 __all__ = [
     "CostRow",
     "LightningChannel",
-    "LightningTiming",
     "dmc_costs",
     "lightning_costs",
     "sfmc_costs",

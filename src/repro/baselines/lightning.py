@@ -1,26 +1,23 @@
 """Lightning Network baseline.
 
-Two halves:
+:class:`LightningChannel` is an *executable* model of an LN channel over
+our simulated blockchain: a 2-of-2 funding output, per-state commitment
+transactions, revocation of old states, and the **synchronous justice
+window**: when a revoked commitment appears on chain, the victim has τ
+blocks to land a justice transaction.  This is the mechanism whose
+synchrony assumption Teechain removes, and the security example and
+attack tests drive it directly (delay the justice transaction past the
+window → theft succeeds; same attack against Teechain → fails).
 
-1. :class:`LightningChannel` — an *executable* model of an LN channel over
-   our simulated blockchain: a 2-of-2 funding output, per-state commitment
-   transactions, revocation of old states, and the **synchronous justice
-   window**: when a revoked commitment appears on chain, the victim has τ
-   blocks to land a justice transaction.  This is the mechanism whose
-   synchrony assumption Teechain removes, and the security examples/tests
-   drive it directly (delay the justice transaction past the window →
-   theft succeeds; same attack against Teechain → fails).
-
-2. :class:`LightningTiming` — the performance characteristics the paper
-   measured for LND (§7.2–§7.3): sequential payments at ≤1,000 tx/s, two
-   round trips per payment, ~60 min channel opening (one on-chain
-   transaction plus six confirmations), 1.5 round trips per multi-hop hop.
+The module constants are what the paper measured for LND (§7.2, Tables
+1, 2 and 4).  Fig. 4's and §7.3's LN lines (1.5 round trips per hop) come
+from :class:`~repro.bench.timing.MultihopTimingModel`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set, Tuple
 
 from repro.blockchain.chain import Blockchain
 from repro.blockchain.script import LockingScript, Witness
@@ -37,10 +34,7 @@ from repro.errors import PaymentError, ProtocolError
 # Paper-measured LND characteristics (§7.2, Table 1 & 2; Fig. 4).
 LN_MAX_THROUGHPUT = 1_000            # tx/s, client-side-batched LND cap
 LN_PAYMENT_LATENCY = 0.387           # seconds (99th: 0.420)
-LN_ROUND_TRIPS_PER_PAYMENT = 2       # vs Teechain's 1
 LN_CHANNEL_OPEN_SECONDS = 3_600.0    # Table 2: 3,600,000 ms
-LN_CONFIRMATIONS_TO_OPEN = 6
-LN_MULTIHOP_ROUND_TRIPS_PER_HOP = 1.5
 LN_ONCHAIN_TXS_PER_CHANNEL = 4       # Table 4
 LN_ONCHAIN_COST_PER_CHANNEL = 6.0    # Table 4 (pubkey+signature pairs)
 
@@ -79,17 +73,14 @@ class LightningChannel:
         self.funding_tx: Optional[Transaction] = None
         self.states: List[CommitmentState] = []
         self.revoked_txids: Set[str] = set()
-        self.opened_at_height: Optional[int] = None
         self._initial = (funding_a, funding_b)
-        self.onchain_transactions: List[Transaction] = []
 
     # -- lifecycle ---------------------------------------------------------
 
     def open(self, funding_outpoints: List[Tuple[OutPoint, int]],
              funder: KeyPair) -> Transaction:
         """Broadcast the funding transaction.  The channel is usable after
-        :data:`LN_CONFIRMATIONS_TO_OPEN` confirmations (the 60-minute wait
-        of Table 2)."""
+        six confirmations (the 60-minute wait of Table 2)."""
         total = sum(value for _, value in funding_outpoints)
         capacity = sum(self._initial)
         if total < capacity:
@@ -114,15 +105,8 @@ class LightningChannel:
             [witness] * len(unsigned.inputs)
         )
         self.chain.submit(self.funding_tx)
-        self.onchain_transactions.append(self.funding_tx)
         self._commit(*self._initial)
         return self.funding_tx
-
-    def is_open(self) -> bool:
-        if self.funding_tx is None:
-            return False
-        return (self.chain.confirmations(self.funding_tx.txid)
-                >= LN_CONFIRMATIONS_TO_OPEN)
 
     def _commit(self, balance_a: int, balance_b: int) -> CommitmentState:
         assert self.funding_tx is not None
@@ -174,26 +158,10 @@ class LightningChannel:
 
     # -- closing and the justice game ---------------------------------------
 
-    def cooperative_close(self) -> Transaction:
-        """Both parties sign the final state; one transaction settles."""
-        transaction = self.current.transaction
-        self.chain.submit(transaction)
-        self.onchain_transactions.append(transaction)
-        return transaction
-
     def broadcast_state(self, state: CommitmentState) -> Transaction:
         """Unilaterally broadcast a (possibly revoked!) commitment."""
         self.chain.submit(state.transaction)
-        self.onchain_transactions.append(state.transaction)
         return state.transaction
-
-    def detect_revoked_onchain(self) -> Optional[CommitmentState]:
-        """The victim's watcher: is a revoked commitment confirmed?"""
-        for state in self.states:
-            if (state.transaction.txid in self.revoked_txids
-                    and self.chain.contains(state.transaction.txid)):
-                return state
-        return None
 
     def justice_deadline(self, state: CommitmentState) -> Optional[int]:
         """Block height by which the justice transaction must confirm."""
@@ -250,27 +218,6 @@ class LightningChannel:
                 # Output unswept after the window: the thief can claim it.
                 return True
         return False
-
-
-@dataclass(frozen=True)
-class LightningTiming:
-    """LND timing model used by the benchmark harness (paper-measured)."""
-
-    max_throughput: float = LN_MAX_THROUGHPUT
-    payment_latency: float = LN_PAYMENT_LATENCY
-    channel_open_seconds: float = LN_CHANNEL_OPEN_SECONDS
-    multihop_round_trips_per_hop: float = LN_MULTIHOP_ROUND_TRIPS_PER_HOP
-
-    def multihop_latency(self, hops: int, per_message_time: float) -> float:
-        """Fig. 4's LN line: 1.5 round trips = 3 one-way messages per hop."""
-        messages_per_hop = self.multihop_round_trips_per_hop * 2
-        return hops * messages_per_hop * per_message_time
-
-    def multihop_throughput(self, hops: int, per_message_time: float,
-                            batch_size: float) -> float:
-        """§7.3: multi-hop payments do not pipeline, so throughput is
-        batch size over path latency."""
-        return batch_size / self.multihop_latency(hops, per_message_time)
 
 
 def lightning_costs() -> Tuple[int, float, int, float]:

@@ -7,8 +7,8 @@ depends on:
   (:mod:`~repro.blockchain.script`);
 * conflict (double-spend) rejection at the mempool and block level — the
   mechanism PoPTs exploit (:mod:`~repro.blockchain.chain`);
-* block production with configurable intervals and confirmation counting
-  (:mod:`~repro.blockchain.miner`);
+* block production on demand, fork choice and confirmation counting
+  (:mod:`~repro.blockchain.chain`);
 * **asynchronous access**: clients broadcast through an adversary that may
   delay or censor writes for unbounded time
   (:mod:`~repro.blockchain.access`);
@@ -19,7 +19,6 @@ depends on:
 from repro.blockchain.access import AsyncBlockchainClient, WriteAdversary
 from repro.blockchain.chain import Blockchain
 from repro.blockchain.cost import blockchain_cost, transaction_cost
-from repro.blockchain.miner import Miner
 from repro.blockchain.script import LockingScript, Witness
 from repro.blockchain.transaction import (
     OutPoint,
@@ -34,7 +33,6 @@ __all__ = [
     "AsyncBlockchainClient",
     "Blockchain",
     "LockingScript",
-    "Miner",
     "OutPoint",
     "Transaction",
     "TxInput",

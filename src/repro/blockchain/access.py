@@ -11,8 +11,8 @@ the chain, so no component can accidentally assume synchrony.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set
 
 from repro.blockchain.chain import Blockchain, ReorgEvent
 from repro.blockchain.transaction import Transaction
@@ -69,9 +69,12 @@ class BroadcastReceipt:
     Receipts are fork-aware: a delivered transaction can later be
     *orphaned* by a reorg (``orphaned_at`` set, confirmations back to 0),
     after which the client automatically re-broadcasts it through the same
-    adversarial write path (``rebroadcasts`` counts attempts).  A receipt
-    whose transaction re-confirms on the winning branch reads as delivered
-    again."""
+    adversarial write path (``rebroadcasts`` counts attempts).  Eviction
+    clears ``delivered_at`` (the confirmation is undone), so "orphaned" is
+    explicit state rather than inferred from clock order: in a
+    discrete-event run eviction and delivery can share a timestamp.  A
+    receipt whose transaction re-confirms on the winning branch has
+    ``delivered_at`` set again."""
 
     txid: str
     submitted_at: float
@@ -80,25 +83,11 @@ class BroadcastReceipt:
     orphaned_at: Optional[float] = None  # last time a reorg evicted it
     rebroadcasts: int = 0
 
-    @property
-    def delivered(self) -> bool:
-        return self.delivered_at is not None and self.rejected is None
-
-    @property
-    def orphaned(self) -> bool:
-        """Evicted by a reorg and not yet re-delivered.
-
-        Eviction clears ``delivered_at`` (the confirmation is undone) so
-        the state is explicit rather than inferred from clock order — in
-        a discrete-event run eviction and delivery can share a timestamp.
-        """
-        return self.orphaned_at is not None and self.delivered_at is None
-
 
 class AsyncBlockchainClient:
     """A participant's view of the chain: asynchronous writes, honest reads.
 
-    Reads (``confirmations``, ``balance``) are immediate — the paper allows
+    Reads (``is_confirmed``, ``balance``) are immediate — the paper allows
     participants to *read* the chain whenever they are online; only write
     latency is unbounded.  Reads can also be eclipsed via the adversary for
     DoS experiments, in which case queries raise :class:`BlockchainError`.
@@ -184,10 +173,6 @@ class AsyncBlockchainClient:
         if self.reads_blocked:
             raise BlockchainError("client is eclipsed: chain reads unavailable")
 
-    def confirmations(self, txid: str) -> int:
-        self._check_readable()
-        return self.chain.confirmations(txid)
-
     def is_confirmed(self, txid: str, depth: int = 1) -> bool:
         self._check_readable()
         return self.chain.confirmations(txid) >= depth
@@ -195,38 +180,3 @@ class AsyncBlockchainClient:
     def balance(self, address: str) -> int:
         self._check_readable()
         return self.chain.balance(address)
-
-    def feerate_estimate(self, limit: Optional[int] = None) -> float:
-        """Marginal feerate to enter the next block (eclipse-aware read)."""
-        self._check_readable()
-        return self.chain.feerate_estimate(limit)
-
-    def wait_for_confirmations(
-        self, txid: str, depth: int, callback: Callable[[], None],
-        poll_interval: float = 10.0,
-    ) -> None:
-        """Invoke ``callback`` once ``txid`` has ``depth`` confirmations.
-
-        Polling, not push: a light client watching block arrivals.  The
-        callback never fires for a censored transaction — which is exactly
-        the asynchrony Teechain must (and does) survive.  Polls go through
-        the public read path: an eclipsed client cannot observe the chain,
-        so a mid-poll eclipse makes the poll reschedule (and resume once
-        the eclipse lifts) rather than leak a read or raise into the
-        scheduler.
-        """
-
-        def poll() -> None:
-            try:
-                confirmed = self.confirmations(txid) >= depth
-            except BlockchainError:
-                # Eclipsed: no view of the chain right now.  Keep polling —
-                # the answer arrives when reads recover.
-                self.scheduler.call_after(poll_interval, poll)
-                return
-            if confirmed:
-                callback()
-            else:
-                self.scheduler.call_after(poll_interval, poll)
-
-        poll()

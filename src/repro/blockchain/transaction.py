@@ -141,15 +141,6 @@ class Transaction:
     def spent_outpoints(self) -> List[OutPoint]:
         return [tx_input.outpoint for tx_input in self.inputs]
 
-    def conflicts_with(self, other: "Transaction") -> bool:
-        """Whether the two transactions spend any common outpoint.
-
-        This is the primitive Teechain's PoPT mechanism builds on: the
-        intermediate settlement τ *conflicts* with every individual channel
-        settlement, so the chain accepts at most one of them (§5.1)."""
-        ours = set(self.spent_outpoints())
-        return any(outpoint in ours for outpoint in other.spent_outpoints())
-
     def total_output_value(self) -> int:
         return sum(output.value for output in self.outputs)
 

@@ -14,8 +14,6 @@
   deposits (§6.1).
 * :mod:`~repro.core.persistence` — stable-storage crash fault tolerance
   (§6.2).
-* :mod:`~repro.core.outsourcing` — TEE outsourcing for users without local
-  TEEs (§3).
 * :mod:`~repro.core.temporary` — temporary channels (§5.2); path
   selection and rerouting (§7.4) live in :mod:`repro.routing`.
 * :mod:`~repro.core.batching` — client-side transaction batching (§7.2).

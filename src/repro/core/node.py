@@ -5,7 +5,7 @@ A :class:`TeechainNode` is one participant: an SGX machine running the
 Teechain enclave, an untrusted host that pumps messages between the enclave
 and the network, a wallet (on-chain key), and an asynchronous blockchain
 client.  :class:`TeechainNetwork` owns the shared substrate — simulated
-clock, blockchain + miner, attestation service, transport — and is the
+clock, blockchain, attestation service, transport — and is the
 factory for nodes.
 
 Quickstart::
@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.blockchain.access import AsyncBlockchainClient, WriteAdversary
 from repro.blockchain.chain import Blockchain
-from repro.blockchain.miner import Miner
 from repro.blockchain.script import LockingScript
 from repro.blockchain.transaction import (
     OutPoint,
@@ -64,7 +63,6 @@ from repro.network.transport import (
     Network,
 )
 from repro.obs import get_tracer, op_span
-from repro.routing import RoutePlanner, TopologyView
 from repro.simulation.scheduler import Scheduler
 from repro.tee.attestation import AttestationService
 from repro.tee.enclave import Enclave
@@ -93,14 +91,11 @@ class TeechainNetwork:
         self,
         transport: object = "instant",
         topology: Optional[Topology] = None,
-        block_interval: float = 600.0,
         scheduler: Optional[Scheduler] = None,
         chain: Optional[Blockchain] = None,
     ) -> None:
         self.scheduler = scheduler if scheduler is not None else Scheduler()
         self.chain = chain if chain is not None else Blockchain()
-        self.miner = Miner(self.chain, self.scheduler,
-                           block_interval=block_interval)
         self.attestation = AttestationService()
         self.topology = topology
         if isinstance(transport, BaseNetwork):
@@ -160,32 +155,6 @@ class TeechainNetwork:
 
     def next_payment_id(self) -> str:
         return f"mh-{next(self._payment_counter)}"
-
-    # ------------------------------------------------------------------
-    # Routing (repro.routing): the DES is omniscient, so the topology
-    # view is assembled directly from node state — live daemons build
-    # the same view from gossip instead, and both feed the same planner.
-    # ------------------------------------------------------------------
-
-    def topology_view(self) -> TopologyView:
-        """Full-knowledge view of every open channel, with directional
-        capacities taken from the channels' current balances."""
-        view = TopologyView()
-        for node in self.nodes.values():
-            for channel_id, peer in node.channels.items():
-                try:
-                    capacity, _ = node.channel_balance(channel_id)
-                except ReproError:
-                    continue  # closed or half-open channel: not routable
-                view.upsert(origin=node.name, peer=peer,
-                            channel_id=channel_id, capacity=capacity, seq=0)
-        return view
-
-    def route_planner(self, *, cost: str = "hops",
-                      seed: int = 0) -> RoutePlanner:
-        """A planner over the current topology.  The view is a snapshot:
-        callers that mutate channels should request a fresh planner."""
-        return RoutePlanner(self.topology_view(), cost=cost, seed=seed)
 
 
 class TeechainNode:
@@ -528,40 +497,6 @@ class TeechainNode:
                 self.name, hop_names[-1], amount, completed=True
             )
         return pid
-
-    def pay_to(self, dest: PeerRef, amount: int,
-               planner: Optional[RoutePlanner] = None,
-               payment_id: Optional[str] = None) -> Dict[str, object]:
-        """Pay ``dest`` wherever it is: the route is resolved through the
-        shared :class:`~repro.routing.RoutePlanner` (direct neighbours
-        pay over the channel, everyone else via ``pay_multihop``).
-
-        Raises :class:`~repro.errors.RoutingError` when no sufficiently
-        funded path exists.  Pass ``planner`` to reuse one (and its
-        caches) across many payments; by default a fresh snapshot of the
-        network is taken per call."""
-        dest_name = dest if isinstance(dest, str) else dest.name
-        if dest_name == self.name:
-            raise MultihopError("pay_to needs a destination other than self")
-        if planner is None:
-            planner = self.network.route_planner()
-        route = planner.find_route(self.name, dest_name, amount=amount)
-        if len(route) == 2:
-            candidates = [cid for cid, peer in self.channels.items()
-                          if peer == dest_name]
-
-            def spendable(cid: str) -> int:
-                try:
-                    return self.channel_balance(cid)[0]
-                except ReproError:
-                    return -1
-
-            channel_id = max(candidates, key=spendable)
-            self.pay(channel_id, amount)
-            return {"route": route, "payment_id": None, "hops": 1}
-        path = [self.network.nodes[name] for name in route]
-        pid = self.pay_multihop(path, amount, payment_id)
-        return {"route": route, "payment_id": pid, "hops": len(route) - 1}
 
     def multihop_completed(self, payment_id: str) -> bool:
         return payment_id in self.program.multihop_completed

@@ -66,9 +66,6 @@ class TemporaryChannelManager:
                     return record
         return None
 
-    def count(self, peer_name: str) -> int:
-        return len(self.temporaries.get(peer_name, []))
-
     def merge(self, peer: "TeechainNode", temporary_id: str,
               primary_id: str) -> None:
         """Fold a temporary channel back into the primary, off-chain.

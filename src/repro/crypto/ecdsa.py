@@ -306,10 +306,6 @@ class _TableCache:
     def __len__(self) -> int:
         return len(self._tables)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._tables.clear()
-
     def table(self, point: FinitePoint) -> Table:
         """The table to use for ``point`` now; ``point`` must be on the
         curve (callers validate: the cache never holds an invalid key)."""

@@ -76,11 +76,6 @@ class SealingError(TEEError):
     """Sealed data failed integrity or rollback checks."""
 
 
-class CounterThrottled(TEEError):
-    """A monotonic-counter increment was requested faster than the hardware
-    rate limit allows."""
-
-
 class NetworkError(ReproError):
     """Base class for transport failures."""
 

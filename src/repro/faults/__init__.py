@@ -9,7 +9,6 @@ DESIGN.md's "Fault model" section for the mapping to the paper.
 
 from repro.faults.chain_cells import (
     ChainCellResult,
-    run_all_chain_cells,
     run_deposit_double_spend_fork_cell,
     run_fee_spike_deferral_cell,
     run_settlement_reorg_cell,
@@ -48,7 +47,6 @@ __all__ = [
     "FaultSchedule",
     "FaultSpec",
     "LiveFaultInjector",
-    "run_all_chain_cells",
     "run_committee_member_loss",
     "run_committee_primary_loss",
     "run_crash_cell",

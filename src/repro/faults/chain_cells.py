@@ -19,8 +19,7 @@ the stack converge, and checks the invariants that must survive:
   channel balances, minus exactly the fees that were paid, which are
   claimed by miners and nobody else.
 
-Every cell returns a :class:`ChainCellResult`; ``run_all_chain_cells``
-sweeps them for the benchmark sidecar and the CI job.
+Every cell returns a :class:`ChainCellResult`.
 """
 
 from __future__ import annotations
@@ -331,12 +330,3 @@ def run_fee_spike_deferral_cell(*, funds: int = 100_000,
         "whale_fee_total": whale_txs * whale_fee,
     })
     return result
-
-
-def run_all_chain_cells(*, reorg_depth: int = 2) -> List[ChainCellResult]:
-    """The full chain-realism sweep (benchmark sidecar + CI job)."""
-    return [
-        run_settlement_reorg_cell(depth=reorg_depth),
-        run_deposit_double_spend_fork_cell(),
-        run_fee_spike_deferral_cell(),
-    ]

@@ -24,9 +24,8 @@ operation with the full prefix (``"mh_lock:mh-7"``).
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 
 class FaultKind(str, enum.Enum):
@@ -109,26 +108,6 @@ class FaultSpec:
         name, _, _ = description.partition(":")
         return name == self.point
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind.value, "target": self.target,
-            "point": self.point, "at": self.at,
-            "probability": self.probability,
-            "extra_seconds": self.extra_seconds,
-            "window": self.window, "note": self.note,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "FaultSpec":
-        return cls(
-            kind=FaultKind(raw["kind"]), target=raw["target"],
-            point=raw.get("point"), at=raw.get("at"),
-            probability=raw.get("probability", 1.0),
-            extra_seconds=raw.get("extra_seconds", 0.0),
-            window=raw.get("window", 2), note=raw.get("note", ""),
-        )
-
-
 @dataclass(frozen=True)
 class FaultSchedule:
     """An ordered, seeded collection of :class:`FaultSpec`.
@@ -141,12 +120,6 @@ class FaultSchedule:
 
     seed: int = 0
     faults: Tuple[FaultSpec, ...] = ()
-
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
-
-    def __iter__(self) -> Iterator[FaultSpec]:
-        return iter(self.faults)
 
     def _with(self, spec: FaultSpec) -> "FaultSchedule":
         return replace(self, faults=self.faults + (spec,))
@@ -233,23 +206,10 @@ class FaultSchedule:
         must answer a structured error and keep serving."""
         return self._with(FaultSpec(FaultKind.CORRUPT_CONTROL, target, at=at))
 
-    # -- mode filters and serialisation -----------------------------------
+    # -- mode filters -------------------------------------------------------
 
     def des_faults(self) -> Tuple[FaultSpec, ...]:
         return tuple(s for s in self.faults if s.kind in DES_KINDS)
 
     def live_faults(self) -> Tuple[FaultSpec, ...]:
         return tuple(s for s in self.faults if s.kind in LIVE_KINDS)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form (benchmark sidecars, CLI hand-off)."""
-        return {"seed": self.seed,
-                "faults": [spec.to_dict() for spec in self.faults]}
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "FaultSchedule":
-        return cls(
-            seed=raw.get("seed", 0),
-            faults=tuple(FaultSpec.from_dict(item)
-                         for item in raw.get("faults", ())),
-        )

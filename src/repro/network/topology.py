@@ -75,9 +75,6 @@ class Topology:
     def bandwidth_fn(self):
         return self.bandwidth
 
-    def nodes(self) -> List[str]:
-        return list(self.site_of)
-
     @classmethod
     def uniform(cls, node_names: Iterable[str], rtt: float,
                 bandwidth: float = _mbps(1000)) -> "Topology":
@@ -129,18 +126,6 @@ class Overlay:
     nodes: Tuple[str, ...]
     channels: Tuple[Tuple[str, str], ...]
     tier_of: Dict[str, int] = field(default_factory=dict, hash=False, compare=False)
-
-    def neighbours(self, node: str) -> List[str]:
-        result = []
-        for a, b in self.channels:
-            if a == node:
-                result.append(b)
-            elif b == node:
-                result.append(a)
-        return result
-
-    def has_channel(self, a: str, b: str) -> bool:
-        return (a, b) in self.channels or (b, a) in self.channels
 
 
 def complete_graph_overlay(node_names: Iterable[str]) -> Overlay:

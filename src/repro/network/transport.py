@@ -88,16 +88,6 @@ class BaseNetwork:
     def unregister(self, name: str) -> None:
         self._handlers.pop(name, None)
 
-    def wrap_handler(self, name: str,
-                     wrap: Callable[[Handler], Handler]) -> None:
-        """Replace ``name``'s handler with ``wrap(original)``.
-
-        Lets a host interpose on deliveries (echo probes, fault injection)
-        without the endpoint re-registering.
-        """
-        original = self._handler_for(name)
-        self._handlers[name] = wrap(original)
-
     def add_tap(self, tap: Callable[[Message], Optional[bool]]) -> None:
         """Install a wire tap (adversary hook).
 
@@ -113,12 +103,6 @@ class BaseNetwork:
             self._taps.remove(tap)
         except ValueError:
             pass
-
-    def _handler_for(self, destination: str) -> Handler:
-        handler = self._handlers.get(destination)
-        if handler is None:
-            raise NetworkError(f"no endpoint {destination!r}")
-        return handler
 
     def _tap_allows(self, message: Message) -> bool:
         for tap in self._taps:

@@ -146,16 +146,6 @@ def collecting(
         set_tracer(previous_tracer)
 
 
-def emit(name: str, **fields: Any) -> None:
-    """Emit a trace event into the current tracer (no-op by default)."""
-    _tracer.emit(name, **fields)
-
-
-def span(name: str, **fields: Any):
-    """Span context manager on the current tracer (no-op by default)."""
-    return _tracer.span(name, **fields)
-
-
 def op_span(name: str, **fields: Any):
     """Span for a user-initiated operation: starts a *new trace* when no
     context is active (a payment issued at this node becomes a trace

@@ -58,11 +58,6 @@ class TraceContext:
         return TraceContext(trace_id=self.trace_id, span_id=new_span_id(),
                             parent_id=self.span_id)
 
-    def fields(self) -> dict:
-        """The context as trace-event fields (keys match the wire names)."""
-        return {"trace": self.trace_id, "span": self.span_id,
-                "parent": self.parent_id}
-
     @classmethod
     def from_fields(cls, trace: str, span: str,
                     parent: str = "") -> Optional["TraceContext"]:

@@ -118,9 +118,6 @@ class Gauge:
         if value > self.peak:
             self.peak = value
 
-    def add(self, delta: float) -> None:
-        self.set(self.value + delta)
-
     def __repr__(self) -> str:
         return f"Gauge({self.name!r}, {self.value})"
 
@@ -163,29 +160,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> Optional[float]:
-        """Approximate quantile: the upper bound of the bucket holding the
-        q-th sample (``maximum`` for the overflow bucket)."""
-        if not self.count:
-            return None
-        # NaN fails both comparisons, so it is rejected here too.
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
-        if q == 0.0:
-            # target would be 0, which every bucket's running count
-            # satisfies — including an empty first bucket.  The 0th
-            # quantile is simply the smallest recorded value.
-            return self.minimum
-        target = q * self.count
-        running = 0
-        for index, count in enumerate(self.counts):
-            running += count
-            if running >= target:
-                if index < len(self.bounds):
-                    return self.bounds[index]
-                return self.maximum
-        return self.maximum
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -314,9 +288,5 @@ class NullMetrics(MetricsRegistry):
     def histogram(self, name: str,
                   buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
         return self._null_histogram
-
-    def snapshot(self) -> Dict[str, Dict[str, object]]:
-        return {"counters": {}, "gauges": {}, "histograms": {}}
-
 
 NOOP = NullMetrics()

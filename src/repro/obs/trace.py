@@ -148,22 +148,17 @@ class Tracer:
 
 
 class NullTracer(Tracer):
-    """The module-level default: events vanish, spans still nest."""
+    """The module-level default: events vanish, spans still nest.
+
+    Call sites check :attr:`enabled` before they emit or activate a
+    context, so only the spans need a no-op here; an event emitted anyway
+    is dropped by a ring that holds none."""
 
     enabled = False
 
     def __init__(self) -> None:
         super().__init__(capacity=1)
-
-    def bind_clock(self, now: Callable[[], float]) -> None:
-        pass
-
-    def emit(self, name: str, **fields: Any) -> None:
-        pass
-
-    @contextmanager
-    def activate(self, context: Optional[TraceContext]) -> Iterator[None]:
-        yield
+        self._events = deque(maxlen=0)
 
     @contextmanager
     def root_span(self, name: str, **fields: Any) -> Iterator[None]:

@@ -123,9 +123,6 @@ class TopologyView:
 
     # -- planner-facing queries ---------------------------------------
 
-    def half(self, origin: str, channel_id: str) -> Optional[ChannelHalf]:
-        return self._halves.get((origin, channel_id))
-
     def edges(self) -> Iterator[EdgeInfo]:
         """Yield confirmed directed edges (both halves present, forward
         half not disabled)."""

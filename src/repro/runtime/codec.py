@@ -438,11 +438,6 @@ def register_dataclass(tag: int, cls: type) -> None:
     _register(tag, cls, write, read)
 
 
-def registered_types() -> Tuple[type, ...]:
-    """All wire-registered classes (test surface)."""
-    return tuple(_BY_TAG.values())
-
-
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------

@@ -355,13 +355,18 @@ class NodeDaemon:
     def _combined_session(self, peer_nonce: bytes) -> bytes:
         """Both boot nonces hashed order-independently, so the two sides
         of a dual-dial handshake derive the same salt."""
-        first, second = sorted((bytes(self._session_nonce),
-                                bytes(peer_nonce)))
+        first, second = sorted((self._session_nonce, peer_nonce))
         return sha256(b"session:" + first + b"|" + second)
 
     def _install_peer(self, name: str, settlement_address: str, quote,
                       session: bytes = b"", topo_key: bytes = b"") -> None:
         # A NetworkError: the transport warns and drops the connection.
+        # Field types come first: the session salt is derived before the
+        # quote is attested, so a mistyped field from an unauthenticated
+        # peer must cost only its connection.
+        if not (isinstance(name, str) and isinstance(session, bytes)
+                and isinstance(topo_key, bytes)):
+            raise NetworkError(f"malformed handshake from {name!r}")
         if not isinstance(quote, Quote):
             raise NetworkError(f"{name}'s handshake carries no quote")
         salt = self._combined_session(session)

@@ -199,7 +199,6 @@ class CommandRegistry:
 _CODE_TABLE: Tuple[Tuple[type, str], ...] = (
     (errors.EnclaveCrashed, "enclave_crashed"),
     (errors.EnclaveFrozen, "enclave_frozen"),
-    (errors.CounterThrottled, "counter_throttled"),
     (errors.SealingError, "sealing_error"),
     (errors.AttestationError, "attestation_failed"),
     (errors.TEEError, "tee_error"),

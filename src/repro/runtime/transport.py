@@ -35,12 +35,10 @@ echoes) — so a benchmark can assert that no payment frame was ever
 lost.  The backpressured surface is:
 
 * :meth:`AsyncTcpNetwork.send_wait` — awaitable ``send`` that waits for
-  queue space instead of dropping;
-* :meth:`AsyncTcpNetwork.wait_writable` — credit gate: resolves while
-  the peer's queue is below its high watermark; once the queue fills
-  past it, senders park until the link writes it back down to the low
-  watermark (hysteresis, so a saturated queue drains in bulk instead of
-  thrashing one frame at a time);
+  queue credit instead of dropping: once a peer's queue fills past its
+  high watermark, senders park until the link writes it back down to the
+  low watermark (hysteresis, so a saturated queue drains in bulk instead
+  of thrashing one frame at a time);
 * :meth:`AsyncTcpNetwork.flush` — barrier that resolves once every
   queued outbound frame has been written to the socket.
 """
@@ -186,7 +184,7 @@ class _PeerLink:
         self.backpressure_waits = 0
         # Credit gate with hysteresis: cleared when the queue crosses the
         # high watermark, set again once the queue is written back down to
-        # the low watermark.  wait_writable() parks on this event.
+        # the low watermark.  enqueue_wait() parks on this event.
         self.writable = asyncio.Event()
         self.writable.set()
         # Barrier for flush(): set whenever the queue is empty and no
@@ -592,25 +590,6 @@ class AsyncTcpNetwork(BaseNetwork):
         done, link = self._route(message, destination)
         if not done:
             await link.enqueue_wait(frame, plane="protocol")
-
-    async def wait_writable(self, destination: str,
-                            timeout: float = 30.0) -> None:
-        """Credit gate: resolves while ``destination``'s outbound queue
-        is below its high watermark (always, for local endpoints)."""
-        link = self._links.get(destination)
-        if link is None or link.writable.is_set():
-            return
-        link.backpressure_waits += 1
-        if self._metrics.enabled:
-            self._metrics.inc("runtime.backpressure_waits")
-        try:
-            await asyncio.wait_for(link.writable.wait(), timeout)
-        except asyncio.TimeoutError:
-            raise NetworkError(
-                f"{self.name}->{destination}: no send credit within "
-                f"{timeout:.1f}s ({link.queue.qsize()} frames queued, "
-                f"connected={link.connected.is_set()})"
-            ) from None
 
     async def flush(self, destination: Optional[str] = None,
                     timeout: float = 30.0) -> None:

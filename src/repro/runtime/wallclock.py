@@ -1,6 +1,6 @@
 """Wall-clock stand-in for the DES :class:`~repro.simulation.scheduler.Scheduler`.
 
-Protocol code (``AsyncBlockchainClient``, payment batching, the miner)
+Protocol code (``AsyncBlockchainClient``, payment batching)
 takes a scheduler and calls ``now`` / ``call_after``.  In the simulator
 those drive a virtual clock; in a live daemon the same code must run
 against real time on an asyncio loop.  This is the part of the

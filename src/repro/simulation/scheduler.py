@@ -58,8 +58,6 @@ class Scheduler:
         self.clock = clock if clock is not None else Clock()
         self._queue: List[Event] = []
         self._seq = itertools.count()
-        self._events_processed = 0
-        self._cancelled_skipped = 0
         # Default to the module-level registry (a shared no-op unless a
         # benchmark is collecting); one ``enabled`` check per event.
         self._metrics = metrics if metrics is not None else get_metrics()
@@ -68,21 +66,6 @@ class Scheduler:
     def now(self) -> float:
         """Convenience accessor for the current simulated time."""
         return self.clock.now
-
-    @property
-    def events_processed(self) -> int:
-        """Number of events executed so far (diagnostic)."""
-        return self._events_processed
-
-    @property
-    def cancelled_skipped(self) -> int:
-        """Cancelled events discarded from the queue so far (churn)."""
-        return self._cancelled_skipped
-
-    @property
-    def pending(self) -> int:
-        """Number of queued events, including cancelled ones."""
-        return len(self._queue)
 
     def call_at(self, timestamp: float, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at absolute simulated time ``timestamp``."""
@@ -109,12 +92,10 @@ class Scheduler:
         while self._queue:
             event = heapq.heappop(self._queue)
             if event.cancelled:
-                self._cancelled_skipped += 1
                 if self._metrics.enabled:
                     self._metrics.inc("scheduler.cancelled_skipped")
                 continue
             self.clock.advance_to(event.time)
-            self._events_processed += 1
             if self._metrics.enabled:
                 self._metrics.inc("scheduler.events_processed")
                 self._metrics.set_gauge("scheduler.queue_depth",
@@ -171,7 +152,6 @@ class Scheduler:
             event = self._queue[0]
             if event.cancelled:
                 heapq.heappop(self._queue)
-                self._cancelled_skipped += 1
                 if self._metrics.enabled:
                     self._metrics.inc("scheduler.cancelled_skipped")
                 continue

@@ -70,10 +70,6 @@ class AttestationService:
             signature=self._keys.private.sign_message(payload),
         )
 
-    def revoke(self, enclave_key: PublicKey) -> None:
-        """Revoke an enclave (e.g. after a disclosed compromise)."""
-        self._revoked.add(enclave_key.to_bytes())
-
     def is_revoked(self, enclave_key: PublicKey) -> bool:
         return enclave_key.to_bytes() in self._revoked
 

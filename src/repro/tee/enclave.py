@@ -73,11 +73,6 @@ class EnclaveProgram:
             raise TEEError("program is not installed in an enclave")
         return self._enclave
 
-    @property
-    def identity(self) -> KeyPair:
-        """The enclave-held identity key pair."""
-        return self.enclave.identity
-
     def send(self, destination: str, payload: Any) -> None:
         """Queue an outgoing message for the untrusted host to deliver."""
         self._outbox.append(OutboundMessage(destination, payload))

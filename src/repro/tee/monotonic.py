@@ -10,10 +10,9 @@ Table 1 at 10 tx/s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.errors import CounterThrottled, TEEError
+from repro.errors import TEEError
 
 DEFAULT_INCREMENT_DELAY = 0.100  # seconds; the paper's emulated value
 
@@ -36,10 +35,6 @@ class MonotonicCounter:
     def value(self) -> int:
         return self._value
 
-    def read(self) -> int:
-        """Reads are unthrottled."""
-        return self._value
-
     def increment(self, now: float) -> float:
         """Start an increment at simulated time ``now``.
 
@@ -51,18 +46,6 @@ class MonotonicCounter:
         self._busy_until = start + self.increment_delay
         self._value += 1
         return self._busy_until
-
-    def try_increment(self, now: float) -> int:
-        """Increment only if the hardware is idle; otherwise raise
-        :class:`CounterThrottled`.  For callers that prefer failing fast
-        over queueing."""
-        if now < self._busy_until:
-            raise CounterThrottled(
-                f"counter {self.counter_id} busy until {self._busy_until:.3f}"
-            )
-        self._busy_until = now + self.increment_delay
-        self._value += 1
-        return self._value
 
 
 class MonotonicCounterBank:
@@ -88,10 +71,4 @@ class MonotonicCounterBank:
                                    initial=initial)
         self._counters[self._next_id] = counter
         self._next_id += 1
-        return counter
-
-    def get(self, counter_id: int) -> MonotonicCounter:
-        counter = self._counters.get(counter_id)
-        if counter is None:
-            raise TEEError(f"no monotonic counter {counter_id}")
         return counter

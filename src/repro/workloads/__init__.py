@@ -10,7 +10,6 @@ uniformly (complete graph) or skewed 50/35/15 by tier (hub-and-spoke).
 
 from repro.workloads.assignment import (
     assign_addresses_skewed,
-    assign_addresses_uniform,
 )
 from repro.workloads.bitcoin_trace import (
     Payment,
@@ -25,7 +24,6 @@ __all__ = [
     "Payment",
     "RawTransaction",
     "assign_addresses_skewed",
-    "assign_addresses_uniform",
     "degree_stats",
     "filter_for_replay",
     "generate_raw_transactions",

@@ -25,21 +25,20 @@ class HashRing:
     ring: every router process computes ``owner(peer)`` independently and
     agrees, because the mapping depends only on the node names — no
     coordination, no shared state.  Virtual nodes (``replicas`` points
-    per node) smooth the distribution; removing a node reassigns only the
-    keys it owned, which is the property a plain ``hash(key) % n`` lacks.
+    per node) smooth the distribution; a pool without one node assigns
+    differently only the keys that node owned, which is the property a
+    plain ``hash(key) % n`` lacks.
 
     Ownership stability bound (tested in
     ``tests/test_workloads_bench.py::TestHashRing``): with N nodes,
-    adding one
-    moves only keys the new node's replica points capture — in
+    adding one moves only keys the new node's replica points capture — in
     expectation ``keys/(N+1)``, and with the default 64 replicas per
     node the observed movement stays under roughly ``2 × keys/(N+1)``
-    (hash variance shrinks as replicas grow).  Removing a node moves
-    *exactly* the keys it owned — every other key's first clockwise
-    point is unchanged — and add-then-remove restores the original
-    assignment bit-for-bit.  The hub relies on this: account shards
-    (``account:<pubkey>`` keys) stay put when the worker pool changes
-    elsewhere.
+    (hash variance shrinks as replicas grow).  A ring without a node
+    differs in *exactly* the keys that node owned — every other key's
+    first clockwise point is unchanged.  The hub relies on this: account
+    shards (``account:<pubkey>`` keys) stay put when the worker pool
+    changes elsewhere.
     """
 
     def __init__(self, nodes: Iterable[str] = (), replicas: int = 64) -> None:
@@ -64,13 +63,6 @@ class HashRing:
             point = (self._hash(f"{node}#{replica}"), node)
             bisect.insort(self._points, point)
 
-    def remove(self, node: str) -> None:
-        if node not in self._nodes:
-            raise WorkloadError(f"node {node!r} not on the ring")
-        self._nodes.discard(node)
-        self._points = [point for point in self._points
-                        if point[1] != node]
-
     @property
     def nodes(self) -> List[str]:
         return sorted(self._nodes)
@@ -84,21 +76,6 @@ class HashRing:
         if index == len(self._points):
             index = 0
         return self._points[index][1]
-
-
-def assign_addresses_uniform(addresses: Sequence[str],
-                             machines: Sequence[str],
-                             seed: int = 0) -> Dict[str, str]:
-    """Random, even distribution of addresses over machines."""
-    if not machines:
-        raise WorkloadError("no machines to assign addresses to")
-    rng = random.Random(seed)
-    shuffled = list(addresses)
-    rng.shuffle(shuffled)
-    return {
-        address: machines[index % len(machines)]
-        for index, address in enumerate(shuffled)
-    }
 
 
 def assign_addresses_skewed(addresses: Sequence[str],

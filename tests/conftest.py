@@ -1,4 +1,5 @@
-"""Shared fixtures: funded nodes, channels, and multi-hop paths.
+"""Shared fixtures (funded nodes, channels, multi-hop paths) and helpers
+(re-keying a secure session, running a module's command line).
 
 Also enforces per-test timeouts on ``live``-marked tests (real sockets
 and subprocesses): a wedged daemon must fail the test, not hang CI.
@@ -6,13 +7,18 @@ SIGALRM keeps this dependency-free; on platforms without it (Windows)
 live tests simply run un-timed.
 """
 
+import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core.node import TeechainNetwork
 
 LIVE_TEST_TIMEOUT_S = 120
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.hookimpl(hookwrapper=True)
@@ -73,6 +79,15 @@ def three_hop_path(network):
     deposit_bc = bob.create_deposit(40_000)
     bob.approve_and_associate(carol, deposit_bc, bc)
     return network, alice, bob, carol, ab, bc
+
+
+def run_module(module, *args):
+    """``python -m <module> <args>`` on this checkout, as an operator
+    runs it: the finished process, its output captured as text."""
+    return subprocess.run(
+        [sys.executable, "-m", module, *map(str, args)],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True,
+        text=True, timeout=60)
 
 
 def renew_secure_session(left, right, session: bytes) -> None:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.baselines import (
     LightningChannel,
-    LightningTiming,
     dmc_costs,
     lightning_costs,
     sfmc_costs,
@@ -14,6 +13,7 @@ from repro.baselines import (
 from repro.baselines.costmodel import measure_teechain_lifecycle
 from repro.baselines.dmc import dmc_cost, dmc_transactions
 from repro.baselines.sfmc import sfmc_cost, sfmc_transactions
+from repro.bench.timing import MultihopTimingModel
 from repro.blockchain import Blockchain, LockingScript
 from repro.blockchain.cost import blockchain_cost
 from repro.crypto import KeyPair
@@ -34,14 +34,6 @@ def _open_ln_channel(window=144):
 
 
 class TestLightningChannel:
-    def test_needs_six_confirmations(self):
-        chain, _, _, channel = _open_ln_channel()
-        for _ in range(5):
-            chain.mine_block()
-        assert not channel.is_open()
-        chain.mine_block()
-        assert channel.is_open()
-
     def test_payments_advance_and_revoke(self):
         chain, _, _, channel = _open_ln_channel()
         first = channel.current
@@ -59,7 +51,8 @@ class TestLightningChannel:
         for _ in range(6):
             chain.mine_block()
         channel.pay(from_a=True, amount=25_000)
-        channel.cooperative_close()
+        # A cooperative close confirms the final, unrevoked commitment.
+        channel.broadcast_state(channel.current)
         chain.mine_block()
         assert chain.balance(bob.address()) == 25_000
         # 35k channel share + 40k funding change.
@@ -71,10 +64,11 @@ class TestLightningChannel:
             chain.mine_block()
         stale = channel.current
         channel.pay(from_a=True, amount=10_000)
-        assert channel.detect_revoked_onchain() is None
+        assert stale.transaction.txid in channel.revoked_txids
+        assert channel.justice_deadline(stale) is None
         channel.broadcast_state(stale)
         chain.mine_block()
-        assert channel.detect_revoked_onchain() is stale
+        assert channel.justice_deadline(stale) == chain.height + 144
 
     def test_justice_deadline_tracks_window(self):
         chain, _, _, channel = _open_ln_channel(window=10)
@@ -99,17 +93,17 @@ class TestLightningChannel:
 
 
 class TestTimingModel:
+    """The LN lines of Fig. 4 and §7.3."""
+
     def test_multihop_scales_linearly(self):
-        timing = LightningTiming()
-        per_message = 0.2
-        assert timing.multihop_latency(4, per_message) == pytest.approx(
-            2 * timing.multihop_latency(2, per_message))
+        model = MultihopTimingModel.paper_setup()
+        assert model.lightning_latency(4) == pytest.approx(
+            2 * model.lightning_latency(2))
 
     def test_throughput_inverse_in_hops(self):
-        timing = LightningTiming()
-        t2 = timing.multihop_throughput(2, 0.2, batch_size=1_000)
-        t4 = timing.multihop_throughput(4, 0.2, batch_size=1_000)
-        assert t2 == pytest.approx(2 * t4)
+        model = MultihopTimingModel.paper_setup()
+        assert model.lightning_throughput(2) == pytest.approx(
+            2 * model.lightning_throughput(4))
 
 
 class TestCostModels:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.blockchain import (
     Blockchain,
     LockingScript,
-    Miner,
     OutPoint,
     Transaction,
     TxInput,
@@ -27,7 +26,6 @@ from repro.errors import (
     InvalidTransaction,
     UnknownOutput,
 )
-from repro.simulation import Scheduler
 
 ALICE = KeyPair.from_seed(b"chain-alice")
 BOB = KeyPair.from_seed(b"chain-bob")
@@ -60,13 +58,11 @@ class TestTransactions:
                                    ALICE.private, [(BOB.address(), 1)])
         tx2 = build_p2pkh_transfer([(coinbase.outpoint(0), 100_000)],
                                    ALICE.private, [(BOB.address(), 2)])
-        assert tx1.conflicts_with(tx2)
-        assert not tx1.conflicts_with(tx1) or True  # self-conflict trivially
-        unrelated = Transaction(
-            inputs=(TxInput(OutPoint("ff" * 32, 0)),),
-            outputs=(TxOutput(1, LockingScript.pay_to_address("btcx")),),
-        )
-        assert not tx1.conflicts_with(unrelated)
+        chain.submit(tx1)
+        with pytest.raises(DoubleSpend):
+            chain.submit(tx2)  # spends tx1's input: first spend wins
+        chain.mine_block()
+        assert chain.contains(tx1.txid) and not chain.contains(tx2.txid)
 
     def test_duplicate_input_rejected(self):
         outpoint = OutPoint("aa" * 32, 0)
@@ -249,26 +245,6 @@ class TestChain:
         chain.subscribe(seen.append)
         chain.mine_block()
         assert len(seen) == 1 and seen[0].height == 2
-
-
-class TestMiner:
-    def test_periodic_mining(self):
-        scheduler = Scheduler()
-        chain = Blockchain()
-        miner = Miner(chain, scheduler, block_interval=600.0)
-        miner.start()
-        scheduler.run(until=1_900.0)
-        assert chain.height == 3
-
-    def test_stop(self):
-        scheduler = Scheduler()
-        chain = Blockchain()
-        miner = Miner(chain, scheduler, block_interval=10.0)
-        miner.start()
-        scheduler.run(until=25.0)
-        miner.stop()
-        scheduler.run(until=100.0)
-        assert chain.height == 2
 
 
 class TestCostMetric:

@@ -17,6 +17,36 @@ ALICE = KeyPair.from_seed(b"async-alice")
 BOB = KeyPair.from_seed(b"async-bob")
 
 
+def delivered(receipt):
+    return receipt.delivered_at is not None and receipt.rejected is None
+
+
+def orphaned(receipt):
+    """Evicted by a reorg and not yet re-delivered."""
+    return receipt.orphaned_at is not None and receipt.delivered_at is None
+
+
+def wait_for_confirmations(client, txid, depth, callback, poll_interval=10.0):
+    """A light client watching block arrivals: ``callback`` once ``txid``
+    has ``depth`` confirmations, polled through the client's public read
+    path.  An eclipsed client cannot observe the chain, so a poll during
+    an eclipse reschedules instead of leaking a read."""
+    scheduler = client.scheduler
+
+    def poll():
+        try:
+            confirmed = client.is_confirmed(txid, depth)
+        except BlockchainError:
+            scheduler.call_after(poll_interval, poll)
+            return
+        if confirmed:
+            callback()
+        else:
+            scheduler.call_after(poll_interval, poll)
+
+    poll()
+
+
 @pytest.fixture
 def setup():
     scheduler = Scheduler()
@@ -36,7 +66,7 @@ def test_broadcast_arrives_after_base_delay(setup):
     receipt = client.broadcast(tx)
     assert chain.mempool_size() == 0
     scheduler.run()
-    assert receipt.delivered
+    assert delivered(receipt)
     assert receipt.delivered_at == 1.0
     assert chain.mempool_size() == 1
 
@@ -46,9 +76,9 @@ def test_adversarial_extra_delay(setup):
     adversary.delay(tx.txid, extra=3_599.0)
     receipt = client.broadcast(tx)
     scheduler.run(until=3_000.0)
-    assert not receipt.delivered
+    assert not delivered(receipt)
     scheduler.run()
-    assert receipt.delivered
+    assert delivered(receipt)
     assert receipt.delivered_at == 3_600.0
 
 
@@ -57,7 +87,7 @@ def test_censorship_never_delivers(setup):
     adversary.censor(tx.txid)
     receipt = client.broadcast(tx)
     scheduler.run()
-    assert not receipt.delivered
+    assert not delivered(receipt)
     assert chain.mempool_size() == 0
 
 
@@ -70,7 +100,7 @@ def test_eclipse_blocks_everything_until_lifted(setup):
     adversary.lift_eclipse()
     receipt = client.broadcast(tx)
     scheduler.run()
-    assert receipt.delivered
+    assert delivered(receipt)
 
 
 def test_invalid_transaction_surfaces_on_receipt(setup):
@@ -82,7 +112,7 @@ def test_invalid_transaction_surfaces_on_receipt(setup):
     chain.submit(conflict)
     scheduler.run()
     assert receipt.rejected is not None
-    assert not receipt.delivered
+    assert not delivered(receipt)
 
 
 def test_reads_blocked_when_eclipsed(setup):
@@ -91,14 +121,14 @@ def test_reads_blocked_when_eclipsed(setup):
     with pytest.raises(BlockchainError):
         client.balance(ALICE.address())
     with pytest.raises(BlockchainError):
-        client.confirmations(tx.txid)
+        client.is_confirmed(tx.txid)
 
 
 def test_wait_for_confirmations(setup):
     scheduler, chain, _, client, tx = setup
     fired = []
     client.broadcast(tx)
-    client.wait_for_confirmations(tx.txid, depth=2, callback=lambda:
+    wait_for_confirmations(client, tx.txid, depth=2, callback=lambda:
                                   fired.append(scheduler.now))
     scheduler.run(until=5.0)
     assert not fired
@@ -113,7 +143,7 @@ def test_wait_never_fires_for_censored_tx(setup):
     adversary.censor(tx.txid)
     fired = []
     client.broadcast(tx)
-    client.wait_for_confirmations(tx.txid, depth=1,
+    wait_for_confirmations(client, tx.txid, depth=1,
                                   callback=lambda: fired.append(1))
     chain.mine_block()
     scheduler.run(until=1_000.0)
@@ -128,7 +158,7 @@ def test_censorship_imposed_after_broadcast_still_suppresses(setup):
     receipt = client.broadcast(tx)
     adversary.censor(tx.txid)  # after broadcast, before mempool arrival
     scheduler.run()
-    assert not receipt.delivered
+    assert not delivered(receipt)
     assert chain.mempool_size() == 0
 
 
@@ -139,7 +169,7 @@ def test_mid_poll_eclipse_suspends_confirmation_watch(setup):
     scheduler, chain, _, client, tx = setup
     fired = []
     client.broadcast(tx)
-    client.wait_for_confirmations(tx.txid, depth=1,
+    wait_for_confirmations(client, tx.txid, depth=1,
                                   callback=lambda: fired.append(1))
     scheduler.run(until=5.0)
     client.reads_blocked = True
@@ -151,20 +181,13 @@ def test_mid_poll_eclipse_suspends_confirmation_watch(setup):
     assert fired
 
 
-def test_feerate_estimate_blocked_when_eclipsed(setup):
-    _, _, _, client, _ = setup
-    client.reads_blocked = True
-    with pytest.raises(BlockchainError):
-        client.feerate_estimate(limit=1)
-
-
 def test_reorg_marks_receipt_orphaned_and_rebroadcasts(setup):
     scheduler, chain, _, client, tx = setup
     receipt = client.broadcast(tx)
     scheduler.run()
     fork_parent = chain.tip_hash
     chain.mine_block(timestamp=scheduler.now)
-    assert receipt.delivered and chain.contains(tx.txid)
+    assert delivered(receipt) and chain.contains(tx.txid)
 
     # A competing two-block branch from below the tx's block wins.
     rival = chain.mine_block(timestamp=scheduler.now, parent=fork_parent,
@@ -172,12 +195,12 @@ def test_reorg_marks_receipt_orphaned_and_rebroadcasts(setup):
     chain.mine_block(timestamp=scheduler.now,
                      parent=rival.block_hash, transactions=())
     assert chain.confirmations(tx.txid) == 0
-    assert receipt.orphaned
+    assert orphaned(receipt)
     assert receipt.rebroadcasts == 1
 
     # The automatic re-broadcast re-delivers; mining re-confirms it.
     scheduler.run()
     chain.mine_block(timestamp=scheduler.now)
     assert chain.confirmations(tx.txid) == 1
-    assert receipt.delivered
-    assert not receipt.orphaned
+    assert delivered(receipt)
+    assert not orphaned(receipt)

@@ -11,7 +11,11 @@ from repro.blockchain.chain import Block
 from repro.blockchain.transaction import OutPoint
 from repro.crypto import KeyPair
 from repro.errors import BlockchainError, InvalidTransaction
-from repro.faults import run_all_chain_cells
+from repro.faults import (
+    run_deposit_double_spend_fork_cell,
+    run_fee_spike_deferral_cell,
+    run_settlement_reorg_cell,
+)
 
 ALICE = KeyPair.from_seed(b"fork-alice")
 BOB = KeyPair.from_seed(b"fork-bob")
@@ -283,5 +287,7 @@ class TestFeeMarket:
 
 class TestChainCells:
     def test_chain_realism_cells_all_hold(self):
-        for cell in run_all_chain_cells():
+        for cell in (run_settlement_reorg_cell(depth=2),
+                     run_deposit_double_spend_fork_cell(),
+                     run_fee_spike_deferral_cell()):
             assert cell.ok, (cell.name, cell.violations)

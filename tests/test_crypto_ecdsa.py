@@ -556,7 +556,7 @@ class TestVerificationTables:
     @example([(5, 7)] * 3, N - 1)    # Q == -G
     def test_property_sum_matches_oracle_in_every_state(self, pairs, secret):
         point = naive_multiply(secret)
-        ecdsa._Q_TABLES.clear()
+        ecdsa._Q_TABLES._tables.clear()
         for u1, u2 in pairs:
             assert ecdsa._from_jacobian(
                 ecdsa._jacobian_multiply_sum(u1, u2, point)) \
@@ -567,7 +567,7 @@ class TestVerificationTables:
     def test_property_multiply_matches_oracle_in_every_state(
             self, multipliers, secret):
         point = naive_multiply(secret)
-        ecdsa._Q_TABLES.clear()
+        ecdsa._Q_TABLES._tables.clear()
         for scalar in multipliers:
             assert ecdsa.point_multiply(scalar, point) \
                 == naive_multiply(scalar, point)
@@ -653,7 +653,7 @@ class TestVerificationTables:
         # Every verify that reaches the ladder moves the table one state
         # on; rotating the order brings each case to each state.
         for start in range(len(cases)):
-            tables.clear()
+            tables._tables.clear()
             for digest, candidate, expected in (cases[start:] + cases)[:8]:
                 assert ecdsa.verify(self.Q, digest, candidate) is expected
             assert rows_cached(tables, self.Q) == ecdsa._BASES
@@ -669,7 +669,7 @@ class TestVerificationTables:
         digest = sha256(message)
         public = naive_multiply(secret)
         good = ecdsa.sign(secret, digest)
-        ecdsa._Q_TABLES.clear()
+        ecdsa._Q_TABLES._tables.clear()
         for _ in TABLE_STATES:
             for candidate in (good, Signature(good.r, good.s ^ 1),
                               Signature(good.r, N - good.s)):

@@ -1,7 +1,7 @@
 """Fault-schedule semantics and DES-injector determinism.
 
-The contract under test: a :class:`FaultSchedule` is a value (immutable,
-serialisable), and replaying one on the discrete-event simulator is
+The contract under test: a :class:`FaultSchedule` is an immutable value,
+and replaying one on the discrete-event simulator is
 bit-deterministic — same seed, same schedule, same workload ⇒ an
 identical event trace.  That property is what makes a chaos-test failure
 reproducible from its seed alone.
@@ -33,17 +33,6 @@ class TestFaultSchedule:
         assert len(base.faults) == 0
         assert len(derived.faults) == 2
         assert derived.seed == 3
-
-    def test_json_round_trip(self):
-        schedule = (FaultSchedule(seed=11)
-                    .crash("alice", point="mh_lock", note="cell")
-                    .loss("alice", "bob", 0.25)
-                    .delay("bob", "alice", 0.010)
-                    .reorder("alice", "bob", window=4)
-                    .stall_chain("carol", at=2.5)
-                    .kill("bob", at=1.0)
-                    .corrupt_control("alice"))
-        assert FaultSchedule.from_dict(schedule.to_dict()) == schedule
 
     def test_mode_filters_split_kinds(self):
         schedule = (FaultSchedule()

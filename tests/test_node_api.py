@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.node import TeechainNetwork
-from repro.errors import MultihopError, ReproError, RoutingError
+from repro.errors import MultihopError, ReproError
 from repro.network.topology import fig3_topology
 
 
@@ -37,39 +37,6 @@ class TestNetworkFactory:
         node.fund(5_000)
         assert node.onchain_balance() == 15_000
         assert network.tracker.perceived_balance("n") == 15_000
-
-
-class TestPayTo:
-    """``pay_to`` — the in-memory twin of ``pay-multihop dest=``: the
-    route comes from a planner over the network's current balances."""
-
-    def test_neighbour_is_paid_over_the_channel(self, three_hop_path):
-        network, alice, bob, carol, ab, bc = three_hop_path
-        result = alice.pay_to(bob, 5_000)
-        assert result == {"route": ["alice", "bob"], "payment_id": None,
-                          "hops": 1}
-        assert alice.channel_balance(ab) == (35_000, 5_000)
-        assert bob.channel_balance(bc) == (40_000, 0)
-
-    def test_two_hops_go_through_pay_multihop(self, three_hop_path):
-        network, alice, bob, carol, ab, bc = three_hop_path
-        result = alice.pay_to("carol", 7_000)
-        assert result["route"] == ["alice", "bob", "carol"]
-        assert result["hops"] == 2
-        assert alice.multihop_completed(result["payment_id"])
-        assert alice.channel_balance(ab) == (33_000, 7_000)
-        assert bob.channel_balance(ab) == (7_000, 33_000)
-        assert bob.channel_balance(bc) == (33_000, 7_000)
-        assert carol.channel_balance(bc) == (7_000, 33_000)
-
-    def test_unfunded_route_raises(self, three_hop_path):
-        network, alice, bob, carol, ab, bc = three_hop_path
-        with pytest.raises(RoutingError):
-            carol.pay_to(alice, 1)  # carol holds nothing on bob–carol
-        with pytest.raises(RoutingError):
-            alice.pay_to(carol, 40_001)
-        assert alice.channel_balance(ab) == (40_000, 0)
-        assert carol.channel_balance(bc) == (0, 40_000)
 
 
 class TestTracker:

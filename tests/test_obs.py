@@ -41,12 +41,6 @@ class TestCounterGauge:
         assert gauge.value == 2
         assert gauge.peak == 10
 
-    def test_gauge_add(self):
-        registry = MetricsRegistry()
-        registry.gauge("w").add(5)
-        registry.gauge("w").add(-2)
-        assert registry.gauge("w").value == 3
-
 
 class TestHistogram:
     def test_bucket_counts(self):
@@ -60,14 +54,6 @@ class TestHistogram:
         assert histogram.minimum == 0.5
         assert histogram.maximum == 100.0
         assert histogram.mean == pytest.approx(106.0 / 5)
-
-    def test_quantile_approximation(self):
-        histogram = Histogram("h", bounds=tuple(float(i) for i in range(1, 11)))
-        for value in range(1, 101):
-            histogram.record(value / 10.0)
-        assert histogram.quantile(0.5) == pytest.approx(5.0)
-        assert histogram.quantile(1.0) == pytest.approx(10.0)
-        assert Histogram("empty").quantile(0.5) is None
 
     def test_unsorted_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -104,9 +90,11 @@ class TestNoOpDefault:
         assert NOOP.histogram("a") is NOOP.histogram("b")
 
     def test_noop_span_and_emit_are_safe(self):
-        obs.emit("anything", key=1)
-        with obs.span("anything"):
+        tracer = obs.get_tracer()
+        tracer.emit("anything", key=1)
+        with tracer.span("anything"):
             pass
+        assert tracer.events() == []
 
     def test_collecting_installs_and_restores(self):
         with obs.collecting() as (registry, tracer):
@@ -169,7 +157,7 @@ class TestTracer:
         with obs.collecting() as (_registry, tracer):
             scheduler = Scheduler()
             tracer.bind_clock(lambda: scheduler.now)
-            scheduler.call_after(1.5, lambda: obs.emit("fired"))
+            scheduler.call_after(1.5, lambda: tracer.emit("fired"))
             scheduler.run()
         (event,) = tracer.events()
         assert event["t"] == pytest.approx(1.5)
@@ -187,7 +175,6 @@ class TestSchedulerMetrics:
         counters = registry.snapshot()["counters"]
         assert counters["scheduler.events_processed"] == 2
         assert counters["scheduler.cancelled_skipped"] == 1
-        assert scheduler.cancelled_skipped == 1
 
 
 class TestJsonExport:

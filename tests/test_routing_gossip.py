@@ -11,6 +11,7 @@ every view to convergence.
 """
 
 import dataclasses
+import random
 
 import pytest
 
@@ -40,11 +41,11 @@ class FloodMesh:
             self.peers.setdefault(a, set()).add(b)
             self.peers.setdefault(b, set()).add(a)
         self.engines = {name: _engine(name) for name in self.peers}
-        self.rng = schedule.rng()
+        self.rng = random.Random(schedule.seed)
         self.blocked = set()   # directed links currently partitioned
         self.loss = {}         # directed link -> drop probability
         self.healable = []     # HEAL specs applied by heal()
-        for spec in schedule:
+        for spec in schedule.faults:
             if spec.kind is FaultKind.PARTITION:
                 self.blocked.add(spec.link())
             elif spec.kind is FaultKind.LOSS:
@@ -161,7 +162,7 @@ class TestRejection:
         assert bob.handle(old) is False                 # reordered arrival
         assert bob.stats()["updates_rejected_stale"] == 1
         # The fresher balance survived.
-        assert bob.view.half("alice", "ab").capacity == 50
+        assert bob.view._halves[("alice", "ab")].capacity == 50
 
     def test_forged_signature_rejected(self):
         alice, bob = _engine("alice"), _engine("bob")

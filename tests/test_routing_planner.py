@@ -1,9 +1,9 @@
 """RoutePlanner unit tests: determinism, caching, cost models, capacity.
 
 The planner is the single route-selection implementation shared by the
-DES (`repro.bench.netsim`), the live daemons (`pay-multihop dest=`), and
-the in-memory `TeechainNode.pay_to` — so its contract is pinned here,
-independent of any one consumer.
+DES (`repro.bench.netsim`) and the live daemons (`route` /
+`pay-multihop dest=`) — so its contract is pinned here, independent of
+either consumer.
 """
 
 import pytest

@@ -72,7 +72,7 @@ class TestTemporaryChannels:
         network, alice, bob, primary, manager = contended
         temporary = manager.create(bob, 10_000)
         assert temporary != primary
-        assert manager.count("bob") == 1
+        assert len(manager.temporaries["bob"]) == 1
         assert alice.program.channels[temporary].is_open
 
     def test_parallel_payment_while_primary_locked(self, network):

@@ -15,11 +15,7 @@ is driven once end to end against two daemons as a subprocess.
 
 import asyncio
 import json
-import os
-import subprocess
-import sys
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -27,6 +23,7 @@ from repro.obs.fleet import HEALTH_FIELDS
 from repro.runtime.control import ControlClient
 from repro.runtime.launch import HOST, boot, launch_network
 from repro.runtime.workers import ShardedDaemon
+from tests.conftest import run_module
 
 GENESIS = 200_000
 DEPOSIT = 60_000
@@ -93,17 +90,16 @@ def test_audit_snapshot_atomic_under_concurrent_pays():
             handle.shutdown()
 
 
-def _fleet(handles, *options):
-    """One ``python -m repro.obs fleet --once --json`` sweep over
-    ``handles``: the exit status and the printed sweep."""
+def _run_fleet(handles, *options):
+    """One ``python -m repro.obs fleet --once`` sweep over ``handles``."""
     targets = [f"{name}={HOST}:{handle.control_port}"
                for name, handle in sorted(handles.items())]
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    done = subprocess.run(
-        [sys.executable, "-m", "repro.obs", "fleet", *targets,
-         "--once", "--json", *options],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-        text=True, timeout=60)
+    return run_module("repro.obs", "fleet", *targets, "--once", *options)
+
+
+def _fleet(handles, *options):
+    """A ``--json`` sweep: the exit status and the printed sweep."""
+    done = _run_fleet(handles, "--json", *options)
     assert done.stdout, done.stderr
     return done.returncode, json.loads(done.stdout)["sweep"]
 
@@ -130,6 +126,17 @@ def test_obs_fleet_audits_a_live_pair_from_the_command_line():
             assert point["peers"] == 1, name
             assert point["chain_height"] >= 1, name
         assert sweep["daemons"]["alice"]["channels"] == 1
+
+        # The operator's table view of the same fleet.
+        done = _run_fleet(handles)
+        assert done.returncode == 0, done.stderr
+        rows = done.stdout.splitlines()
+        assert rows[0].split()[:2] == ["NODE", "STATUS"]
+        assert [row.split()[:2] for row in rows[1:3]] == [
+            ["alice", "ok"], ["bob", "ok"]]
+        assert (f"conservation: observed={2 * GENESIS} "
+                f"expected={2 * GENESIS} [OK]") in rows
+        assert "active alerts: none" in rows
 
         # A supply the fleet does not hold is a CRITICAL: exit 1.
         status, sweep = _fleet(handles, "--expected-total",

@@ -65,3 +65,41 @@ def test_a_hello_with_a_bad_quote_drops_only_its_connection(kind, caplog):
     assert reported == []
     assert pong["name"] == "victim"
     assert "dropping connection from mallory" in caplog.text
+
+
+@pytest.mark.live
+@pytest.mark.parametrize("field", [
+    {"session": "x"},   # bytes("x") raised TypeError into asyncio
+    {"session": 16},    # bytes(16) allocated before the quote was checked
+    {"name": 5},
+], ids=["session-str", "session-int", "name-int"])
+def test_a_hello_with_a_mistyped_field_drops_only_its_connection(field,
+                                                                  caplog):
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        reported = []
+        loop.set_exception_handler(
+            lambda _loop, context: reported.append(context))
+        daemon = NodeDaemon("victim", allocations={"victim": 1_000})
+        port, control_port = await daemon.start()
+        fields = dict(name="mallory", host=HOST, port=1,
+                      settlement_address="nowhere",
+                      quote=daemon._my_quote(), session=bytes(16))
+        fields.update(field)
+        reader, writer = await asyncio.open_connection(HOST, port)
+        writer.write(_frame(Hello(**fields)))
+        await writer.drain()
+        closed = await asyncio.wait_for(reader.read(), 5.0)
+        writer.close()
+        client = await AsyncControlClient.connect(HOST, control_port)
+        pong = await client.call("ping")
+        await client.close()
+        await daemon.stop()
+        return closed, reported, pong
+
+    with obs.collecting(), caplog.at_level(logging.WARNING):
+        closed, reported, pong = asyncio.run(scenario())
+    assert closed == b""
+    assert reported == []
+    assert pong["name"] == "victim"
+    assert "malformed handshake" in caplog.text

@@ -12,14 +12,16 @@ ledger is authoritative for what she signed away — and both replicas
 must confirm the same exact on-chain split.
 """
 
+import json
 import threading
 import time
 
 import pytest
 
 from repro.faults import FaultSchedule, LiveFaultInjector
-from repro.runtime.control import ControlError
+from repro.runtime.control import ControlClient, ControlError
 from repro.runtime.launch import HOST, launch_network
+from tests.conftest import run_module
 
 pytestmark = [pytest.mark.live, pytest.mark.chaos]
 
@@ -174,6 +176,82 @@ def test_blackhole_and_heal_via_fault_command():
         counters = alice.call("metrics")["metrics"]["counters"]
         assert counters.get("faults.injected[blackhole]", 0) == 1
         assert counters.get("faults.injected[heal]", 0) == 1
+    finally:
+        for handle in handles.values():
+            handle.shutdown()
+
+
+def _cli_call(handle, cmd):
+    """One ``python -m repro.runtime call`` against ``handle``: the
+    operator's command line, end to end."""
+    done = run_module("repro.runtime", "call",
+                      f"{HOST}:{handle.control_port}", cmd)
+    assert done.returncode == 0, done.stdout + done.stderr
+    return json.loads(done.stdout)
+
+
+def test_eject_all_of_a_stuck_multihop_conserves_funds():
+    """Bob's link to carol is black-holed, so alice's payment to carol
+    sticks in the lock stage.  The operator runs ``eject-all`` on alice
+    and bob and mines: the sessions' settlements confirm and the network
+    still holds exactly what it was funded with."""
+    names = ("alice", "bob", "carol")
+    handles, _ = launch_network({name: GENESIS for name in names})
+    try:
+        alice, bob = handles["alice"].control, handles["bob"].control
+        chan_ab = alice.call("open-channel", peer="bob")["channel_id"]
+        chan_bc = bob.call("open-channel", peer="carol")["channel_id"]
+        for payer, peer, channel_id in ((alice, "bob", chan_ab),
+                                        (bob, "carol", chan_bc)):
+            deposit = payer.call("deposit", value=DEPOSIT)
+            payer.call("approve-associate", peer=peer,
+                       channel_id=channel_id, txid=deposit["txid"])
+        LiveFaultInjector(handles,
+                          FaultSchedule().blackhole("bob", "carol")).apply()
+
+        # Its own client, with a short timeout: the daemon goes on
+        # waiting for the payment, and this connection is given up.
+        stuck = ControlClient(HOST, handles["alice"].control_port,
+                              timeout=0.5)
+        try:
+            with pytest.raises(ControlError) as excinfo:
+                stuck.call("pay-multihop", amount=700,
+                           path="alice,bob,carol")
+            assert excinfo.value.code == "timeout"
+        finally:
+            stuck.close()
+
+        assert "eject-all" in {row["cmd"] for row in
+                               _cli_call(handles["alice"], "help")["commands"]}
+        ejected = {name: _cli_call(handles[name], "eject-all")["ejected"]
+                   for name in ("alice", "bob")}
+        (payment,) = ejected["alice"]
+        assert list(ejected["bob"]) == [payment]
+        assert all(ejected[name][payment] for name in ejected)
+        alice.call("mine")
+        height = alice.call("stats")["chain"]["height"]
+
+        def converged():
+            chains = [handles[name].control.call("stats")["chain"]
+                      for name in names]
+            return all(chain["height"] >= height and chain["mempool"] == 0
+                       for chain in chains)
+
+        _poll(converged, what="every replica to confirm the ejection")
+        snapshots = [handles[name].control.call("audit-snapshot")
+                     for name in names]
+        # A channel counts once, at the smaller of its endpoints' totals:
+        # an endpoint that settled it reports 0, one that never saw the
+        # payment still reports the funded total.
+        totals = {}
+        for snapshot in snapshots:
+            for channel_id, channel in snapshot["channels"].items():
+                totals[channel_id] = min(totals.get(channel_id, DEPOSIT),
+                                         channel["total"])
+        assert totals == {chan_ab: 0, chan_bc: 0}
+        observed = sum(snapshot["onchain"] + snapshot["free_deposit_value"]
+                       for snapshot in snapshots) + sum(totals.values())
+        assert observed == len(names) * GENESIS
     finally:
         for handle in handles.values():
             handle.shutdown()

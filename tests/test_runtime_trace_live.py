@@ -2,8 +2,9 @@
 
 The acceptance test for the distributed tracing plane: three ``python -m
 repro.runtime serve --trace`` subprocesses form a path alice→bob→carol,
-alice pays carol through bob, and each daemon's ``trace_dump`` is merged
-(:func:`repro.obs.merge.merge_dumps`) into a single timeline.  Asserted:
+alice pays carol through bob, and the three ``trace_dump`` payloads are
+merged into a single timeline by the operator's command line, ``python -m
+repro.obs.merge``.  Asserted on the merged file it writes:
 
 * every hop shows all six multihop pipeline stage spans
   (lock→sign→preUpdate→update→postUpdate→release), all parented under a
@@ -15,10 +16,12 @@ alice pays carol through bob, and each daemon's ``trace_dump`` is merged
   started seconds apart, so the raw clocks genuinely disagree).
 """
 
+import json
+
 import pytest
 
-from repro.obs.merge import merge_dumps
 from repro.runtime.launch import launch_network
+from tests.conftest import run_module
 
 GENESIS = 200_000
 DEPOSIT = 50_000
@@ -28,7 +31,7 @@ STAGES = ["lock", "sign", "preUpdate", "update", "postUpdate", "release"]
 
 
 @pytest.mark.live
-def test_three_daemons_multihop_single_merged_trace():
+def test_three_daemons_multihop_single_merged_trace(tmp_path):
     handles, _ = launch_network(
         {"alice": GENESIS, "bob": GENESIS, "carol": GENESIS}, trace=True
     )
@@ -49,12 +52,19 @@ def test_three_daemons_multihop_single_merged_trace():
                             path="alice,bob,carol")
         assert result["completed"] and result["hops"] == 2
 
-        dumps = [handles[name].control.call("trace_dump")
-                 for name in ("alice", "bob", "carol")]
-        for dump in dumps:
-            assert dump["dropped"] == 0, f"{dump['node']} overflowed its ring"
-            assert dump["peer_offsets"], f"{dump['node']} measured no skew"
-        merged = merge_dumps(dumps, reference="alice")
+        paths = []
+        for name in ("alice", "bob", "carol"):
+            dump = handles[name].control.call("trace_dump")
+            assert dump["dropped"] == 0, f"{name} overflowed its ring"
+            assert dump["peer_offsets"], f"{name} measured no skew"
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(dump))
+        done = run_module("repro.obs.merge", *paths, "--reference", "alice",
+                          "-o", tmp_path / "merged.json",
+                          "--perfetto", tmp_path / "trace.json")
+        assert done.returncode == 0, done.stderr
+        merged = json.loads((tmp_path / "merged.json").read_text())
+        assert json.loads((tmp_path / "trace.json").read_text())
         events = merged["events"]
 
         # Every hop participated in all six pipeline stages, in order.

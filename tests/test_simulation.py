@@ -4,6 +4,7 @@ cancellation, and run bounds."""
 import pytest
 
 from repro.errors import SimulationError
+from repro.obs import MetricsRegistry
 from repro.simulation import Clock, Scheduler
 
 
@@ -159,14 +160,15 @@ class TestScheduler:
         scheduler.call_at(9.0, lambda: None)
         scheduler.run(until=5.0, max_events=10)
         assert scheduler.now == 5.0
-        assert scheduler.pending == 1
+        assert len(scheduler._queue) == 1
 
     def test_step_returns_false_when_empty(self):
         assert Scheduler().step() is False
 
     def test_events_processed_counter(self):
-        scheduler = Scheduler()
+        registry = MetricsRegistry()
+        scheduler = Scheduler(metrics=registry)
         for _ in range(3):
             scheduler.call_after(1.0, lambda: None)
         scheduler.run()
-        assert scheduler.events_processed == 3
+        assert registry.counter("scheduler.events_processed").value == 3

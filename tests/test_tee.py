@@ -6,7 +6,6 @@ import pytest
 from repro.crypto import KeyPair
 from repro.errors import (
     AttestationError,
-    CounterThrottled,
     EnclaveCrashed,
     EnclaveFrozen,
     SealingError,
@@ -148,7 +147,8 @@ class TestAttestation:
         service = AttestationService()
         enclave = Enclave(EchoProgram())
         quote = service.quote(enclave)
-        service.revoke(enclave.public_key)
+        # A disclosed compromise puts the enclave key on the revocation list.
+        service._revoked.add(enclave.public_key.to_bytes())
         with pytest.raises(AttestationError):
             verify_quote(quote, service.root_key, EchoProgram.measurement(),
                          service=service)
@@ -186,18 +186,11 @@ class TestMonotonicCounters:
             completion = counter.increment(0.0)
         assert completion == pytest.approx(1.0)
 
-    def test_try_increment_raises_when_busy(self):
-        counter = MonotonicCounter(0, increment_delay=0.1)
-        counter.try_increment(0.0)
-        with pytest.raises(CounterThrottled):
-            counter.try_increment(0.05)
-        assert counter.try_increment(0.2) == 2
-
     def test_reads_unthrottled(self):
         counter = MonotonicCounter(0, increment_delay=0.1)
         counter.increment(0.0)
-        assert counter.read() == 1
-        assert counter.read() == 1
+        assert counter.value == 1
+        assert counter.value == 1
 
     def test_bank_quota(self):
         bank = MonotonicCounterBank()
@@ -206,13 +199,6 @@ class TestMonotonicCounters:
         bank.create()
         with pytest.raises(TEEError):
             bank.create()
-
-    def test_bank_lookup(self):
-        bank = MonotonicCounterBank()
-        counter = bank.create()
-        assert bank.get(counter.counter_id) is counter
-        with pytest.raises(TEEError):
-            bank.get(99)
 
 
 class TestSealing:

@@ -13,10 +13,12 @@ they start, then prints, per module:
   importlib) counts as made by the nearest repository frame above it.
 
 A function in either list that ``tools/reach_allow.txt`` does not name
-(one ``path:qualname  reason`` per line) is an error: exit status 1.
-So is an entry that names no function under ``src/repro``: a deletion
-takes its entry with it.  An allow-listed function that is reached is
-not an error.
+(one ``path:qualname  category: reason`` per line) is an error: exit
+status 1.  So is an entry that names no function under ``src/repro`` (a
+deletion takes its entry with it), and an entry whose reason does not
+start with one of the categories the list's header defines
+(:data:`CATEGORIES`); an untagged entry fails before any suite runs.  An
+allow-listed function that is reached is not an error.
 
     python3 tools/reach.py [--report FILE] [--edges DIR]
 
@@ -39,6 +41,9 @@ from collections import defaultdict
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 ALLOW = REPO / "tools" / "reach_allow.txt"
+# The reasons an entry may give, as the allow-list's header defines them.
+CATEGORIES = ("repr", "adversary", "operator", "reference", "error-path",
+              "roadmap")
 
 # Loaded by every child interpreter through PYTHONUSERBASE: perf's
 # harness overwrites PYTHONPATH, so a sitecustomize on it would miss the
@@ -175,13 +180,23 @@ def main():
     parser.add_argument("--report", help="also write the report to this file")
     parser.add_argument("--edges", help="keep (or reuse) the per-process edge dumps here")
     args = parser.parse_args()
-    allowed = set()
+    allowed, tagged, untagged = set(), defaultdict(int), []
     for line in ALLOW.read_text().splitlines():
         if line.strip() and not line.startswith("#"):
             key, _, reason = line.partition(" ")
             if not reason.strip():
                 sys.exit(f"{ALLOW.name}: no reason given for {key}")
             allowed.add(key)
+            category, colon, _ = reason.strip().partition(":")
+            if colon and category in CATEGORIES:
+                tagged[category] += 1
+            else:
+                untagged.append(key)
+    if untagged:
+        for key in untagged:
+            print(f"{ALLOW.name}: reason names no category "
+                  f"({', '.join(CATEGORIES)}): {key}")
+        return 1
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
         out = pathlib.Path(args.edges or scratch + "/edges")
         out.mkdir(parents=True, exist_ok=True)
@@ -210,6 +225,8 @@ def main():
     known = {f"{path}:{qualname}" for (path, _, _), (qualname, _) in defs.items()}
     stale = sorted(allowed - known)
     lines += [f"allow-listed, but no such function: {key}" for key in stale]
+    lines += [f"allow-listed as {category}: {tagged[category]}"
+              for category in CATEGORIES]
     lines.append(f"not in {ALLOW.name}: {len(missing)}")
     lines.append(f"in {ALLOW.name}, but not in src: {len(stale)}")
     report = "\n".join(lines)
